@@ -8,7 +8,7 @@ produces closed-form spectra and eigenfunctions, and checks all of it against
 independent finite-difference and quadrature oracles.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .errors import (BranchViolation, DomainError, Infeasible4X,
                      JetOrderExceeded, ModeError, NonConvergent,

@@ -12,10 +12,8 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -61,7 +59,6 @@ class RunConfig:
     grids: list[int] = field(default_factory=lambda: [2000, 4000])
     out: str | None = None
     format: str = "json"
-    workers: int = 0
     tols: dict[str, float] = field(default_factory=dict)
     side: str = "plus"
     n_list: list[int] = field(default_factory=lambda: [0])
@@ -90,6 +87,13 @@ class RunConfig:
             raise ConfigError("n_max must be non-negative")
         if not (0 < self.z_min < self.z_max):
             raise ConfigError("need 0 < z_min < z_max")
+        if not isinstance(self.tols, dict):
+            raise ConfigError("tols must map tolerance ids to numbers")
+        for name, value in self.tols.items():
+            if name not in DEFAULT_TOLS:
+                raise ConfigError(f"unknown tolerance id {name!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"tolerance {name!r} must be a number")
 
 
 def _solve_params(cfg: RunConfig):
@@ -99,16 +103,6 @@ def _solve_params(cfg: RunConfig):
     mp = ModelParams(cfg.omega, cfg.alpha, cfg.beta, delta_gauge=cfg.delta)
     fp, report = solve_inverse(mp)
     return fp, mp, report
-
-
-def default_workers() -> int:
-    env = os.environ.get("SWANSON_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 4
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +587,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         values = [lo]
     else:
         values = list(np.linspace(lo, hi, cfg.sweep_steps))
-    workers = cfg.workers or default_workers()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda v: _sweep_one(cfg, float(v)), values))
+    rows = [_sweep_one(cfg, float(v)) for v in values]
     header = [cfg.sweep_param, "E0_analytic", "E1_analytic", "E2_analytic",
               "E0_numeric", "E1_numeric", "E2_numeric", "max_identity_residual",
               "status"]
@@ -634,7 +626,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--grids", type=str)
         sp.add_argument("--out", type=str)
         sp.add_argument("--format", choices=["json", "csv"])
-        sp.add_argument("--workers", type=int)
         sp.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VALUE")
         if name == "wavefunctions":
@@ -662,8 +653,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"unknown config field {key!r}")
             setattr(cfg, key, value)
     for key in ("mode", "omega_bar", "rho_q", "d", "omega", "alpha", "beta",
-                "delta", "n_max", "z_min", "z_max", "out", "format", "workers",
-                "side", "sweep_param", "sweep_steps"):
+                "delta", "n_max", "z_min", "z_max", "out", "format", "side",
+                "sweep_param", "sweep_steps"):
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)

@@ -30,11 +30,6 @@ def cf_const(v: float) -> CoeffFn:
     return lambda x, order: Jet.const(v, order)
 
 
-def cf_from_jetfn(f) -> CoeffFn:
-    """Wrap a Jet -> Jet map as a coefficient function."""
-    return lambda x, order: f(Jet.variable(x, order))
-
-
 class LinDiffOp:
     """Immutable linear ordinary differential operator."""
 
@@ -49,9 +44,6 @@ class LinDiffOp:
         if i > self.order:
             return cf_const(0.0)
         return self._coeffs[i]
-
-    def coeff_values(self, x: float, order: int = 0) -> list[Jet]:
-        return [c(x, order) for c in self._coeffs]
 
     def apply(self, f, x: float) -> float:
         """Apply to a function given as a Jet -> Jet map; returns (T f)(x)."""

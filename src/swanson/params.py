@@ -54,11 +54,6 @@ class DerivedConstants:
     a5: float
     omega_bar: float
 
-    @property
-    def branch_condition(self) -> bool:
-        """True when a2 - 2*a1 < 0, the condition behind the c < 0 branch."""
-        return self.a2 - 2 * self.a1 < 0
-
 
 @dataclass(frozen=True)
 class FactorizationParams:

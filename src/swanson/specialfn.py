@@ -10,7 +10,6 @@ kept for cross-checks only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import PoleAtNonPositiveInteger, PoleConfiguration
 
@@ -40,23 +39,6 @@ def pochhammer(s: float, n: int):
     for k in range(n):
         r = r * (s + k)
     return r
-
-
-@dataclass(frozen=True)
-class KummerPoly:
-    """Terminating confluent hypergeometric series 1F1(-n; g; y), degree n."""
-
-    n: int
-    gamma: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("degree must be non-negative")
-        if self.gamma <= 0:
-            raise ValueError("lower parameter must be positive")
-
-    def __call__(self, y):
-        return kummer(self.n, self.gamma, y)
 
 
 def kummer(n: int, gamma: float, y):

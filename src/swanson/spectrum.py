@@ -67,7 +67,39 @@ def _norm_const(n: int, gamma: float, scale: float) -> float:
     return (-1) ** n * mag
 
 
+def _value_factors(n: int, gamma: float, scale: float, z: float,
+                   p: float) -> tuple[float, float, float]:
+    """Values of the order-0 jets z^p, exp(-(scale/2) z^2) and
+    1F1(-n; gamma; scale z^2) that the jet forms below build.
+
+    The same float operations run in the same order as in ``Jet``
+    (``0.0 + a * b`` is its product's accumulator, division by a float is a
+    product with the reciprocal), so the values agree bit for bit without
+    building a jet.  Quadratures of the states need values only, and at
+    small gamma they take many times more of them than elsewhere.
+    """
+    z = float(z)
+    zz = 0.0 + z * z
+    pw = math.exp(math.log(z) * p)
+    ex = math.exp(zz * -(scale / 2))
+    if n < 0:
+        raise ValueError("kummer needs n >= 0")
+    if gamma <= 0:
+        raise ValueError("kummer needs gamma > 0")
+    y = zz * scale
+    total = y * 0.0 + 1.0
+    term = total
+    for k in range(n):
+        term = ((0.0 + term * ((-n + k) * 1.0) * y)
+                * (1.0 / ((gamma + k) * (k + 1))))
+        total = total + term
+    return pw, ex, total
+
+
 def _chi_jet(n: int, gamma: float, scale: float, z: float, order: int) -> Jet:
+    if order == 0:
+        pw, ex, f = _value_factors(n, gamma, scale, z, gamma - 0.5)
+        return Jet((0.0 + (0.0 + pw * ex) * f,))
     zj = Jet.variable(z, order)
     return (zj.power(gamma - 0.5) * (-(scale / 2) * zj**2).exp()
             * kummer(n, gamma, scale * zj**2))
@@ -171,6 +203,10 @@ def psi_plus_jet(fp: FactorizationParams, n: int, z: float,
     if z <= 0:
         raise DomainError("pre-transform eigenfunction needs z > 0")
     g, oh = fp.gamma, fp.omega_hat
+    if order == 0:
+        norm = psi_plus_norm(fp, n)
+        pw, ex, f = _value_factors(n, g, oh, z, g + 0.5)
+        return Jet((0.0 + (0.0 + pw * norm * ex) * f,))
     zj = Jet.variable(z, order)
     return (psi_plus_norm(fp, n) * zj.power(g + 0.5)
             * (-(oh / 2) * zj**2).exp() * kummer(n, g, oh * zj**2))

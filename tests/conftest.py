@@ -1,9 +1,13 @@
 """Shared fixtures: the reference parameter set, frozen feasible inverse
 triples, and the generic sample-point sets used by the identity checks."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import swanson
 from swanson.params import ModelParams, solve_forward, solve_inverse
 
 # Reference forward solution used throughout the suite.
@@ -24,6 +28,14 @@ SAMPLE_X = [-4.6, -3.1, -2.3, -1.7, -1.3, -0.9, -0.62, -0.41, -0.3, 0.33,
             0.47, 0.71, 0.85, 1.1, 1.55, 2.1, 2.7, 3.4, 4.1, 4.8]
 SAMPLE_Z = [0.31, 0.37, 0.45, 0.52, 0.6, 0.68, 0.8, 0.92, 1.0, 1.12,
             1.25, 1.5, 1.65, 1.8, 1.95, 2.1, 2.3, 2.5, 2.9, 3.3]
+
+
+def subprocess_env() -> dict:
+    """Environment in which a child interpreter imports this swanson."""
+    src = str(Path(swanson.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 @pytest.fixture(scope="session")

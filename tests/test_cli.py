@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, output schemas, determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from swanson.cli import main
+import swanson
+from swanson.cli import DEFAULT_TOLS, main
+from conftest import subprocess_env
 
 FEASIBLE = ["--omega", "0.0375710788598238",
             "--alpha", "-2.4421921617411186",
@@ -171,6 +175,32 @@ class TestVerify:
     def test_bad_tolerance_syntax(self, capsys):
         assert run_main(["verify", "--tol", "oops"], capsys)[0] == 1
 
+    def test_unknown_tolerance_id_flag(self, capsys):
+        code, out, err = run_main(["verify", "--tol", "nosuch=1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "nosuch" in err
+
+    @pytest.mark.parametrize("tols", [{"nosuch": 1}, 5,
+                                      {"isospectrality": "x"}])
+    def test_bad_tolerances_in_config(self, tols, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tols": tols}))
+        code, out, err = run_main(["verify", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_known_tolerance_id_from_config(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tols": {"factorization_plus": 1e-30}}))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        doc = json.loads(out.read_text())
+        failed = [e["id"] for e in doc["identities"] if e["status"] == "FAIL"]
+        assert failed == ["factorization_plus"]
+        assert set(e["id"] for e in doc["identities"]) <= set(DEFAULT_TOLS)
+
 
 class TestSweep:
     def test_monotone_ground_level(self, tmp_path):
@@ -211,6 +241,27 @@ class TestDeterminism:
         proc = subprocess.run(
             [sys.executable, "-m", "swanson.cli", "solve", "--mode", "forward",
              "--omega-bar", "1", "--rho-q", "1", "--d", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["params"]["gamma"] == "2.5"
+
+
+class TestVersion:
+    def test_pyproject_reads_package_version(self):
+        # a regex rather than tomllib, which Python 3.10 lacks
+        text = (Path(__file__).resolve().parents[1]
+                / "pyproject.toml").read_text()
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        assert re.search(r'^dynamic\s*=\s*\[\s*"version"\s*\]', project, re.M)
+        assert not re.search(r"^version\s*=", project, re.M)
+        dynamic = text.split("[tool.setuptools.dynamic]", 1)[1]
+        assert re.search(
+            r'^version\s*=\s*\{\s*attr\s*=\s*"swanson.__version__"\s*\}',
+            dynamic, re.M)
+        assert re.fullmatch(r"\d+\.\d+\.\d+", swanson.__version__)
+
+    def test_verify_report_names_package_version(self, tmp_path):
+        out = tmp_path / "verify.json"
+        main(["verify", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["environment"]["package"] == f"swanson {swanson.__version__}"

@@ -1,9 +1,13 @@
 """Finite-difference eigensolver, quadrature, and spectra comparison."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+from conftest import subprocess_env
 
 from swanson.errors import NonConvergent
 from swanson.numeric import (compare_spectra, fd_discretize, quad_halfline,
@@ -61,6 +65,53 @@ class TestTridiagonalEigenvalues:
                             z_min=0.0, z_max=1.0, n_points=3)
         with pytest.raises(ValueError):
             tridiag_eigs(sys, 4)
+
+    def test_zero_pivot_is_counted(self):
+        # the Gershgorin bracket is [-1, 3], so the first midpoint is exactly
+        # 1.0 and the leading pivot d_0 - 1.0 vanishes
+        from swanson.numeric import TridiagSystem
+        sys_ = TridiagSystem(diagonal=np.ones(3), off_diagonal=np.ones(2),
+                             z_min=0.0, z_max=1.0, n_points=3)
+        expected = [1 - math.sqrt(2), 1.0, 1 + math.sqrt(2)]
+        assert tridiag_eigs(sys_, 3) == pytest.approx(expected, abs=1e-12)
+
+    def test_dense_cross_check(self):
+        from swanson.numeric import TridiagSystem
+        rng = np.random.default_rng(2011)
+        N = 300
+        d = rng.normal(size=N)
+        e = rng.normal(size=N - 1)
+        sys_ = TridiagSystem(diagonal=d, off_diagonal=e,
+                             z_min=0.0, z_max=1.0, n_points=N)
+        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        expected = np.linalg.eigvalsh(dense)[:8]
+        assert tridiag_eigs(sys_, 8) == pytest.approx(expected, abs=1e-10)
+
+    # levels of the reference FD systems, bit for bit as computed by the
+    # vectorized Sturm count the scalar one replaced
+    GOLDEN = {
+        Side.PLUS: ["0x1.17fdfb80284f9p+5", "0x1.67f7c77b0ebc2p+5",
+                    "0x1.b7ec799c7490bp+5", "0x1.03ee08b22b1d4p+6"],
+        Side.MINUS: ["0x1.17fe567ace298p+5", "0x1.67f8a325bfe98p+5",
+                     "0x1.b7eddcc7f129cp+5", "0x1.03eeff6d416dap+6"],
+    }
+
+    @pytest.mark.parametrize("side", [Side.PLUS, Side.MINUS])
+    def test_golden_levels(self, side, fp_star):
+        V = lambda z: eval_potential_z(side, Form.CANONICAL, z, fp_star)
+        got = tridiag_eigs(fd_discretize(V, 1e-3, 10.0, 500), 4)
+        assert [x.hex() for x in got] == self.GOLDEN[side]
+
+    def test_cli_does_not_load_scipy(self):
+        code = ("import sys\n"
+                "from swanson.cli import main\n"
+                "assert main(['spectrum', '--n-max', '2']) == 0\n"
+                "print('scipy' in sys.modules, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "False"
 
 
 class TestRichardsonRefinement:

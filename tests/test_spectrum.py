@@ -227,6 +227,31 @@ class TestPreTransformStates:
         assert crossings == 1
 
 
+class TestValueOnlyStates:
+    """Order-0 states skip the jet arithmetic; their value must still be the
+    jet's value bit for bit, at every n the CLI reaches and far into the
+    Gaussian tail."""
+
+    def test_order_zero_equals_jet_value(self):
+        rng = np.random.default_rng(4)
+        for fp in random_forward_sets(8, seed=11):
+            gk = gk_of(fp)
+            for _ in range(60):
+                n = int(rng.integers(0, 41))
+                z = float(10 ** rng.uniform(-4, 1.2))
+                for a, b in ((phi_plus_jet(fp, n, z, 0), phi_plus_jet(fp, n, z, 2)),
+                             (psi_plus_jet(fp, n, z, 0), psi_plus_jet(fp, n, z, 2)),
+                             (gk_wavefunction_jet(gk, n, z, 0),
+                              gk_wavefunction_jet(gk, n, z, 2))):
+                    assert a.order == 0
+                    assert a.value.hex() == b.value.hex()
+
+    def test_order_zero_keeps_domain_check(self, fp_star):
+        for state in (phi_plus_jet, psi_plus_jet):
+            with pytest.raises(DomainError):
+                state(fp_star, 0, 0.0, 0)
+
+
 class TestNormalizationIntegrals:
     def test_ground_state_closed_form(self, fp_star):
         g, oh = fp_star.gamma, fp_star.omega_hat
