@@ -23,10 +23,10 @@ import numpy as np
 from . import __version__
 from .errors import (BranchViolation, Infeasible4X, NoPositiveRoot,
                      NonConvergent, SwansonError)
-from .params import (ModelParams, check_constraints, derive_constants,
-                     solve_forward, solve_inverse)
-from .potentials import (Form, Side, coord_x, eval_potential, eval_potential_z,
-                         transform_shift, w_of_z_jet)
+from .params import ModelParams, solve_forward, solve_inverse
+from .potentials import (Form, Side, coord_x, dlog_rho_jet, eval_potential,
+                         eval_potential_z, transform_shift, w_of_z_jet)
+from .specialfn import gamma_fn, kummer, pochhammer
 from . import diffop, numeric, spectrum
 
 EXIT_OK = 0
@@ -41,6 +41,34 @@ def fmt(x: float) -> str:
 
 class ConfigError(Exception):
     pass
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and -math.inf < v < math.inf
+
+
+# field -> (test, what it must be), checked by RunConfig.validate
+_FIELD_RULES = {
+    **{name: (_finite, "a finite number") for name in
+       ("omega_bar", "rho_q", "d", "delta", "z_min", "z_max")},
+    **{name: (lambda v: v is None or _finite(v), "a finite number or null")
+       for name in ("omega", "alpha", "beta")},
+    "n_max": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "sweep_steps": (lambda v: type(v) is int, "an integer"),
+    "n_list": (lambda v: isinstance(v, list)
+               and all(type(n) is int and n >= 0 for n in v),
+               "a list of non-negative integers"),
+    "z_grid": (lambda v: isinstance(v, list) and all(map(_finite, v)),
+               "a list of finite numbers"),
+    "sweep_range": (lambda v: isinstance(v, tuple) and len(v) == 2
+                    and all(map(_finite, v)), "two finite numbers"),
+    "grids": (lambda v: isinstance(v, list) and len(v) >= 2
+              and all(type(n) is int and n > 0 for n in v)
+              and all(b == 2 * a for a, b in zip(v, v[1:])),
+              "two or more positive integers, each twice the one before"),
+    "side": (lambda v: v in ("plus", "minus"), "plus or minus"),
+    "out": (lambda v: v is None or isinstance(v, str), "a file path or null"),
+}
 
 
 @dataclass
@@ -72,6 +100,10 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
+        for name, (ok, what) in _FIELD_RULES.items():
+            if not ok(getattr(self, name)):
+                raise ConfigError(f"{name} must be {what}, "
+                                  f"got {getattr(self, name)!r}")
         if self.mode == "forward":
             if not (self.omega_bar > 0 and self.rho_q > 0 and self.d > 0):
                 raise ConfigError("forward mode needs omega_bar, rho_q, d > 0")
@@ -83,8 +115,6 @@ class RunConfig:
             if not self.omega - self.alpha - self.beta > 0:
                 raise ConfigError("invariant violated: omega - alpha - beta "
                                   "must be positive")
-        if self.n_max < 0:
-            raise ConfigError("n_max must be non-negative")
         if not (0 < self.z_min < self.z_max):
             raise ConfigError("need 0 < z_min < z_max")
         if not isinstance(self.tols, dict):
@@ -110,11 +140,14 @@ def _solve_params(cfg: RunConfig):
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
+    if not cfg.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(cfg.out, "w", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.out}: {exc.strerror}")
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
@@ -127,6 +160,24 @@ def _csv(rows: list[list], header: list[str]) -> str:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _emit_rows(cfg: RunConfig, rows: list[list], header: list[str]) -> None:
+    if cfg.format == "csv":
+        _emit(cfg, _csv(rows, header))
+    else:
+        _emit(cfg, _json_text([dict(zip(header, [r[0]] + [fmt(v) for v in r[1:]]))
+                               for r in rows]))
+
+
+def _constraint_residuals(report) -> dict:
+    return {
+        "mu_strength": fmt(report.res_mu_strength),
+        "quadratic": fmt(report.res_quadratic),
+        "constant": fmt(report.res_constant),
+        "rational_quad": fmt(report.res_rational_quad),
+        "rational_cubic": fmt(report.res_rational_cubic),
+    }
 
 
 def _fp_dict(fp) -> dict:
@@ -148,13 +199,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     fp, mp, report = _solve_params(cfg)
     doc = {"mode": cfg.mode, "params": _fp_dict(fp)}
     if report is not None:
-        doc["residuals"] = {
-            "mu_strength": fmt(report.res_mu_strength),
-            "quadratic": fmt(report.res_quadratic),
-            "constant": fmt(report.res_constant),
-            "rational_quad": fmt(report.res_rational_quad),
-            "rational_cubic": fmt(report.res_rational_cubic),
-        }
+        doc["residuals"] = _constraint_residuals(report)
         doc["X"] = fmt(report.X)
         doc["feasible_4X"] = report.feasible_4X
         doc["d_root_count"] = report.d_root_count
@@ -163,6 +208,11 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _numeric_spectra(cfg: RunConfig, fp, k: int, adaptive: bool = False):
+    # below two grids refine_extrapolate adds one of half the first
+    coarsest = cfg.grids[0] // 2 if len(cfg.grids) == 2 else cfg.grids[0]
+    if k > coarsest:
+        raise ConfigError(f"{k} levels do not fit the coarsest grid "
+                          f"of {coarsest} points")
     z_min = cfg.z_min
     if adaptive:
         # Dirichlet truncation error at the inner wall scales like
@@ -184,13 +234,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     for n in range(k):
         rel = abs(ep[n] - analytic[n]) / max(1.0, abs(analytic[n]))
         rows.append([n, analytic[n], ep[n], em[n], rel])
-    header = ["n", "E_analytic", "E_numeric_plus", "E_numeric_minus",
-              "rel_error_plus"]
-    if cfg.format == "csv":
-        _emit(cfg, _csv(rows, header))
-    else:
-        _emit(cfg, _json_text([dict(zip(header, [r[0]] + [fmt(v) for v in r[1:]]))
-                               for r in rows]))
+    _emit_rows(cfg, rows, ["n", "E_analytic", "E_numeric_plus",
+                           "E_numeric_minus", "rel_error_plus"])
     return EXIT_OK
 
 
@@ -212,12 +257,7 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
     if skipped:
         print(f"warning: skipped {skipped} non-positive grid points",
               file=sys.stderr)
-    header = ["n", "z", "value", "derivative"]
-    if cfg.format == "csv":
-        _emit(cfg, _csv(rows, header))
-    else:
-        _emit(cfg, _json_text([dict(zip(header, [r[0]] + [fmt(v) for v in r[1:]]))
-                               for r in rows]))
+    _emit_rows(cfg, rows, ["n", "z", "value", "derivative"])
     return EXIT_OK
 
 
@@ -257,19 +297,17 @@ DEFAULT_TOLS = {
     "metric_intertwining": 1e-9,
 }
 
-_SAMPLE_X = [-3.1, -2.3, -1.7, -1.3, -0.9, -0.62, -0.41, -0.3,
-             0.33, 0.47, 0.71, 1.1, 1.55, 2.1, 2.7, 3.4, 4.1, 4.8, 0.85, -4.6]
-_SAMPLE_Z = [0.31, 0.45, 0.6, 0.8, 1.0, 1.25, 1.5, 1.8, 2.1, 2.5,
-             2.9, 3.3, 0.37, 0.52, 0.68, 0.92, 1.12, 1.65, 1.95, 2.3]
+# Sample points away from the singular loci; some checks use the first eight.
+SAMPLE_X = [-3.1, -2.3, -1.7, -1.3, -0.9, -0.62, -0.41, -0.3,
+            0.33, 0.47, 0.71, 1.1, 1.55, 2.1, 2.7, 3.4, 4.1, 4.8, 0.85, -4.6]
+SAMPLE_Z = [0.31, 0.45, 0.6, 0.8, 1.0, 1.25, 1.5, 1.8, 2.1, 2.5,
+            2.9, 3.3, 0.37, 0.52, 0.68, 0.92, 1.12, 1.65, 1.95, 2.3]
 
 
 def _potential_residual(side, form, fp, points, mp=None) -> float:
-    worst = 0.0
-    for x in points:
-        ref = eval_potential(side, Form.OPERATOR_PRODUCT, x, fp)
-        val = eval_potential(side, form, x, fp, mp)
-        worst = max(worst, abs(val - ref) / max(1.0, abs(ref)))
-    return worst
+    return numeric.max_rel_gap(
+        (eval_potential(side, form, x, fp, mp),
+         eval_potential(side, Form.OPERATOR_PRODUCT, x, fp)) for x in points)
 
 
 def build_verification(cfg: RunConfig) -> tuple[dict, bool]:
@@ -279,13 +317,25 @@ def build_verification(cfg: RunConfig) -> tuple[dict, bool]:
     tols.update(cfg.tols)
     entries = []
 
-    def check(name: str, residual: float):
+    def check(name: str, residual: float, note: str | None = None):
         tol = tols.get(name, 1e-9)
         entries.append({"id": name, "residual": fmt(residual),
                         "tolerance": fmt(tol),
                         "status": "PASS" if residual <= tol else "FAIL"})
+        if note is not None:
+            entries[-1]["note"] = note
 
-    xs, zs = _SAMPLE_X, _SAMPLE_Z
+    def oracle(record, names, compute, note=None):
+        """Record compute()'s residuals, or inf with the non-convergence."""
+        try:
+            residuals = compute()
+        except NonConvergent as exc:
+            residuals = [math.inf] * len(names)
+            note = f"numeric non-convergence: {exc}"
+        for name, residual in zip(names, residuals):
+            record(name, residual, note)
+
+    xs, zs = SAMPLE_X, SAMPLE_Z
 
     # operator identities
     A = diffop.build("A", fp)
@@ -316,39 +366,30 @@ def build_verification(cfg: RunConfig) -> tuple[dict, bool]:
           _potential_residual(Side.MINUS, Form.REDUCED, fp, xs))
     check("potential_reduced_plus",
           _potential_residual(Side.PLUS, Form.REDUCED, fp, xs))
-    worst = 0.0
-    for z in zs:
-        a = eval_potential_z(Side.PLUS, Form.TRANSFORMED, z, fp)
-        b = eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    check("potential_transformed_plus", worst)
+    check("potential_transformed_plus", numeric.max_rel_gap(
+        (eval_potential_z(Side.PLUS, Form.TRANSFORMED, z, fp),
+         eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)) for z in zs))
+
+    def shifted(side, z):
+        x = coord_x(z, fp.omega_bar)
+        return (eval_potential(side, Form.OPERATOR_PRODUCT, x, fp)
+                + transform_shift(x, fp.omega_bar))
 
     for name, side in (("transform_shift_minus", Side.MINUS),
                        ("transform_shift_plus", Side.PLUS)):
-        worst = 0.0
-        for z in zs:
-            x = coord_x(z, fp.omega_bar)
-            lhs = eval_potential_z(side, Form.CANONICAL, z, fp)
-            rhs = (eval_potential(side, Form.OPERATOR_PRODUCT, x, fp)
-                   + transform_shift(x, fp.omega_bar))
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        check(name, worst)
+        check(name, numeric.max_rel_gap(
+            (eval_potential_z(side, Form.CANONICAL, z, fp), shifted(side, z))
+            for z in zs))
 
-    worst = 0.0
-    for z in zs:
-        wj = w_of_z_jet(z, fp, 1)
-        gap = (eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
-               - eval_potential_z(Side.MINUS, Form.CANONICAL, z, fp))
-        worst = max(worst, abs(gap - 2 * wj.derivative(1)) / max(1.0, abs(gap)))
-    check("shape_invariance", worst)
+    check("shape_invariance", numeric.max_rel_gap(
+        (2 * w_of_z_jet(z, fp, 1).derivative(1),
+         eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
+         - eval_potential_z(Side.MINUS, Form.CANONICAL, z, fp)) for z in zs))
 
-    worst = 0.0
-    for x in xs:
-        for side in (Side.MINUS, Side.PLUS):
-            v1 = eval_potential(side, Form.OPERATOR_PRODUCT, x, fp)
-            v2 = eval_potential(side, Form.OPERATOR_PRODUCT, -x, fp)
-            worst = max(worst, abs(v1 - v2) / max(1.0, abs(v1)))
-    check("parity", worst)
+    check("parity", numeric.max_rel_gap(
+        (eval_potential(side, Form.OPERATOR_PRODUCT, -x, fp),
+         eval_potential(side, Form.OPERATOR_PRODUCT, x, fp))
+        for x in xs for side in (Side.MINUS, Side.PLUS)))
 
     sw = math.sqrt(fp.omega_bar)
     check("omega_hat_mu_identity",
@@ -374,13 +415,10 @@ def build_verification(cfg: RunConfig) -> tuple[dict, bool]:
                 worst = max(worst, abs(res) / (abs(energies[n]) * scale))
         check(name, worst)
 
-    worst = 0.0
-    for n in range(6):
-        for z in zs[:8]:
-            a = spectrum.phi_minus_jet(fp, n, z, "operator").value
-            b = spectrum.phi_minus_jet(fp, n, z, "closed").value
-            worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    check("ladder_closed_vs_operator", worst)
+    check("ladder_closed_vs_operator", numeric.max_rel_gap(
+        (spectrum.phi_minus_jet(fp, n, z, "closed").value,
+         spectrum.phi_minus_jet(fp, n, z, "operator").value)
+        for n in range(6) for z in zs[:8]))
 
     worst = 0.0
     for n in range(6):
@@ -394,34 +432,34 @@ def build_verification(cfg: RunConfig) -> tuple[dict, bool]:
                         / (math.sqrt(energies[n]) * scale))
     check("ladder_up_consistency", worst)
 
-    worst = 0.0
-    for n in range(6):
-        nrm = numeric.quad_halfline(
-            lambda z: spectrum.phi_plus_jet(fp, n, z, 0).value ** 2,
-            fp.omega_hat)
-        worst = max(worst, abs(nrm - 1.0))
-    check("normalization_diagonal", worst)
-
     g, oh = fp.gamma, fp.omega_hat
-    from .specialfn import gamma_fn, kummer, pochhammer
-    worst = 0.0
-    for n in range(6):
+    oracle(check, ["normalization_diagonal"], lambda: [max(
+        abs(numeric.quad_halfline(
+            lambda z: spectrum.phi_plus_jet(fp, n, z, 0).value ** 2, oh) - 1.0)
+        for n in range(6))])
+
+    def orthogonality_gap(n):
         q = numeric.quad_halfline(
             lambda z: z ** (2 * g - 1) * math.exp(-oh * z * z)
             * kummer(n, g, oh * z * z) ** 2, oh)
         closed = (math.factorial(n) * gamma_fn(g)
                   / (2 * oh ** g * pochhammer(g, n)))
-        worst = max(worst, abs(q - closed) / abs(closed))
-    check("orthogonality_weighted", worst)
+        return abs(q - closed) / abs(closed)
+
+    oracle(check, ["orthogonality_weighted"],
+           lambda: [max(orthogonality_gap(n) for n in range(6))])
 
     # finite-difference oracle
     k = min(cfg.n_max + 1, 4)
-    ep, em = _numeric_spectra(cfg, fp, k, adaptive=True)
-    worst = max(abs(ep[n] - energies[n]) / abs(energies[n]) for n in range(k))
-    check("fd_spectrum_plus", worst)
-    comp = numeric.compare_spectra(energies[:k], em)
-    iso = comp.max_rel_error if not comp.unmatched_numeric_levels else math.inf
-    check("isospectrality", iso)
+
+    def fd_gaps():
+        ep, em = _numeric_spectra(cfg, fp, k, adaptive=True)
+        fd = max(abs(ep[n] - energies[n]) / abs(energies[n]) for n in range(k))
+        comp = numeric.compare_spectra(energies[:k], em)
+        return [fd, comp.max_rel_error if not comp.unmatched_numeric_levels
+                else math.inf]
+
+    oracle(check, ["fd_spectrum_plus", "isospectrality"], fd_gaps)
 
     # printed minus-side half-line form: residual must match the profile
     d, ob = fp.d, fp.omega_bar
@@ -435,14 +473,12 @@ def build_verification(cfg: RunConfig) -> tuple[dict, bool]:
 
     # inverse-mode identities
     if mp is not None:
-        from .potentials import dlog_rho_jet
         dlr = lambda x, order: dlog_rho_jet(x, fp, mp, order)
         Hm = diffop.build("H_minus", fp, mp)
         Hp = diffop.build("H_plus", fp, mp)
         conj = diffop.conjugate(Hm, dlr, +1)
-        worst = max(abs(conj.coeff(1)(x, 0).value - hm.coeff(1)(x, 0).value)
-                    / max(1.0, abs(hm.coeff(1)(x, 0).value)) for x in xs)
-        check("similarity_first_order", worst)
+        check("similarity_first_order", numeric.max_rel_gap(
+            (conj.coeff(1)(x, 0).value, hm.coeff(1)(x, 0).value) for x in xs))
         check("partner_similarity",
               diffop.residual(diffop.conjugate(hp, dlr, -1), Hp, xs))
         e1 = diffop.build("eta1_constructed", fp, mp)
@@ -485,20 +521,19 @@ def build_verification(cfg: RunConfig) -> tuple[dict, bool]:
     report("ladder_printed_form", worst,
            "printed first-order ladder operator drops the 1/z piece of the "
            "half-line superpotential")
-    worst = 0.0
-    for n in range(1, 6):
+
+    def printed_normalization_gap(n):
         q = spectrum.j_integral(fp, n, n, "quadrature")
-        c99 = spectrum.j_integral(fp, n, n, "closed")
-        worst = max(worst, abs(q - c99) / abs(q))
-    report("normalization_integral_printed", worst,
+        return abs(q - spectrum.j_integral(fp, n, n, "closed")) / abs(q)
+
+    oracle(report, ["normalization_integral_printed"],
+           lambda: [max(printed_normalization_gap(n) for n in range(1, 6))],
            "printed diagonal closed form keeps only the leading term of the "
            "exact sum; exact at the ground state only")
-    worst = 0.0
-    for n in range(6):
-        nrm = numeric.quad_halfline(
+    oracle(report, ["psi_norm_measure"], lambda: [max(
+        abs(numeric.quad_halfline(
             lambda z: spectrum.psi_plus_jet(fp, n, z, 0).value ** 2, oh)
-        worst = max(worst, abs(nrm - 1.0 / fp.omega_bar))
-    report("psi_norm_measure", worst,
+            - 1.0 / fp.omega_bar) for n in range(6))],
            "pre-transform normalization reproduces 1/omega_bar at the ground "
            "state only")
     if mp is not None:
@@ -514,17 +549,6 @@ def build_verification(cfg: RunConfig) -> tuple[dict, bool]:
         report("gauge_constant_fit", fit,
                f"least-squares gauge constant delta = {fmt(delta)}")
 
-    if inv_report is not None:
-        constraint_block = {
-            "mu_strength": fmt(inv_report.res_mu_strength),
-            "quadratic": fmt(inv_report.res_quadratic),
-            "constant": fmt(inv_report.res_constant),
-            "rational_quad": fmt(inv_report.res_rational_quad),
-            "rational_cubic": fmt(inv_report.res_rational_cubic),
-        }
-    else:
-        constraint_block = None
-
     all_pass = all(e["status"] == "PASS" for e in entries)
     doc = {
         "mode": cfg.mode,
@@ -536,8 +560,8 @@ def build_verification(cfg: RunConfig) -> tuple[dict, bool]:
             "python": platform.python_version(),
         },
     }
-    if constraint_block:
-        doc["constraint_residuals"] = constraint_block
+    if inv_report is not None:
+        doc["constraint_residuals"] = _constraint_residuals(inv_report)
     return doc, all_pass
 
 
@@ -560,7 +584,7 @@ def _sweep_one(cfg: RunConfig, value: float):
         vp = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
         ep, _ = numeric.refine_extrapolate(vp, 3, cfg.grids, cfg.z_min,
                                            cfg.z_max)
-        xs = _SAMPLE_X
+        xs = SAMPLE_X
         A = diffop.build("A", fp)
         Ad = diffop.build("A_dag", fp)
         res = max(
@@ -658,12 +682,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
-    if getattr(args, "grids", None) is not None:
-        cfg.grids = [int(t) for t in args.grids.split(",") if t != ""]
-    if getattr(args, "n_list", None) is not None:
-        cfg.n_list = [int(t) for t in args.n_list.split(",") if t != ""]
-    if getattr(args, "z_grid", None) is not None:
-        cfg.z_grid = [float(t) for t in args.z_grid.split(",") if t != ""]
+    for key, item in (("grids", int), ("n_list", int), ("z_grid", float)):
+        text = getattr(args, key, None)
+        if text is not None:
+            setattr(cfg, key, [item(t) for t in text.split(",") if t != ""])
     if getattr(args, "sweep_range", None):
         parts = args.sweep_range.split(":")
         if len(parts) != 2:

@@ -16,10 +16,11 @@ from typing import Callable, Sequence
 
 from .errors import JetOrderExceeded, ModeError
 from .jets import Jet
-from .params import FactorizationParams, ModelParams, derive_constants
+from .numeric import max_rel_gap
+from .params import FactorizationParams, ModelParams
 from .potentials import (Form, Side, a_jet, b1_jet, b_tilde_jet, c1_jet,
-                         dlog_rho_jet, eval_potential, eval_potential_z,
-                         w_jet, w_of_z_jet)
+                         dlog_rho_jet, eval_potential, h_zeroth_jet,
+                         w_of_z_jet)
 
 CoeffFn = Callable[[float, int], Jet]
 
@@ -57,12 +58,6 @@ class LinDiffOp:
             (lambda a, b: (lambda x, order: a(x, order) + b(x, order)))(
                 self.coeff(i), other.coeff(i))
             for i in range(n)
-        ])
-
-    def scaled(self, s: float) -> "LinDiffOp":
-        return LinDiffOp([
-            (lambda c: (lambda x, order: c(x, order) * s))(c)
-            for c in self._coeffs
         ])
 
     def premultiplied(self, g: CoeffFn) -> "LinDiffOp":
@@ -143,13 +138,8 @@ def conjugate(T: LinDiffOp, dlog_rho: CoeffFn, sign: int) -> LinDiffOp:
 def residual(T: LinDiffOp, S: LinDiffOp, points: Sequence[float]) -> float:
     """Max relative coefficient discrepancy over the sample points."""
     n = max(T.order, S.order) + 1
-    worst = 0.0
-    for x in points:
-        for i in range(n):
-            tv = T.coeff(i)(x, 0).value
-            sv = S.coeff(i)(x, 0).value
-            worst = max(worst, abs(tv - sv) / max(1.0, abs(tv)))
-    return worst
+    return max_rel_gap((S.coeff(i)(x, 0).value, T.coeff(i)(x, 0).value)
+                       for x in points for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +182,18 @@ def build(which: str, fp: FactorizationParams,
     if which in ("h_minus", "h_plus"):
         side = Side.MINUS if which == "h_minus" else Side.PLUS
 
-        def v(x, order):
-            b = b_tilde_jet(x, fp, order + 2)
-            a = a_jet(x, order + 2)
-            if side is Side.MINUS:
-                return b * b - sw * (a * b).shift(1)
-            return (b * b + sw * (a * b.shift(1) - a.shift(1) * b)
-                    - ob * a * a.shift(2))
-
         def first(x, order):
             xj = Jet.variable(x, order)
             return -2 * ob * xj**2 * (2 * xj)
 
         return LinDiffOp([
-            v,
+            lambda x, order: h_zeroth_jet(side, x, fp, order),
             first,
             lambda x, order: -ob * a_jet(x, order) ** 2,
         ])
     if which in ("H_minus", "H_plus"):
         _need_inverse(fp, mp)
-        side = Side.MINUS if which == "H_minus" else Side.PLUS
-        h = build("h_minus" if side is Side.MINUS else "h_plus", fp)
-
-        def b1c(x, order):
-            return b1_jet(x, fp, mp, order)
+        h = build("h_minus" if which == "H_minus" else "h_plus", fp)
 
         def zeroth(x, order):
             b1 = b1_jet(x, fp, mp, order + 1)
@@ -224,8 +202,7 @@ def build(which: str, fp: FactorizationParams,
             return v + b1.shift(1) * 0.5 - b1 * b1 / (4 * ob * a2)
 
         def first(x, order):
-            xj = Jet.variable(x, order)
-            return b1_jet(x, fp, mp, order) - 2 * ob * xj**2 * (2 * xj)
+            return b1_jet(x, fp, mp, order) + h.coeff(1)(x, order)
 
         return LinDiffOp([zeroth, first, h.coeff(2)])
     if which == "eta1_constructed":

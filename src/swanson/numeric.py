@@ -2,10 +2,10 @@
 
 Finite-difference discretization of -d^2/dz^2 + V(z) on a truncated half
 line, symmetric-tridiagonal eigenvalues by Sturm-sequence bisection (fully
-deterministic), Richardson extrapolation over grid refinements, composite
-Gauss-Legendre quadrature for Gaussian-decay integrands, and spectra
-comparison.  Nothing here reuses the closed-form machinery it is meant to
-check.
+deterministic), Richardson extrapolation over grid refinements, the one
+quadrature rule (composite Gauss-Legendre, on an interval or a Gaussian-decay
+half line), the relative gap the identity checks reduce to, and spectra
+comparison.  Nothing here reuses the closed-form machinery it checks.
 
 The Sturm count is a scalar Python loop over the rows, run once per bisection
 midpoint and stopped as soon as the count reaches the level it decides: per
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -158,23 +158,16 @@ def refine_extrapolate(V: Callable[[float], float], k: int,
     return extrap, order
 
 
-def quad_halfline(f: Callable[[float], float], decay_rate: float,
-                  tol: float = 1e-11) -> float:
-    """Integral over (0, inf) of an integrand with exp(-decay_rate z^2) decay.
-
-    Composite Gauss-Legendre on (0, Z] with Z from the decay rate, doubling
-    the panel count until two successive estimates agree to ``tol`` relative.
-    """
-    if decay_rate <= 0:
-        raise ValueError("need a positive decay rate")
-    # generous exponent margin: polynomial prefactors up to ~1e20 still leave
-    # the truncated tail below 1e-19
-    Z = math.sqrt(90.0 / decay_rate)
+def quad_interval(f: Callable[[float], float], lo: float, hi: float,
+                  tol: float) -> float:
+    """Integral of f from lo to hi (negated when lo > hi) by 16-node composite
+    Gauss-Legendre, doubling the panels from 8 until two estimates agree to
+    ``tol`` relative; NonConvergent if they still differ at 2^14 panels."""
     nodes, weights = np.polynomial.legendre.leggauss(16)
     prev = None
     panels = 8
     while panels <= 2**14:
-        edges = np.linspace(0.0, Z, panels + 1)
+        edges = np.linspace(lo, hi, panels + 1)
         total = 0.0
         for i in range(panels):
             mid = 0.5 * (edges[i] + edges[i + 1])
@@ -185,7 +178,25 @@ def quad_halfline(f: Callable[[float], float], decay_rate: float,
             return total
         prev = total
         panels *= 2
-    raise NonConvergent("half-line quadrature did not stabilize")
+    raise NonConvergent(f"quadrature on [{lo:.6g}, {hi:.6g}] did not stabilize")
+
+
+def quad_halfline(f: Callable[[float], float], decay_rate: float,
+                  tol: float = 1e-11) -> float:
+    """Integral over (0, inf) of an integrand with exp(-decay_rate z^2) decay."""
+    if decay_rate <= 0:
+        raise ValueError("need a positive decay rate")
+    # generous exponent margin: polynomial prefactors up to ~1e20 still leave
+    # the truncated tail below 1e-19
+    return quad_interval(f, 0.0, math.sqrt(90.0 / decay_rate), tol)
+
+
+def max_rel_gap(pairs: Iterable[tuple[float, float]]) -> float:
+    """max |v - r| / max(1, |r|) over (value, reference) pairs, 0 if none."""
+    worst = 0.0
+    for v, r in pairs:
+        worst = max(worst, abs(v - r) / max(1.0, abs(r)))
+    return worst
 
 
 def compare_spectra(analytic: Sequence[float], numeric: Sequence[float],

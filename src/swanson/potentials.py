@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ModeError
 from .jets import Jet
+from .numeric import quad_interval
 from .params import FactorizationParams, ModelParams, derive_constants
 
 
@@ -50,11 +51,15 @@ def a_jet(x: float, order: int) -> Jet:
     return Jet.variable(x, order) ** 2
 
 
+def _b_tilde(xj: Jet, fp: FactorizationParams) -> Jet:
+    """The tilde superpotential mu/x - rho_q x + lam x / (x^2 + d) on a jet."""
+    return fp.mu / xj - fp.rho_q * xj + fp.lam * xj / (xj**2 + fp.d)
+
+
 def b_tilde_jet(x: float, fp: FactorizationParams, order: int) -> Jet:
-    xj = Jet.variable(x, order)
     if x == 0:
         raise DomainError("superpotential singular at x = 0")
-    return fp.mu / xj - fp.rho_q * xj + fp.lam * xj / (xj**2 + fp.d)
+    return _b_tilde(Jet.variable(x, order), fp)
 
 
 def b_plain_jet(x: float, fp: FactorizationParams, order: int) -> Jet:
@@ -95,8 +100,20 @@ def c1_jet(x: float, fp: FactorizationParams, mp: ModelParams, order: int,
 def w_jet(x: float, fp: FactorizationParams, order: int) -> Jet:
     """Half-line superpotential in the x chart: bt - (sqrt(ob)/2) a'."""
     sw = math.sqrt(fp.omega_bar)
-    xj = Jet.variable(x, order)
-    return b_tilde_jet(x, fp, order) - sw * xj
+    return b_tilde_jet(x, fp, order) - sw * Jet.variable(x, order)
+
+
+def h_zeroth_jet(side: Side, x: float, fp: FactorizationParams,
+                 order: int) -> Jet:
+    """Zeroth coefficient of h- = A^dag A or of h+ = A A^dag."""
+    ob = fp.omega_bar
+    sw = math.sqrt(ob)
+    bt = b_tilde_jet(x, fp, order + 2)
+    a = a_jet(x, order + 2)
+    if side is Side.MINUS:
+        return bt * bt - sw * (a * bt).shift(1)
+    return (bt * bt + sw * (a * bt.shift(1) - a.shift(1) * bt)
+            - ob * a * a.shift(2))
 
 
 def dlog_rho_jet(x: float, fp: FactorizationParams, mp: ModelParams,
@@ -119,29 +136,7 @@ def log_rho(x: float, fp: FactorizationParams, mp: ModelParams,
     def integrand(y: float) -> float:
         return dlog_rho_jet(y, fp, mp, 0).value
 
-    return _quad_finite(integrand, x0, x)
-
-
-def _quad_finite(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Composite Gauss-Legendre with panel doubling on a finite interval."""
-    if lo == hi:
-        return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    prev = None
-    panels = 1
-    while panels <= 4096:
-        edges = np.linspace(lo, hi, panels + 1)
-        total = 0.0
-        for i in range(panels):
-            mid = 0.5 * (edges[i] + edges[i + 1])
-            half = 0.5 * (edges[i + 1] - edges[i])
-            total += half * sum(wk * f(mid + half * t)
-                                for t, wk in zip(nodes, weights))
-        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(total)):
-            return total
-        prev = total
-        panels *= 2
-    return prev
+    return quad_interval(integrand, x0, x, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +185,8 @@ def unit_commutator_b(x: float, a_fn, x0: float = 0.0) -> float:
     if any(v == 0 or v * vals[0] < 0 for v in vals):
         raise DomainError("a(x) vanishes on the integration path")
     ap = a_fn(Jet.variable(x, 1)).derivative(1)
-    integral = _quad_finite(lambda y: 0.5 / a_fn(Jet.variable(y, 0)).value, x0, x)
+    integral = quad_interval(lambda y: 0.5 / a_fn(Jet.variable(y, 0)).value,
+                             x0, x, tol=1e-12)
     return ap / 2 + integral
 
 
@@ -223,12 +219,7 @@ def eval_potential(side: Side, form: Form, x: float, fp: FactorizationParams,
     x2 = x * x
 
     if form is Form.OPERATOR_PRODUCT:
-        bt = b_tilde_jet(x, fp, 2)
-        a = a_jet(x, 2)
-        if side is Side.MINUS:
-            return (bt * bt - sw * (a * bt).shift(1)).value
-        return (bt * bt + sw * (a * bt.shift(1) - a.shift(1) * bt)
-                - ob * a * a.shift(2)).value
+        return h_zeroth_jet(side, x, fp, 0).value
 
     if form is Form.GENERAL:
         if side is Side.MINUS:
@@ -303,11 +294,8 @@ def w_of_z_jet(z: float, fp: FactorizationParams, order: int) -> Jet:
     if z == 0:
         raise DomainError("half-line superpotential singular at z = 0")
     sw = math.sqrt(fp.omega_bar)
-    zj = Jet.variable(z, order)
-    xj = -1.0 / (sw * zj)  # x(z) as a jet in z
-    # w(x) composed with x(z): evaluate w's rational formula on the x-jet
-    wj = (fp.mu / xj - fp.rho_q * xj + fp.lam * xj / (xj**2 + fp.d)) - sw * xj
-    return wj
+    xj = -1.0 / (sw * Jet.variable(z, order))  # x(z) as a jet in z
+    return _b_tilde(xj, fp) - sw * xj
 
 
 def eval_potential_z(side: Side, form: Form, z: float,

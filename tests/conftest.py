@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import swanson
+from swanson import cli
 from swanson.params import ModelParams, solve_forward, solve_inverse
 
 # Reference forward solution used throughout the suite.
@@ -23,11 +24,9 @@ FEASIBLE_TRIPLES = [
     (0.43525445662819795, 0.3009118010171472, -1.9386463668915057),
 ]
 
-# Generic sample points keeping |x| in [0.3, 5] away from the singular loci.
-SAMPLE_X = [-4.6, -3.1, -2.3, -1.7, -1.3, -0.9, -0.62, -0.41, -0.3, 0.33,
-            0.47, 0.71, 0.85, 1.1, 1.55, 2.1, 2.7, 3.4, 4.1, 4.8]
-SAMPLE_Z = [0.31, 0.37, 0.45, 0.52, 0.6, 0.68, 0.8, 0.92, 1.0, 1.12,
-            1.25, 1.5, 1.65, 1.8, 1.95, 2.1, 2.3, 2.5, 2.9, 3.3]
+# The sample points of the verify battery, in ascending order.
+SAMPLE_X = sorted(cli.SAMPLE_X)
+SAMPLE_Z = sorted(cli.SAMPLE_Z)
 
 
 def subprocess_env() -> dict:

@@ -19,7 +19,7 @@ from swanson.numeric import compare_spectra, quad_halfline, refine_extrapolate
 from swanson.params import (ModelParams, derive_constants, solve_forward,
                             solve_inverse)
 from swanson.potentials import (Form, Side, b1_jet, c1_jet, dlog_rho_jet,
-                                eval_potential_z, w_of_z_jet)
+                                eval_potential_z)
 from swanson.spectrum import energies_plus, j_integral, phi_minus_jet, phi_plus_jet
 from swanson.specialfn import gamma_fn, kummer, laguerre, pochhammer
 from conftest import FEASIBLE_TRIPLES, SAMPLE_X, SAMPLE_Z, random_forward_sets

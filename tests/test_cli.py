@@ -10,7 +10,7 @@ import pytest
 
 import swanson
 from swanson.cli import DEFAULT_TOLS, main
-from conftest import subprocess_env
+from conftest import FEASIBLE_TRIPLES, subprocess_env
 
 FEASIBLE = ["--omega", "0.0375710788598238",
             "--alpha", "-2.4421921617411186",
@@ -71,6 +71,21 @@ class TestSolve:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"mode": "forward", "bogus": 1}))
         assert run_main(["solve", "--config", str(cfg)], capsys)[0] == 1
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--config", "{tmp}/n_max_string.json"],
+        ["spectrum", "--grids", "100,300"],
+        ["spectrum", "--n-max", "50", "--grids", "20,40"],
+        ["solve", "--out", "{tmp}/missing/dir/x"],
+        ["solve", "--omega-bar", "inf"],
+    ])
+    def test_bad_input_is_one_config_error_line(self, args, tmp_path, capsys):
+        (tmp_path / "n_max_string.json").write_text('{"n_max": "3"}')
+        args = [a.format(tmp=tmp_path) for a in args]
+        code, out, err = run_main(args, capsys)
+        assert code == 1
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 class TestSpectrum:
@@ -171,6 +186,22 @@ class TestVerify:
         doc = json.loads(out.read_text())
         failed = [e for e in doc["identities"] if e["status"] == "FAIL"]
         assert [e["id"] for e in failed] == ["factorization_minus"]
+
+    def test_nonconvergent_oracle_keeps_the_report(self, tmp_path):
+        # the FD oracle stops at observed order 1.47 on this triple
+        om, al, be = FEASIBLE_TRIPLES[4]
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--mode", "inverse", "--omega", repr(om),
+                     "--alpha", repr(al), "--beta", repr(be),
+                     "--out", str(out)])
+        assert code == 3
+        doc = json.loads(out.read_text())
+        assert [e["id"] for e in doc["identities"]] == list(DEFAULT_TOLS)
+        by_id = {e["id"]: e for e in doc["identities"]}
+        for name in ("fd_spectrum_plus", "isospectrality"):
+            assert by_id[name]["status"] == "FAIL"
+            assert by_id[name]["residual"] == "inf"
+            assert "order" in by_id[name]["note"]
 
     def test_bad_tolerance_syntax(self, capsys):
         assert run_main(["verify", "--tol", "oops"], capsys)[0] == 1

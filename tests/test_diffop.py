@@ -3,7 +3,6 @@ factorization / intertwining identities of the hierarchy."""
 
 import math
 
-import numpy as np
 import pytest
 
 from swanson.diffop import (LinDiffOp, build, cf_const, compose, conjugate,

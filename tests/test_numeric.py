@@ -10,8 +10,9 @@ import pytest
 from conftest import subprocess_env
 
 from swanson.errors import NonConvergent
-from swanson.numeric import (compare_spectra, fd_discretize, quad_halfline,
-                             refine_extrapolate, tridiag_eigs)
+from swanson.numeric import (compare_spectra, fd_discretize, max_rel_gap,
+                             quad_halfline, quad_interval, refine_extrapolate,
+                             tridiag_eigs)
 from swanson.potentials import Form, Side, eval_potential_z
 from swanson.spectrum import energies_plus
 from swanson.specialfn import gamma_fn, kummer, pochhammer
@@ -189,6 +190,26 @@ class TestHalflineQuadrature:
         with pytest.raises(NonConvergent):
             # decay hint wildly wrong for a slowly-varying integrand
             quad_halfline(lambda z: math.sin(1e6 * z * z), 1.0)
+
+
+class TestIntervalQuadrature:
+    def test_reversed_interval_negates(self):
+        # log_rho integrates from the reference point +-1 toward x, so the
+        # interval runs backwards whenever |x| < 1
+        f = lambda x: 1.0 / (x * x)
+        assert quad_interval(f, 2.0, 1.0, 1e-12) == pytest.approx(-0.5,
+                                                                  rel=1e-13)
+
+    def test_divergent_integral_detected(self):
+        with pytest.raises(NonConvergent):
+            quad_interval(lambda x: 1.0 / x, 0.0, 1.0, 1e-12)
+
+
+class TestRelativeGap:
+    def test_scale_is_the_reference_or_one(self):
+        assert max_rel_gap([]) == 0.0
+        assert max_rel_gap([(1.5, 1.0), (0.2, 0.0)]) == 0.5
+        assert max_rel_gap([(9.0, 10.0), (10.0, 9.0)]) == pytest.approx(1 / 9)
 
 
 class TestSpectraComparison:

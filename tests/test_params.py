@@ -125,8 +125,7 @@ class TestSolveInverse:
     def test_flagship_rational_residuals_close(self):
         # the rational-part relations close after back-substitution even
         # though the full matching problem is infeasible for this triple
-        from swanson.params import (_positive_cubic_roots, c_negative_branch,
-                                    FactorizationParams)
+        from swanson.params import _positive_cubic_roots, c_negative_branch
         mp = ModelParams(2.0, 0.5, 0.1)
         dc = derive_constants(mp)
         roots = _positive_cubic_roots(dc.omega_bar, dc.a1, dc.a2)

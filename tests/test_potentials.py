@@ -8,7 +8,7 @@ import pytest
 from swanson.errors import DomainError, ModeError
 from swanson.jets import Jet
 from swanson.potentials import (Form, Side, coord_x, coord_z, eval_potential,
-                                eval_potential_z, point_functions,
+                                eval_potential_z, log_rho, point_functions,
                                 transform_shift, unit_commutator_b, w_of_z_jet)
 from conftest import SAMPLE_X, SAMPLE_Z, random_forward_sets
 
@@ -51,6 +51,23 @@ class TestPointFunctions:
     def test_singular_origin_rejected(self, fp_star):
         with pytest.raises(DomainError):
             point_functions(0.0, fp_star)
+
+
+class TestMetric:
+    def test_log_rho_matches_antiderivative(self, inverse_sets):
+        # (log rho)' = -(alpha - beta)/ob (x^-3 + c/(x (x^2 + d)) - 1/x)
+        # integrates in closed form; log rho vanishes at x0 = sign(x)
+        mp, fp, _ = inverse_sets[0]
+        k, c, d = (mp.alpha - mp.beta) / fp.omega_bar, fp.c, fp.d
+
+        def antiderivative(x):
+            return -k * (-0.5 / x**2 + c / (2 * d) * math.log(x * x / (x * x + d))
+                         - math.log(abs(x)))
+
+        for x in SAMPLE_X:
+            want = antiderivative(x) - antiderivative(math.copysign(1.0, x))
+            assert log_rho(x, fp, mp) == pytest.approx(want, rel=1e-11,
+                                                       abs=1e-11)
 
 
 class TestUnitCommutator:
