@@ -1,6 +1,10 @@
 """Shared exception types."""
 
 
+class ConfigError(Exception):
+    """A run configuration the program cannot use (exit code 1)."""
+
+
 class SwansonError(Exception):
     """Base class for all package-specific errors."""
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import swanson
-from swanson import cli
+from swanson import verify
 from swanson.params import ModelParams, solve_forward, solve_inverse
 
 # Reference forward solution used throughout the suite.
@@ -25,8 +25,8 @@ FEASIBLE_TRIPLES = [
 ]
 
 # The sample points of the verify battery, in ascending order.
-SAMPLE_X = sorted(cli.SAMPLE_X)
-SAMPLE_Z = sorted(cli.SAMPLE_Z)
+SAMPLE_X = sorted(verify.SAMPLE_X)
+SAMPLE_Z = sorted(verify.SAMPLE_Z)
 
 
 def subprocess_env() -> dict:

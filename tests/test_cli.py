@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output schemas, determinism."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -78,9 +79,18 @@ class TestSolve:
         ["spectrum", "--n-max", "50", "--grids", "20,40"],
         ["solve", "--out", "{tmp}/missing/dir/x"],
         ["solve", "--omega-bar", "inf"],
+        ["solve", "--config", "{tmp}/list.json"],
+        ["verify", "--config", "{tmp}/tols_list.json", "--tol", "parity=1"],
+        ["verify", "--tol", "parity=nan"],
+        ["verify", "--tol", "parity=-1"],
+        ["solve", "--config", "{tmp}/method_name.json"],
     ])
     def test_bad_input_is_one_config_error_line(self, args, tmp_path, capsys):
-        (tmp_path / "n_max_string.json").write_text('{"n_max": "3"}')
+        for name, text in (("n_max_string", '{"n_max": "3"}'),
+                           ("list", "[1, 2]"),
+                           ("tols_list", '{"tols": [1]}'),
+                           ("method_name", '{"validate": 1}')):
+            (tmp_path / f"{name}.json").write_text(text)
         args = [a.format(tmp=tmp_path) for a in args]
         code, out, err = run_main(args, capsys)
         assert code == 1
@@ -213,7 +223,9 @@ class TestVerify:
         assert err.count("\n") == 1 and "nosuch" in err
 
     @pytest.mark.parametrize("tols", [{"nosuch": 1}, 5,
-                                      {"isospectrality": "x"}])
+                                      {"isospectrality": "x"},
+                                      {"parity": math.nan}, {"parity": -1},
+                                      {"parity": True}])
     def test_bad_tolerances_in_config(self, tols, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"tols": tols}))
