@@ -163,11 +163,13 @@ def quad_interval(f: Callable[[float], float], lo: float, hi: float,
     """Integral of f from lo to hi (negated when lo > hi) by 16-node composite
     Gauss-Legendre, doubling the panels from 8 until two estimates agree to
     ``tol`` relative; NonConvergent if they still differ at 2^14 panels."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    # Python floats throughout: an overflow raises OverflowError instead of
+    # a numpy warning and an inf
+    nodes, weights = (a.tolist() for a in np.polynomial.legendre.leggauss(16))
     prev = None
     panels = 8
     while panels <= 2**14:
-        edges = np.linspace(lo, hi, panels + 1)
+        edges = np.linspace(lo, hi, panels + 1).tolist()
         total = 0.0
         for i in range(panels):
             mid = 0.5 * (edges[i] + edges[i + 1])

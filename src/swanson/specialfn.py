@@ -1,10 +1,12 @@
 """Special functions used by the oscillator hierarchy.
 
 Everything here is polynomial or Gamma-based: Gamma, Pochhammer (rising
-factorial), terminating Kummer polynomials 1F1(-n; g; y), associated Laguerre
-polynomials, and the unit-argument Gauss sum (Chu-Vandermonde).  Polynomial
-values always come from finite sums / recurrences; Gamma-quotient forms are
-kept for cross-checks only.
+factorial), associated Laguerre polynomials, and the unit-argument Gauss sum
+(Chu-Vandermonde).  Every closed-form state is evaluated through ``laguerre``,
+a three-term recurrence; ``kummer``, the terminating series 1F1(-n; g; y), is
+kept as a cross-check reference only, since its alternating terms cancel
+catastrophically once n passes about 20 (1F1(-n; g; y) = n!/(g)_n
+L_n^(g-1)(y), DLMF 13.6.19).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import PoleAtNonPositiveInteger, PoleConfiguration
+from .jets import Jet
 
 _POLE_TOL = 1e-12
 
@@ -61,14 +64,22 @@ def kummer(n: int, gamma: float, y):
 def laguerre(n: int, beta: float, t):
     """Associated Laguerre L_n^beta(t) via the stable three-term recurrence.
 
-    Works for float or Jet t.
+    A Jet t is composed through d^m/dt^m L_n^beta = (-1)^m L_(n-m)^(beta+m):
+    one float recurrence per Taylor order, then a Horner pass in t - t0.
     """
     if n < 0:
         raise ValueError("laguerre needs n >= 0")
+    if isinstance(t, Jet):
+        u = t - t.value
+        top = min(n, t.order)
+        out = Jet.const(0.0, t.order)
+        for m in range(top, -1, -1):
+            c = laguerre(n - m, beta + m, t.value) / math.factorial(m)
+            out = out * u + (-c if m % 2 else c)
+        return out
     if n == 0:
-        return 1.0 + 0.0 * t if not isinstance(t, (int, float)) else 1.0
-    prev = 1.0 + 0.0 * t if not isinstance(t, (int, float)) else 1.0
-    cur = beta + 1.0 - t
+        return 1.0
+    prev, cur = 1.0, beta + 1.0 - t
     for k in range(2, n + 1):
         nxt = ((2 * k - 1 + beta - t) * cur - (k - 1 + beta) * prev) / k
         prev, cur = cur, nxt

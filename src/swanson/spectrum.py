@@ -3,8 +3,9 @@
 The transformed plus-side potential is an inverse-square-plus-quadratic
 oscillator on (0, inf) (Goldman-Krivchenkov form) shifted by a constant, so
 its spectrum is an exact equidistant ladder and its eigenfunctions are
-Gaussian-weighted Kummer polynomials.  The minus side is generated from it by
-the first-order ladder operator.
+Gaussian-weighted associated Laguerre polynomials,
+z^(gamma-1/2) exp(-oh z^2/2) L_n^(gamma-1)(oh z^2).  The minus side is
+generated from it by the first-order ladder operator.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .jets import Jet
 from .params import FactorizationParams
-from .specialfn import gamma_fn, kummer, laguerre, pochhammer
+from .specialfn import gamma_fn, laguerre, pochhammer
 
 
 @dataclass(frozen=True)
@@ -61,48 +62,35 @@ def gk_eigenvalues(gk: GKPotential, n_max: int) -> list[SpectralLine]:
 
 
 def _norm_const(n: int, gamma: float, scale: float) -> float:
-    """(-1)^n sqrt(2 scale^gamma (gamma)_n / (n! Gamma(gamma)))."""
-    mag = math.sqrt(2 * scale**gamma * pochhammer(gamma, n)
-                    / (math.factorial(n) * gamma_fn(gamma)))
+    """(-1)^n sqrt(2 scale^gamma n! / Gamma(n + gamma)), the unit norm of
+    the Laguerre-form state, from log-Gamma so that large n cannot overflow."""
+    mag = math.sqrt(2.0) * math.exp(0.5 * (
+        gamma * math.log(scale) + math.lgamma(n + 1) - math.lgamma(n + gamma)))
     return (-1) ** n * mag
 
 
-def _value_factors(n: int, gamma: float, scale: float, z: float,
-                   p: float) -> tuple[float, float, float]:
-    """Values of the order-0 jets z^p, exp(-(scale/2) z^2) and
-    1F1(-n; gamma; scale z^2) that the jet forms below build.
+def _kummer_factor(n: int, gamma: float) -> float:
+    """n!/(gamma)_n, which turns L_n^(gamma-1) into 1F1(-n; gamma; .)."""
+    return math.exp(math.lgamma(n + 1) + math.lgamma(gamma)
+                    - math.lgamma(n + gamma))
 
-    The same float operations run in the same order as in ``Jet``
-    (``0.0 + a * b`` is its product's accumulator, division by a float is a
-    product with the reciprocal), so the values agree bit for bit without
-    building a jet.  Quadratures of the states need values only, and at
-    small gamma they take many times more of them than elsewhere.
+
+def _chi_jet(n: int, gamma: float, scale: float, z: float, p: float,
+             order: int) -> Jet:
+    """z^p exp(-(scale/2) z^2) L_n^(gamma-1)(scale z^2).
+
+    At order 0 the float operations of the jet path run in the same order
+    (``0.0 + a * b`` is a jet product's accumulator), so the value is the
+    jet's bit for bit: quadratures of the states need values only.
     """
-    z = float(z)
-    zz = 0.0 + z * z
-    pw = math.exp(math.log(z) * p)
-    ex = math.exp(zz * -(scale / 2))
-    if n < 0:
-        raise ValueError("kummer needs n >= 0")
-    if gamma <= 0:
-        raise ValueError("kummer needs gamma > 0")
-    y = zz * scale
-    total = y * 0.0 + 1.0
-    term = total
-    for k in range(n):
-        term = ((0.0 + term * ((-n + k) * 1.0) * y)
-                * (1.0 / ((gamma + k) * (k + 1))))
-        total = total + term
-    return pw, ex, total
-
-
-def _chi_jet(n: int, gamma: float, scale: float, z: float, order: int) -> Jet:
     if order == 0:
-        pw, ex, f = _value_factors(n, gamma, scale, z, gamma - 0.5)
-        return Jet((0.0 + (0.0 + pw * ex) * f,))
+        z = float(z)
+        zz = 0.0 + z * z
+        pw_ex = 0.0 + math.exp(math.log(z) * p) * math.exp(zz * -(scale / 2))
+        return Jet((0.0 + pw_ex * laguerre(n, gamma - 1, zz * scale),))
     zj = Jet.variable(z, order)
-    return (zj.power(gamma - 0.5) * (-(scale / 2) * zj**2).exp()
-            * kummer(n, gamma, scale * zj**2))
+    return (zj.power(p) * (-(scale / 2) * zj**2).exp()
+            * laguerre(n, gamma - 1, scale * zj**2))
 
 
 def gk_wavefunction_jet(gk: GKPotential, n: int, z: float,
@@ -110,7 +98,7 @@ def gk_wavefunction_jet(gk: GKPotential, n: int, z: float,
     if z <= 0:
         raise DomainError("half-line wavefunction needs z > 0")
     g, d = gk.gamma_gk, gk.delta_gk
-    return _norm_const(n, g, d) * _chi_jet(n, g, d, z, order)
+    return _norm_const(n, g, d) * _chi_jet(n, g, d, z, g - 0.5, order)
 
 
 def gk_wavefunction(gk: GKPotential, n: int, z: float) -> WavefunctionEval:
@@ -140,8 +128,8 @@ def energies_plus(fp: FactorizationParams, n_max: int) -> list[SpectralLine]:
 def phi_plus_jet(fp: FactorizationParams, n: int, z: float, order: int = 2) -> Jet:
     if z <= 0:
         raise DomainError("plus-side eigenfunction needs z > 0")
-    return (_norm_const(n, fp.gamma, fp.omega_hat)
-            * _chi_jet(n, fp.gamma, fp.omega_hat, z, order))
+    g, oh = fp.gamma, fp.omega_hat
+    return _norm_const(n, g, oh) * _chi_jet(n, g, oh, z, g - 0.5, order)
 
 
 def phi_plus(fp: FactorizationParams, n: int, z: float) -> WavefunctionEval:
@@ -154,9 +142,8 @@ def phi_minus_jet(fp: FactorizationParams, n: int, z: float,
     """Minus-side eigenfunction from the ladder operator.
 
     methods: "operator" applies (-d/dz + w) to the plus-side eigenfunction;
-    "closed" evaluates the Laguerre-bracket closed form (rescaled to the
-    Kummer normalization so the two methods agree); "normalized" divides the
-    operator construction by sqrt(E_n^+).
+    "closed" evaluates the Laguerre-bracket closed form; "normalized" divides
+    the operator construction by sqrt(E_n^+).
     """
     if z <= 0:
         raise DomainError("minus-side eigenfunction needs z > 0")
@@ -175,12 +162,9 @@ def phi_minus_jet(fp: FactorizationParams, n: int, z: float,
         bracket = ((g + n + 1) * laguerre(n, g - 1, t)
                    - (n + 1) * laguerre(n + 1, g - 1, t)
                    + g * laguerre(n, g, t))
-        cn = _norm_const(n, g, oh)
-        # the bracket form is written against the Laguerre convention for the
-        # plus-side states; the factor n!/(gamma)_n converts to Kummer form
-        conv = math.factorial(n) / pochhammer(g, n)
-        return (2 * cn * conv * zj.power(g + 0.5) * (-(oh / 2) * zj**2).exp()
-                / (zj**2 + 1.0 / (d * ob)) * bracket)
+        return (2 * _norm_const(n, g, oh) * zj.power(g + 0.5)
+                * (-(oh / 2) * zj**2).exp() / (zj**2 + 1.0 / (d * ob))
+                * bracket)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -203,13 +187,8 @@ def psi_plus_jet(fp: FactorizationParams, n: int, z: float,
     if z <= 0:
         raise DomainError("pre-transform eigenfunction needs z > 0")
     g, oh = fp.gamma, fp.omega_hat
-    if order == 0:
-        norm = psi_plus_norm(fp, n)
-        pw, ex, f = _value_factors(n, g, oh, z, g + 0.5)
-        return Jet((0.0 + (0.0 + pw * norm * ex) * f,))
-    zj = Jet.variable(z, order)
-    return (psi_plus_norm(fp, n) * zj.power(g + 0.5)
-            * (-(oh / 2) * zj**2).exp() * kummer(n, g, oh * zj**2))
+    return (psi_plus_norm(fp, n) * _kummer_factor(n, g)
+            * _chi_jet(n, g, oh, z, g + 0.5, order))
 
 
 def psi_plus(fp: FactorizationParams, n: int, z: float) -> WavefunctionEval:
@@ -241,9 +220,11 @@ def j_integral(fp: FactorizationParams, m: int, n: int,
     if method == "quadrature":
         from .numeric import quad_halfline
 
+        scale = _kummer_factor(m, g) * _kummer_factor(n, g)
+
         def f(z: float) -> float:
-            return (z ** (2 * g + 1) * math.exp(-oh * z * z)
-                    * kummer(m, g, oh * z * z) * kummer(n, g, oh * z * z))
+            return (scale * _chi_jet(m, g, oh, z, g + 0.5, 0).value
+                    * _chi_jet(n, g, oh, z, g + 0.5, 0).value)
 
         return quad_halfline(f, decay_rate=oh)
     raise ValueError(f"unknown method {method!r}")

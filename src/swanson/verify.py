@@ -15,7 +15,7 @@ from typing import Callable
 from .errors import ConfigError, NonConvergent
 from .potentials import (Form, Side, coord_x, dlog_rho_jet, eval_potential,
                          eval_potential_z, transform_shift, w_of_z_jet)
-from .specialfn import gamma_fn, kummer, pochhammer
+from .specialfn import laguerre
 from . import diffop, numeric, spectrum
 
 # Sample points away from the singular loci; some checks use the first eight.
@@ -148,9 +148,9 @@ def _orthogonality(r: _Run) -> float:
     def gap(n):
         q = numeric.quad_halfline(
             lambda z: z ** (2 * g - 1) * math.exp(-oh * z * z)
-            * kummer(n, g, oh * z * z) ** 2, oh)
-        closed = (math.factorial(n) * gamma_fn(g)
-                  / (2 * oh ** g * pochhammer(g, n)))
+            * laguerre(n, g - 1, oh * z * z) ** 2, oh)
+        closed = (math.exp(math.lgamma(n + g) - math.lgamma(n + 1))
+                  / (2 * oh**g))
         return abs(q - closed) / abs(closed)
 
     return max(gap(n) for n in range(N_STATES))
@@ -305,8 +305,9 @@ DEFAULT_TOLS = {name: row.tol for row in ROWS if row.tol is not None
 
 def run(cfg, fp, mp=None) -> tuple[list[dict], list[dict]]:
     """(identities, errata) entries of the rows that apply, with cfg.tols
-    over the table's tolerances; an oracle that does not converge gives
-    residual inf and the reason as the note."""
+    over the table's tolerances; an oracle that does not converge, or
+    arithmetic that overflows, gives residual inf and the reason as the
+    note."""
     r = _Run(cfg, fp, mp)
     tols = {**DEFAULT_TOLS, **cfg.tols}
     identities, errata = [], []
@@ -320,6 +321,9 @@ def run(cfg, fp, mp=None) -> tuple[list[dict], list[dict]]:
         except NonConvergent as exc:
             residuals = (math.inf,) * len(row.names)
             note = f"numeric non-convergence: {exc}"
+        except ArithmeticError as exc:
+            residuals = (math.inf,) * len(row.names)
+            note = f"numeric failure: {type(exc).__name__}: {exc}"
         for name, res in zip(row.names, residuals):
             entry = {"id": name, "residual": fmt(res)}
             if row.tol is None:

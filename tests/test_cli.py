@@ -142,6 +142,15 @@ class TestWavefunctions:
         crossings = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)
         assert crossings == 1
 
+    def test_state_200_is_finite(self, tmp_path):
+        out = tmp_path / "wf.csv"
+        assert main(["wavefunctions", "--side", "minus", "--n-list", "200",
+                     "--z-grid", "0.5,1.0,3.0,9.0", "--format", "csv",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(math.isfinite(float(v)) for r in rows for v in r[2:])
+
     def test_empty_state_list(self, tmp_path, capsys):
         out = tmp_path / "wf.csv"
         code, _, _ = run_main(["wavefunctions", "--n-list", "", "--format",

@@ -106,6 +106,18 @@ class TestLaguerre:
         assert laguerre(n, beta, t) == pytest.approx(expected, rel=1e-13)
 
 
+def _jet_arithmetic_laguerre(n, beta, t):
+    """L_n^beta(t) by the three-term recurrence run in Jet arithmetic: the
+    reference for the composed Jet branch of ``laguerre``."""
+    prev, cur = 1.0 + 0.0 * t, beta + 1.0 - t
+    if n == 0:
+        return prev
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k - 1 + beta - t) * cur
+                          - (k - 1 + beta) * prev) / k
+    return cur
+
+
 SEEDED_CASES = []
 _rng = np.random.default_rng(20260826)
 for _ in range(1000):
@@ -136,6 +148,18 @@ class TestPropertySuites:
             lhs = laguerre(n, beta, tj).derivative(1)
             rhs = -laguerre(n - 1, beta + 1, t)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_jet_branch_matches_jet_arithmetic_recurrence(self, order):
+        # t = 0.7 z^2 has nonzero Taylor coefficients up to order 2, as the
+        # states' argument does
+        for n, beta, t in SEEDED_CASES[:300]:
+            tj = 0.7 * Jet.variable(math.sqrt(t / 0.7) + 0.01, order) ** 2
+            got = laguerre(n, beta, tj)
+            want = _jet_arithmetic_laguerre(n, beta, tj)
+            assert got.order == want.order == order
+            for g, w in zip(got.coeffs, want.coeffs):
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
 
     def test_parameter_recurrence(self):
         # L_n^beta = L_{n-1}^beta + L_n^(beta-1)

@@ -252,6 +252,76 @@ class TestValueOnlyStates:
                 state(fp_star, 0, 0.0, 0)
 
 
+def _state_grid(fp, n):
+    """64 points from near 0 to a few decay lengths past the turning point
+    of level n, where omega_hat z^2 ~ 4n + 2 gamma."""
+    z_max = math.sqrt((4 * n + 2 * fp.gamma + 12) / fp.omega_hat)
+    return [z_max * k / 64 for k in range(1, 65)]
+
+
+def _reference_states(fp, side, n, zs):
+    """(value, derivative) of the normalized state at each z, from the
+    Kummer closed form C_n z^(g-1/2) exp(-t/2) 1F1(-n; g; t), t = oh z^2, in
+    mpmath.  The working precision covers the series' cancellation, about
+    t/2 digits once the Gaussian weight is applied.  The minus side is
+    (w phi - phi') / sqrt(E_n)."""
+    mpmath = pytest.importorskip("mpmath")
+    t_max = fp.omega_hat * max(zs) ** 2
+    with mpmath.workdps(40 + int(0.5 * t_max)):
+        g, oh = mpmath.mpf(fp.gamma), mpmath.mpf(fp.omega_hat)
+        dob = mpmath.mpf(fp.d) * mpmath.mpf(fp.omega_bar)
+        h = g - mpmath.mpf(0.5)
+        cn = (-1) ** n * mpmath.sqrt(2 * oh ** g * mpmath.rf(g, n)
+                                     / (mpmath.factorial(n) * mpmath.gamma(g)))
+        coeffs = [mpmath.mpf(1)]
+        for k in range(n):
+            coeffs.append(coeffs[-1] * (k - n) / ((g + k) * (k + 1)))
+        root_e = mpmath.sqrt(energies_plus(fp, n)[n].energy)
+        out = []
+        for zf in zs:
+            z = mpmath.mpf(zf)
+            t = oh * z * z
+            # M(t), M'(t), M''(t) by one Horner pass
+            m0, m1, m2 = coeffs[n], mpmath.mpf(0), mpmath.mpf(0)
+            for k in range(n - 1, -1, -1):
+                m2, m1, m0 = m2 * t + 2 * m1, m1 * t + m0, m0 * t + coeffs[k]
+            pre = cn * z ** h * mpmath.exp(-t / 2)
+            lg, dlg = h / z - oh * z, -h / (z * z) - oh  # (log pre)', (..)''
+            tz = 2 * oh * z                              # dt/dz
+            phi = pre * m0
+            dphi = pre * (lg * m0 + tz * m1)
+            if side == "plus":
+                out.append((float(phi), float(dphi)))
+                continue
+            ddphi = pre * ((dlg + lg * lg) * m0 + 2 * lg * tz * m1
+                           + tz * tz * m2 + 2 * oh * m1)
+            q = 1 + dob * z * z
+            w = oh * z + h / z + 2 * dob * z / q
+            dw = oh - h / (z * z) + 2 * dob * (1 - dob * z * z) / (q * q)
+            out.append((float((w * phi - dphi) / root_e),
+                        float((dw * phi + w * dphi - ddphi) / root_e)))
+    return out
+
+
+class TestHighExcitedStates:
+    """The states well past the range where the alternating Kummer sum
+    cancels (n ~ 25), against the closed form in extended precision."""
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("n", [25, 40, 200])
+    def test_against_extended_precision_closed_form(self, n, side, fp_star):
+        for fp in (fp_star, *random_forward_sets(2, seed=17)):
+            zs = _state_grid(fp, n)
+            ref = _reference_states(fp, side, n, zs)
+            got = [phi_plus(fp, n, z) if side == "plus"
+                   else phi_minus(fp, n, z, "normalized") for z in zs]
+            for col, attr in enumerate(("value", "derivative")):
+                scale = max(abs(r[col]) for r in ref)
+                err = max(abs(getattr(e, attr) - r[col])
+                          for e, r in zip(got, ref))
+                assert err <= 1e-10 * scale, (fp, attr, err / scale)
+
+
 class TestNormalizationIntegrals:
     def test_ground_state_closed_form(self, fp_star):
         g, oh = fp_star.gamma, fp_star.omega_hat

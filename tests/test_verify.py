@@ -2,6 +2,7 @@
 
 import ast
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -78,6 +79,39 @@ def test_nonconvergent_quadrature_marks_exactly_the_rows_that_integrate(
             assert e["status"] == "PASS" and "note" not in e
     failed = [e["id"] for e in doc["identities"] if e["status"] == "FAIL"]
     assert set(failed) == INTEGRATING & set(DEFAULT_TOLS)
+
+
+def test_arithmetic_error_is_recorded_like_nonconvergence(monkeypatch,
+                                                         tmp_path):
+    def overflows(f, decay_rate, tol=1e-11):
+        raise OverflowError("forced")
+
+    monkeypatch.setattr(numeric, "quad_halfline", overflows)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    entries = doc["identities"] + doc["errata"]
+    assert [e["id"] for e in entries] == FORWARD_IDS
+    assert {e["id"]: e["note"] for e in entries if e["residual"] == "inf"} \
+        == dict.fromkeys(INTEGRATING, "numeric failure: OverflowError: forced")
+
+
+def test_extreme_parameters_give_the_whole_document_and_no_warnings(
+        tmp_path):
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--omega-bar", "6.679567213444102e-34",
+            "--rho-q", "6.774429997209272e-52",
+            "--d", "3.2088327224676075e-121", "--grids", "40,80",
+            "--n-max", "1", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    doc = json.loads(out.read_text())
+    entries = doc["identities"] + doc["errata"]
+    assert [e["id"] for e in entries] == FORWARD_IDS
+    assert [e["id"] for e in doc["errata"] if e["residual"] == "inf"] \
+        == ["normalization_integral_printed"]
 
 
 def test_sweep_residual_is_the_larger_factorization_residual(tmp_path):
