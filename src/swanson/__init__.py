@@ -5,27 +5,25 @@ rational superpotential, and the half-line oscillator pair they transform
 into.  The package solves the forward and inverse parameter-matching
 problems, evaluates every potential form and operator of the hierarchy,
 produces closed-form spectra and eigenfunctions, and checks all of it against
-independent finite-difference and quadrature oracles.
+independent finite-difference and quadrature oracles.  It holds only what
+the ``swanson`` commands run; the reference formulas the tests check it
+against live in ``tests/reference.py``.
 """
 
 __version__ = "0.1.0"
 
 from .errors import (BranchViolation, DomainError, Infeasible4X,
                      JetOrderExceeded, ModeError, NonConvergent,
-                     NoPositiveRoot, PoleAtNonPositiveInteger,
-                     PoleConfiguration, SwansonError)
+                     NoPositiveRoot, SwansonError)
 from .jets import Jet
 from .params import (ConstraintReport, DerivedConstants, FactorizationParams,
                      ModelParams, check_constraints, derive_constants,
                      solve_forward, solve_inverse)
-from .potentials import (Form, PointFunctions, Side, coord_x, coord_z,
-                         eval_potential, eval_potential_z, log_rho,
-                         point_functions, transform_shift, unit_commutator_b)
+from .potentials import (Form, Side, coord_x, eval_potential,
+                         eval_potential_z, transform_shift)
 from .diffop import LinDiffOp, build, compose, conjugate, formal_adjoint, residual
-from .spectrum import (GKPotential, SpectralLine, WavefunctionEval,
-                       energies_plus, energy_shift, gk_eigenvalues, gk_of,
-                       gk_wavefunction, j_integral, phi_minus, phi_plus,
-                       psi_plus, psi_plus_norm)
+from .spectrum import (energies_plus, j_integral, phi_minus_jet, phi_plus_jet,
+                       psi_plus_jet, psi_plus_norm)
 from .numeric import (SpectrumComparison, TridiagSystem, compare_spectra,
                       fd_discretize, quad_halfline, refine_extrapolate,
                       tridiag_eigs)
@@ -33,19 +31,16 @@ from .numeric import (SpectrumComparison, TridiagSystem, compare_spectra,
 __all__ = [
     "__version__",
     "SwansonError", "DomainError", "ModeError", "NoPositiveRoot",
-    "Infeasible4X", "BranchViolation", "PoleAtNonPositiveInteger",
-    "PoleConfiguration", "JetOrderExceeded", "NonConvergent",
+    "Infeasible4X", "BranchViolation", "JetOrderExceeded", "NonConvergent",
     "Jet",
     "ModelParams", "DerivedConstants", "FactorizationParams",
     "ConstraintReport", "derive_constants", "solve_forward", "solve_inverse",
     "check_constraints",
-    "Side", "Form", "PointFunctions", "point_functions", "eval_potential",
-    "eval_potential_z", "transform_shift", "coord_x", "coord_z", "log_rho",
-    "unit_commutator_b",
+    "Side", "Form", "eval_potential", "eval_potential_z", "transform_shift",
+    "coord_x",
     "LinDiffOp", "build", "compose", "formal_adjoint", "conjugate", "residual",
-    "GKPotential", "SpectralLine", "WavefunctionEval", "gk_eigenvalues",
-    "gk_wavefunction", "gk_of", "energy_shift", "energies_plus", "phi_plus",
-    "phi_minus", "psi_plus", "psi_plus_norm", "j_integral",
+    "energies_plus", "phi_plus_jet", "phi_minus_jet", "psi_plus_jet",
+    "psi_plus_norm", "j_integral",
     "TridiagSystem", "SpectrumComparison", "fd_discretize", "tridiag_eigs",
     "refine_extrapolate", "quad_halfline", "compare_spectra",
 ]

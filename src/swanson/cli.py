@@ -194,7 +194,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     fp, _, _ = _solve_params(cfg)
     k = cfg.n_max + 1
-    analytic = [l.energy for l in spectrum.energies_plus(fp, cfg.n_max)]
+    analytic = spectrum.energies_plus(fp, cfg.n_max)
     ep, em = verify.numeric_spectra(cfg, fp, k)
     rows = []
     for n in range(k):
@@ -216,10 +216,10 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
                 skipped += 1
                 continue
             if side is Side.PLUS:
-                ev = spectrum.phi_plus(fp, n, z)
+                j = spectrum.phi_plus_jet(fp, n, z)
             else:
-                ev = spectrum.phi_minus(fp, n, z, method="normalized")
-            rows.append([n, float(z), ev.value, ev.derivative])
+                j = spectrum.phi_minus_jet(fp, n, z, "normalized")
+            rows.append([n, float(z), j.value, j.derivative(1)])
     if skipped:
         print(f"warning: skipped {skipped} non-positive grid points",
               file=sys.stderr)
@@ -246,7 +246,7 @@ def _sweep_one(cfg: RunConfig, value: float):
           cfg.sweep_param: value}
     try:
         fp = solve_forward(**kw)
-        analytic = [l.energy for l in spectrum.energies_plus(fp, 2)]
+        analytic = spectrum.energies_plus(fp, 2)
         vp = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
         ep, _ = numeric.refine_extrapolate(vp, 3, cfg.grids, cfg.z_min,
                                            cfg.z_max)

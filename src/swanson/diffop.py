@@ -46,12 +46,6 @@ class LinDiffOp:
             return cf_const(0.0)
         return self._coeffs[i]
 
-    def apply(self, f, x: float) -> float:
-        """Apply to a function given as a Jet -> Jet map; returns (T f)(x)."""
-        fj = f(Jet.variable(x, self.order))
-        return sum(self._coeffs[i](x, 0).value * fj.derivative(i)
-                   for i in range(len(self._coeffs)))
-
     def __add__(self, other: "LinDiffOp") -> "LinDiffOp":
         n = max(self.order, other.order) + 1
         return LinDiffOp([

@@ -29,14 +29,6 @@ class BranchViolation(SwansonError):
     """The selected coupling branch violates its sign/magnitude restrictions."""
 
 
-class PoleAtNonPositiveInteger(DomainError):
-    """Gamma function evaluated at a pole."""
-
-
-class PoleConfiguration(DomainError):
-    """Hypergeometric closed form hits a pole configuration."""
-
-
 class JetOrderExceeded(SwansonError):
     """A composition would need Taylor data beyond the configured jet budget."""
 

@@ -29,8 +29,6 @@ from .errors import NonConvergent
 class TridiagSystem:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    z_min: float
-    z_max: float
     n_points: int
 
 
@@ -56,8 +54,7 @@ def fd_discretize(V: Callable[[float], float], z_min: float, z_max: float,
         raise ValueError("potential returned non-finite samples")
     diag = 2.0 / h**2 + v
     off = np.full(n_points - 1, -1.0 / h**2)
-    return TridiagSystem(diagonal=diag, off_diagonal=off,
-                         z_min=z_min, z_max=z_max, n_points=n_points)
+    return TridiagSystem(diagonal=diag, off_diagonal=off, n_points=n_points)
 
 
 _TINY = float(np.finfo(float).tiny)

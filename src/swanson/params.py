@@ -11,7 +11,7 @@ solves an over-determined matching system, reporting residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class ModelParams:
     alpha: float
     beta: float
     delta_gauge: float = 0.0
-    reality_warning: bool = field(init=False, default=False)
 
     def __post_init__(self):
         ob = self.omega - self.alpha - self.beta
@@ -34,9 +33,6 @@ class ModelParams:
             raise ValueError(f"need omega - alpha - beta > 0, got {ob}")
         if self.alpha == self.beta:
             raise ValueError("need alpha != beta")
-        # Harmonic-ladder reality bound; advisory only in the general case.
-        warn = self.omega**2 - 4 * self.alpha * self.beta <= 0
-        object.__setattr__(self, "reality_warning", warn)
 
     @property
     def omega_bar(self) -> float:
@@ -150,6 +146,18 @@ def c_negative_branch(dc: DerivedConstants, d: float) -> float:
     return (2 * a2 * d - 4 * ob * d**3 - math.sqrt(disc)) / (2 * a1)
 
 
+def feasibility_x(dc: DerivedConstants, c: float,
+                  d: float) -> tuple[float, bool]:
+    """The oscillator-strength combination X and whether 4X > 43 omega_bar.
+
+    rho_q = (sqrt(4X - 27 omega_bar) - 4 sqrt(omega_bar)) / 2 is real and
+    positive exactly when 4X > 43 omega_bar.
+    """
+    X = (4 * dc.a1 / d**2 - 8 * (dc.a3 + 2 * dc.a4)
+         + ((dc.a2 - 2 * dc.a1) * (c + 1) + dc.a5) / (2 * d))
+    return X, 4 * X > 43 * dc.omega_bar
+
+
 def check_constraints(fp: FactorizationParams, dc: DerivedConstants,
                       c: float, d: float) -> ConstraintReport:
     """Evaluate all five matching relations as left-minus-right residuals."""
@@ -162,12 +170,11 @@ def check_constraints(fp: FactorizationParams, dc: DerivedConstants,
               - 2 * d * (rq + 3.5 * sw) * (rq + 0.5 * sw))
     r47 = abs(c * (-3 * a2 * d + 2 * a1 + a1 * c + 2 * a1 * d) - 12 * ob * d**2)
     r48 = abs(2 * a1 * (1 + d) - a2 * d - 4 * ob * d**3)
-    X = (4 * a1 / d**2 - 8 * (a3 + 2 * a4)
-         + ((a2 - 2 * a1) * (c + 1) + a5) / (2 * d))
+    X, feasible = feasibility_x(dc, c, d)
     return ConstraintReport(
         res_mu_strength=r44, res_quadratic=r45, res_constant=r46,
         res_rational_quad=r47, res_rational_cubic=r48,
-        X=X, feasible_4X=4 * X > 43 * ob,
+        X=X, feasible_4X=feasible,
         d_root_count=len(_positive_cubic_roots(ob, a1, a2)),
     )
 
@@ -189,9 +196,8 @@ def solve_inverse(p: ModelParams) -> tuple[FactorizationParams, ConstraintReport
     c = c_negative_branch(dc, d)
     if not (c < 0 and abs(c) > 1):
         raise BranchViolation(f"computed c = {c} fails c < 0, |c| > 1")
-    X = (4 * dc.a1 / d**2 - 8 * (dc.a3 + 2 * dc.a4)
-         + ((dc.a2 - 2 * dc.a1) * (c + 1) + dc.a5) / (2 * d))
-    if not 4 * X > 43 * ob:
+    X, feasible = feasibility_x(dc, c, d)
+    if not feasible:
         raise Infeasible4X(f"need 4X > 43*omega_bar, got 4X = {4 * X}, "
                            f"43*omega_bar = {43 * ob}")
     rho_q = 0.5 * (math.sqrt(4 * X - 27 * ob) - 4 * sw)

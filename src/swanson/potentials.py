@@ -15,13 +15,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, ModeError
 from .jets import Jet
-from .numeric import quad_interval
 from .params import FactorizationParams, ModelParams, derive_constants
 
 
@@ -97,12 +93,6 @@ def c1_jet(x: float, fp: FactorizationParams, mp: ModelParams, order: int,
             - delta * ap + om / 2)
 
 
-def w_jet(x: float, fp: FactorizationParams, order: int) -> Jet:
-    """Half-line superpotential in the x chart: bt - (sqrt(ob)/2) a'."""
-    sw = math.sqrt(fp.omega_bar)
-    return b_tilde_jet(x, fp, order) - sw * Jet.variable(x, order)
-
-
 def h_zeroth_jet(side: Side, x: float, fp: FactorizationParams,
                  order: int) -> Jet:
     """Zeroth coefficient of h- = A^dag A or of h+ = A A^dag."""
@@ -123,80 +113,8 @@ def dlog_rho_jet(x: float, fp: FactorizationParams, mp: ModelParams,
     return -b1_jet(x, fp, mp, order) / (2 * mp.omega_bar * xj**4)
 
 
-def log_rho(x: float, fp: FactorizationParams, mp: ModelParams,
-            x0: float | None = None) -> float:
-    """log rho by quadrature from a same-branch reference point."""
-    if x == 0:
-        raise DomainError("metric singular at x = 0")
-    if x0 is None:
-        x0 = -1.0 if x < 0 else 1.0
-    if x * x0 <= 0:
-        raise DomainError("reference point must lie on the same branch")
-
-    def integrand(y: float) -> float:
-        return dlog_rho_jet(y, fp, mp, 0).value
-
-    return quad_interval(integrand, x0, x, tol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# point functions
-
-
-@dataclass(frozen=True)
-class PointFunctions:
-    """All scalar model functions evaluated at one point x."""
-
-    a: float
-    a_prime: float
-    b: float | None
-    b_tilde: float
-    b1: float | None
-    c1: float | None
-    w: float
-    log_rho: float | None
-
-
-def point_functions(x: float, fp: FactorizationParams,
-                    mp: ModelParams | None = None) -> PointFunctions:
-    if x == 0:
-        raise DomainError("point functions singular at x = 0")
-    inverse = mp is not None and fp.c is not None
-    return PointFunctions(
-        a=x * x,
-        a_prime=2 * x,
-        b=b_plain_jet(x, fp, 0).value if inverse else None,
-        b_tilde=b_tilde_jet(x, fp, 0).value,
-        b1=b1_jet(x, fp, mp, 0).value if inverse else None,
-        c1=c1_jet(x, fp, mp, 0).value if inverse else None,
-        w=w_jet(x, fp, 0).value,
-        log_rho=log_rho(x, fp, mp) if inverse else None,
-    )
-
-
-def unit_commutator_b(x: float, a_fn, x0: float = 0.0) -> float:
-    """Superpotential forced by a unit ladder commutator: a'/2 + int dx/(2a).
-
-    ``a_fn`` maps a Jet to a Jet; it must be nonzero on [x0, x].
-    """
-    lo, hi = (x0, x) if x0 <= x else (x, x0)
-    probe = np.linspace(lo, hi, 101)
-    vals = [a_fn(Jet.variable(float(t), 0)).value for t in probe]
-    if any(v == 0 or v * vals[0] < 0 for v in vals):
-        raise DomainError("a(x) vanishes on the integration path")
-    ap = a_fn(Jet.variable(x, 1)).derivative(1)
-    integral = quad_interval(lambda y: 0.5 / a_fn(Jet.variable(y, 0)).value,
-                             x0, x, tol=1e-12)
-    return ap / 2 + integral
-
-
-def coord_z(x: float, omega_bar: float) -> float:
-    if x == 0:
-        raise DomainError("coordinate map singular at 0")
-    return -1.0 / (math.sqrt(omega_bar) * x)
-
-
 def coord_x(z: float, omega_bar: float) -> float:
+    """x(z) = -1/(sqrt(ob) z); the same formula maps x back to z."""
     if z == 0:
         raise DomainError("coordinate map singular at 0")
     return -1.0 / (math.sqrt(omega_bar) * z)

@@ -2,63 +2,24 @@
 
 The transformed plus-side potential is an inverse-square-plus-quadratic
 oscillator on (0, inf) (Goldman-Krivchenkov form) shifted by a constant, so
-its spectrum is an exact equidistant ladder and its eigenfunctions are
-Gaussian-weighted associated Laguerre polynomials,
-z^(gamma-1/2) exp(-oh z^2/2) L_n^(gamma-1)(oh z^2).  The minus side is
-generated from it by the first-order ladder operator.
+its spectrum is an exact equidistant ladder (``energies_plus``) and its
+eigenfunctions are Gaussian-weighted associated Laguerre polynomials,
+z^(gamma-1/2) exp(-oh z^2/2) L_n^(gamma-1)(oh z^2) (``phi_plus_jet``).  The
+minus side is generated from it by the first-order ladder operator
+(``phi_minus_jet``).  Every state is a ``Jet`` in z; callers read ``.value``
+and ``.derivative(k)``.  The pre-transform states (``psi_plus_jet``) carry
+the printed normalization constant, and ``j_integral`` gives their
+normalization integrals.  Every Gamma ratio comes from ``math.lgamma``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .jets import Jet
 from .params import FactorizationParams
-from .specialfn import gamma_fn, laguerre, pochhammer
-
-
-@dataclass(frozen=True)
-class GKPotential:
-    """Inverse-square strength A and quadratic strength B on the half line."""
-
-    A: float
-    B: float
-
-    def __post_init__(self):
-        if self.A < 0:
-            raise ValueError("need A >= 0")
-        if self.B <= 0:
-            raise ValueError("need B > 0")
-
-    @property
-    def gamma_gk(self) -> float:
-        return 1.0 + 0.5 * math.sqrt(1.0 + 4.0 * self.A)
-
-    @property
-    def delta_gk(self) -> float:
-        return math.sqrt(self.B)
-
-
-@dataclass(frozen=True)
-class SpectralLine:
-    n: int
-    energy: float
-
-
-@dataclass(frozen=True)
-class WavefunctionEval:
-    n: int
-    z: float
-    value: float
-    derivative: float
-
-
-def gk_eigenvalues(gk: GKPotential, n_max: int) -> list[SpectralLine]:
-    """Exact ladder 2*delta*(2n + gamma)."""
-    g, d = gk.gamma_gk, gk.delta_gk
-    return [SpectralLine(n, 2 * d * (2 * n + g)) for n in range(n_max + 1)]
+from .specialfn import laguerre
 
 
 def _norm_const(n: int, gamma: float, scale: float) -> float:
@@ -93,36 +54,11 @@ def _chi_jet(n: int, gamma: float, scale: float, z: float, p: float,
             * laguerre(n, gamma - 1, scale * zj**2))
 
 
-def gk_wavefunction_jet(gk: GKPotential, n: int, z: float,
-                        order: int = 2) -> Jet:
-    if z <= 0:
-        raise DomainError("half-line wavefunction needs z > 0")
-    g, d = gk.gamma_gk, gk.delta_gk
-    return _norm_const(n, g, d) * _chi_jet(n, g, d, z, g - 0.5, order)
-
-
-def gk_wavefunction(gk: GKPotential, n: int, z: float) -> WavefunctionEval:
-    j = gk_wavefunction_jet(gk, n, z)
-    return WavefunctionEval(n=n, z=z, value=j.value, derivative=j.derivative(1))
-
-
-def gk_of(fp: FactorizationParams) -> GKPotential:
-    """The plus-side half-line potential minus its constant shift."""
-    ob, rq = fp.omega_bar, fp.rho_q
-    return GKPotential(A=(rq**2 + math.sqrt(ob) * rq) / ob, B=fp.mu**2 * ob)
-
-
-def energy_shift(fp: FactorizationParams) -> float:
-    """Constant offset of the plus-side half-line potential."""
-    sw = math.sqrt(fp.omega_bar)
-    return 2 * fp.d * (fp.rho_q + 3.5 * sw) * (fp.rho_q + 1.5 * sw)
-
-
-def energies_plus(fp: FactorizationParams, n_max: int) -> list[SpectralLine]:
+def energies_plus(fp: FactorizationParams, n_max: int) -> list[float]:
     """Exact plus-side ladder 2 omega_hat (2n + 2 rho_q/sqrt(ob) + 5)."""
     oh = fp.omega_hat
     base = 2 * fp.rho_q / math.sqrt(fp.omega_bar) + 5
-    return [SpectralLine(n, 2 * oh * (2 * n + base)) for n in range(n_max + 1)]
+    return [2 * oh * (2 * n + base) for n in range(n_max + 1)]
 
 
 def phi_plus_jet(fp: FactorizationParams, n: int, z: float, order: int = 2) -> Jet:
@@ -130,11 +66,6 @@ def phi_plus_jet(fp: FactorizationParams, n: int, z: float, order: int = 2) -> J
         raise DomainError("plus-side eigenfunction needs z > 0")
     g, oh = fp.gamma, fp.omega_hat
     return _norm_const(n, g, oh) * _chi_jet(n, g, oh, z, g - 0.5, order)
-
-
-def phi_plus(fp: FactorizationParams, n: int, z: float) -> WavefunctionEval:
-    j = phi_plus_jet(fp, n, z)
-    return WavefunctionEval(n=n, z=z, value=j.value, derivative=j.derivative(1))
 
 
 def phi_minus_jet(fp: FactorizationParams, n: int, z: float,
@@ -148,7 +79,7 @@ def phi_minus_jet(fp: FactorizationParams, n: int, z: float,
     if z <= 0:
         raise DomainError("minus-side eigenfunction needs z > 0")
     if method == "normalized":
-        en = energies_plus(fp, n)[n].energy
+        en = energies_plus(fp, n)[n]
         return phi_minus_jet(fp, n, z, "operator", order) * (1 / math.sqrt(en))
     if method == "operator":
         from .potentials import w_of_z_jet
@@ -168,17 +99,19 @@ def phi_minus_jet(fp: FactorizationParams, n: int, z: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-def phi_minus(fp: FactorizationParams, n: int, z: float,
-              method: str = "operator") -> WavefunctionEval:
-    j = phi_minus_jet(fp, n, z, method)
-    return WavefunctionEval(n=n, z=z, value=j.value, derivative=j.derivative(1))
+def _printed_ratio(n: int, gamma: float) -> float:
+    """(n+1)! Gamma(gamma) / (gamma)_n, the Gamma ratio of the printed
+    normalization, from log-Gamma so that large n cannot overflow."""
+    return math.exp(math.lgamma(n + 2) + 2 * math.lgamma(gamma)
+                    - math.lgamma(n + gamma))
 
 
 def psi_plus_norm(fp: FactorizationParams, n: int) -> float:
-    """Printed normalization constant of the pre-transform eigenfunction."""
+    """Printed normalization constant of the pre-transform eigenfunction,
+    (-1)^n sqrt(2 oh^(gamma+1) (gamma)_n
+                / (ob (n + gamma) (n+1)! Gamma(gamma)))."""
     g, oh, ob = fp.gamma, fp.omega_hat, fp.omega_bar
-    mag = math.sqrt(2 * oh ** (g + 1) * pochhammer(g, n)
-                    / (ob * (n + g) * math.factorial(n + 1) * gamma_fn(g)))
+    mag = math.sqrt(2 * oh ** (g + 1) / (ob * (n + g) * _printed_ratio(n, g)))
     return (-1) ** n * mag
 
 
@@ -191,11 +124,6 @@ def psi_plus_jet(fp: FactorizationParams, n: int, z: float,
             * _chi_jet(n, g, oh, z, g + 0.5, order))
 
 
-def psi_plus(fp: FactorizationParams, n: int, z: float) -> WavefunctionEval:
-    j = psi_plus_jet(fp, n, z)
-    return WavefunctionEval(n=n, z=z, value=j.value, derivative=j.derivative(1))
-
-
 def j_integral(fp: FactorizationParams, m: int, n: int,
                method: str = "quadrature") -> float:
     """Normalization integral of the pre-transform states.
@@ -203,20 +131,13 @@ def j_integral(fp: FactorizationParams, m: int, n: int,
     "quadrature" integrates z^(2 gamma + 1) e^(-oh z^2) F_m F_n over (0, inf).
     "closed" is the printed diagonal closed form (n + gamma)(n+1)! Gamma(gamma)
     / (2 oh^(gamma+1) (gamma)_n); it keeps only the leading term of the exact
-    sum and is exact at n = 0 only.  "diagonal_exact" is the full diagonal
-    value n! (2n + gamma) Gamma(gamma) / (2 oh^(gamma+1) (gamma)_n).
+    sum and is exact at n = 0 only.
     """
     g, oh = fp.gamma, fp.omega_hat
     if method == "closed":
         if m != n:
             raise ValueError("the closed form is defined on the diagonal only")
-        return ((n + g) * math.factorial(n + 1) * gamma_fn(g)
-                / (2 * oh ** (g + 1) * pochhammer(g, n)))
-    if method == "diagonal_exact":
-        if m != n:
-            raise ValueError("the exact diagonal form needs m = n")
-        return (math.factorial(n) * (2 * n + g) * gamma_fn(g)
-                / (2 * oh ** (g + 1) * pochhammer(g, n)))
+        return (n + g) * _printed_ratio(n, g) / (2 * oh ** (g + 1))
     if method == "quadrature":
         from .numeric import quad_halfline
 

@@ -68,8 +68,7 @@ class _Run:
         self.A, self.Ad, self.hm, self.hp = ladder_operators(fp)
         self.At = diffop.build("Atilde", fp)
         self.Atd = diffop.build("Atilde_dag", fp)
-        self.energies = [l.energy
-                         for l in spectrum.energies_plus(fp, N_STATES - 1)]
+        self.energies = spectrum.energies_plus(fp, N_STATES - 1)
         # canonical half-line potentials at SAMPLE_Z, and the printed minus one
         self.v = {side: [eval_potential_z(side, Form.CANONICAL, z, fp)
                          for z in SAMPLE_Z] for side in Side}

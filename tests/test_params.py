@@ -39,10 +39,6 @@ class TestModelParams:
         with pytest.raises(ValueError, match="omega - alpha - beta"):
             ModelParams(1.0, 0.8, 0.3)
 
-    def test_reality_warning_flag(self):
-        assert not ModelParams(2.0, 0.5, 0.1).reality_warning
-        assert ModelParams(0.1, -2.0, -2.01).reality_warning
-
 
 class TestDerivedConstants:
     def test_flagship_linear_constants(self):
@@ -189,6 +185,6 @@ class TestMonotonicity:
         e_prev = -math.inf
         for rq in np.linspace(0.2, 3.0, 12):
             fp = solve_forward(1.0, float(rq), 1.0)
-            e0 = energies_plus(fp, 0)[0].energy
+            e0 = energies_plus(fp, 0)[0]
             assert e0 > e_prev
             e_prev = e0

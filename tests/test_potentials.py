@@ -6,51 +6,56 @@ import numpy as np
 import pytest
 
 from swanson.errors import DomainError, ModeError
-from swanson.jets import Jet
-from swanson.potentials import (Form, Side, coord_x, coord_z, eval_potential,
-                                eval_potential_z, log_rho, point_functions,
-                                transform_shift, unit_commutator_b, w_of_z_jet)
+from swanson.numeric import quad_interval
+from swanson.potentials import (Form, Side, a_jet, b1_jet, b_plain_jet,
+                                b_tilde_jet, c1_jet, coord_x, dlog_rho_jet,
+                                eval_potential, eval_potential_z,
+                                transform_shift, w_of_z_jet)
 from conftest import SAMPLE_X, SAMPLE_Z, random_forward_sets
 
 
 class TestPointFunctions:
+    """The jet building blocks every potential and operator is made of."""
+
     def test_reference_superpotential_value(self, fp_star):
-        pf = point_functions(-1.0, fp_star)
-        assert pf.b_tilde == pytest.approx(4.5, rel=1e-14)
+        assert b_tilde_jet(-1.0, fp_star, 0).value == pytest.approx(4.5,
+                                                                    rel=1e-14)
 
     def test_reference_halfline_superpotential(self, fp_star):
-        pf = point_functions(-1.0, fp_star)
-        assert pf.w == pytest.approx(5.5, rel=1e-14)
+        # x = -1 is z = 1 at omega_bar = 1; w = bt - sqrt(ob) x there
+        assert w_of_z_jet(1.0, fp_star, 0).value == pytest.approx(5.5,
+                                                                  rel=1e-14)
 
     def test_square_ansatz_fields(self, fp_star):
-        pf = point_functions(2.0, fp_star)
-        assert pf.a == 4.0
-        assert pf.a_prime == 4.0
+        a = a_jet(2.0, 1)
+        assert a.value == 4.0
+        assert a.derivative(1) == 4.0
 
     def test_forward_mode_leaves_inverse_fields_empty(self, fp_star):
-        pf = point_functions(1.0, fp_star)
-        assert pf.b is None and pf.b1 is None and pf.c1 is None
-        assert pf.log_rho is None
+        assert fp_star.c is None
+        with pytest.raises(ModeError):
+            b_plain_jet(1.0, fp_star, 0)
 
     def test_inverse_mode_fills_all_fields(self, inverse_sets):
         mp, fp, _ = inverse_sets[0]
-        pf = point_functions(-1.5, fp, mp)
-        assert pf.b is not None and pf.b1 is not None
-        assert pf.c1 is not None and pf.log_rho is not None
+        for j in (b_plain_jet(-1.5, fp, 0), b1_jet(-1.5, fp, mp, 0),
+                  c1_jet(-1.5, fp, mp, 0), dlog_rho_jet(-1.5, fp, mp, 0)):
+            assert math.isfinite(j.value)
 
     def test_hermitian_limit_kills_metric(self, inverse_sets):
         # b1 carries the factor (alpha - beta); with alpha ~ beta it vanishes
         from swanson.params import ModelParams
-        from swanson.potentials import b1_jet
         _, fp, _ = inverse_sets[0]
         eps = 1e-13
         mp_near = ModelParams(1.0, 0.2, 0.2 - eps)
         val = b1_jet(-1.3, fp, mp_near, 0).value
         assert abs(val) < 1e-10
 
-    def test_singular_origin_rejected(self, fp_star):
+    def test_singular_origin_rejected(self, fp_star, inverse_sets):
         with pytest.raises(DomainError):
-            point_functions(0.0, fp_star)
+            b_tilde_jet(0.0, fp_star, 0)
+        with pytest.raises(DomainError):
+            b_plain_jet(0.0, inverse_sets[0][1], 0)
 
 
 class TestMetric:
@@ -66,38 +71,24 @@ class TestMetric:
 
         for x in SAMPLE_X:
             want = antiderivative(x) - antiderivative(math.copysign(1.0, x))
-            assert log_rho(x, fp, mp) == pytest.approx(want, rel=1e-11,
-                                                       abs=1e-11)
-
-
-class TestUnitCommutator:
-    def test_constant_ladder_coefficient(self):
-        b = unit_commutator_b(3.0, lambda xj: Jet.const(1.0, xj.order), x0=0.0)
-        assert b == pytest.approx(1.5, rel=1e-12)
-
-    def test_square_coefficient_closed_form(self):
-        b = unit_commutator_b(2.0, lambda xj: xj**2, x0=1.0)
-        assert b == pytest.approx(2.25, rel=1e-10)
-
-    def test_path_through_zero_rejected(self):
-        with pytest.raises(DomainError):
-            unit_commutator_b(1.0, lambda xj: xj**2, x0=-1.0)
+            got = quad_interval(lambda y: dlog_rho_jet(y, fp, mp, 0).value,
+                                math.copysign(1.0, x), x, tol=1e-12)
+            assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
 class TestCoordinateMaps:
     def test_reference_points(self):
-        assert coord_z(-1.0, 1.0) == pytest.approx(1.0)
-        assert coord_z(-0.5, 4.0) == pytest.approx(1.0)
+        assert coord_x(1.0, 1.0) == pytest.approx(-1.0)
+        assert coord_x(1.0, 4.0) == pytest.approx(-0.5)
 
     def test_mutually_inverse(self):
+        # x(z) and z(x) are the same map
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = float(rng.uniform(0.1, 5.0)) * (1 if rng.random() < 0.5 else -1)
-            assert coord_x(coord_z(x, 2.3), 2.3) == pytest.approx(x, rel=1e-14)
+            assert coord_x(coord_x(x, 2.3), 2.3) == pytest.approx(x, rel=1e-14)
 
     def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            coord_z(0.0, 1.0)
         with pytest.raises(DomainError):
             coord_x(0.0, 1.0)
 

@@ -3,7 +3,10 @@
 Parameters span magnitudes 1e-300 to 1e300 and states up to n = 400.  Such
 inputs may give a config error, infeasible parameters or a numeric failure,
 but ``main`` must map each to its exit code with one stderr line, and never
-raise.
+raise.  ``spectrum`` and ``sweep`` run on the coarse grids 20 and 40 with at
+most four levels or three swept values, which keeps each example fast.
+``verify`` is left out: a failing identity exits 3 by design with its whole
+report on stdout and nothing on stderr.
 """
 
 import contextlib
@@ -41,9 +44,23 @@ wavefunctions = st.builds(
     st.sampled_from(["plus", "minus"]), st.integers(0, 400),
     st.lists(magnitude, min_size=1, max_size=3))
 
+coarse = ["--grids", "20,40"]
+spectrum = st.builds(
+    lambda point, n_max: (["spectrum", "--n-max", str(n_max)] + coarse
+                          + _flags(["--omega-bar", "--rho-q", "--d"], point)),
+    st.lists(magnitude, min_size=3, max_size=3), st.integers(0, 3))
+sweep = st.builds(
+    lambda point, param, lo, hi, steps: (
+        ["sweep", "--param", param, f"--range={lo}:{hi}", "--steps",
+         str(steps)] + coarse
+        + _flags(["--omega-bar", "--rho-q", "--d"], point)),
+    st.lists(magnitude, min_size=3, max_size=3),
+    st.sampled_from(["rho_q", "d", "omega_bar"]), signed, signed,
+    st.integers(0, 3))
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(st.one_of(forward, inverse, wavefunctions))
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(forward, inverse, wavefunctions, spectrum, sweep))
 def test_every_input_ends_in_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

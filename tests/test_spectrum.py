@@ -8,29 +8,29 @@ import pytest
 from swanson.errors import DomainError
 from swanson.numeric import quad_halfline
 from swanson.potentials import Form, Side, eval_potential_z, w_of_z_jet
-from swanson.spectrum import (GKPotential, energies_plus, energy_shift,
-                              gk_eigenvalues, gk_of, gk_wavefunction,
-                              gk_wavefunction_jet, j_integral, phi_minus,
-                              phi_minus_jet, phi_plus, phi_plus_jet, psi_plus_jet)
-from swanson.specialfn import gamma_fn
+from swanson.spectrum import (energies_plus, j_integral, phi_minus_jet,
+                              phi_plus_jet, psi_plus_jet, psi_plus_norm)
 from conftest import SAMPLE_Z, random_forward_sets
+from reference import (GKPotential, energy_shift, gk_eigenvalues, gk_of,
+                       j_diagonal_exact)
 
 
 class TestHalflineOscillator:
+    """The reference half-line oscillator A/z^2 + B z^2, and the plus-side
+    states as its eigenfunctions."""
+
     def test_pure_quadratic_gives_odd_harmonic_levels(self):
         gk = GKPotential(A=0.0, B=1.0)
-        eps = [l.energy for l in gk_eigenvalues(gk, 2)]
-        assert eps == pytest.approx([3.0, 7.0, 11.0])
+        assert gk_eigenvalues(gk, 2) == pytest.approx([3.0, 7.0, 11.0])
 
     def test_perfect_square_barrier(self):
         gk = GKPotential(A=2.0, B=1.0)
         assert gk.gamma_gk == pytest.approx(2.5)
-        eps = [l.energy for l in gk_eigenvalues(gk, 1)]
-        assert eps == pytest.approx([5.0, 9.0])
+        assert gk_eigenvalues(gk, 1) == pytest.approx([5.0, 9.0])
 
     def test_reference_ladder_base(self):
         gk = GKPotential(A=2.0, B=6.25)
-        assert gk_eigenvalues(gk, 0)[0].energy == pytest.approx(12.5)
+        assert gk_eigenvalues(gk, 0)[0] == pytest.approx(12.5)
 
     def test_invalid_strengths_rejected(self):
         with pytest.raises(ValueError):
@@ -38,38 +38,45 @@ class TestHalflineOscillator:
         with pytest.raises(ValueError):
             GKPotential(A=1.0, B=0.0)
 
-    def test_wavefunction_leading_power(self):
-        gk = GKPotential(A=2.0, B=1.0)
+    def test_wavefunction_leading_power(self, fp_star):
         # value ~ z^(gamma - 1/2) as z -> 0
-        r = gk_wavefunction(gk, 0, 1e-4).value / gk_wavefunction(gk, 0, 2e-4).value
-        assert r == pytest.approx(0.5 ** (gk.gamma_gk - 0.5), rel=1e-3)
+        r = (phi_plus_jet(fp_star, 0, 1e-4).value
+             / phi_plus_jet(fp_star, 0, 2e-4).value)
+        assert fp_star.gamma == pytest.approx(2.5)
+        assert r == pytest.approx(0.5 ** (fp_star.gamma - 0.5), rel=1e-3)
 
-    def test_harmonic_ground_state_shape(self):
-        gk = GKPotential(A=0.0, B=1.0)
-        v1 = gk_wavefunction(gk, 0, 1.0).value
-        v2 = gk_wavefunction(gk, 0, 2.0).value
-        assert v2 / v1 == pytest.approx(2 * math.exp(-1.5), rel=1e-12)
+    def test_harmonic_ground_state_shape(self, fp_star):
+        # the ground state is z^(gamma - 1/2) exp(-oh z^2 / 2) up to its norm
+        g, oh = fp_star.gamma, fp_star.omega_hat
+        v1 = phi_plus_jet(fp_star, 0, 1.0).value
+        v2 = phi_plus_jet(fp_star, 0, 2.0).value
+        assert v2 / v1 == pytest.approx(2 ** (g - 0.5) * math.exp(-1.5 * oh),
+                                        rel=1e-12)
 
     def test_eigen_residual(self):
-        gk = GKPotential(A=2.0, B=1.7)
-        eps0 = gk_eigenvalues(gk, 0)[0].energy
-        for z in SAMPLE_Z:
-            j = gk_wavefunction_jet(gk, 0, z, order=2)
-            res = -j.derivative(2) + (gk.A / z**2 + gk.B * z**2 - eps0) * j.value
-            assert abs(res) <= 1e-9 * max(1.0, abs(eps0 * j.value))
+        # the plus-side ground state solves the reference oscillator at its
+        # own ground level, with no shift
+        for fp in random_forward_sets(4, seed=5):
+            gk = gk_of(fp)
+            eps0 = gk_eigenvalues(gk, 0)[0]
+            for z in SAMPLE_Z:
+                j = phi_plus_jet(fp, 0, z, order=2)
+                res = (-j.derivative(2)
+                       + (gk.A / z**2 + gk.B * z**2 - eps0) * j.value)
+                assert abs(res) <= 1e-9 * max(1.0, abs(eps0 * j.value))
 
-    def test_nonpositive_point_rejected(self):
+    def test_nonpositive_point_rejected(self, fp_star):
         with pytest.raises(DomainError):
-            gk_wavefunction(GKPotential(A=0.0, B=1.0), 0, 0.0)
+            phi_plus_jet(fp_star, 0, 0.0)
 
 
 class TestEnergyLadder:
     def test_reference_energies(self, fp_star):
-        E = [l.energy for l in energies_plus(fp_star, 2)]
+        E = energies_plus(fp_star, 2)
         assert E == pytest.approx([35.0, 45.0, 55.0], rel=1e-14)
 
     def test_reference_spacing(self, fp_star):
-        E = [l.energy for l in energies_plus(fp_star, 5)]
+        E = energies_plus(fp_star, 5)
         for a, b in zip(E, E[1:]):
             assert b - a == pytest.approx(4 * fp_star.omega_hat, rel=1e-13)
         assert 4 * fp_star.omega_hat == pytest.approx(10.0)
@@ -80,32 +87,33 @@ class TestEnergyLadder:
         assert gk.B == pytest.approx(6.25)
         shift = energy_shift(fp_star)
         assert shift == pytest.approx(22.5)
-        assert energies_plus(fp_star, 0)[0].energy == pytest.approx(12.5 + 22.5)
+        assert energies_plus(fp_star, 0)[0] == pytest.approx(12.5 + 22.5)
 
     def test_decomposition_randomized(self):
         for fp in random_forward_sets(10, seed=3):
             gk = gk_of(fp)
             shift = energy_shift(fp)
             for n in range(4):
-                lhs = energies_plus(fp, n)[n].energy
-                rhs = gk_eigenvalues(gk, n)[n].energy + shift
+                lhs = energies_plus(fp, n)[n]
+                rhs = gk_eigenvalues(gk, n)[n] + shift
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_positivity(self):
         for fp in random_forward_sets(10, seed=4):
-            assert all(l.energy > 0 for l in energies_plus(fp, 5))
+            assert all(e > 0 for e in energies_plus(fp, 5))
 
 
 class TestPlusEigenfunctions:
     def test_reference_point_value(self, fp_star):
-        c0 = math.sqrt(2 * 2.5**2.5 / gamma_fn(2.5))
+        c0 = math.sqrt(2 * 2.5**2.5 / math.gamma(2.5))
         assert c0 == pytest.approx(3.8556, rel=1e-4)
-        assert phi_plus(fp_star, 0, 1.0).value == pytest.approx(
+        assert phi_plus_jet(fp_star, 0, 1.0).value == pytest.approx(
             c0 * math.exp(-1.25), rel=1e-12)
-        assert phi_plus(fp_star, 0, 1.0).value == pytest.approx(1.1047, rel=1e-4)
+        assert phi_plus_jet(fp_star, 0, 1.0).value == pytest.approx(1.1047,
+                                                                rel=1e-4)
 
     def test_unit_norm_ground_state(self, fp_star):
-        nrm = quad_halfline(lambda z: phi_plus(fp_star, 0, z).value ** 2,
+        nrm = quad_halfline(lambda z: phi_plus_jet(fp_star, 0, z).value ** 2,
                             fp_star.omega_hat)
         assert nrm == pytest.approx(1.0, abs=1e-10)
 
@@ -113,18 +121,18 @@ class TestPlusEigenfunctions:
         # the degree-1 polynomial factor vanishes at z = sqrt(gamma/omega_hat)
         z0 = math.sqrt(fp_star.gamma / fp_star.omega_hat)
         assert z0 == pytest.approx(1.0)
-        assert phi_plus(fp_star, 1, z0).value == pytest.approx(0.0, abs=1e-12)
+        assert phi_plus_jet(fp_star, 1, z0).value == pytest.approx(0.0, abs=1e-12)
 
     def test_node_counts(self, fp_star):
         zs = np.linspace(0.05, 4.0, 800)
         for n in range(4):
-            vals = [phi_plus(fp_star, n, float(z)).value for z in zs]
+            vals = [phi_plus_jet(fp_star, n, float(z)).value for z in zs]
             crossings = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)
             assert crossings == n
 
     @pytest.mark.parametrize("n", range(6))
     def test_eigen_residual(self, n, fp_star):
-        E = energies_plus(fp_star, n)[n].energy
+        E = energies_plus(fp_star, n)[n]
         scale = max(abs(phi_plus_jet(fp_star, n, z, 0).value) for z in SAMPLE_Z)
         for z in SAMPLE_Z:
             j = phi_plus_jet(fp_star, n, z, 2)
@@ -135,7 +143,7 @@ class TestPlusEigenfunctions:
     def test_unit_norm_excited_states(self, fp_star):
         for n in range(1, 6):
             nrm = quad_halfline(
-                lambda z: phi_plus(fp_star, n, z).value ** 2,
+                lambda z: phi_plus_jet(fp_star, n, z).value ** 2,
                 fp_star.omega_hat)
             assert nrm == pytest.approx(1.0, abs=1e-8)
 
@@ -143,8 +151,8 @@ class TestPlusEigenfunctions:
 class TestMinusEigenfunctions:
     def test_reference_ladder_application(self, fp_star):
         # lowering partner state at the reference point: (w(1)+1)*phi0 = 6*phi0
-        got = phi_minus(fp_star, 0, 1.0, method="operator").value
-        phi0 = phi_plus(fp_star, 0, 1.0).value
+        got = phi_minus_jet(fp_star, 0, 1.0, "operator").value
+        phi0 = phi_plus_jet(fp_star, 0, 1.0).value
         assert got == pytest.approx(6.0 * phi0, rel=1e-12)
         assert got == pytest.approx(6.628, rel=1e-3)
 
@@ -165,7 +173,7 @@ class TestMinusEigenfunctions:
 
     @pytest.mark.parametrize("n", range(6))
     def test_eigen_residual(self, n, fp_star):
-        E = energies_plus(fp_star, n)[n].energy
+        E = energies_plus(fp_star, n)[n]
         scale = max(abs(phi_minus_jet(fp_star, n, z, "operator", 0).value)
                     for z in SAMPLE_Z)
         for z in SAMPLE_Z:
@@ -178,7 +186,7 @@ class TestMinusEigenfunctions:
     def test_raising_back_reproduces_plus_state(self, n, fp_star):
         # (d/dz + w) applied to the normalized minus state returns
         # sqrt(E_n) times the plus state
-        E = energies_plus(fp_star, n)[n].energy
+        E = energies_plus(fp_star, n)[n]
         scale = max(abs(phi_plus_jet(fp_star, n, z, 0).value) for z in SAMPLE_Z)
         for z in SAMPLE_Z:
             lower = phi_minus_jet(fp_star, n, z, "normalized", order=1)
@@ -235,14 +243,11 @@ class TestValueOnlyStates:
     def test_order_zero_equals_jet_value(self):
         rng = np.random.default_rng(4)
         for fp in random_forward_sets(8, seed=11):
-            gk = gk_of(fp)
             for _ in range(60):
                 n = int(rng.integers(0, 41))
                 z = float(10 ** rng.uniform(-4, 1.2))
                 for a, b in ((phi_plus_jet(fp, n, z, 0), phi_plus_jet(fp, n, z, 2)),
-                             (psi_plus_jet(fp, n, z, 0), psi_plus_jet(fp, n, z, 2)),
-                             (gk_wavefunction_jet(gk, n, z, 0),
-                              gk_wavefunction_jet(gk, n, z, 2))):
+                             (psi_plus_jet(fp, n, z, 0), psi_plus_jet(fp, n, z, 2))):
                     assert a.order == 0
                     assert a.value.hex() == b.value.hex()
 
@@ -276,7 +281,7 @@ def _reference_states(fp, side, n, zs):
         coeffs = [mpmath.mpf(1)]
         for k in range(n):
             coeffs.append(coeffs[-1] * (k - n) / ((g + k) * (k + 1)))
-        root_e = mpmath.sqrt(energies_plus(fp, n)[n].energy)
+        root_e = mpmath.sqrt(energies_plus(fp, n)[n])
         out = []
         for zf in zs:
             z = mpmath.mpf(zf)
@@ -313,19 +318,19 @@ class TestHighExcitedStates:
         for fp in (fp_star, *random_forward_sets(2, seed=17)):
             zs = _state_grid(fp, n)
             ref = _reference_states(fp, side, n, zs)
-            got = [phi_plus(fp, n, z) if side == "plus"
-                   else phi_minus(fp, n, z, "normalized") for z in zs]
-            for col, attr in enumerate(("value", "derivative")):
+            jets = [phi_plus_jet(fp, n, z) if side == "plus"
+                    else phi_minus_jet(fp, n, z, "normalized") for z in zs]
+            got = [(j.value, j.derivative(1)) for j in jets]
+            for col, name in enumerate(("value", "derivative")):
                 scale = max(abs(r[col]) for r in ref)
-                err = max(abs(getattr(e, attr) - r[col])
-                          for e, r in zip(got, ref))
-                assert err <= 1e-10 * scale, (fp, attr, err / scale)
+                err = max(abs(g[col] - r[col]) for g, r in zip(got, ref))
+                assert err <= 1e-10 * scale, (fp, name, err / scale)
 
 
 class TestNormalizationIntegrals:
     def test_ground_state_closed_form(self, fp_star):
         g, oh = fp_star.gamma, fp_star.omega_hat
-        expected = gamma_fn(g + 1) / (2 * oh ** (g + 1))
+        expected = math.gamma(g + 1) / (2 * oh ** (g + 1))
         assert j_integral(fp_star, 0, 0, "closed") == pytest.approx(
             expected, rel=1e-13)
         assert j_integral(fp_star, 0, 0, "quadrature") == pytest.approx(
@@ -350,7 +355,7 @@ class TestNormalizationIntegrals:
     @pytest.mark.parametrize("n", range(6))
     def test_exact_diagonal_matches_quadrature(self, n, fp_star):
         q = j_integral(fp_star, n, n, "quadrature")
-        exact = j_integral(fp_star, n, n, "diagonal_exact")
+        exact = j_diagonal_exact(fp_star, n)
         assert abs(q - exact) <= 1e-10 * abs(q)
 
     def test_off_diagonal_values_reported(self, fp_star):
@@ -364,5 +369,34 @@ class TestNormalizationIntegrals:
     def test_closed_forms_reject_off_diagonal(self, fp_star):
         with pytest.raises(ValueError):
             j_integral(fp_star, 0, 1, "closed")
-        with pytest.raises(ValueError):
-            j_integral(fp_star, 0, 1, "diagonal_exact")
+
+
+class TestPrintedConstantsAtHighN:
+    """The printed normalization constant and diagonal integral keep their
+    formulas at every n: past n = 169 a factorial no longer fits a float,
+    but the log-Gamma form stays finite."""
+
+    @staticmethod
+    def _printed(fp, n):
+        """(psi_plus_norm, printed diagonal integral) in 50-digit mpmath."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            g, oh = mpmath.mpf(fp.gamma), mpmath.mpf(fp.omega_hat)
+            ob = mpmath.mpf(fp.omega_bar)
+            fac, gam, rf = (mpmath.factorial(n + 1), mpmath.gamma(g),
+                            mpmath.rf(g, n))
+            norm = (-1) ** n * mpmath.sqrt(2 * oh ** (g + 1) * rf
+                                           / (ob * (n + g) * fac * gam))
+            closed = (n + g) * fac * gam / (2 * oh ** (g + 1) * rf)
+            return float(norm), float(closed)
+
+    @pytest.mark.parametrize("n", [5, 169, 170, 200])
+    def test_against_extended_precision(self, n, fp_star):
+        for fp in (fp_star, *random_forward_sets(3, seed=23)):
+            norm, closed = self._printed(fp, n)
+            assert psi_plus_norm(fp, n) == pytest.approx(norm, rel=1e-12)
+            assert j_integral(fp, n, n, "closed") == pytest.approx(closed,
+                                                                   rel=1e-12)
+
+    def test_state_200_is_finite(self, fp_star):
+        assert math.isfinite(psi_plus_jet(fp_star, 200, 1.0, 0).value)
