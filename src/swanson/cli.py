@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import platform
+import re
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -280,6 +281,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts like a negative number ("-2.5e-3", "-1:2") is a
+        # value; argparse's own pattern misses exponents and ranges and takes
+        # such a token for an option name
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         print(f"config error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)

@@ -1,16 +1,24 @@
-"""Linear ODE operators over jet-valued coefficient functions.
+"""Linear ODE operators evaluated one point at a time.
 
-An operator is an ordered list of coefficient functions [c0, c1, ..., ck]
-standing for sum_i c_i(x) d^i/dx^i.  Coefficient functions take (x, order)
-and return a Jet, so compositions, formal adjoints, and metric conjugations
-can all be done at the coefficient level and compared numerically at sample
-points; for the rational coefficients in this model that comparison is
-decisive without a symbolic engine.
+An operator sum_i c_i(x) d^i/dx^i of order k is one function ``at(x, order)``
+that returns the jets of all its coefficients [c0, ..., ck] at x, each
+truncated at ``order``.  Compositions, formal adjoints and metric
+conjugations are done at the coefficient level: each evaluates its operands
+once per point and combines their jets, and the results are compared
+numerically at sample points; for the rational coefficients in this model
+that comparison is decisive without a symbolic engine.
+
+Evaluating an operand to a higher order than a term needs is exact: in
+truncated jet arithmetic coefficient k is computed from coefficients <= k
+only, always in the same operation order, so the extra orders never touch
+the ones that are kept.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 from typing import Callable, Sequence
 
@@ -27,86 +35,53 @@ CoeffFn = Callable[[float, int], Jet]
 JET_BUDGET = 12
 
 
-def cf_const(v: float) -> CoeffFn:
-    return lambda x, order: Jet.const(v, order)
-
-
+@dataclass(frozen=True)
 class LinDiffOp:
-    """Immutable linear ordinary differential operator."""
+    """Immutable linear ODE operator sum_i c_i(x) d^i/dx^i, i = 0..order.
 
-    def __init__(self, coeffs: Sequence[CoeffFn]):
-        self._coeffs = tuple(coeffs)
+    ``at(x, n)`` returns the coefficient jets [c0, ..., c_order] at x, each
+    to Taylor order n.
+    """
 
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    def coeff(self, i: int) -> CoeffFn:
-        if i > self.order:
-            return cf_const(0.0)
-        return self._coeffs[i]
-
-    def __add__(self, other: "LinDiffOp") -> "LinDiffOp":
-        n = max(self.order, other.order) + 1
-        return LinDiffOp([
-            (lambda a, b: (lambda x, order: a(x, order) + b(x, order)))(
-                self.coeff(i), other.coeff(i))
-            for i in range(n)
-        ])
-
-    def premultiplied(self, g: CoeffFn) -> "LinDiffOp":
-        """g(x) * T, multiplication from the left by a function."""
-        return LinDiffOp([
-            (lambda c: (lambda x, order: g(x, order) * c(x, order)))(c)
-            for c in self._coeffs
-        ])
+    order: int
+    at: Callable[[float, int], list[Jet]]
 
 
 def compose(T: LinDiffOp, S: LinDiffOp) -> LinDiffOp:
     """Operator product T o S via the Leibniz expansion."""
     if T.order + S.order > JET_BUDGET:
         raise JetOrderExceeded("composition exceeds the jet order budget")
-    n = T.order + S.order + 1
-    # result_m = sum over i, j, k<=i with i-k+j = m of C(i,k) t_i s_j^(k)
-    terms: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for i in range(T.order + 1):
-        for j in range(S.order + 1):
-            for k in range(i + 1):
-                m = i - k + j
-                terms[m].append((i, j, k, comb(i, k)))
 
-    def make(m):
-        tm = terms[m]
+    def at(x: float, order: int) -> list[Jet]:
+        # result_m = sum over i, j, k<=i with i-k+j = m of C(i,k) t_i s_j^(k)
+        t, s = T.at(x, order), S.at(x, order + T.order)
+        out = [Jet.const(0.0, order)] * (T.order + S.order + 1)
+        for i, ti in enumerate(t):
+            for j, sj in enumerate(s):
+                for k in range(i + 1):
+                    out[i - k + j] = (out[i - k + j]
+                                      + comb(i, k) * (ti * sj.shift(k)))
+        return out
 
-        def coeff(x: float, order: int) -> Jet:
-            out = Jet.const(0.0, order)
-            for i, j, k, binom in tm:
-                ti = T.coeff(i)(x, order)
-                sj = S.coeff(j)(x, order + k)
-                out = out + binom * (ti * sj.shift(k))
-            return out
-
-        return coeff
-
-    return LinDiffOp([make(m) for m in range(n)])
+    return LinDiffOp(T.order + S.order, at)
 
 
 def formal_adjoint(T: LinDiffOp) -> LinDiffOp:
     """Formal adjoint w.r.t. the flat measure: (c D^k)^† = (-1)^k D^k o c."""
     n = T.order + 1
 
-    def make(m):
-        def coeff(x: float, order: int) -> Jet:
-            out = Jet.const(0.0, order)
+    def at(x: float, order: int) -> list[Jet]:
+        c = T.at(x, order + T.order)
+        out = []
+        for m in range(n):
+            acc = Jet.const(0.0, order)
             for i in range(m, n):
                 k = i - m
-                ci = T.coeff(i)(x, order + k)
-                out = out + ((-1) ** i) * comb(i, k) * ci.shift(k)
-            return out
+                acc = acc + ((-1) ** i) * comb(i, k) * c[i].shift(k)
+            out.append(acc)
+        return out
 
-        return coeff
-
-    return LinDiffOp([make(m) for m in range(n)])
+    return LinDiffOp(T.order, at)
 
 
 def conjugate(T: LinDiffOp, dlog_rho: CoeffFn, sign: int) -> LinDiffOp:
@@ -117,23 +92,29 @@ def conjugate(T: LinDiffOp, dlog_rho: CoeffFn, sign: int) -> LinDiffOp:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    g = LinDiffOp([
-        lambda x, order: -sign * dlog_rho(x, order),
-        cf_const(1.0),
-    ])
-    result = LinDiffOp([T.coeff(0)])
-    power = None
-    for i in range(1, T.order + 1):
-        power = g if power is None else compose(power, g)
-        result = result + power.premultiplied(T.coeff(i))
-    return result
+    g = LinDiffOp(1, lambda x, order: [-sign * dlog_rho(x, order),
+                                       Jet.const(1.0, order)])
+    powers = [g]  # g^1, ..., g^(T.order)
+    while len(powers) < T.order:
+        powers.append(compose(powers[-1], g))
+
+    def at(x: float, order: int) -> list[Jet]:
+        t = T.at(x, order)
+        out = [t[0]] + [Jet.const(0.0, order)] * T.order
+        for ti, power in zip(t[1:], powers):
+            for m, pm in enumerate(power.at(x, order)):
+                out[m] = out[m] + ti * pm
+        return out
+
+    return LinDiffOp(T.order, at)
 
 
 def residual(T: LinDiffOp, S: LinDiffOp, points: Sequence[float]) -> float:
     """Max relative coefficient discrepancy over the sample points."""
-    n = max(T.order, S.order) + 1
-    return max_rel_gap((S.coeff(i)(x, 0).value, T.coeff(i)(x, 0).value)
-                       for x in points for i in range(n))
+    return max_rel_gap(
+        pair for x in points for pair in zip_longest(
+            [c.value for c in S.at(x, 0)], [c.value for c in T.at(x, 0)],
+            fillvalue=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -157,89 +138,75 @@ def build(which: str, fp: FactorizationParams,
     ob = fp.omega_bar
     sw = math.sqrt(ob)
 
-    def bt(x, order):
-        return b_tilde_jet(x, fp, order)
-
-    def sqa(x, order):
-        return sw * a_jet(x, order)
-
-    def neg_sqa(x, order):
-        return -sw * a_jet(x, order)
-
     if which == "A":
-        return LinDiffOp([bt, sqa])
+        return LinDiffOp(1, lambda x, order: [b_tilde_jet(x, fp, order),
+                                              sw * a_jet(x, order)])
     if which == "A_dag":
-        return LinDiffOp([
-            lambda x, order: bt(x, order) - 2 * sw * Jet.variable(x, order),
-            neg_sqa,
+        return LinDiffOp(1, lambda x, order: [
+            b_tilde_jet(x, fp, order) - 2 * sw * Jet.variable(x, order),
+            -sw * a_jet(x, order),
         ])
     if which in ("h_minus", "h_plus"):
         side = Side.MINUS if which == "h_minus" else Side.PLUS
 
-        def first(x, order):
+        def at(x, order):
             xj = Jet.variable(x, order)
-            return -2 * ob * xj**2 * (2 * xj)
+            return [h_zeroth_jet(side, x, fp, order),
+                    -2 * ob * xj**2 * (2 * xj),
+                    -ob * a_jet(x, order) ** 2]
 
-        return LinDiffOp([
-            lambda x, order: h_zeroth_jet(side, x, fp, order),
-            first,
-            lambda x, order: -ob * a_jet(x, order) ** 2,
-        ])
+        return LinDiffOp(2, at)
     if which in ("H_minus", "H_plus"):
         _need_inverse(fp, mp)
         h = build("h_minus" if which == "H_minus" else "h_plus", fp)
 
-        def zeroth(x, order):
+        def at(x, order):
+            h0, h1, h2 = h.at(x, order)
             b1 = b1_jet(x, fp, mp, order + 1)
             a2 = a_jet(x, order + 1) ** 2
-            v = h.coeff(0)(x, order)
-            return v + b1.shift(1) * 0.5 - b1 * b1 / (4 * ob * a2)
+            return [h0 + b1.shift(1) * 0.5 - b1 * b1 / (4 * ob * a2),
+                    b1 + h1, h2]
 
-        def first(x, order):
-            return b1_jet(x, fp, mp, order) + h.coeff(1)(x, order)
-
-        return LinDiffOp([zeroth, first, h.coeff(2)])
+        return LinDiffOp(2, at)
     if which == "eta1_constructed":
         _need_inverse(fp, mp)
 
-        def zeroth(x, order):
-            return (b_tilde_jet(x, fp, order)
-                    + sw * a_jet(x, order) * dlog_rho_jet(x, fp, mp, order))
+        def at(x, order):
+            sa = sw * a_jet(x, order)
+            return [b_tilde_jet(x, fp, order)
+                    + sa * dlog_rho_jet(x, fp, mp, order), sa]
 
-        return LinDiffOp([zeroth, sqa])
+        return LinDiffOp(1, at)
     if which == "eta1_explicit":
         _need_inverse(fp, mp)
         al, be = mp.alpha, mp.beta
         d, rq, mu, c = fp.d, fp.rho_q, fp.mu, fp.c
 
-        def zeroth(x, order):
+        def at(x, order):
             xj = Jet.variable(x, order)
             x2 = xj * xj
             num = ((al - be - rq * sw) * x2 * x2
                    + ((al - be) * (d - c - 1)
                       - (3.5 * d * ob + 2 * rq * d * sw)) * x2
                    + d * (mu * sw - al + be))
-            return num / (sw * xj * (d + x2))
+            return [num / (sw * xj * (d + x2)), sw * a_jet(x, order)]
 
-        return LinDiffOp([zeroth, sqa])
+        return LinDiffOp(1, at)
     # --- z-chart operators -------------------------------------------------
     if which in ("Atilde", "Atilde_dag"):
         s = 1.0 if which == "Atilde" else -1.0
-        return LinDiffOp([
-            lambda z, order: w_of_z_jet(z, fp, order),
-            cf_const(s),
-        ])
+        return LinDiffOp(1, lambda z, order: [w_of_z_jet(z, fp, order),
+                                              Jet.const(s, order)])
     if which in ("h_tilde_minus", "h_tilde_plus"):
         side = Side.MINUS if which == "h_tilde_minus" else Side.PLUS
 
-        def v(z, order):
+        def at(z, order):
             wj = w_of_z_jet(z, fp, order + 1)
             wp = wj.shift(1)
-            if side is Side.PLUS:
-                return wj * wj + wp
-            return wj * wj - wp
+            v = wj * wj + wp if side is Side.PLUS else wj * wj - wp
+            return [v, Jet.const(0.0, order), Jet.const(-1.0, order)]
 
-        return LinDiffOp([v, cf_const(0.0), cf_const(-1.0)])
+        return LinDiffOp(2, at)
     raise ValueError(f"unknown operator id {which!r}")
 
 

@@ -254,7 +254,7 @@ ROWS = (
     Row("transformed_minus_residual_profile", 1e-9, _minus_profile),
     # inverse mode: the non-Hermitian pair, its metric and the intertwiner
     Row("similarity_first_order", 1e-10, lambda r: numeric.max_rel_gap(
-        (r.rho_Hm.coeff(1)(x, 0).value, r.hm.coeff(1)(x, 0).value)
+        (r.rho_Hm.at(x, 0)[1].value, r.hm.at(x, 0)[1].value)
         for x in SAMPLE_X), inverse_only=True),
     Row("partner_similarity", 1e-9, lambda r: diffop.residual(
         r.rho_hp, r.Hp, SAMPLE_X), inverse_only=True),

@@ -102,8 +102,8 @@ def test_criterion_04_similarity_gauge():
         hm, hp = build("h_minus", fp), build("h_plus", fp)
         conj = conjugate(build("H_minus", fp, mp), dlr, +1)
         for x in SAMPLE_X:
-            want = hm.coeff(1)(x, 0).value
-            got = conj.coeff(1)(x, 0).value
+            want = hm.at(x, 0)[1].value
+            got = conj.at(x, 0)[1].value
             worst_first = max(worst_first,
                               abs(got - want) / max(1.0, abs(want)))
         worst_partner = max(

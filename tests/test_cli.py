@@ -277,6 +277,25 @@ class TestSweep:
                          "--steps", "2"], capsys)[0] == 1
 
 
+class TestNegativeValues:
+    # a negative value written with an exponent, or a range that starts
+    # below zero, is read as a value, the same as in the --flag=value form
+    @pytest.mark.parametrize("spaced, joined, code", [
+        (["solve", "--mode", "inverse", "--omega", "1", "--alpha", "-2.5e-3",
+          "--beta", "0.1"],
+         ["solve", "--mode", "inverse", "--omega", "1", "--alpha=-2.5e-3",
+          "--beta", "0.1"], 2),
+        (["sweep", "--range", "-1:2", "--steps", "2", "--grids", "20,40"],
+         ["sweep", "--range=-1:2", "--steps", "2", "--grids", "20,40"], 0),
+    ])
+    def test_spaced_form_matches_joined_form(self, spaced, joined, code,
+                                             capsys):
+        got = run_main(spaced, capsys)
+        assert got == run_main(joined, capsys)
+        assert got[0] == code
+        assert "expected one argument" not in got[2]
+
+
 class TestDeterminism:
     def test_verify_and_spectrum_byte_identical(self, tmp_path):
         pairs = []

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from swanson.diffop import (LinDiffOp, build, cf_const, compose, conjugate,
+from swanson.diffop import (LinDiffOp, build, compose, conjugate,
                             formal_adjoint, infer_delta, residual)
 from swanson.errors import ModeError
 from swanson.jets import Jet
@@ -14,16 +14,26 @@ from swanson.potentials import (Form, Side, b1_jet, c1_jet, dlog_rho_jet,
 from conftest import SAMPLE_X, SAMPLE_Z, random_forward_sets
 
 
+def op(*coeffs):
+    """The operator sum_i coeffs[i](x) d^i/dx^i."""
+    return LinDiffOp(len(coeffs) - 1,
+                     lambda x, order: [c(x, order) for c in coeffs])
+
+
+def const(v):
+    return lambda x, order: Jet.const(v, order)
+
+
 def op_D():
-    return LinDiffOp([cf_const(0.0), cf_const(1.0)])
+    return op(const(0.0), const(1.0))
 
 
 def op_mult_x():
-    return LinDiffOp([lambda x, order: Jet.variable(x, order)])
+    return op(lambda x, order: Jet.variable(x, order))
 
 
 def op_xD():
-    return LinDiffOp([cf_const(0.0), lambda x, order: Jet.variable(x, order)])
+    return op(const(0.0), lambda x, order: Jet.variable(x, order))
 
 
 class TestCompose:
@@ -31,16 +41,16 @@ class TestCompose:
         # D o (x .) = x D + 1
         T = compose(op_D(), op_mult_x())
         for x in (0.7, -2.0):
-            assert T.coeff(0)(x, 0).value == pytest.approx(1.0)
-            assert T.coeff(1)(x, 0).value == pytest.approx(x)
+            assert T.at(x, 0)[0].value == pytest.approx(1.0)
+            assert T.at(x, 0)[1].value == pytest.approx(x)
 
     def test_euler_operator_squared(self):
         # (x D)(x D) = x^2 D^2 + x D
         T = compose(op_xD(), op_xD())
         for x in (0.9, -1.4):
-            assert T.coeff(0)(x, 0).value == pytest.approx(0.0)
-            assert T.coeff(1)(x, 0).value == pytest.approx(x)
-            assert T.coeff(2)(x, 0).value == pytest.approx(x * x)
+            assert T.at(x, 0)[0].value == pytest.approx(0.0)
+            assert T.at(x, 0)[1].value == pytest.approx(x)
+            assert T.at(x, 0)[2].value == pytest.approx(x * x)
 
     def test_factorized_product_applied_to_gaussian(self, fp_star):
         # (raise o lower) f = -ob (a^2 f')' + V_minus f for a smooth test f
@@ -50,8 +60,8 @@ class TestCompose:
         x = -1.0
         f = lambda xj: (-(xj**2) / 4).exp()
         fj = f(Jet.variable(x, 3))
-        lhs = sum(prod.coeff(i)(x, 0).value * fj.derivative(i)
-                  for i in range(prod.order + 1))
+        lhs = sum(c.value * fj.derivative(i)
+                  for i, c in enumerate(prod.at(x, 0)))
         ob = fp_star.omega_bar
         a2fp = (Jet.variable(x, 3) ** 4) * fj.shift(1)
         kinetic = -ob * a2fp.shift(1).value
@@ -62,24 +72,24 @@ class TestCompose:
 class TestFormalAdjoint:
     def test_first_order_pattern(self, fp_star):
         # (a D + b)^dagger = -a D + b - a'
-        T = LinDiffOp([
+        T = op(
             lambda x, order: Jet.variable(x, order) ** 2 + 1,
             lambda x, order: Jet.variable(x, order) ** 3,
-        ])
+        )
         Td = formal_adjoint(T)
         for x in (0.8, -1.7):
-            assert Td.coeff(1)(x, 0).value == pytest.approx(-(x**3))
-            assert Td.coeff(0)(x, 0).value == pytest.approx(
+            assert Td.at(x, 0)[1].value == pytest.approx(-(x**3))
+            assert Td.at(x, 0)[0].value == pytest.approx(
                 x**2 + 1 - 3 * x**2)
 
     def test_symmetric_kinetic_term_fixed(self):
         # -D o a^2 o D expanded: coefficients (-(a^2)'' ... ) -- use the
         # already-expanded form -a^2 D^2 - (a^2)' D and check self-adjointness
-        T = LinDiffOp([
-            cf_const(0.0),
+        T = op(
+            const(0.0),
             lambda x, order: -(Jet.variable(x, order + 1) ** 4).shift(1),
             lambda x, order: -(Jet.variable(x, order) ** 4),
-        ])
+        )
         Td = formal_adjoint(T)
         assert residual(T, Td, SAMPLE_X) < 1e-14
 
@@ -95,12 +105,12 @@ class TestFormalAdjoint:
 class TestBuild:
     def test_lowering_coefficients_at_reference_point(self, fp_star):
         A = build("A", fp_star)
-        assert A.coeff(0)(-1.0, 0).value == pytest.approx(4.5)
-        assert A.coeff(1)(-1.0, 0).value == pytest.approx(1.0)
+        assert A.at(-1.0, 0)[0].value == pytest.approx(4.5)
+        assert A.at(-1.0, 0)[1].value == pytest.approx(1.0)
 
     def test_minus_hamiltonian_zeroth_is_canonical_potential(self, fp_star):
         hm = build("h_minus", fp_star)
-        v = hm.coeff(0)(-1.0, 0).value
+        v = hm.at(-1.0, 0)[0].value
         assert v == pytest.approx(27.75, rel=1e-13)
 
     def test_inverse_only_operators_rejected_in_forward_mode(self, fp_star):
@@ -165,11 +175,11 @@ class TestMetricConjugation:
     def test_conjugating_derivative_shifts_by_log_slope(self, inverse_sets):
         mp, fp, _ = inverse_sets[0]
         dlr = lambda x, order: dlog_rho_jet(x, fp, mp, order)
-        T = conjugate(LinDiffOp([cf_const(0.0), cf_const(1.0)]), dlr, +1)
+        T = conjugate(op_D(), dlr, +1)
         for x in (-1.3, -0.7):
-            assert T.coeff(0)(x, 0).value == pytest.approx(
+            assert T.at(x, 0)[0].value == pytest.approx(
                 -dlog_rho_jet(x, fp, mp, 0).value, rel=1e-12)
-            assert T.coeff(1)(x, 0).value == pytest.approx(1.0)
+            assert T.at(x, 0)[1].value == pytest.approx(1.0)
 
     def test_round_trip(self, inverse_sets):
         mp, fp, _ = inverse_sets[1]
@@ -187,8 +197,8 @@ class TestMetricConjugation:
             hm = build("h_minus", fp)
             conj = conjugate(Hm, dlr, +1)
             for x in SAMPLE_X:
-                want = hm.coeff(1)(x, 0).value
-                got = conj.coeff(1)(x, 0).value
+                want = hm.at(x, 0)[1].value
+                got = conj.at(x, 0)[1].value
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_partner_agrees_with_conjugated_hermitian(self, inverse_sets):
@@ -211,6 +221,41 @@ class TestMetricConjugation:
         r = residual(build("eta1_explicit", fp, mp),
                      build("eta1_constructed", fp, mp), SAMPLE_X)
         assert math.isfinite(r)
+
+
+class TestOnePassEvaluation:
+    def test_higher_order_evaluation_keeps_the_low_coefficients(
+            self, inverse_sets):
+        # truncated jet arithmetic computes coefficient k from coefficients
+        # <= k only, so a jet taken to order 4 and cut to order 2 is the
+        # order-2 jet bit for bit
+        mp, fp, _ = inverse_sets[0]
+        dlr = lambda x, order: dlog_rho_jet(x, fp, mp, order)
+        hm, hp = build("h_minus", fp), build("h_plus", fp)
+        Hm, e1 = build("H_minus", fp, mp), build("eta1_constructed", fp, mp)
+        ops = [compose(hm, build("A_dag", fp)), formal_adjoint(hm),
+               conjugate(Hm, dlr, +1), conjugate(hp, dlr, -1),
+               compose(e1, Hm)]
+        for T in ops:
+            for x in SAMPLE_X:
+                high = [[c.hex() for c in j.coeffs[:3]] for j in T.at(x, 4)]
+                low = [[c.hex() for c in j.coeffs] for j in T.at(x, 2)]
+                assert high == low
+
+    def test_compose_evaluates_each_operand_coefficient_once(self):
+        calls = {}
+
+        def counted(name, fn):
+            def coeff(x, order):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(x, order)
+            return coeff
+
+        xj = lambda x, order: Jet.variable(x, order)
+        T = op(*(counted(f"t{i}", xj) for i in range(3)))
+        S = op(*(counted(f"s{j}", xj) for j in range(2)))
+        compose(T, S).at(0.7, 3)
+        assert calls == {"t0": 1, "t1": 1, "t2": 1, "s0": 1, "s1": 1}
 
 
 class TestInferDelta:
@@ -242,13 +287,11 @@ class TestJetCoefficientAccuracy:
         # jets of the zeroth coefficient of the minus Hamiltonian vs central
         # differences with one Richardson refinement
         hm = build("h_minus", fp_star)
-        c0 = hm.coeff(0)
-
         def f(x):
-            return c0(x, 0).value
+            return hm.at(x, 0)[0].value
 
         for x in (-2.1, -0.9, 1.3):
-            j = c0(x, 3)
+            j = hm.at(x, 3)[0]
             for k, h in ((1, 1e-5), (2, 1e-4), (3, 2e-3)):
                 if k == 1:
                     def dd(h):

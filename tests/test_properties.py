@@ -69,6 +69,7 @@ def test_every_input_ends_in_an_exit_code(argv):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert not caught  # a warning would be one more stderr line
+    assert "expected one argument" not in err.getvalue()
     if code != 0:
         text = err.getvalue()
         assert text.count("\n") == 1 and text.endswith("\n")
