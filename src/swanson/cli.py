@@ -283,10 +283,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a token that starts like a negative number ("-2.5e-3", "-1:2") is a
-        # value; argparse's own pattern misses exponents and ranges and takes
-        # such a token for an option name
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # a token that starts like a negative number ("-2.5e-3", "-1:2",
+        # "-inf", "-nan") is a value; argparse's own pattern misses
+        # exponents, ranges and non-numbers and takes such a token for an
+        # option name
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
     def error(self, message):
         print(f"config error: {message}", file=sys.stderr)

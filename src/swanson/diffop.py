@@ -55,12 +55,14 @@ def compose(T: LinDiffOp, S: LinDiffOp) -> LinDiffOp:
     def at(x: float, order: int) -> list[Jet]:
         # result_m = sum over i, j, k<=i with i-k+j = m of C(i,k) t_i s_j^(k)
         t, s = T.at(x, order), S.at(x, order + T.order)
+        # s_j^(k) for every k <= T.order, each shifted once
+        shifted = [[sj.shift(k) for k in range(T.order + 1)] for sj in s]
         out = [Jet.const(0.0, order)] * (T.order + S.order + 1)
         for i, ti in enumerate(t):
-            for j, sj in enumerate(s):
+            for j, sjk in enumerate(shifted):
                 for k in range(i + 1):
                     out[i - k + j] = (out[i - k + j]
-                                      + comb(i, k) * (ti * sj.shift(k)))
+                                      + comb(i, k) * (ti * sjk[k]))
         return out
 
     return LinDiffOp(T.order + S.order, at)

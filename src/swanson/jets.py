@@ -4,6 +4,20 @@ A ``Jet`` holds the Taylor coefficients of a smooth function about a point:
 ``coeffs[k]`` is ``f^(k)(x0) / k!``.  All arithmetic follows the truncated
 power-series rules exactly, which makes jets a drop-in substitute for symbolic
 differentiation everywhere a derivative of a coefficient function is needed.
+
+A coefficient is a Python float, or an ndarray holding the coefficient at
+every point of a grid: the same arithmetic then evaluates a formula on the
+whole grid at once (``numeric.fd_discretize`` samples the half-line
+potential that way).  numpy's element-wise ``+ - * /`` round exactly like
+Python floats, so each element equals the one-point value bit for bit.
+Powers, ``exp`` and ``log`` are the exception: Python's ``float ** p`` and
+``math.exp``/``math.log`` are libm calls, which numpy's ``x * x``,
+``np.exp`` and ``np.log`` differ from in the last bit for some x, so a
+caller applies them to a grid with ``elementwise`` (``potentials`` squares
+w that way, ``spectrum`` builds the states on quadrature nodes).  A float
+coefficient stays a float: the scalar path calls no numpy function.
+The ``Jet`` methods ``exp``, ``log`` and real powers take float
+coefficients only.
 """
 
 from __future__ import annotations
@@ -11,24 +25,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 DEFAULT_ORDER = 4
 
 
+def any_zero(v) -> bool:
+    """Whether a value, or any element of a grid of values, is zero."""
+    if isinstance(v, np.ndarray):
+        return bool((v == 0.0).any())
+    return v == 0.0
+
+
+def any_nonpositive(v) -> bool:
+    """Whether a value, or any element of a grid of values, is <= 0."""
+    if isinstance(v, np.ndarray):
+        return bool((v <= 0.0).any())
+    return v <= 0.0
+
+
+def elementwise(fn, v):
+    """``fn`` of a float, or of each element of an ndarray as a Python float.
+
+    A libm function (``math.exp``, ``lambda t: t ** 2``) stays bit for bit
+    the one-point value on a grid, and an error it raises (an overflowing
+    ``**`` or ``math.exp``) is raised at the first element that meets it.
+    """
+    if isinstance(v, np.ndarray):
+        return np.array([fn(x) for x in v.tolist()])
+    return fn(v)
+
+
 @dataclass(frozen=True)
 class Jet:
-    """Taylor coefficients ``(c0, c1, ..., cK)`` of a function at a point."""
+    """Taylor coefficients ``(c0, c1, ..., cK)`` of a function at a point,
+    or at every point of a grid (array coefficients)."""
 
-    coeffs: tuple[float, ...]
+    coeffs: tuple
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def variable(x: float, order: int = DEFAULT_ORDER) -> "Jet":
-        """Jet of the identity function at x."""
+    def variable(x, order: int = DEFAULT_ORDER) -> "Jet":
+        """Jet of the identity function at x (a float or a grid)."""
         c = [0.0] * (order + 1)
-        c[0] = float(x)
+        c[0] = x if isinstance(x, np.ndarray) else float(x)
         if order >= 1:
             c[1] = 1.0
         return Jet(tuple(c))
@@ -46,10 +89,10 @@ class Jet:
         return len(self.coeffs) - 1
 
     @property
-    def value(self) -> float:
+    def value(self):
         return self.coeffs[0]
 
-    def derivative(self, k: int = 1) -> float:
+    def derivative(self, k: int = 1):
         """k-th derivative of the underlying function at the base point."""
         if k > self.order:
             raise IndexError(f"jet of order {self.order} has no derivative {k}")
@@ -119,15 +162,16 @@ class Jet:
             return self * (1.0 / other)
         if not isinstance(other, Jet):
             return NotImplemented
-        if other.coeffs[0] == 0.0:
+        b0 = other.coeffs[0]
+        if any_zero(b0):
             raise DomainError("jet division by a jet with zero value")
         n = min(len(self.coeffs), len(other.coeffs))
         out = [0.0] * n
-        b0 = other.coeffs[0]
         for i in range(n):
             s = self.coeffs[i]
             for j in range(1, i + 1):
-                s -= other.coeffs[j] * out[i - j]
+                # not -=: s may be an array coefficient of self
+                s = s - other.coeffs[j] * out[i - j]
             out[i] = s / b0
         return Jet(tuple(out))
 

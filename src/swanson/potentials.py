@@ -17,7 +17,7 @@ import enum
 import math
 
 from .errors import DomainError, ModeError
-from .jets import Jet
+from .jets import Jet, any_zero, elementwise
 from .params import FactorizationParams, ModelParams, derive_constants
 
 
@@ -207,29 +207,35 @@ def eval_potential(side: Side, form: Form, x: float, fp: FactorizationParams,
 # potential forms in z (half line)
 
 
-def w_of_z_jet(z: float, fp: FactorizationParams, order: int) -> Jet:
-    """Superpotential as a function of z, via the x chart and the chain rule."""
-    if z == 0:
+def w_of_z_jet(z, fp: FactorizationParams, order: int) -> Jet:
+    """Superpotential as a function of z, via the x chart and the chain rule.
+
+    ``z`` is a point or a grid of points (a jet with array coefficients).
+    """
+    if any_zero(z):
         raise DomainError("half-line superpotential singular at z = 0")
     sw = math.sqrt(fp.omega_bar)
     xj = -1.0 / (sw * Jet.variable(z, order))  # x(z) as a jet in z
     return _b_tilde(xj, fp) - sw * xj
 
 
-def eval_potential_z(side: Side, form: Form, z: float,
-                     fp: FactorizationParams) -> float:
-    """Evaluate a half-line potential form at z > 0."""
-    if z == 0:
+def eval_potential_z(side: Side, form: Form, z,
+                     fp: FactorizationParams):
+    """Evaluate a half-line potential form at z > 0, or on a grid of z."""
+    if any_zero(z):
         raise DomainError("half-line potential singular at z = 0")
     ob, d, mu, rq = fp.omega_bar, fp.d, fp.mu, fp.rho_q
     sw = math.sqrt(ob)
 
     if form is Form.CANONICAL:
         wj = w_of_z_jet(z, fp, 1)
-        wp = wj.derivative(1)
+        w, wp = wj.value, wj.derivative(1)
+        # Python's float ** 2 (libm pow) on every element, as at one point:
+        # x * x differs from it in the last bit, and an overflow still raises
+        w2 = elementwise(lambda v: v**2, w)
         if side is Side.PLUS:
-            return wj.value**2 + wp
-        return wj.value**2 - wp
+            return w2 + wp
+        return w2 - wp
 
     if form is Form.TRANSFORMED:
         z2 = z * z

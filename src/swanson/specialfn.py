@@ -37,6 +37,9 @@ def kummer(n: int, gamma: float, y):
 def laguerre(n: int, beta: float, t):
     """Associated Laguerre L_n^beta(t) via the stable three-term recurrence.
 
+    A float t, or an ndarray of them (the recurrence's + - * / then run on
+    every element at once, each bit for bit its float value).
+
     A Jet t is composed through d^m/dt^m L_n^beta = (-1)^m L_(n-m)^(beta+m):
     one float recurrence per Taylor order, then a Horner pass in t - t0.
     """

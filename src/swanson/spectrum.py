@@ -10,14 +10,19 @@ minus side is generated from it by the first-order ladder operator
 and ``.derivative(k)``.  The pre-transform states (``psi_plus_jet``) carry
 the printed normalization constant, and ``j_integral`` gives their
 normalization integrals.  Every Gamma ratio comes from ``math.lgamma``.
+At order 0 (values only, as the quadratures need) ``z`` may be an ndarray
+of points: the states are then evaluated on all of them at once, each
+element bit for bit its one-point value (see ``jets``).
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
-from .jets import Jet
+from .jets import Jet, any_nonpositive, elementwise
 from .params import FactorizationParams
 from .specialfn import laguerre
 
@@ -42,12 +47,15 @@ def _chi_jet(n: int, gamma: float, scale: float, z: float, p: float,
 
     At order 0 the float operations of the jet path run in the same order
     (``0.0 + a * b`` is a jet product's accumulator), so the value is the
-    jet's bit for bit: quadratures of the states need values only.
+    jet's bit for bit: quadratures of the states need values only, and
+    pass all their nodes at once as an ndarray z.
     """
     if order == 0:
-        z = float(z)
+        if not isinstance(z, np.ndarray):
+            z = float(z)
         zz = 0.0 + z * z
-        pw_ex = 0.0 + math.exp(math.log(z) * p) * math.exp(zz * -(scale / 2))
+        pw_ex = 0.0 + (elementwise(math.exp, elementwise(math.log, z) * p)
+                       * elementwise(math.exp, zz * -(scale / 2)))
         return Jet((0.0 + pw_ex * laguerre(n, gamma - 1, zz * scale),))
     zj = Jet.variable(z, order)
     return (zj.power(p) * (-(scale / 2) * zj**2).exp()
@@ -61,8 +69,8 @@ def energies_plus(fp: FactorizationParams, n_max: int) -> list[float]:
     return [2 * oh * (2 * n + base) for n in range(n_max + 1)]
 
 
-def phi_plus_jet(fp: FactorizationParams, n: int, z: float, order: int = 2) -> Jet:
-    if z <= 0:
+def phi_plus_jet(fp: FactorizationParams, n: int, z, order: int = 2) -> Jet:
+    if any_nonpositive(z):
         raise DomainError("plus-side eigenfunction needs z > 0")
     g, oh = fp.gamma, fp.omega_hat
     return _norm_const(n, g, oh) * _chi_jet(n, g, oh, z, g - 0.5, order)
@@ -115,9 +123,9 @@ def psi_plus_norm(fp: FactorizationParams, n: int) -> float:
     return (-1) ** n * mag
 
 
-def psi_plus_jet(fp: FactorizationParams, n: int, z: float,
+def psi_plus_jet(fp: FactorizationParams, n: int, z,
                  order: int = 2) -> Jet:
-    if z <= 0:
+    if any_nonpositive(z):
         raise DomainError("pre-transform eigenfunction needs z > 0")
     g, oh = fp.gamma, fp.omega_hat
     return (psi_plus_norm(fp, n) * _kummer_factor(n, g)
@@ -143,7 +151,7 @@ def j_integral(fp: FactorizationParams, m: int, n: int,
 
         scale = _kummer_factor(m, g) * _kummer_factor(n, g)
 
-        def f(z: float) -> float:
+        def f(z: np.ndarray) -> np.ndarray:
             return (scale * _chi_jet(m, g, oh, z, g + 0.5, 0).value
                     * _chi_jet(n, g, oh, z, g + 0.5, 0).value)
 

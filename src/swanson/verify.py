@@ -8,11 +8,13 @@ inverse-mode parameters, and its residual function (a tuple for several ids).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigError, NonConvergent
+from .errors import ConfigError, NonConvergent, SwansonError
+from .jets import elementwise
 from .potentials import (Form, Side, coord_x, dlog_rho_jet, eval_potential,
                          eval_potential_z, transform_shift, w_of_z_jet)
 from .specialfn import laguerre
@@ -55,9 +57,21 @@ def numeric_spectra(cfg, fp, k: int, adaptive: bool = False):
         # Dirichlet truncation error at the inner wall scales like
         # z_min^(2 gamma - 1); pull the wall in until that is below 1e-9
         z_min = min(z_min, 10.0 ** (-9.0 / (2 * fp.gamma - 1)))
-    return [numeric.refine_extrapolate(
-        lambda z: eval_potential_z(side, Form.CANONICAL, z, fp), k, cfg.grids,
-        z_min, cfg.z_max)[0] for side in (Side.PLUS, Side.MINUS)]
+
+    def levels(side: Side) -> list[float]:
+        return numeric.refine_extrapolate(
+            lambda z: eval_potential_z(side, Form.CANONICAL, z, fp), k,
+            cfg.grids, z_min, cfg.z_max)[0]
+
+    try:
+        plus = levels(Side.PLUS)
+    except NonConvergent:
+        # the minus side runs anyway, so that a case costs the same whether
+        # or not its FD order check fails; the plus side's error is reported
+        with contextlib.suppress(SwansonError, ArithmeticError, ValueError):
+            levels(Side.MINUS)
+        raise
+    return [plus, levels(Side.MINUS)]
 
 
 class _Run:
@@ -134,10 +148,15 @@ def _ladder_up(r: _Run) -> float:
     return worst
 
 
+def _square(v: float) -> float:
+    return v ** 2
+
+
 def _normalization(r: _Run, state, target: float) -> float:
     """max |int_0^inf state^2 dz - target| over the closed-form states."""
     return max(abs(numeric.quad_halfline(
-        lambda z: state(r.fp, n, z, 0).value ** 2, r.fp.omega_hat) - target)
+        lambda z: elementwise(_square, state(r.fp, n, z, 0).value),
+        r.fp.omega_hat) - target)
         for n in range(N_STATES))
 
 
@@ -146,8 +165,9 @@ def _orthogonality(r: _Run) -> float:
 
     def gap(n):
         q = numeric.quad_halfline(
-            lambda z: z ** (2 * g - 1) * math.exp(-oh * z * z)
-            * laguerre(n, g - 1, oh * z * z) ** 2, oh)
+            lambda z: elementwise(lambda v: v ** (2 * g - 1), z)
+            * elementwise(math.exp, -oh * z * z)
+            * elementwise(_square, laguerre(n, g - 1, oh * z * z)), oh)
         closed = (math.exp(math.lgamma(n + g) - math.lgamma(n + 1))
                   / (2 * oh**g))
         return abs(q - closed) / abs(closed)

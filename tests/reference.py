@@ -69,3 +69,28 @@ def j_diagonal_exact(fp, n: int) -> float:
     g, oh = fp.gamma, fp.omega_hat
     return (math.factorial(n) * (2 * n + g) * math.gamma(g)
             / (2 * oh ** (g + 1) * pochhammer(g, n)))
+
+
+def quad_interval_nodewise(f, lo: float, hi: float, tol: float) -> float:
+    """Composite 16-node Gauss-Legendre as a loop over the nodes on Python
+    floats, ``f`` called on one float at a time; the panel doubling and the
+    stopping rule are ``numeric.quad_interval``'s."""
+    import numpy as np
+
+    nodes, weights = (a.tolist() for a in np.polynomial.legendre.leggauss(16))
+    prev = None
+    panels = 8
+    while panels <= 2**14:
+        edges = np.linspace(lo, hi, panels + 1).tolist()
+        total = 0.0
+        for i in range(panels):
+            mid = 0.5 * (edges[i] + edges[i + 1])
+            half = 0.5 * (edges[i + 1] - edges[i])
+            total += half * sum(w * f(mid + half * t)
+                                for t, w in zip(nodes, weights))
+        if (prev is not None
+                and abs(total - prev) <= tol * max(1.0, abs(total))):
+            return total
+        prev = total
+        panels *= 2
+    raise ArithmeticError("no convergence")

@@ -287,6 +287,14 @@ class TestNegativeValues:
           "--beta", "0.1"], 2),
         (["sweep", "--range", "-1:2", "--steps", "2", "--grids", "20,40"],
          ["sweep", "--range=-1:2", "--steps", "2", "--grids", "20,40"], 0),
+        (["solve", "--mode", "inverse", "--omega", "1", "--alpha", "-inf",
+          "--beta", "0.1"],
+         ["solve", "--mode", "inverse", "--omega", "1", "--alpha=-inf",
+          "--beta", "0.1"], 1),
+        (["solve", "--mode", "inverse", "--omega", "1", "--alpha", "0.2",
+          "--beta", "-NaN"],
+         ["solve", "--mode", "inverse", "--omega", "1", "--alpha", "0.2",
+          "--beta=-NaN"], 1),
     ])
     def test_spaced_form_matches_joined_form(self, spaced, joined, code,
                                              capsys):
@@ -294,6 +302,12 @@ class TestNegativeValues:
         assert got == run_main(joined, capsys)
         assert got[0] == code
         assert "expected one argument" not in got[2]
+
+    def test_negative_non_number_reaches_the_value_check(self, capsys):
+        _, _, err = run_main(["solve", "--mode", "inverse", "--omega", "1",
+                              "--alpha", "-inf", "--beta", "0.1"], capsys)
+        assert err == ("config error: alpha must be a finite number or null, "
+                       "got -inf\n")
 
 
 class TestDeterminism:

@@ -257,6 +257,34 @@ class TestOnePassEvaluation:
         compose(T, S).at(0.7, 3)
         assert calls == {"t0": 1, "t1": 1, "t2": 1, "s0": 1, "s1": 1}
 
+    def test_compose_shifts_each_operand_coefficient_once(self,
+                                                          monkeypatch):
+        # a (2, 1) composition needs s_j^(k) for j <= 1, k <= 2: six shifts
+        xj = lambda x, order: Jet.variable(x, order)
+        T = op(lambda x, o: xj(x, o) ** 3 - 2.0, lambda x, o: 1.5 / xj(x, o),
+               lambda x, o: xj(x, o) * xj(x, o) + 0.25)
+        S = op(lambda x, o: 1.0 / (xj(x, o) ** 2 + 0.7),
+               lambda x, o: 0.3 * xj(x, o) ** 4)
+        x, order = -0.8, 2
+        t, s = T.at(x, order), S.at(x, order + T.order)
+        expected = [Jet.const(0.0, order)] * 4
+        for i, ti in enumerate(t):
+            for j, sj in enumerate(s):
+                for k in range(i + 1):
+                    term = math.comb(i, k) * (ti * sj.shift(k))
+                    expected[i - k + j] = expected[i - k + j] + term
+        shift, calls = Jet.shift, []
+
+        def counted(self, m):
+            calls.append(m)
+            return shift(self, m)
+
+        monkeypatch.setattr(Jet, "shift", counted)
+        got = compose(T, S).at(x, order)
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+        assert ([[c.hex() for c in j.coeffs] for j in got]
+                == [[c.hex() for c in j.coeffs] for j in expected])
+
 
 class TestInferDelta:
     def test_round_trip_recovers_injected_constant(self, inverse_sets):

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from swanson.jets import Jet
+from swanson.jets import Jet, elementwise
 
 
 def fd_derivative(f, x, k, h=1e-5):
@@ -113,7 +114,50 @@ class TestAlgebraicExactness:
         assert j.value == 3.0
         assert j.derivative(1) == 2.0
 
+    def test_scalar_coefficients_stay_floats(self):
+        # array coefficients are for grids; one point never becomes numpy
+        xj = Jet.variable(1.3, 4)
+        c = Jet.const(2, 4)
+        jets = [xj + c, 1 - xj, -xj, xj * xj, 3 * xj, xj / c, 2 / xj,
+                (xj / (xj**2 + 1)).shift(1), xj**-2, xj.exp(), xj.log(),
+                xj.power(1.5)]
+        for j in jets:
+            assert all(type(k) is float for k in j.coeffs)
+
+    def test_array_coefficients_are_the_pointwise_ones(self):
+        pts = [0.7, -1.3, 2.1]
+        f = lambda t: (t**2 + 1) / (3 * t - 0.5) - 2.0 / t
+        grid = f(Jet.variable(np.array(pts), 3))
+        for i, x in enumerate(pts):
+            one = f(Jet.variable(x, 3))
+            assert ([np.broadcast_to(k, len(pts)).tolist()[i].hex()
+                     for k in grid.coeffs] == [k.hex() for k in one.coeffs])
+
+    def test_array_division_leaves_its_operands_alone(self):
+        a = Jet((np.array([1.0, 2.0]), np.array([3.0, 4.0])))
+        a / Jet.variable(np.array([0.5, 1.5]), 1)
+        assert [c.tolist() for c in a.coeffs] == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_array_division_by_a_zero_element_is_rejected(self):
+        from swanson.errors import DomainError
+        with pytest.raises(DomainError):
+            1.0 / Jet.variable(np.array([1.0, 0.0]), 2)
+
     def test_power_rejects_nonpositive_base(self):
         from swanson.errors import DomainError
         with pytest.raises(DomainError):
             Jet.variable(-1.0, 2).power(0.5)
+
+
+class TestElementwise:
+    def test_float_stays_a_float(self):
+        got = elementwise(math.exp, 1.5)
+        assert type(got) is float and got == math.exp(1.5)
+
+    def test_each_element_as_a_python_float(self):
+        x = np.array([0.3, 1.7, 2.9, 1e200])
+        with pytest.raises(OverflowError):
+            elementwise(lambda v: v ** 2, x)
+        got = elementwise(lambda v: v ** 2, x[:3])
+        assert [v.hex() for v in got.tolist()] == [
+            (v ** 2).hex() for v in x[:3].tolist()]

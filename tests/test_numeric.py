@@ -3,14 +3,16 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import subprocess_env
-from reference import pochhammer
+from reference import pochhammer, quad_interval_nodewise
 
 from swanson.errors import NonConvergent
+from swanson.jets import elementwise
 from swanson.numeric import (compare_spectra, fd_discretize, max_rel_gap,
                              quad_halfline, quad_interval, refine_extrapolate,
                              tridiag_eigs)
@@ -36,6 +38,35 @@ class TestDiscretization:
     def test_rejects_non_finite_potential(self):
         with pytest.raises(ValueError):
             fd_discretize(lambda z: float("nan"), 0.1, 1.0, 50)
+
+    def test_potential_is_called_once_on_the_whole_grid(self, fp_star):
+        seen = []
+
+        def V(z):
+            seen.append(z)
+            return eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp_star)
+
+        sys_ = fd_discretize(V, 1e-3, 10.0, 500)
+        assert len(seen) == 1
+        assert isinstance(seen[0], np.ndarray) and seen[0].shape == (500,)
+        assert sys_.diagonal.shape == (500,)
+        seen.clear()
+        refine_extrapolate(V, 2, [200, 400], 1e-3, 10.0)
+        assert [len(z) for z in seen] == [100, 200, 400]
+
+    def test_overflow_on_the_grid_is_an_exit_code_not_a_warning(self,
+                                                                 capsys):
+        from swanson.cli import main
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["spectrum", "--n-max", "0", "--grids", "20,40",
+                         "--omega-bar", "1.0", "--rho-q", "100000000.0",
+                         "--d", "2e+299"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numeric failure: OverflowError: ")
+        assert err.count("\n") == 1
+        assert caught == []
 
     def test_coarse_grid_is_valid(self):
         sys = fd_discretize(lambda z: z * z, 1e-3, 12.0, 10)
@@ -101,6 +132,31 @@ class TestTridiagonalEigenvalues:
         got = tridiag_eigs(fd_discretize(V, 1e-3, 10.0, 500), 4)
         assert [x.hex() for x in got] == self.GOLDEN[side]
 
+    def test_count_runs_over_all_rows(self):
+        # a shift above every level: the count is N at once after the first
+        # rows, and every row is still scanned, so a count costs the same
+        # wherever its shift lies
+        from swanson.numeric import _sturm_count
+        rng = np.random.default_rng(7)
+        d = rng.normal(size=200)
+        e = rng.normal(size=199)
+        rows = list(zip(d[1:].tolist(), (e * e).tolist()))
+        seen = []
+
+        def counted():
+            for row in rows:
+                seen.append(row)
+                yield row
+
+        levels = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1)
+                                    + np.diag(e, -1))
+        for shift in (levels[-1] + 1.0, 0.5 * (levels[3] + levels[4]),
+                      levels[0] - 1.0):
+            seen.clear()
+            count = _sturm_count(float(d[0]), counted(), float(shift))
+            assert count == int(np.sum(levels < shift))
+            assert len(seen) == len(rows)
+
     def test_cli_does_not_load_scipy(self):
         code = ("import sys\n"
                 "from swanson.cli import main\n"
@@ -159,12 +215,12 @@ class TestRichardsonRefinement:
 
 class TestHalflineQuadrature:
     def test_gaussian(self):
-        got = quad_halfline(lambda z: math.exp(-z * z), 1.0)
+        got = quad_halfline(lambda z: np.exp(-z * z), 1.0)
         assert got == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
 
     def test_moment_integral(self, fp_star):
         g, oh = fp_star.gamma, fp_star.omega_hat
-        got = quad_halfline(lambda z: z ** (2 * g + 1) * math.exp(-oh * z * z),
+        got = quad_halfline(lambda z: z ** (2 * g + 1) * np.exp(-oh * z * z),
                             oh)
         assert got == pytest.approx(math.gamma(g + 1) / (2 * oh ** (g + 1)),
                                     rel=1e-11)
@@ -174,7 +230,7 @@ class TestHalflineQuadrature:
         # diagonal of the weight-(2 gamma - 1) family has a closed form
         g, oh = fp_star.gamma, fp_star.omega_hat
         got = quad_halfline(
-            lambda z: z ** (2 * g - 1) * math.exp(-oh * z * z)
+            lambda z: z ** (2 * g - 1) * np.exp(-oh * z * z)
             * kummer(n, g, oh * z * z) ** 2, oh)
         expected = (math.factorial(n) * math.gamma(g)
                     / (2 * oh ** g * pochhammer(g, n)))
@@ -187,7 +243,7 @@ class TestHalflineQuadrature:
     def test_non_decaying_integrand_detected(self):
         with pytest.raises(NonConvergent):
             # decay hint wildly wrong for a slowly-varying integrand
-            quad_halfline(lambda z: math.sin(1e6 * z * z), 1.0)
+            quad_halfline(lambda z: np.sin(1e6 * z * z), 1.0)
 
 
 class TestIntervalQuadrature:
@@ -201,6 +257,68 @@ class TestIntervalQuadrature:
     def test_divergent_integral_detected(self):
         with pytest.raises(NonConvergent):
             quad_interval(lambda x: 1.0 / x, 0.0, 1.0, 1e-12)
+
+
+def _narrow_peak(z: float) -> float:
+    return math.exp(-((z - 0.3) / 3e-4) ** 2)
+
+
+class TestQuadratureOnNodeArrays:
+    """The integrand sees the nodes of many panels at once; the sums run in
+    the order of a node-by-node loop, so the result is that loop's bit for
+    bit."""
+
+    CASES = [
+        (lambda z: elementwise(math.exp, -z * z),
+         lambda z: math.exp(-z * z), 0.0, 6.0),
+        # a narrow peak that needs 2^11 panels: blocks of 256
+        (lambda z: elementwise(_narrow_peak, z), _narrow_peak, 0.0, 1.0),
+        (lambda z: 1.0 / (z * z), lambda z: 1.0 / (z * z), 2.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_equals_the_node_by_node_loop(self, case):
+        f, scalar_f, lo, hi = self.CASES[case]
+        got = quad_interval(f, lo, hi, 1e-12)
+        assert got.hex() == quad_interval_nodewise(scalar_f, lo, hi,
+                                                   1e-12).hex()
+
+    def test_calls_take_blocks_of_panels(self):
+        sizes = []
+
+        def f(z):
+            sizes.append(z.size)
+            return elementwise(_narrow_peak, z)
+
+        quad_interval(f, 0.0, 1.0, 1e-12)
+        # one call for each pass up to 256 panels, then 256 panels a call
+        assert sizes == [16 * p for p in (8, 16, 32, 64, 128, 256)] + [
+            16 * 256] * (2 + 4 + 8)
+
+    def test_error_is_the_first_failing_node(self):
+        # a node-by-node loop meets the OverflowError of the second stage
+        # (z > 0.2) before the ValueError of the first (z > 0.9); on the
+        # whole array the first stage would fail first
+        def stage1(v):
+            if v > 0.9:
+                raise ValueError("first stage")
+            return v
+
+        def stage2(v):
+            if v > 0.2:
+                raise OverflowError("second stage")
+            return v
+
+        f = lambda z: elementwise(stage2, elementwise(stage1, z))
+        with pytest.raises(OverflowError, match="second stage"):
+            quad_interval(f, 0.0, 1.0, 1e-12)
+
+    def test_array_overflow_gives_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent):
+                quad_interval(lambda z: np.exp(1e3 * (z + 1.0)), 0.0, 1.0,
+                              1e-12)
 
 
 class TestRelativeGap:

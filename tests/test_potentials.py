@@ -7,6 +7,7 @@ import pytest
 
 from swanson.errors import DomainError, ModeError
 from swanson.numeric import quad_interval
+from swanson.params import solve_forward
 from swanson.potentials import (Form, Side, a_jet, b1_jet, b_plain_jet,
                                 b_tilde_jet, c1_jet, coord_x, dlog_rho_jet,
                                 eval_potential, eval_potential_z,
@@ -71,8 +72,10 @@ class TestMetric:
 
         for x in SAMPLE_X:
             want = antiderivative(x) - antiderivative(math.copysign(1.0, x))
-            got = quad_interval(lambda y: dlog_rho_jet(y, fp, mp, 0).value,
-                                math.copysign(1.0, x), x, tol=1e-12)
+            got = quad_interval(
+                lambda ys: np.array([dlog_rho_jet(y, fp, mp, 0).value
+                                     for y in ys.tolist()]),
+                math.copysign(1.0, x), x, tol=1e-12)
             assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
@@ -232,6 +235,48 @@ class TestErrataDiagnostics:
                     - eval_potential(Side.MINUS, Form.OPERATOR_PRODUCT, x, fp))
                 for x in SAMPLE_X]
         assert all(math.isfinite(v) for v in vals)
+
+
+class TestGridEvaluation:
+    """The canonical half-line potential on a whole grid at once is the
+    one-point value on every element, bit for bit."""
+
+    @staticmethod
+    def _assert_grid_is_pointwise(fp, z_min):
+        z = np.linspace(z_min, 10.0, 1001)[1:]
+        for side in Side:
+            grid = eval_potential_z(side, Form.CANONICAL, z, fp)
+            assert isinstance(grid, np.ndarray) and grid.shape == z.shape
+            assert ([v.hex() for v in grid.tolist()]
+                    == [eval_potential_z(side, Form.CANONICAL, zi, fp).hex()
+                        for zi in z.tolist()])
+
+    @pytest.mark.parametrize("point", [(1.0, 1.0, 1.0), (0.2, 3.0, 0.2),
+                                       (3.7, 0.4, 2.6)])
+    def test_box_points(self, point):
+        self._assert_grid_is_pointwise(solve_forward(*point), 1e-3)
+
+    def test_small_gamma_point_at_its_adaptive_wall(self):
+        # the FD oracle pulls the inner wall in to 10^(-9 / (2 gamma - 1))
+        fp = solve_forward(4.0, 0.1, 0.2)
+        assert fp.gamma < 1.7
+        self._assert_grid_is_pointwise(
+            fp, 10.0 ** (-9.0 / (2 * fp.gamma - 1)))
+
+    def test_first_frozen_triple(self, inverse_sets):
+        self._assert_grid_is_pointwise(inverse_sets[0][1], 1e-3)
+
+    def test_one_point_stays_a_float(self, fp_star):
+        w = w_of_z_jet(1.3, fp_star, 3)
+        assert all(type(c) is float for c in w.coeffs)
+        for side in Side:
+            assert type(eval_potential_z(side, Form.CANONICAL, 1.3,
+                                         fp_star)) is float
+
+    def test_zero_anywhere_on_the_grid_is_rejected(self, fp_star):
+        with pytest.raises(DomainError, match="singular at z = 0"):
+            eval_potential_z(Side.PLUS, Form.CANONICAL,
+                             np.array([0.5, 0.0, 1.0]), fp_star)
 
 
 class TestErrorPaths:

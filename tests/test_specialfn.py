@@ -82,6 +82,14 @@ class TestLaguerre:
         expected = pochhammer(beta + 1, n) / math.factorial(n) * kummer(n, beta + 1, t)
         assert laguerre(n, beta, t) == pytest.approx(expected, rel=1e-13)
 
+    def test_array_argument_equals_pointwise(self):
+        t = np.random.default_rng(8).uniform(0.0, 40.0, size=50)
+        for n in (0, 1, 2, 7, 40):
+            for beta in (-0.5, 0.3, 2.75):
+                got = np.broadcast_to(laguerre(n, beta, t), t.shape)
+                assert [v.hex() for v in got.tolist()] == [
+                    laguerre(n, beta, v).hex() for v in t.tolist()]
+
 
 def _jet_arithmetic_laguerre(n, beta, t):
     """L_n^beta(t) by the three-term recurrence run in Jet arithmetic: the

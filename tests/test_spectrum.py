@@ -12,7 +12,7 @@ from swanson.spectrum import (energies_plus, j_integral, phi_minus_jet,
                               phi_plus_jet, psi_plus_jet, psi_plus_norm)
 from conftest import SAMPLE_Z, random_forward_sets
 from reference import (GKPotential, energy_shift, gk_eigenvalues, gk_of,
-                       j_diagonal_exact)
+                       j_diagonal_exact, quad_interval_nodewise)
 
 
 class TestHalflineOscillator:
@@ -113,8 +113,9 @@ class TestPlusEigenfunctions:
                                                                 rel=1e-4)
 
     def test_unit_norm_ground_state(self, fp_star):
-        nrm = quad_halfline(lambda z: phi_plus_jet(fp_star, 0, z).value ** 2,
-                            fp_star.omega_hat)
+        nrm = quad_halfline(
+            lambda z: phi_plus_jet(fp_star, 0, z, 0).value ** 2,
+            fp_star.omega_hat)
         assert nrm == pytest.approx(1.0, abs=1e-10)
 
     def test_first_excited_node_location(self, fp_star):
@@ -143,7 +144,7 @@ class TestPlusEigenfunctions:
     def test_unit_norm_excited_states(self, fp_star):
         for n in range(1, 6):
             nrm = quad_halfline(
-                lambda z: phi_plus_jet(fp_star, n, z).value ** 2,
+                lambda z: phi_plus_jet(fp_star, n, z, 0).value ** 2,
                 fp_star.omega_hat)
             assert nrm == pytest.approx(1.0, abs=1e-8)
 
@@ -198,7 +199,9 @@ class TestMinusEigenfunctions:
     def test_normalized_state_has_unit_norm(self, fp_star):
         for n in range(3):
             nrm = quad_halfline(
-                lambda z: phi_minus_jet(fp_star, n, z, "normalized", 0).value ** 2,
+                lambda zs: np.array([
+                    phi_minus_jet(fp_star, n, z, "normalized", 0).value ** 2
+                    for z in zs.tolist()]),
                 fp_star.omega_hat)
             assert nrm == pytest.approx(1.0, abs=1e-8)
 
@@ -255,6 +258,20 @@ class TestValueOnlyStates:
         for state in (phi_plus_jet, psi_plus_jet):
             with pytest.raises(DomainError):
                 state(fp_star, 0, 0.0, 0)
+            with pytest.raises(DomainError):
+                state(fp_star, 0, np.array([0.5, 0.0, 1.0]), 0)
+
+    def test_node_arrays_equal_pointwise_values(self):
+        # the quadratures pass all their nodes at once
+        rng = np.random.default_rng(5)
+        for fp in random_forward_sets(4, seed=12):
+            zs = np.sort(10 ** rng.uniform(-4, 1.2, size=64))
+            for n in (0, 1, 5, 17, 40):
+                for state in (phi_plus_jet, psi_plus_jet):
+                    grid = state(fp, n, zs, 0)
+                    assert grid.order == 0
+                    assert [v.hex() for v in grid.value.tolist()] == [
+                        state(fp, n, z, 0).value.hex() for z in zs.tolist()]
 
 
 def _state_grid(fp, n):
@@ -365,6 +382,17 @@ class TestNormalizationIntegrals:
         assert j01 == pytest.approx(j_integral(fp_star, 1, 0, "quadrature"),
                                     rel=1e-9)
         assert math.isfinite(j01)
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (1, 1), (0, 1), (5, 5)])
+    def test_quadrature_equals_a_node_by_node_loop(self, m, n, fp_star):
+        from swanson.spectrum import _chi_jet, _kummer_factor
+        g, oh = fp_star.gamma, fp_star.omega_hat
+        scale = _kummer_factor(m, g) * _kummer_factor(n, g)
+        want = quad_interval_nodewise(
+            lambda z: (scale * _chi_jet(m, g, oh, z, g + 0.5, 0).value
+                       * _chi_jet(n, g, oh, z, g + 0.5, 0).value),
+            0.0, math.sqrt(90.0 / oh), 1e-11)
+        assert j_integral(fp_star, m, n, "quadrature").hex() == want.hex()
 
     def test_closed_forms_reject_off_diagonal(self, fp_star):
         with pytest.raises(ValueError):

@@ -2,14 +2,20 @@
 
 import ast
 import json
+import math
 import warnings
 from collections import Counter
 from pathlib import Path
 
-from swanson import numeric, verify
+import pytest
+
+from swanson import numeric, spectrum, verify
 from swanson.potentials import w_of_z_jet
 from swanson.cli import DEFAULT_TOLS, main
 from swanson.errors import NonConvergent
+from swanson.specialfn import laguerre
+from conftest import random_forward_sets
+from reference import quad_interval_nodewise
 
 IDS = [name for row in verify.ROWS for name in row.names]
 FORWARD_IDS = [name for row in verify.ROWS if not row.inverse_only
@@ -135,3 +141,47 @@ def test_shared_order_one_w_has_the_order_zero_value(fp_star):
     for z in verify.SAMPLE_Z + [1e-3, 7.5, 16.0]:
         assert (w_of_z_jet(z, fp_star, 1).value.hex()
                 == w_of_z_jet(z, fp_star, 0).value.hex())
+
+
+def test_quadrature_rows_equal_a_node_by_node_evaluation():
+    # the integrands take all their nodes at once; every residual is still
+    # the node-by-node loop's on Python floats, bit for bit
+    for fp in random_forward_sets(3, seed=21):
+        r = type("Run", (), {"fp": fp})()
+        g, oh = fp.gamma, fp.omega_hat
+        hi = math.sqrt(90.0 / oh)
+        for state, target in ((spectrum.phi_plus_jet, 1.0),
+                              (spectrum.psi_plus_jet, 1.0 / fp.omega_bar)):
+            want = max(abs(quad_interval_nodewise(
+                lambda z: state(fp, n, z, 0).value ** 2, 0.0, hi, 1e-11)
+                - target) for n in range(verify.N_STATES))
+            assert verify._normalization(r, state, target).hex() == want.hex()
+
+        def gap(n):
+            q = quad_interval_nodewise(
+                lambda z: z ** (2 * g - 1) * math.exp(-oh * z * z)
+                * laguerre(n, g - 1, oh * z * z) ** 2, 0.0, hi, 1e-11)
+            closed = (math.exp(math.lgamma(n + g) - math.lgamma(n + 1))
+                      / (2 * oh**g))
+            return abs(q - closed) / abs(closed)
+
+        want = max(gap(n) for n in range(verify.N_STATES))
+        assert verify._orthogonality(r).hex() == want.hex()
+
+
+def test_failing_plus_side_still_runs_the_minus_side(monkeypatch):
+    # a case costs the same whether or not an FD order check fails, and the
+    # plus side's error is the one reported
+    from swanson.cli import RunConfig
+    from swanson.params import solve_forward
+
+    calls = []
+
+    def refine(V, k, grids, z_min, z_max):
+        calls.append(V)
+        raise NonConvergent(f"order check {len(calls)}")
+
+    monkeypatch.setattr(numeric, "refine_extrapolate", refine)
+    with pytest.raises(NonConvergent, match="order check 1"):
+        verify.numeric_spectra(RunConfig(), solve_forward(1.0, 1.0, 1.0), 3)
+    assert len(calls) == 2
