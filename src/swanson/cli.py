@@ -13,6 +13,8 @@ failure (a failed check, non-convergence, a value out of float range).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import platform
@@ -143,8 +145,13 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
-    return "".join(",".join(fmt(v) if isinstance(v, float) else str(v)
-                            for v in row) + "\n" for row in [header, *rows])
+    # a cell holding a comma, a quote or a line break is quoted; the others
+    # are written as they are
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [fmt(v) if isinstance(v, float) else str(v) for v in row]
+        for row in [header, *rows])
+    return buf.getvalue()
 
 
 def _json_text(obj) -> str:
@@ -243,19 +250,26 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _sweep_one(cfg: RunConfig, value: float):
+    """One row: the swept value, the levels, the residual and a status, "ok"
+    or "<stage>: <error type>: <message>" for the stage that failed."""
     kw = {"omega_bar": cfg.omega_bar, "rho_q": cfg.rho_q, "d": cfg.d,
           cfg.sweep_param: value}
+    stage = "solve"
     try:
         fp = solve_forward(**kw)
+        stage = "analytic"
         analytic = spectrum.energies_plus(fp, 2)
+        stage = "fd"
         vp = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
         ep, _ = numeric.refine_extrapolate(vp, 3, cfg.grids, cfg.z_min,
                                            cfg.z_max)
+        stage = "identity"
         res = max(verify.factorization_residuals(
             *verify.ladder_operators(fp)))
         return [value] + analytic + ep[:3] + [res, "ok"]
     except (SwansonError, ValueError, ArithmeticError) as exc:
-        return [value] + [math.nan] * 7 + [type(exc).__name__]
+        return ([value] + [math.nan] * 7
+                + [f"{stage}: {type(exc).__name__}: {exc}"])
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -295,11 +309,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+# the output formats each command writes
+_FORMATS = {"solve": ["json"], "spectrum": ["json", "csv"],
+            "wavefunctions": ["json", "csv"], "verify": ["json"],
+            "sweep": ["csv"]}
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="swanson",
                 description="Non-Hermitian oscillator hierarchy toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("solve", "spectrum", "wavefunctions", "verify", "sweep"):
+    for name in _FORMATS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
         sp.add_argument("--mode", choices=["forward", "inverse"])
@@ -309,7 +329,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--n-max", type=int)
         sp.add_argument("--grids", type=str)
         sp.add_argument("--out", type=str)
-        sp.add_argument("--format", choices=["json", "csv"])
+        sp.add_argument("--format", choices=_FORMATS[name])
         sp.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VALUE")
         if name == "wavefunctions":

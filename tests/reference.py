@@ -9,6 +9,8 @@ where the package derives the ladder from the factorization constants.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def pochhammer(s, n: int):
     """Rising factorial (s)_n as a plain product; s may be a float or a Jet.
@@ -75,8 +77,6 @@ def quad_interval_nodewise(f, lo: float, hi: float, tol: float) -> float:
     """Composite 16-node Gauss-Legendre as a loop over the nodes on Python
     floats, ``f`` called on one float at a time; the panel doubling and the
     stopping rule are ``numeric.quad_interval``'s."""
-    import numpy as np
-
     nodes, weights = (a.tolist() for a in np.polynomial.legendre.leggauss(16))
     prev = None
     panels = 8
@@ -94,3 +94,50 @@ def quad_interval_nodewise(f, lo: float, hi: float, tol: float) -> float:
         prev = total
         panels *= 2
     raise ArithmeticError("no convergence")
+
+
+def sturm_count_two_sided(d0: float, rows, shift: float) -> int:
+    """Negative pivots of T - shift I, each pivot first tested against
+    (-tiny, tiny) and perturbed to -tiny there, then tested against 0."""
+    tiny = float(np.finfo(float).tiny)
+    q = d0 - shift
+    if -tiny < q < tiny:
+        q = -tiny
+    count = 1 if q < 0 else 0
+    for di, e2 in rows:
+        q = di - shift - e2 / q
+        if -tiny < q < tiny:
+            q = -tiny
+        if q < 0:
+            count += 1
+    return count
+
+
+def tridiag_eigs_per_level(sys, k: int) -> list[float]:
+    """``numeric.tridiag_eigs`` with every level bisected alone: one count
+    per level and midpoint, each by ``sturm_count_two_sided``; the bracket,
+    the lock-step loop, the midpoints and the stopping rule are the same."""
+    if k > sys.n_points:
+        raise ValueError("cannot request more eigenvalues than matrix size")
+    d = np.asarray(sys.diagonal, dtype=float)
+    e = np.asarray(sys.off_diagonal, dtype=float)
+    if len(d) == 1 or np.all(e == 0.0):
+        return sorted(float(x) for x in d)[:k]
+    d0 = float(d[0])
+    rows = list(zip(d[1:].tolist(), (e * e).tolist()))
+    r = np.zeros(len(d))
+    r[:-1] += np.abs(e)
+    r[1:] += np.abs(e)
+    lo_all = float(np.min(d - r))
+    hi_all = float(np.max(d + r))
+    scale = max(abs(lo_all), abs(hi_all), 1.0)
+    tol = max(1e-12, 1e-14 * scale)
+    los = np.full(k, lo_all)
+    his = np.full(k, hi_all)
+    while np.max(his - los) > tol:
+        mids = 0.5 * (los + his)
+        below = np.array([sturm_count_two_sided(d0, rows, mid) > j
+                          for j, mid in enumerate(mids.tolist())])
+        his = np.where(below, mids, his)
+        los = np.where(below, los, mids)
+    return [float(x) for x in 0.5 * (los + his)]

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, output schemas, determinism."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -84,6 +86,10 @@ class TestSolve:
         ["verify", "--tol", "parity=nan"],
         ["verify", "--tol", "parity=-1"],
         ["solve", "--config", "{tmp}/method_name.json"],
+        # --format takes only what the command writes
+        ["solve", "--format", "csv"],
+        ["verify", "--format", "csv"],
+        ["sweep", "--format", "json"],
     ])
     def test_bad_input_is_one_config_error_line(self, args, tmp_path, capsys):
         for name, text in (("n_max_string", '{"n_max": "3"}'),
@@ -275,6 +281,42 @@ class TestSweep:
     def test_bad_range_syntax(self, capsys):
         assert run_main(["sweep", "--param", "d", "--range", "1-2",
                          "--steps", "2"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("message", [
+        "observed convergence order 1.42 < 1.5",
+        'quadrature on [0, 1] did not "stabilize"'])
+    def test_failed_row_names_stage_type_and_message(self, message,
+                                                     monkeypatch, capsys):
+        from swanson import numeric
+        from swanson.errors import NonConvergent
+        argv = ["sweep", "--param", "rho_q", "--range", "0.5:1.0",
+                "--steps", "2", "--grids", "20,40"]
+        code, ok_out, _ = run_main(argv, capsys)
+        assert code == 0
+
+        def fail(*args):
+            raise NonConvergent(message)
+
+        monkeypatch.setattr(numeric, "refine_extrapolate", fail)
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert ([r[-1] for r in rows[1:]]
+                == [f"fd: NonConvergent: {message}"] * 2)
+        assert all(len(r) == 9 for r in rows)
+        # rows without a comma or a quote are written as bare cells
+        for line in ok_out.splitlines():
+            assert '"' not in line and len(line.split(",")) == 9
+        assert out.splitlines()[0] == ok_out.splitlines()[0]
+
+    def test_failed_solve_is_one_quoted_cell(self, capsys):
+        code, out, _ = run_main(["sweep", "--param", "rho_q", "--range",
+                                 "0.0:1.0", "--steps", "2", "--grids",
+                                 "20,40"], capsys)
+        assert code == 0
+        first = out.splitlines()[1]
+        assert first == ("0,nan,nan,nan,nan,nan,nan,nan,\"solve: ValueError: "
+                         "solve_forward needs omega_bar, rho_q, d all > 0\"")
 
 
 class TestNegativeValues:

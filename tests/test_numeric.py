@@ -8,14 +8,18 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
-from reference import pochhammer, quad_interval_nodewise
+from conftest import FEASIBLE_TRIPLES, subprocess_env
+import reference
+from reference import (pochhammer, quad_interval_nodewise,
+                       sturm_count_two_sided, tridiag_eigs_per_level)
 
 from swanson.errors import NonConvergent
 from swanson.jets import elementwise
-from swanson.numeric import (compare_spectra, fd_discretize, max_rel_gap,
-                             quad_halfline, quad_interval, refine_extrapolate,
-                             tridiag_eigs)
+from swanson import numeric
+from swanson.numeric import (TridiagSystem, compare_spectra, fd_discretize,
+                             max_rel_gap, quad_halfline, quad_interval,
+                             refine_extrapolate, tridiag_eigs)
+from swanson.params import ModelParams, solve_forward, solve_inverse
 from swanson.potentials import Form, Side, eval_potential_z
 from swanson.spectrum import energies_plus
 from swanson.specialfn import kummer
@@ -167,6 +171,110 @@ class TestTridiagonalEigenvalues:
                               env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "False"
+
+
+def _fd_system(side, fp, z_min, n_points=500):
+    return fd_discretize(
+        lambda z: eval_potential_z(side, Form.CANONICAL, z, fp), z_min, 10.0,
+        n_points)
+
+
+def _small_gamma_fd_system(side):
+    # the FD oracle pulls the inner wall in to 10^(-9 / (2 gamma - 1))
+    fp = solve_forward(4.0, 0.1, 0.2)
+    return _fd_system(side, fp, 10.0 ** (-9.0 / (2 * fp.gamma - 1)))
+
+
+def _random_system():
+    rng = np.random.default_rng(2011)
+    return TridiagSystem(diagonal=rng.normal(size=300),
+                         off_diagonal=rng.normal(size=299), n_points=300)
+
+
+def _split_system():
+    # one zero off-diagonal splits T into two copies of the same block, so
+    # every eigenvalue is double
+    block_d = np.array([2.0, -1.0, 0.5, 3.0, 1.0])
+    block_e = np.array([1.0, -0.5, 2.0, 0.25])
+    off = np.concatenate([block_e, [0.0], block_e])
+    return TridiagSystem(diagonal=np.tile(block_d, 2), off_diagonal=off,
+                         n_points=10)
+
+
+_BOX_POINTS = [(1.0, 1.0, 1.0), (0.2, 3.0, 0.2), (3.7, 0.4, 2.6)]
+
+_SYSTEMS = {
+    **{f"box{point}-{side.name}":
+       (lambda side=side, point=point:
+        _fd_system(side, solve_forward(*point), 1e-3))
+       for point in _BOX_POINTS for side in Side},
+    **{f"small-gamma-{side.name}": (lambda side=side:
+                                     _small_gamma_fd_system(side))
+       for side in Side},
+    **{f"first-frozen-triple-{side.name}":
+       (lambda side=side: _fd_system(
+           side, solve_inverse(ModelParams(*FEASIBLE_TRIPLES[0]))[0], 1e-3))
+       for side in Side},
+    "random": _random_system,
+    "zero-pivot": lambda: TridiagSystem(diagonal=np.ones(3),
+                                        off_diagonal=np.ones(2), n_points=3),
+    "split": _split_system,
+}
+
+
+class TestBisectionSettlesDecisionsFromCounts:
+    """``tridiag_eigs`` counts only the midpoints the counts already made do
+    not settle, and gives every level of the per-level bisection bit for
+    bit."""
+
+    @pytest.mark.parametrize("name", sorted(_SYSTEMS))
+    def test_levels_equal_the_per_level_bisection(self, name):
+        sys_ = _SYSTEMS[name]()
+        k = min(8, sys_.n_points)
+        assert ([x.hex() for x in tridiag_eigs(sys_, k)]
+                == [x.hex() for x in tridiag_eigs_per_level(sys_, k)])
+
+    def test_split_system_has_double_levels(self):
+        got = tridiag_eigs(_split_system(), 6)
+        assert got[0::2] == got[1::2]
+
+    TINY = float(np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("pivot", [0.0, -0.0, TINY, -TINY, 5e-324,
+                                       -5e-324, 1e-310, -1e-305, math.nan])
+    def test_one_compare_pivot_test_counts_as_the_two_sided_one(self, pivot):
+        # the pivot as the leading one (shift 0) or a later one (e^2 = 0):
+        # last, where it alone decides the count, and followed by rows that
+        # read its perturbed value through e^2 / q
+        for d0, rows in ((pivot, []), (1.0, [(-1.0, 0.5), (pivot, 0.0)]),
+                         (pivot, [(1.0, 1.0), (0.0, 1.0), (-2.0, 0.5)]),
+                         (1.0, [(pivot, 0.0), (0.0, 1.0), (1.0, 1.0)]),
+                         (-1.0, [(pivot, 0.0), (0.5, 2.0)]),
+                         (pivot, [(-1e303, 1e-3)]),
+                         (1.0, [(pivot, 0.0), (-1e303, 1e-3)])):
+            assert (numeric._sturm_count(d0, rows, 0.0)
+                    == sturm_count_two_sided(d0, rows, 0.0))
+
+    def test_counts_fewer_than_levels_times_iterations(self, monkeypatch,
+                                                       fp_star):
+        # the per-level bisection counts once per level and midpoint
+        calls = {"numeric": 0, "reference": 0}
+
+        def counting(name, count):
+            def wrapped(*args):
+                calls[name] += 1
+                return count(*args)
+            return wrapped
+
+        monkeypatch.setattr(numeric, "_sturm_count",
+                            counting("numeric", numeric._sturm_count))
+        monkeypatch.setattr(reference, "sturm_count_two_sided",
+                            counting("reference",
+                                     reference.sturm_count_two_sided))
+        sys_ = _fd_system(Side.PLUS, fp_star, 1e-3)
+        assert tridiag_eigs(sys_, 4) == tridiag_eigs_per_level(sys_, 4)
+        assert calls["reference"] % 4 == 0
+        assert calls["numeric"] < calls["reference"]
 
 
 class TestRichardsonRefinement:
