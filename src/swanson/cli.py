@@ -47,7 +47,7 @@ _FIELD_RULES = {
     "mode": (lambda v: v in ("forward", "inverse"), "forward or inverse"),
     "format": (lambda v: v in ("json", "csv"), "json or csv"),
     **{name: (_finite, "a finite number") for name in
-       ("omega_bar", "rho_q", "d", "delta", "z_min", "z_max")},
+       ("omega_bar", "rho_q", "d", "delta")},
     **{name: (lambda v: v is None or _finite(v), "a finite number or null")
        for name in ("omega", "alpha", "beta")},
     "n_max": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
@@ -79,9 +79,7 @@ class RunConfig:
     beta: float | None = None
     delta: float = 0.0
     n_max: int = 2
-    z_min: float = 1e-3
-    z_max: float = 10.0
-    grids: list[int] = field(default_factory=lambda: [2000, 4000])
+    grids: list[int] = field(default_factory=lambda: [500, 1000])
     out: str | None = None
     format: str = "json"
     tols: dict[str, float] = field(default_factory=dict)
@@ -108,8 +106,6 @@ class RunConfig:
             if not self.omega - self.alpha - self.beta > 0:
                 raise ConfigError("invariant violated: omega - alpha - beta "
                                   "must be positive")
-        if not (0 < self.z_min < self.z_max):
-            raise ConfigError("need 0 < z_min < z_max")
         if not isinstance(self.tols, dict):
             raise ConfigError("tols must map tolerance ids to numbers")
         for name, value in self.tols.items():
@@ -261,8 +257,7 @@ def _sweep_one(cfg: RunConfig, value: float):
         analytic = spectrum.energies_plus(fp, 2)
         stage = "fd"
         vp = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
-        ep, _ = numeric.refine_extrapolate(vp, 3, cfg.grids, cfg.z_min,
-                                           cfg.z_max)
+        ep, _ = numeric.fd_levels(vp, 3, cfg.grids)
         stage = "identity"
         res = max(verify.factorization_residuals(
             *verify.ladder_operators(fp)))
@@ -324,7 +319,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--config", type=str, default=None)
         sp.add_argument("--mode", choices=["forward", "inverse"])
         for flag in ("--omega-bar", "--rho-q", "--d", "--omega", "--alpha",
-                     "--beta", "--delta", "--z-min", "--z-max"):
+                     "--beta", "--delta"):
             sp.add_argument(flag, type=float)
         sp.add_argument("--n-max", type=int)
         sp.add_argument("--grids", type=str)
@@ -346,6 +341,7 @@ def _build_parser() -> _Parser:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    data = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -360,7 +356,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"unknown config field {key!r}")
             setattr(cfg, key, value)
     for key in ("mode", "omega_bar", "rho_q", "d", "omega", "alpha", "beta",
-                "delta", "n_max", "z_min", "z_max", "out", "format", "side",
+                "delta", "n_max", "out", "format", "side",
                 "sweep_param", "sweep_steps"):
         v = getattr(args, key, None)
         if v is not None:
@@ -387,6 +383,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(cfg.sweep_range, list):
         cfg.sweep_range = tuple(cfg.sweep_range)
     cfg.validate()
+    # a format the config sets is refused as the --format flag refuses it;
+    # the default json is not checked: sweep writes csv whatever it holds
+    formats = _FORMATS[args.command]
+    if "format" in data and cfg.format not in formats:
+        raise ConfigError(f"{args.command} writes {' or '.join(formats)}, "
+                          f"not {cfg.format!r}")
     return cfg
 
 

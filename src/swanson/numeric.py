@@ -1,13 +1,13 @@
 """Independent numerical oracles.
 
-Finite-difference discretization of -d^2/dz^2 + V(z) on a truncated half
-line (V sampled on the whole grid in one call), symmetric-tridiagonal
-eigenvalues by Sturm-sequence bisection (fully deterministic), Richardson
-extrapolation over grid refinements, the one quadrature rule (composite
-Gauss-Legendre, on an interval or a Gaussian-decay half line, the integrand
-sampled on many nodes per call), the relative gap the identity checks
-reduce to, and spectra comparison.  Nothing here reuses the closed-form
-machinery it checks.
+The one finite-difference oracle for -d^2/dz^2 + V(z) on the half line
+(``fd_levels``: a log mesh in a box read off V alone, V sampled on the whole
+grid in one call), the k lowest levels of its tridiagonal pencil by
+Sturm-sequence bisection (fully deterministic), Richardson extrapolation
+over grid refinements, the one quadrature rule (composite Gauss-Legendre, on
+an interval or a Gaussian-decay half line, the integrand sampled on many
+nodes per call), the relative gap the identity checks reduce to, and spectra
+comparison.  Nothing here reuses the closed-form machinery it checks.
 
 The Sturm count is a scalar Python loop over all the rows with one
 comparison per pivot: per row that costs less than numpy calls on k-element
@@ -20,10 +20,11 @@ shape of the states.  Every count scans the N rows instead.  The k levels
 bisect in lock step, and one count places every level at once (the count
 grows with the shift), so a midpoint that the counts already made place is
 not counted again.  Which midpoints those are depends on how far apart the
-levels lie against the bracket, not on the rows.  At N = 4000, k = 4 that
-is 125 to 149 counts at four box points, against 188 for one count per
-level and midpoint, and the rows scanned per ``verify`` case stay within
-2 % of their median over ten seeded samples of the parameter box.
+levels lie against the bracket, not on the rows.  On the log mesh at
+N = 1000, k = 4 that is 179 counts at four box points, against 185 to 186
+for one count per level and midpoint, and the rows scanned per ``verify``
+case stay within 1.5 % of their median over ten seeded samples of the
+parameter box.
 """
 
 from __future__ import annotations
@@ -47,8 +48,12 @@ _QUAD_BLOCK = 256
 
 @dataclass(frozen=True)
 class TridiagSystem:
+    """The pencil A - lambda B: A symmetric tridiagonal (``diagonal``,
+    ``off_diagonal``) and B diagonal with positive entries (``weight``)."""
+
     diagonal: np.ndarray
     off_diagonal: np.ndarray
+    weight: np.ndarray
     n_points: int
 
 
@@ -64,53 +69,58 @@ class SpectrumComparison:
 
 def fd_discretize(V: Potential, z_min: float, z_max: float,
                   n_points: int) -> TridiagSystem:
-    """Second-order central differences with Dirichlet walls at both ends.
+    """-psi'' + V psi = E psi on (z_min, z_max), Dirichlet at both walls,
+    by second-order central differences on a uniform mesh in t = log z.
 
-    ``V`` is called once, on the whole grid of interior points as an
-    ndarray, and returns an array of the samples or one scalar for all of
-    them.  It runs with numpy's floating-point warnings off: an overflow
-    gives inf, as in Python float arithmetic, and the non-finite check
-    below reports it.
+    With z = e^t and psi = e^(t/2) u the problem reads
+    -u'' + (1/4 + z^2 V) u = E z^2 u, so the rows are the pencil A - E B
+    with A's diagonal 2/h^2 + 1/4 + z^2 V, its off-diagonal -1/h^2 and
+    B = diag(z^2).  ``V`` is called once, on the whole grid of interior
+    points as an ndarray, and returns an array of the samples or one scalar
+    for all of them.  It runs with numpy's floating-point warnings off: an
+    overflow gives inf, as in Python float arithmetic, and the check below
+    reports it.
     """
     if not (0 < z_min < z_max):
         raise ValueError("need 0 < z_min < z_max")
-    h = (z_max - z_min) / (n_points + 1)
-    z = z_min + h * np.arange(1, n_points + 1)
+    t_min = math.log(z_min)
+    h = (math.log(z_max) - t_min) / (n_points + 1)
+    z = np.exp(t_min + h * np.arange(1, n_points + 1))
     with np.errstate(all="ignore"):
         v = np.broadcast_to(np.asarray(V(z), dtype=float), z.shape)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("potential returned non-finite samples")
-    diag = 2.0 / h**2 + v
+        z2 = z * z
+        diag = (2.0 / h**2 + 0.25) + z2 * v
+    if not (np.all(np.isfinite(diag)) and np.all(z2 >= _TINY)):
+        raise FloatingPointError(f"non-finite potential samples or FD rows "
+                                 f"on [{z_min:.6g}, {z_max:.6g}]")
     off = np.full(n_points - 1, -1.0 / h**2)
-    return TridiagSystem(diagonal=diag, off_diagonal=off, n_points=n_points)
+    return TridiagSystem(diagonal=diag, off_diagonal=off, weight=z2,
+                         n_points=n_points)
 
 
 _TINY = float(np.finfo(float).tiny)
 
 
-def _sturm_count(d0: float, rows: list[tuple[float, float]],
+def _sturm_count(rows: Iterable[tuple[float, float, float]],
                  shift: float) -> int:
-    """Number of eigenvalues below ``shift``: the negative pivots of the
-    LDL^T factorization of T - shift I, over all the rows.
+    """Number of levels of the pencil A - lambda B below ``shift``: the
+    negative pivots of the LDL^T factorization of A - shift B, over all the
+    rows.
 
-    ``rows`` holds (d_i, e_{i-1}^2) for i >= 1.
+    ``rows`` holds (a_i, b_i, e_{i-1}^2), with e_{-1}^2 = 0.
     """
     # a pivot in (-tiny, tiny), zeros of either sign included, is perturbed
-    # to -tiny and counted: a vanishing pivot means the shift is an
-    # eigenvalue of a leading minor and must be counted.  One comparison
-    # settles the count: q < tiny holds for every negative or vanishing
-    # pivot; NaN fails both comparisons, so it is neither counted nor
-    # perturbed, as abs(q) < tiny would leave it
+    # to -tiny and counted: a vanishing pivot means the shift is a level of
+    # a leading minor and must be counted.  One comparison settles the
+    # count: q < tiny holds for every negative or vanishing pivot; NaN fails
+    # both comparisons, so it is neither counted nor perturbed, as
+    # abs(q) < tiny would leave it
     tiny = _TINY
     ntiny = -tiny
-    q = d0 - shift
+    q = 1.0
     count = 0
-    if q < tiny:
-        count = 1
-        if q > ntiny:
-            q = ntiny
-    for di, e2 in rows:
-        q = di - shift - e2 / q
+    for a, b, e2 in rows:
+        q = a - shift * b - e2 / q
         if q < tiny:
             count += 1
             if q > ntiny:
@@ -119,56 +129,77 @@ def _sturm_count(d0: float, rows: list[tuple[float, float]],
 
 
 def tridiag_eigs(sys: TridiagSystem, k: int) -> list[float]:
-    """k smallest eigenvalues by bisection on the Sturm count.
+    """k smallest levels of the pencil by bisection on the Sturm count.
 
-    Deterministic: every level bisects from the fixed Gershgorin bracket, in
-    lock step, until every bracket is at most max(1e-12, 1e-14 * scale)
-    wide, where scale is the largest magnitude of the bracket (at least 1).
+    Deterministic.  The bracket's lower end is the pencil's Gershgorin bound
+    lo = min (a_i - r_i) / b_i, r_i the sum of row i's off-diagonal
+    magnitudes.  Its upper end is lo plus a span, |lo| at first (1 if
+    lo = 0), doubled until the count there reaches k; the Gershgorin upper
+    bound is of order 1/(h^2 z_min^2) on the log mesh, and a tolerance
+    scaled by it would lose the levels.  Every level bisects from that
+    bracket, in lock step, until every bracket is at most
+    max(1e-14 * scale, tiny) wide, scale the larger magnitude of its ends.
+
     A count c at shift m places every level at once: levels 0..c-1 lie
     below m and the others at or above it, since the count grows with the
     shift.  Each level keeps the nearest shifts counted on either side of
-    it, and a midpoint outside them takes its decision from them; only the
-    midpoints between them are counted.  So each level follows the same
-    midpoints and decisions as if it were bisected on its own.
+    it, the bracket's among them, and a midpoint outside them takes its
+    decision from them; only the midpoints between them are counted.  So
+    each level follows the same midpoints and decisions as if it were
+    bisected on its own.
     """
     if k > sys.n_points:
         raise ValueError("cannot request more eigenvalues than matrix size")
-    d = np.asarray(sys.diagonal, dtype=float)
+    a = np.asarray(sys.diagonal, dtype=float)
     e = np.asarray(sys.off_diagonal, dtype=float)
-    if len(d) == 1 or np.all(e == 0.0):
-        return sorted(float(x) for x in d)[:k]
-    d0 = float(d[0])
-    rows = list(zip(d[1:].tolist(), (e * e).tolist()))
-    r = np.zeros(len(d))
-    r[:-1] += np.abs(e)
-    r[1:] += np.abs(e)
-    lo_all = float(np.min(d - r))
-    hi_all = float(np.max(d + r))
-    scale = max(abs(lo_all), abs(hi_all), 1.0)
-    tol = max(1e-12, 1e-14 * scale)
-    los = np.full(k, lo_all)
-    his = np.full(k, hi_all)
+    b = np.asarray(sys.weight, dtype=float)
+    if len(a) == 1 or np.all(e == 0.0):
+        return sorted((a / b).tolist())[:k]
+    rows = list(zip(a.tolist(), b.tolist(), [0.0] + (e * e).tolist()))
     # the lowest counted shift above level j, the highest at or below it
     above = [math.inf] * k
     below_or_at = [-math.inf] * k
+
+    def count(shift: float) -> int:
+        c = _sturm_count(rows, shift)
+        for i in range(k):
+            if i < c:
+                above[i] = min(above[i], shift)
+            else:
+                below_or_at[i] = max(below_or_at[i], shift)
+        return c
+
+    r = np.zeros(len(a))
+    r[:-1] += np.abs(e)
+    r[1:] += np.abs(e)
+    lo = float(np.min((a - r) / b))
+    span = abs(lo) or 1.0
+    while count(lo + span) < k:
+        span *= 2
+    hi = lo + span
+    tol = max(1e-14 * max(abs(lo), abs(hi)), _TINY)
+    los = np.full(k, lo)
+    his = np.full(k, hi)
     while np.max(his - los) > tol:
         mids = 0.5 * (los + his)
         # eigenvalue_j < mid
-        below = []
-        for j, mid in enumerate(mids.tolist()):
-            if not below_or_at[j] < mid < above[j]:
-                below.append(mid >= above[j])
-                continue
-            c = _sturm_count(d0, rows, mid)
-            for i in range(k):
-                if i < c:
-                    above[i] = min(above[i], mid)
-                else:
-                    below_or_at[i] = max(below_or_at[i], mid)
-            below.append(c > j)
+        below = [count(mid) > j if below_or_at[j] < mid < above[j]
+                 else mid >= above[j] for j, mid in enumerate(mids.tolist())]
         his = np.where(below, mids, his)
         los = np.where(below, los, mids)
     return [float(x) for x in 0.5 * (los + his)]
+
+
+def refinement(grids: Sequence[int]) -> list[int]:
+    """The grids a refinement runs on: sorted, each twice the one before,
+    with one of half the first in front when only two are given."""
+    grids = sorted(grids)
+    if len(grids) < 2:
+        raise ValueError("need at least two grids")
+    for a, b in zip(grids, grids[1:]):
+        if b != 2 * a:
+            raise ValueError("grids must refine by a factor of 2")
+    return [grids[0] // 2] + grids if len(grids) == 2 else grids
 
 
 def refine_extrapolate(V: Potential, k: int,
@@ -180,15 +211,8 @@ def refine_extrapolate(V: Potential, k: int,
     comes from a third (coarser) grid, computed implicitly when only two are
     given.  Raises NonConvergent when the observed order drops below 1.5.
     """
-    grids = sorted(grids)
-    if len(grids) < 2:
-        raise ValueError("need at least two grids")
-    for a, b in zip(grids, grids[1:]):
-        if b != 2 * a:
-            raise ValueError("grids must refine by a factor of 2")
-    if len(grids) == 2:
-        grids = [grids[0] // 2] + list(grids)
-    eigs = [tridiag_eigs(fd_discretize(V, z_min, z_max, n), k) for n in grids]
+    eigs = [tridiag_eigs(fd_discretize(V, z_min, z_max, n), k)
+            for n in refinement(grids)]
     e_c, e_m, e_f = eigs[-3], eigs[-2], eigs[-1]
     orders = []
     for j in range(k):
@@ -203,6 +227,80 @@ def refine_extrapolate(V: Potential, k: int,
         raise NonConvergent(f"observed convergence order {order:.2f} < 1.5")
     extrap = [(4 * e_f[j] - e_m[j]) / 3 for j in range(k)]
     return extrap, order
+
+
+# the scans of V step by factors of 2 and stay within 2^-480 .. 2^480, where
+# the rows' z^2 is a normal float
+_SCAN_LIMIT = 2.0**480
+
+
+def _samples(V: Potential, z: float, step: float):
+    """(z step^j, V there) for j = 1, 2, ... within the scan's range, one
+    point at a time, so the scan meets only the errors of points it
+    reaches."""
+    while True:
+        z *= step
+        if not 1 / _SCAN_LIMIT <= z <= _SCAN_LIMIT:
+            return
+        yield z, float(V(z))
+
+
+def _minimum(V: Potential) -> tuple[float, float]:
+    """(z, V(z)) where V is least among the points 2^j, walking downhill
+    from z = 1, up and then down."""
+    z, v = 1.0, float(V(1.0))
+    for step in (2.0, 0.5):
+        for z_next, v_next in _samples(V, z, step):
+            if not v_next < v:
+                break
+            z, v = z_next, v_next
+    return z, v
+
+
+def fd_box(V: Potential, k: int, grids: Sequence[int],
+           ) -> tuple[float, float]:
+    """The box (z_min, z_max) of the half-line FD oracle for k levels, read
+    off V alone.
+
+    A geometric scan finds V's least value v_min and its position z_v; the
+    wall z_min sits at 1e-7 z_v.  z_max is where V first exceeds 4 E_{k-1}
+    beyond z_v, with E_{k-1} the top level of one solve on the refinement's
+    coarsest grid, in the box that ends where V first exceeds 64 v_min.  A
+    box too tight only raises that level, and with it z_max.  Both right
+    ends come from one upward scan of V from z_v, each the first of its
+    points 2^j z_v above the level, or the last within the scan's range.
+    Meant for potentials whose least value and levels are positive, as
+    those of the canonical pair are.
+    """
+    z_v, v_min = _minimum(V)
+    if not math.isfinite(v_min):
+        raise FloatingPointError(f"potential not finite at z = {z_v:.6g}, "
+                                 "its least sample")
+    upward = _samples(V, z_v, 2.0)
+    seen: list[tuple[float, float]] = []
+
+    def first_above(level: float) -> float:
+        for z, v in seen:
+            if v > level:
+                return z
+        for z, v in upward:
+            seen.append((z, v))
+            if v > level:
+                return z
+        return seen[-1][0] if seen else z_v
+
+    z_min = 1e-7 * z_v
+    top = tridiag_eigs(fd_discretize(
+        V, z_min, first_above(64 * v_min), refinement(grids)[0]), k)[-1]
+    return z_min, first_above(4 * top)
+
+
+def fd_levels(V: Potential, k: int, grids: Sequence[int],
+              ) -> tuple[list[float], float]:
+    """The k lowest levels of -d^2/dz^2 + V on the half line and the
+    observed order: ``refine_extrapolate`` in the box ``fd_box`` reads off
+    V."""
+    return refine_extrapolate(V, k, grids, *fd_box(V, k, grids))
 
 
 def quad_interval(f: Integrand, lo: float, hi: float, tol: float) -> float:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
+
 from .errors import DomainError, ModeError
 from .jets import Jet, any_zero, elementwise
 from .params import FactorizationParams, ModelParams, derive_constants
@@ -219,6 +221,24 @@ def w_of_z_jet(z, fp: FactorizationParams, order: int) -> Jet:
     return _b_tilde(xj, fp) - sw * xj
 
 
+def _square(side: Side, z, w):
+    """w^2 by Python's float ** 2 (libm pow) on every element, as at one
+    point: x * x differs from it in the last bit.  An overflow raises
+    OverflowError naming the potential and the first point where w^2
+    leaves the float range."""
+    try:
+        return elementwise(lambda v: v**2, w)
+    except OverflowError:
+        for zi, wi in zip(np.ravel(z).tolist(), np.ravel(w).tolist()):
+            try:
+                wi**2
+            except OverflowError:
+                raise OverflowError(
+                    f"w^2 in the canonical {side.value} potential overflows "
+                    f"at z = {zi:.17g}") from None
+        raise
+
+
 def eval_potential_z(side: Side, form: Form, z,
                      fp: FactorizationParams):
     """Evaluate a half-line potential form at z > 0, or on a grid of z."""
@@ -230,9 +250,7 @@ def eval_potential_z(side: Side, form: Form, z,
     if form is Form.CANONICAL:
         wj = w_of_z_jet(z, fp, 1)
         w, wp = wj.value, wj.derivative(1)
-        # Python's float ** 2 (libm pow) on every element, as at one point:
-        # x * x differs from it in the last bit, and an overflow still raises
-        w2 = elementwise(lambda v: v**2, w)
+        w2 = _square(side, z, w)
         if side is Side.PLUS:
             return w2 + wp
         return w2 - wp

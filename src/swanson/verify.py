@@ -45,23 +45,17 @@ def factorization_residuals(A, Ad, hm, hp, points=SAMPLE_X):
             diffop.residual(hp, diffop.compose(A, Ad), points))
 
 
-def numeric_spectra(cfg, fp, k: int, adaptive: bool = False):
+def numeric_spectra(cfg, fp, k: int):
     """The k lowest FD levels of both half-line potentials, extrapolated."""
-    # below two grids refine_extrapolate adds one of half the first
-    coarsest = cfg.grids[0] // 2 if len(cfg.grids) == 2 else cfg.grids[0]
+    coarsest = numeric.refinement(cfg.grids)[0]
     if k > coarsest:
         raise ConfigError(f"{k} levels do not fit the coarsest grid "
                           f"of {coarsest} points")
-    z_min = cfg.z_min
-    if adaptive:
-        # Dirichlet truncation error at the inner wall scales like
-        # z_min^(2 gamma - 1); pull the wall in until that is below 1e-9
-        z_min = min(z_min, 10.0 ** (-9.0 / (2 * fp.gamma - 1)))
 
     def levels(side: Side) -> list[float]:
-        return numeric.refine_extrapolate(
+        return numeric.fd_levels(
             lambda z: eval_potential_z(side, Form.CANONICAL, z, fp), k,
-            cfg.grids, z_min, cfg.z_max)[0]
+            cfg.grids)[0]
 
     try:
         plus = levels(Side.PLUS)
@@ -178,7 +172,7 @@ def _orthogonality(r: _Run) -> float:
 def _fd_spectra(r: _Run) -> tuple[float, float]:
     """FD plus-side levels against the ladder, and the minus side matched."""
     k = min(r.cfg.n_max + 1, 4)
-    ep, em = numeric_spectra(r.cfg, r.fp, k, adaptive=True)
+    ep, em = numeric_spectra(r.cfg, r.fp, k)
     fd = max(abs(ep[n] - e) / abs(e) for n, e in enumerate(r.energies[:k]))
     comp = numeric.compare_spectra(r.energies[:k], em)
     return fd, (comp.max_rel_error if not comp.unmatched_numeric_levels

@@ -96,16 +96,15 @@ def quad_interval_nodewise(f, lo: float, hi: float, tol: float) -> float:
     raise ArithmeticError("no convergence")
 
 
-def sturm_count_two_sided(d0: float, rows, shift: float) -> int:
-    """Negative pivots of T - shift I, each pivot first tested against
-    (-tiny, tiny) and perturbed to -tiny there, then tested against 0."""
+def sturm_count_two_sided(rows, shift: float) -> int:
+    """Negative pivots of A - shift B over rows (a_i, b_i, e_{i-1}^2), each
+    pivot first tested against (-tiny, tiny) and perturbed to -tiny there,
+    then tested against 0."""
     tiny = float(np.finfo(float).tiny)
-    q = d0 - shift
-    if -tiny < q < tiny:
-        q = -tiny
-    count = 1 if q < 0 else 0
-    for di, e2 in rows:
-        q = di - shift - e2 / q
+    q = 1.0
+    count = 0
+    for a, b, e2 in rows:
+        q = a - shift * b - e2 / q
         if -tiny < q < tiny:
             q = -tiny
         if q < 0:
@@ -115,28 +114,32 @@ def sturm_count_two_sided(d0: float, rows, shift: float) -> int:
 
 def tridiag_eigs_per_level(sys, k: int) -> list[float]:
     """``numeric.tridiag_eigs`` with every level bisected alone: one count
-    per level and midpoint, each by ``sturm_count_two_sided``; the bracket,
-    the lock-step loop, the midpoints and the stopping rule are the same."""
+    per level and midpoint, each by ``sturm_count_two_sided``; the bracket
+    (the Gershgorin lower end, the span doubled from |lo| until k levels
+    lie below), the lock-step loop, the midpoints and the stopping rule are
+    the same."""
     if k > sys.n_points:
         raise ValueError("cannot request more eigenvalues than matrix size")
-    d = np.asarray(sys.diagonal, dtype=float)
+    a = np.asarray(sys.diagonal, dtype=float)
     e = np.asarray(sys.off_diagonal, dtype=float)
-    if len(d) == 1 or np.all(e == 0.0):
-        return sorted(float(x) for x in d)[:k]
-    d0 = float(d[0])
-    rows = list(zip(d[1:].tolist(), (e * e).tolist()))
-    r = np.zeros(len(d))
+    b = np.asarray(sys.weight, dtype=float)
+    if len(a) == 1 or np.all(e == 0.0):
+        return sorted((a / b).tolist())[:k]
+    rows = list(zip(a.tolist(), b.tolist(), [0.0] + (e * e).tolist()))
+    r = np.zeros(len(a))
     r[:-1] += np.abs(e)
     r[1:] += np.abs(e)
-    lo_all = float(np.min(d - r))
-    hi_all = float(np.max(d + r))
-    scale = max(abs(lo_all), abs(hi_all), 1.0)
-    tol = max(1e-12, 1e-14 * scale)
-    los = np.full(k, lo_all)
-    his = np.full(k, hi_all)
+    lo = float(np.min((a - r) / b))
+    span = abs(lo) or 1.0
+    while sturm_count_two_sided(rows, lo + span) < k:
+        span *= 2
+    hi = lo + span
+    tol = max(1e-14 * max(abs(lo), abs(hi)), float(np.finfo(float).tiny))
+    los = np.full(k, lo)
+    his = np.full(k, hi)
     while np.max(his - los) > tol:
         mids = 0.5 * (los + his)
-        below = np.array([sturm_count_two_sided(d0, rows, mid) > j
+        below = np.array([sturm_count_two_sided(rows, mid) > j
                           for j, mid in enumerate(mids.tolist())])
         his = np.where(below, mids, his)
         los = np.where(below, los, mids)

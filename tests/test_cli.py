@@ -75,6 +75,35 @@ class TestSolve:
         cfg.write_text(json.dumps({"mode": "forward", "bogus": 1}))
         assert run_main(["solve", "--config", str(cfg)], capsys)[0] == 1
 
+    @pytest.mark.parametrize("command, fmt", [
+        ("solve", "csv"), ("verify", "csv"), ("sweep", "json")])
+    def test_config_format_is_checked_against_the_command(
+            self, command, fmt, tmp_path, capsys):
+        # refused as the --format flag is refused
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": fmt}))
+        code, out, err = run_main([command, "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"config error: {command} writes " \
+            f"{'csv' if command == 'sweep' else 'json'}, not '{fmt}'\n"
+
+    def test_config_format_the_command_writes(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        code, out, _ = run_main(["spectrum", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert out.startswith("n,E_analytic,")
+
+    def test_the_fd_box_is_not_configurable(self, tmp_path, capsys):
+        # the box comes from the potential: no z_min/z_max flag or field
+        for flag in ("--z-min", "--z-max"):
+            assert run_main(["spectrum", flag, "1e-3"], capsys)[0] == 1
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"z_min": 1e-3}))
+        code, _, err = run_main(["spectrum", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err == "config error: unknown config field 'z_min'\n"
+
     @pytest.mark.parametrize("args", [
         ["spectrum", "--config", "{tmp}/n_max_string.json"],
         ["spectrum", "--grids", "100,300"],
@@ -212,8 +241,15 @@ class TestVerify:
         failed = [e for e in doc["identities"] if e["status"] == "FAIL"]
         assert [e["id"] for e in failed] == ["factorization_minus"]
 
-    def test_nonconvergent_oracle_keeps_the_report(self, tmp_path):
-        # the FD oracle stops at observed order 1.47 on this triple
+    def test_nonconvergent_oracle_keeps_the_report(self, tmp_path,
+                                                   monkeypatch):
+        from swanson import numeric
+        from swanson.errors import NonConvergent
+
+        def refine(*args):
+            raise NonConvergent("observed convergence order 1.47 < 1.5")
+
+        monkeypatch.setattr(numeric, "refine_extrapolate", refine)
         om, al, be = FEASIBLE_TRIPLES[4]
         out = tmp_path / "verify.json"
         code = main(["verify", "--mode", "inverse", "--omega", repr(om),
@@ -308,6 +344,15 @@ class TestSweep:
         for line in ok_out.splitlines():
             assert '"' not in line and len(line.split(",")) == 9
         assert out.splitlines()[0] == ok_out.splitlines()[0]
+
+    def test_overflowing_row_names_the_quantity_and_the_point(self, capsys):
+        code, out, _ = run_main(["sweep", "--param", "d", "--range",
+                                 "1:1e200", "--steps", "2"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [r[-1] for r in rows[1:]] == [
+            "ok", "fd: OverflowError: w^2 in the canonical plus potential "
+            "overflows at z = 1"]
 
     def test_failed_solve_is_one_quoted_cell(self, capsys):
         code, out, _ = run_main(["sweep", "--param", "rho_q", "--range",

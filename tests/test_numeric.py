@@ -16,9 +16,9 @@ from reference import (pochhammer, quad_interval_nodewise,
 from swanson.errors import NonConvergent
 from swanson.jets import elementwise
 from swanson import numeric
-from swanson.numeric import (TridiagSystem, compare_spectra, fd_discretize,
-                             max_rel_gap, quad_halfline, quad_interval,
-                             refine_extrapolate, tridiag_eigs)
+from swanson.numeric import (TridiagSystem, compare_spectra, fd_box,
+                             fd_discretize, max_rel_gap, quad_halfline,
+                             quad_interval, refine_extrapolate, tridiag_eigs)
 from swanson.params import ModelParams, solve_forward, solve_inverse
 from swanson.potentials import Form, Side, eval_potential_z
 from swanson.spectrum import energies_plus
@@ -27,20 +27,24 @@ from swanson.specialfn import kummer
 
 class TestDiscretization:
     def test_matrix_structure(self):
+        # a uniform mesh in t = log z; psi = e^(t/2) u gives the pencil
+        # A - E B with A's diagonal 2/h^2 + 1/4 + z^2 V and B = diag(z^2)
         sys = fd_discretize(lambda z: z * z, 0.5, 2.5, 9)
-        h = 2.0 / 10
+        h = math.log(5.0) / 10
         assert sys.n_points == 9
         assert len(sys.off_diagonal) == 8
         assert sys.off_diagonal[0] == pytest.approx(-1 / h**2)
-        z1 = 0.5 + h
-        assert sys.diagonal[0] == pytest.approx(2 / h**2 + z1**2)
+        z1, z9 = 0.5 * math.exp(h), 2.5 * math.exp(-h)
+        assert sys.diagonal[0] == pytest.approx(2 / h**2 + 0.25 + z1**4)
+        assert sys.weight[0] == pytest.approx(z1**2)
+        assert sys.weight[-1] == pytest.approx(z9**2)
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             fd_discretize(lambda z: z, -1.0, 2.0, 100)
 
     def test_rejects_non_finite_potential(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             fd_discretize(lambda z: float("nan"), 0.1, 1.0, 50)
 
     def test_potential_is_called_once_on_the_whole_grid(self, fp_star):
@@ -82,7 +86,8 @@ class TestTridiagonalEigenvalues:
         from swanson.numeric import TridiagSystem
         N = 40
         sys = TridiagSystem(diagonal=np.full(N, 2.0),
-                            off_diagonal=np.full(N - 1, -1.0), n_points=N)
+                            off_diagonal=np.full(N - 1, -1.0),
+                            weight=np.ones(N), n_points=N)
         got = tridiag_eigs(sys, 5)
         expected = [2 - 2 * math.cos((j + 1) * math.pi / (N + 1))
                     for j in range(5)]
@@ -91,22 +96,24 @@ class TestTridiagonalEigenvalues:
     def test_diagonal_matrix(self):
         from swanson.numeric import TridiagSystem
         sys = TridiagSystem(diagonal=np.array([5.0, -2.0, 3.0, 1.0]),
-                            off_diagonal=np.zeros(3), n_points=4)
+                            off_diagonal=np.zeros(3), weight=np.ones(4),
+                            n_points=4)
         assert tridiag_eigs(sys, 3) == pytest.approx([-2.0, 1.0, 3.0])
 
     def test_too_many_requested(self):
         from swanson.numeric import TridiagSystem
         sys = TridiagSystem(diagonal=np.zeros(3), off_diagonal=np.zeros(2),
-                            n_points=3)
+                            weight=np.ones(3), n_points=3)
         with pytest.raises(ValueError):
             tridiag_eigs(sys, 4)
 
     def test_zero_pivot_is_counted(self):
-        # the Gershgorin bracket is [-1, 3], so the first midpoint is exactly
-        # 1.0 and the leading pivot d_0 - 1.0 vanishes
+        # the Gershgorin lower end is -1 and the span doubles 1, 2, 4, so
+        # the bracket search counts at 1.0, where the leading pivot
+        # d_0 - 1.0 vanishes, and the bracket is [-1, 3]
         from swanson.numeric import TridiagSystem
         sys_ = TridiagSystem(diagonal=np.ones(3), off_diagonal=np.ones(2),
-                             n_points=3)
+                             weight=np.ones(3), n_points=3)
         expected = [1 - math.sqrt(2), 1.0, 1 + math.sqrt(2)]
         assert tridiag_eigs(sys_, 3) == pytest.approx(expected, abs=1e-12)
 
@@ -116,18 +123,33 @@ class TestTridiagonalEigenvalues:
         N = 300
         d = rng.normal(size=N)
         e = rng.normal(size=N - 1)
-        sys_ = TridiagSystem(diagonal=d, off_diagonal=e, n_points=N)
+        sys_ = TridiagSystem(diagonal=d, off_diagonal=e, weight=np.ones(N),
+                             n_points=N)
         dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         expected = np.linalg.eigvalsh(dense)[:8]
         assert tridiag_eigs(sys_, 8) == pytest.approx(expected, abs=1e-10)
 
-    # levels of the reference FD systems, bit for bit as computed by the
-    # vectorized Sturm count the scalar one replaced
+    def test_pencil_dense_cross_check(self):
+        # levels of A - lambda B are those of B^(-1/2) A B^(-1/2)
+        rng = np.random.default_rng(2012)
+        N = 200
+        d = rng.normal(size=N)
+        e = rng.normal(size=N - 1)
+        b = rng.uniform(0.1, 10.0, size=N)
+        sys_ = TridiagSystem(diagonal=d, off_diagonal=e, weight=b,
+                             n_points=N)
+        s = 1 / np.sqrt(b)
+        dense = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) * np.outer(s, s)
+        expected = np.linalg.eigvalsh(dense)[:8]
+        assert tridiag_eigs(sys_, 8) == pytest.approx(expected, abs=1e-10)
+
+    # levels of the reference FD systems on the log mesh, pinned bit for
+    # bit (the per-level bisection of tests/reference.py gives the same)
     GOLDEN = {
-        Side.PLUS: ["0x1.17fdfb80284f9p+5", "0x1.67f7c77b0ebc2p+5",
-                    "0x1.b7ec799c7490bp+5", "0x1.03ee08b22b1d4p+6"],
-        Side.MINUS: ["0x1.17fe567ace298p+5", "0x1.67f8a325bfe98p+5",
-                     "0x1.b7eddcc7f129cp+5", "0x1.03eeff6d416dap+6"],
+        Side.PLUS: ["0x1.17ff100dd586cp+5", "0x1.67fa28b05792ep+5",
+                    "0x1.b7ed76bd97d00p+5", "0x1.03eac112a9c12p+6"],
+        Side.MINUS: ["0x1.17feb1e796e2ep+5", "0x1.67f84e86e8636p+5",
+                     "0x1.b7e893fbf2f1ep+5", "0x1.03e5fda3b8f54p+6"],
     }
 
     @pytest.mark.parametrize("side", [Side.PLUS, Side.MINUS])
@@ -144,7 +166,7 @@ class TestTridiagonalEigenvalues:
         rng = np.random.default_rng(7)
         d = rng.normal(size=200)
         e = rng.normal(size=199)
-        rows = list(zip(d[1:].tolist(), (e * e).tolist()))
+        rows = list(zip(d.tolist(), [1.0] * 200, [0.0] + (e * e).tolist()))
         seen = []
 
         def counted():
@@ -157,7 +179,7 @@ class TestTridiagonalEigenvalues:
         for shift in (levels[-1] + 1.0, 0.5 * (levels[3] + levels[4]),
                       levels[0] - 1.0):
             seen.clear()
-            count = _sturm_count(float(d[0]), counted(), float(shift))
+            count = _sturm_count(counted(), float(shift))
             assert count == int(np.sum(levels < shift))
             assert len(seen) == len(rows)
 
@@ -173,22 +195,17 @@ class TestTridiagonalEigenvalues:
         assert proc.stderr.strip() == "False"
 
 
-def _fd_system(side, fp, z_min, n_points=500):
-    return fd_discretize(
-        lambda z: eval_potential_z(side, Form.CANONICAL, z, fp), z_min, 10.0,
-        n_points)
-
-
-def _small_gamma_fd_system(side):
-    # the FD oracle pulls the inner wall in to 10^(-9 / (2 gamma - 1))
-    fp = solve_forward(4.0, 0.1, 0.2)
-    return _fd_system(side, fp, 10.0 ** (-9.0 / (2 * fp.gamma - 1)))
+def _fd_system(side, fp, n_points=500):
+    # the FD oracle's rows on its coarsest default grid, in its box
+    V = lambda z: eval_potential_z(side, Form.CANONICAL, z, fp)
+    return fd_discretize(V, *fd_box(V, 4, [500, 1000]), n_points)
 
 
 def _random_system():
     rng = np.random.default_rng(2011)
     return TridiagSystem(diagonal=rng.normal(size=300),
-                         off_diagonal=rng.normal(size=299), n_points=300)
+                         off_diagonal=rng.normal(size=299),
+                         weight=rng.uniform(0.5, 2.0, size=300), n_points=300)
 
 
 def _split_system():
@@ -198,7 +215,7 @@ def _split_system():
     block_e = np.array([1.0, -0.5, 2.0, 0.25])
     off = np.concatenate([block_e, [0.0], block_e])
     return TridiagSystem(diagonal=np.tile(block_d, 2), off_diagonal=off,
-                         n_points=10)
+                         weight=np.ones(10), n_points=10)
 
 
 _BOX_POINTS = [(1.0, 1.0, 1.0), (0.2, 3.0, 0.2), (3.7, 0.4, 2.6)]
@@ -206,18 +223,18 @@ _BOX_POINTS = [(1.0, 1.0, 1.0), (0.2, 3.0, 0.2), (3.7, 0.4, 2.6)]
 _SYSTEMS = {
     **{f"box{point}-{side.name}":
        (lambda side=side, point=point:
-        _fd_system(side, solve_forward(*point), 1e-3))
+        _fd_system(side, solve_forward(*point)))
        for point in _BOX_POINTS for side in Side},
-    **{f"small-gamma-{side.name}": (lambda side=side:
-                                     _small_gamma_fd_system(side))
-       for side in Side},
+    **{f"small-gamma-{side.name}": (lambda side=side: _fd_system(
+        side, solve_forward(4.0, 0.1, 0.2))) for side in Side},
     **{f"first-frozen-triple-{side.name}":
        (lambda side=side: _fd_system(
-           side, solve_inverse(ModelParams(*FEASIBLE_TRIPLES[0]))[0], 1e-3))
+           side, solve_inverse(ModelParams(*FEASIBLE_TRIPLES[0]))[0]))
        for side in Side},
     "random": _random_system,
     "zero-pivot": lambda: TridiagSystem(diagonal=np.ones(3),
-                                        off_diagonal=np.ones(2), n_points=3),
+                                        off_diagonal=np.ones(2),
+                                        weight=np.ones(3), n_points=3),
     "split": _split_system,
 }
 
@@ -245,19 +262,32 @@ class TestBisectionSettlesDecisionsFromCounts:
     def test_one_compare_pivot_test_counts_as_the_two_sided_one(self, pivot):
         # the pivot as the leading one (shift 0) or a later one (e^2 = 0):
         # last, where it alone decides the count, and followed by rows that
-        # read its perturbed value through e^2 / q
+        # read its perturbed value through e^2 / q; rows (a, b, e^2)
         for d0, rows in ((pivot, []), (1.0, [(-1.0, 0.5), (pivot, 0.0)]),
                          (pivot, [(1.0, 1.0), (0.0, 1.0), (-2.0, 0.5)]),
                          (1.0, [(pivot, 0.0), (0.0, 1.0), (1.0, 1.0)]),
                          (-1.0, [(pivot, 0.0), (0.5, 2.0)]),
                          (pivot, [(-1e303, 1e-3)]),
                          (1.0, [(pivot, 0.0), (-1e303, 1e-3)])):
-            assert (numeric._sturm_count(d0, rows, 0.0)
-                    == sturm_count_two_sided(d0, rows, 0.0))
+            rows = [(d0, 1.0, 0.0)] + [(a, 1.0, e2) for a, e2 in rows]
+            assert (numeric._sturm_count(rows, 0.0)
+                    == sturm_count_two_sided(rows, 0.0))
 
     def test_counts_fewer_than_levels_times_iterations(self, monkeypatch,
                                                        fp_star):
-        # the per-level bisection counts once per level and midpoint
+        # the per-level bisection counts once per level and midpoint, after
+        # the same counts of the bracket search: one at lo + span for every
+        # span, doubled from |lo| until the four levels lie below
+        sys_ = _fd_system(Side.PLUS, fp_star)
+        a, b, e = sys_.diagonal, sys_.weight, sys_.off_diagonal
+        rows = list(zip(a.tolist(), b.tolist(), [0.0] + (e * e).tolist()))
+        r = np.zeros(len(a))
+        r[:-1] += np.abs(e)
+        r[1:] += np.abs(e)
+        lo = float(np.min((a - r) / b))
+        span, bracket_counts = abs(lo) or 1.0, 1
+        while sturm_count_two_sided(rows, lo + span) < 4:
+            span, bracket_counts = 2 * span, bracket_counts + 1
         calls = {"numeric": 0, "reference": 0}
 
         def counting(name, count):
@@ -271,9 +301,8 @@ class TestBisectionSettlesDecisionsFromCounts:
         monkeypatch.setattr(reference, "sturm_count_two_sided",
                             counting("reference",
                                      reference.sturm_count_two_sided))
-        sys_ = _fd_system(Side.PLUS, fp_star, 1e-3)
         assert tridiag_eigs(sys_, 4) == tridiag_eigs_per_level(sys_, 4)
-        assert calls["reference"] % 4 == 0
+        assert (calls["reference"] - bracket_counts) % 4 == 0
         assert calls["numeric"] < calls["reference"]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swanson.errors import DomainError, ModeError
-from swanson.numeric import quad_interval
+from swanson.numeric import fd_box, quad_interval
 from swanson.params import solve_forward
 from swanson.potentials import (Form, Side, a_jet, b1_jet, b_plain_jet,
                                 b_tilde_jet, c1_jet, coord_x, dlog_rho_jet,
@@ -242,8 +242,8 @@ class TestGridEvaluation:
     one-point value on every element, bit for bit."""
 
     @staticmethod
-    def _assert_grid_is_pointwise(fp, z_min):
-        z = np.linspace(z_min, 10.0, 1001)[1:]
+    def _assert_grid_is_pointwise(fp, z):
+        z = z[1:]
         for side in Side:
             grid = eval_potential_z(side, Form.CANONICAL, z, fp)
             assert isinstance(grid, np.ndarray) and grid.shape == z.shape
@@ -254,17 +254,21 @@ class TestGridEvaluation:
     @pytest.mark.parametrize("point", [(1.0, 1.0, 1.0), (0.2, 3.0, 0.2),
                                        (3.7, 0.4, 2.6)])
     def test_box_points(self, point):
-        self._assert_grid_is_pointwise(solve_forward(*point), 1e-3)
+        self._assert_grid_is_pointwise(solve_forward(*point),
+                                       np.linspace(1e-3, 10.0, 1001))
 
-    def test_small_gamma_point_at_its_adaptive_wall(self):
-        # the FD oracle pulls the inner wall in to 10^(-9 / (2 gamma - 1))
+    def test_small_gamma_point_in_its_fd_box(self):
+        # the FD oracle's box: the wall 1e-7 times the position of V's
+        # minimum, the right end where V first exceeds 4 E_3
         fp = solve_forward(4.0, 0.1, 0.2)
         assert fp.gamma < 1.7
+        V = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
         self._assert_grid_is_pointwise(
-            fp, 10.0 ** (-9.0 / (2 * fp.gamma - 1)))
+            fp, np.geomspace(*fd_box(V, 4, [500, 1000]), 1001))
 
     def test_first_frozen_triple(self, inverse_sets):
-        self._assert_grid_is_pointwise(inverse_sets[0][1], 1e-3)
+        self._assert_grid_is_pointwise(inverse_sets[0][1],
+                                       np.linspace(1e-3, 10.0, 1001))
 
     def test_one_point_stays_a_float(self, fp_star):
         w = w_of_z_jet(1.3, fp_star, 3)
