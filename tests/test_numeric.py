@@ -239,6 +239,31 @@ _SYSTEMS = {
 }
 
 
+_TINY = float(np.finfo(float).tiny)
+
+_PIVOTS = [0.0, -0.0, _TINY, -_TINY, 5e-324, -5e-324, 1e-310, -1e-305,
+           math.nan]
+
+
+def _pivot_row_sets(pivot):
+    # the pivot as the leading one (shift 0) or a later one (e^2 = 0):
+    # last, where it alone decides the count, and followed by rows that
+    # read its perturbed value through e^2 / q; rows (a, b, e^2)
+    for d0, rows in ((pivot, []), (1.0, [(-1.0, 0.5), (pivot, 0.0)]),
+                     (pivot, [(1.0, 1.0), (0.0, 1.0), (-2.0, 0.5)]),
+                     (1.0, [(pivot, 0.0), (0.0, 1.0), (1.0, 1.0)]),
+                     (-1.0, [(pivot, 0.0), (0.5, 2.0)]),
+                     (pivot, [(-1e303, 1e-3)]),
+                     (1.0, [(pivot, 0.0), (-1e303, 1e-3)])):
+        yield [(d0, 1.0, 0.0)] + [(a, 1.0, e2) for a, e2 in rows]
+
+
+def _rows(sys_):
+    e = sys_.off_diagonal
+    return list(zip(sys_.diagonal.tolist(), sys_.weight.tolist(),
+                    [0.0] + (e * e).tolist()))
+
+
 class TestBisectionSettlesDecisionsFromCounts:
     """``tridiag_eigs`` counts only the midpoints the counts already made do
     not settle, and gives every level of the per-level bisection bit for
@@ -255,21 +280,9 @@ class TestBisectionSettlesDecisionsFromCounts:
         got = tridiag_eigs(_split_system(), 6)
         assert got[0::2] == got[1::2]
 
-    TINY = float(np.finfo(float).tiny)
-
-    @pytest.mark.parametrize("pivot", [0.0, -0.0, TINY, -TINY, 5e-324,
-                                       -5e-324, 1e-310, -1e-305, math.nan])
+    @pytest.mark.parametrize("pivot", _PIVOTS)
     def test_one_compare_pivot_test_counts_as_the_two_sided_one(self, pivot):
-        # the pivot as the leading one (shift 0) or a later one (e^2 = 0):
-        # last, where it alone decides the count, and followed by rows that
-        # read its perturbed value through e^2 / q; rows (a, b, e^2)
-        for d0, rows in ((pivot, []), (1.0, [(-1.0, 0.5), (pivot, 0.0)]),
-                         (pivot, [(1.0, 1.0), (0.0, 1.0), (-2.0, 0.5)]),
-                         (1.0, [(pivot, 0.0), (0.0, 1.0), (1.0, 1.0)]),
-                         (-1.0, [(pivot, 0.0), (0.5, 2.0)]),
-                         (pivot, [(-1e303, 1e-3)]),
-                         (1.0, [(pivot, 0.0), (-1e303, 1e-3)])):
-            rows = [(d0, 1.0, 0.0)] + [(a, 1.0, e2) for a, e2 in rows]
+        for rows in _pivot_row_sets(pivot):
             assert (numeric._sturm_count(rows, 0.0)
                     == sturm_count_two_sided(rows, 0.0))
 
@@ -304,6 +317,91 @@ class TestBisectionSettlesDecisionsFromCounts:
         assert tridiag_eigs(sys_, 4) == tridiag_eigs_per_level(sys_, 4)
         assert (calls["reference"] - bracket_counts) % 4 == 0
         assert calls["numeric"] < calls["reference"]
+
+
+class TestNewtonZoom:
+    """Newton probes on log|det| only add counts to the bisection's table,
+    so the levels are the lock-step bisection's wherever Newton starts."""
+
+    @pytest.mark.parametrize("pivot", _PIVOTS)
+    def test_newton_count_is_the_count_on_the_pivot_rows(self, pivot):
+        for rows in _pivot_row_sets(pivot):
+            count, _ = numeric._sturm_newton(rows, 0.0)
+            assert count == numeric._sturm_count(rows, 0.0)
+            assert count == sturm_count_two_sided(rows, 0.0)
+
+    @pytest.mark.parametrize("name", sorted(_SYSTEMS))
+    def test_newton_count_is_the_count_at_the_levels(self, name):
+        sys_ = _SYSTEMS[name]()
+        rows = _rows(sys_)
+        levels = tridiag_eigs(sys_, min(8, sys_.n_points))
+        shifts = [s for x in levels for s in (math.nextafter(x, -math.inf), x,
+                                              math.nextafter(x, math.inf))]
+        shifts += [0.5 * (x + y) for x, y in zip(levels, levels[1:])]
+        for shift in shifts:
+            count, _ = numeric._sturm_newton(rows, shift)
+            assert count == numeric._sturm_count(rows, shift)
+            assert count == sturm_count_two_sided(rows, shift)
+
+    def test_slope_is_the_sum_over_the_levels(self):
+        # d log|det(A - s B)|/ds = sum_m 1/(s - lambda_m)
+        sys_ = _random_system()
+        rows = _rows(sys_)
+        s = 1 / np.sqrt(sys_.weight)
+        e = sys_.off_diagonal
+        dense = np.diag(sys_.diagonal) + np.diag(e, 1) + np.diag(e, -1)
+        levels = np.linalg.eigvalsh(dense * np.outer(s, s))
+        for shift in (levels[0] - 1.0, 0.3 * levels[2] + 0.7 * levels[3]):
+            _, slope = numeric._sturm_newton(rows, float(shift))
+            assert slope == pytest.approx(np.sum(1 / (shift - levels)),
+                                          rel=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(_SYSTEMS))
+    def test_guess_only_chooses_where_newton_starts(self, name):
+        sys_ = _SYSTEMS[name]()
+        k = min(8, sys_.n_points)
+        levels = tridiag_eigs(sys_, k)
+        far = [(-1e300, 1e300)[j % 2] for j in range(k)]
+        for guess in (levels, levels[::-1], [math.nan] * k, [math.inf] * k,
+                      [-math.inf] * k, far,
+                      [x + 1e6 * (1 + abs(x)) for x in levels]):
+            assert ([x.hex() for x in tridiag_eigs(sys_, k, guess)]
+                    == [x.hex() for x in levels])
+
+    def test_guess_is_not_a_run_option(self):
+        from dataclasses import fields
+        from swanson.cli import RunConfig, main
+        assert not any("guess" in f.name for f in fields(RunConfig))
+        assert main(["spectrum", "--guess", "1"]) != 0
+
+    def test_finer_grids_start_from_the_coarser_levels(self, monkeypatch,
+                                                       fp_star):
+        calls = []
+
+        def recorded(sys_, k, guess=()):
+            calls.append((sys_.n_points, list(guess)))
+            return tridiag_eigs(sys_, k, guess)
+
+        monkeypatch.setattr(numeric, "tridiag_eigs", recorded)
+        V = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp_star)
+        refine_extrapolate(V, 3, [200, 400], 1e-3, 10.0)
+        assert [n for n, _ in calls] == [100, 200, 400]
+        assert calls[0][1] == []
+        for n, coarse in ((100, calls[1][1]), (200, calls[2][1])):
+            assert coarse == tridiag_eigs(fd_discretize(V, 1e-3, 10.0, n), 3)
+
+    def test_default_sweep_scans_at_most_a_quarter_of_the_rows(
+            self, monkeypatch, capsys):
+        # every level bisected from the whole bracket scanned 1,088,000 rows
+        from swanson.cli import main
+        scanned = []
+        for name in ("_sturm_count", "_sturm_newton"):
+            def counted(rows, shift, scan=getattr(numeric, name)):
+                scanned.append(len(rows))
+                return scan(rows, shift)
+            monkeypatch.setattr(numeric, name, counted)
+        assert main(["sweep"]) == 0
+        assert sum(scanned) <= 272_000
 
 
 class TestRichardsonRefinement:
