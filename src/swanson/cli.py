@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -211,20 +212,28 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_wavefunctions(cfg: RunConfig) -> int:
     fp, _, _ = _solve_params(cfg)
-    side = Side.PLUS if cfg.side == "plus" else Side.MINUS
+
+    def state(n, z):
+        if cfg.side == "plus":
+            return spectrum.phi_plus_jet(fp, n, z)
+        return spectrum.phi_minus_jet(fp, n, z, "normalized")
+
+    ns = sorted(set(cfg.n_list))
+    z = np.array([float(v) for v in cfg.z_grid if v > 0])
     rows = []
-    skipped = 0
-    for n in sorted(set(cfg.n_list)):
-        for z in cfg.z_grid:
-            if z <= 0:
-                skipped += 1
-                continue
-            if side is Side.PLUS:
-                j = spectrum.phi_plus_jet(fp, n, z)
-            else:
-                j = spectrum.phi_minus_jet(fp, n, z, "normalized")
-            rows.append([n, float(z), j.value, j.derivative(1)])
-    if skipped:
+    for n in ns:
+        try:
+            j = state(n, z)
+        except (SwansonError, ArithmeticError, ValueError):
+            # the grid runs each stage of the state on every point before
+            # the next stage; report the error of the first failing point
+            for zi in z.tolist():
+                state(n, zi)
+            raise
+        rows += ([n, zi, v, dv] for zi, v, dv in zip(
+            z.tolist(), j.value.tolist(), j.derivative(1).tolist()))
+    skipped = len(cfg.z_grid) - len(z)
+    if skipped and ns:
         print(f"warning: skipped {skipped} non-positive grid points",
               file=sys.stderr)
     _emit_rows(cfg, rows, ["n", "z", "value", "derivative"])
@@ -310,7 +319,9 @@ _FORMATS = {"solve": ["json"], "spectrum": ["json", "csv"],
             "sweep": ["csv"]}
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of the process, built on the first ``main`` call."""
     p = _Parser(prog="swanson",
                 description="Non-Hermitian oscillator hierarchy toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -402,9 +413,8 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:

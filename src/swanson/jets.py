@@ -8,16 +8,17 @@ differentiation everywhere a derivative of a coefficient function is needed.
 A coefficient is a Python float, or an ndarray holding the coefficient at
 every point of a grid: the same arithmetic then evaluates a formula on the
 whole grid at once (``numeric.fd_discretize`` samples the half-line
-potential that way).  numpy's element-wise ``+ - * /`` round exactly like
-Python floats, so each element equals the one-point value bit for bit.
-Powers, ``exp`` and ``log`` are the exception: Python's ``float ** p`` and
-``math.exp``/``math.log`` are libm calls, which numpy's ``x * x``,
-``np.exp`` and ``np.log`` differ from in the last bit for some x, so a
-caller applies them to a grid with ``elementwise`` (``potentials`` squares
-w that way, ``spectrum`` builds the states on quadrature nodes).  A float
-coefficient stays a float: the scalar path calls no numpy function.
-The ``Jet`` methods ``exp``, ``log`` and real powers take float
-coefficients only.
+potential that way, ``spectrum`` the states).  numpy's element-wise
+``+ - * /`` round exactly like Python floats, so each element equals the
+one-point value bit for bit.  Powers, ``exp`` and ``log`` are the
+exception: Python's ``float ** p`` and ``math.exp``/``math.log`` are libm
+calls, which numpy's ``x * x``, ``np.exp`` and ``np.log`` differ from in
+the last bit for some x, so they reach a grid through ``elementwise``
+(``Jet.exp``, ``Jet.log`` and real powers do so themselves; ``potentials``
+squares w that way).  A float coefficient stays a float: the scalar path
+calls no numpy function.  numpy warns where Python float arithmetic
+overflows to inf in silence, so a caller runs grid arithmetic under
+``np.errstate(all="ignore")``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ import numpy as np
 from .errors import DomainError
 
 DEFAULT_ORDER = 4
+
+# what a jet takes as a constant: a number, or a grid of them
+_SCALAR = (int, float, np.ndarray)
 
 
 def any_zero(v) -> bool:
@@ -65,6 +69,9 @@ class Jet:
 
     coeffs: tuple
 
+    # numpy defers ``ndarray op Jet`` to the Jet's reflected operator
+    __array_ufunc__ = None
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -77,9 +84,10 @@ class Jet:
         return Jet(tuple(c))
 
     @staticmethod
-    def const(v: float, order: int = DEFAULT_ORDER) -> "Jet":
+    def const(v, order: int = DEFAULT_ORDER) -> "Jet":
+        """Jet of the constant v (a float or a grid)."""
         c = [0.0] * (order + 1)
-        c[0] = float(v)
+        c[0] = v if isinstance(v, np.ndarray) else float(v)
         return Jet(tuple(c))
 
     # -- accessors -------------------------------------------------------
@@ -115,8 +123,8 @@ class Jet:
     def _coerce(self, other) -> "Jet | None":
         if isinstance(other, Jet):
             return other
-        if isinstance(other, (int, float)):
-            return Jet.const(float(other), self.order)
+        if isinstance(other, _SCALAR):
+            return Jet.const(other, self.order)
         return None
 
     def __add__(self, other):
@@ -142,7 +150,7 @@ class Jet:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _SCALAR):
             return Jet(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Jet):
             return NotImplemented
@@ -158,7 +166,7 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _SCALAR):
             return self * (1.0 / other)
         if not isinstance(other, Jet):
             return NotImplemented
@@ -176,7 +184,10 @@ class Jet:
         return Jet(tuple(out))
 
     def __rtruediv__(self, other):
-        return Jet.const(float(other), self.order) / self
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
 
     def __pow__(self, p):
         if isinstance(p, int):
@@ -195,7 +206,7 @@ class Jet:
     def exp(self) -> "Jet":
         n = len(self.coeffs)
         out = [0.0] * n
-        out[0] = math.exp(self.coeffs[0])
+        out[0] = elementwise(math.exp, self.coeffs[0])
         # e' = a' e  =>  (k+1) e_{k+1} = sum_{j} (j+1) a_{j+1} e_{k-j}
         for k in range(n - 1):
             s = 0.0
@@ -205,11 +216,11 @@ class Jet:
         return Jet(tuple(out))
 
     def log(self) -> "Jet":
-        if self.coeffs[0] <= 0.0:
+        if any_nonpositive(self.coeffs[0]):
             raise DomainError("jet log of non-positive value")
         n = len(self.coeffs)
         out = [0.0] * n
-        out[0] = math.log(self.coeffs[0])
+        out[0] = elementwise(math.log, self.coeffs[0])
         if n > 1:
             q = self.shift(1) / Jet(self.coeffs[:-1])  # a'/a, order n-2
             for k in range(1, n):
@@ -218,7 +229,7 @@ class Jet:
 
     def power(self, p: float) -> "Jet":
         """Real power; requires a positive value at the base point."""
-        if self.coeffs[0] <= 0.0:
+        if any_nonpositive(self.coeffs[0]):
             raise DomainError("jet real power of non-positive value")
         return (self.log() * p).exp()
 

@@ -280,18 +280,20 @@ def refinement(grids: Sequence[int]) -> list[int]:
 
 def refine_extrapolate(V: Potential, k: int,
                        grids: Sequence[int], z_min: float, z_max: float,
+                       guess: Sequence[float] = (),
                        ) -> tuple[list[float], float]:
     """Richardson-extrapolated eigenvalues over grids refined by factor 2.
 
     Uses the two finest grids for the h^2 extrapolation; the observed order
     comes from a third (coarser) grid, computed implicitly when only two are
     given.  Raises NonConvergent when the observed order drops below 1.5.
-    Each grid's levels are where the next grid's Newton steps start.
+    Each grid's levels are where the next grid's Newton steps start, and
+    ``guess`` is where the first grid's start (see ``tridiag_eigs``).
     """
     eigs: list[list[float]] = []
     for n in refinement(grids):
         eigs.append(tridiag_eigs(fd_discretize(V, z_min, z_max, n), k,
-                                 eigs[-1] if eigs else ()))
+                                 eigs[-1] if eigs else guess))
     e_c, e_m, e_f = eigs[-3], eigs[-2], eigs[-1]
     orders = []
     for j in range(k):
@@ -337,9 +339,9 @@ def _minimum(V: Potential) -> tuple[float, float]:
 
 
 def fd_box(V: Potential, k: int, grids: Sequence[int],
-           ) -> tuple[float, float]:
+           ) -> tuple[float, float, list[float]]:
     """The box (z_min, z_max) of the half-line FD oracle for k levels, read
-    off V alone.
+    off V alone, and the k levels of the coarse solve that placed z_max.
 
     A geometric scan finds V's least value v_min and its position z_v; the
     wall z_min sits at 1e-7 z_v.  z_max is where V first exceeds 4 E_{k-1}
@@ -349,7 +351,8 @@ def fd_box(V: Potential, k: int, grids: Sequence[int],
     ends come from one upward scan of V from z_v, each the first of its
     points 2^j z_v above the level, or the last within the scan's range.
     Meant for potentials whose least value and levels are positive, as
-    those of the canonical pair are.
+    those of the canonical pair are.  The coarse levels are a starting
+    guess for the refinement's first grid, which has their size.
     """
     z_v, v_min = _minimum(V)
     if not math.isfinite(v_min):
@@ -369,16 +372,16 @@ def fd_box(V: Potential, k: int, grids: Sequence[int],
         return seen[-1][0] if seen else z_v
 
     z_min = 1e-7 * z_v
-    top = tridiag_eigs(fd_discretize(
-        V, z_min, first_above(64 * v_min), refinement(grids)[0]), k)[-1]
-    return z_min, first_above(4 * top)
+    coarse = tridiag_eigs(fd_discretize(
+        V, z_min, first_above(64 * v_min), refinement(grids)[0]), k)
+    return z_min, first_above(4 * coarse[-1]), coarse
 
 
 def fd_levels(V: Potential, k: int, grids: Sequence[int],
               ) -> tuple[list[float], float]:
     """The k lowest levels of -d^2/dz^2 + V on the half line and the
     observed order: ``refine_extrapolate`` in the box ``fd_box`` reads off
-    V."""
+    V, its first grid started from the box's coarse levels."""
     return refine_extrapolate(V, k, grids, *fd_box(V, k, grids))
 
 

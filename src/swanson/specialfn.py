@@ -41,7 +41,8 @@ def laguerre(n: int, beta: float, t):
     every element at once, each bit for bit its float value).
 
     A Jet t is composed through d^m/dt^m L_n^beta = (-1)^m L_(n-m)^(beta+m):
-    one float recurrence per Taylor order, then a Horner pass in t - t0.
+    one recurrence per Taylor order, then a Horner pass in t - t0.  A jet
+    with array coefficients (a grid of points) runs both on all of them.
     """
     if n < 0:
         raise ValueError("laguerre needs n >= 0")

@@ -10,19 +10,22 @@ minus side is generated from it by the first-order ladder operator
 and ``.derivative(k)``.  The pre-transform states (``psi_plus_jet``) carry
 the printed normalization constant, and ``j_integral`` gives their
 normalization integrals.  Every Gamma ratio comes from ``math.lgamma``.
-At order 0 (values only, as the quadratures need) ``z`` may be an ndarray
-of points: the states are then evaluated on all of them at once, each
-element bit for bit its one-point value (see ``jets``).
+At any order ``z`` may be an ndarray of points: the states are then
+evaluated on all of them at once, each element bit for bit its one-point
+value (see ``jets``), with numpy's floating-point warnings off so that an
+overflow gives inf as in Python floats.  A DomainError is raised when any
+point is <= 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import DomainError
-from .jets import Jet, any_nonpositive, elementwise
+from .jets import Jet, any_nonpositive
 from .params import FactorizationParams
 from .specialfn import laguerre
 
@@ -41,22 +44,18 @@ def _kummer_factor(n: int, gamma: float) -> float:
                     - math.lgamma(n + gamma))
 
 
-def _chi_jet(n: int, gamma: float, scale: float, z: float, p: float,
-             order: int) -> Jet:
-    """z^p exp(-(scale/2) z^2) L_n^(gamma-1)(scale z^2).
+def _quiet(state):
+    """Run a state with numpy's floating-point warnings off."""
+    @functools.wraps(state)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return state(*args, **kwargs)
+    return quiet
 
-    At order 0 the float operations of the jet path run in the same order
-    (``0.0 + a * b`` is a jet product's accumulator), so the value is the
-    jet's bit for bit: quadratures of the states need values only, and
-    pass all their nodes at once as an ndarray z.
-    """
-    if order == 0:
-        if not isinstance(z, np.ndarray):
-            z = float(z)
-        zz = 0.0 + z * z
-        pw_ex = 0.0 + (elementwise(math.exp, elementwise(math.log, z) * p)
-                       * elementwise(math.exp, zz * -(scale / 2)))
-        return Jet((0.0 + pw_ex * laguerre(n, gamma - 1, zz * scale),))
+
+def _chi_jet(n: int, gamma: float, scale: float, z, p: float,
+             order: int) -> Jet:
+    """z^p exp(-(scale/2) z^2) L_n^(gamma-1)(scale z^2)."""
     zj = Jet.variable(z, order)
     return (zj.power(p) * (-(scale / 2) * zj**2).exp()
             * laguerre(n, gamma - 1, scale * zj**2))
@@ -69,6 +68,7 @@ def energies_plus(fp: FactorizationParams, n_max: int) -> list[float]:
     return [2 * oh * (2 * n + base) for n in range(n_max + 1)]
 
 
+@_quiet
 def phi_plus_jet(fp: FactorizationParams, n: int, z, order: int = 2) -> Jet:
     if any_nonpositive(z):
         raise DomainError("plus-side eigenfunction needs z > 0")
@@ -76,7 +76,8 @@ def phi_plus_jet(fp: FactorizationParams, n: int, z, order: int = 2) -> Jet:
     return _norm_const(n, g, oh) * _chi_jet(n, g, oh, z, g - 0.5, order)
 
 
-def phi_minus_jet(fp: FactorizationParams, n: int, z: float,
+@_quiet
+def phi_minus_jet(fp: FactorizationParams, n: int, z,
                   method: str = "operator", order: int = 2) -> Jet:
     """Minus-side eigenfunction from the ladder operator.
 
@@ -84,7 +85,7 @@ def phi_minus_jet(fp: FactorizationParams, n: int, z: float,
     "closed" evaluates the Laguerre-bracket closed form; "normalized" divides
     the operator construction by sqrt(E_n^+).
     """
-    if z <= 0:
+    if any_nonpositive(z):
         raise DomainError("minus-side eigenfunction needs z > 0")
     if method == "normalized":
         en = energies_plus(fp, n)[n]
@@ -123,6 +124,7 @@ def psi_plus_norm(fp: FactorizationParams, n: int) -> float:
     return (-1) ** n * mag
 
 
+@_quiet
 def psi_plus_jet(fp: FactorizationParams, n: int, z,
                  order: int = 2) -> Jet:
     if any_nonpositive(z):

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import ConfigError, NonConvergent, SwansonError
 from .jets import elementwise
 from .potentials import (Form, Side, coord_x, dlog_rho_jet, eval_potential,
@@ -77,18 +79,23 @@ class _Run:
         self.At = diffop.build("Atilde", fp)
         self.Atd = diffop.build("Atilde_dag", fp)
         self.energies = spectrum.energies_plus(fp, N_STATES - 1)
-        # canonical half-line potentials at SAMPLE_Z, and the printed minus one
-        self.v = {side: [eval_potential_z(side, Form.CANONICAL, z, fp)
-                         for z in SAMPLE_Z] for side in Side}
+        self.z = np.array(SAMPLE_Z)
+        # the canonical potentials, w and w' on all of SAMPLE_Z at once
+        with np.errstate(all="ignore"):
+            self.v = {side: eval_potential_z(
+                side, Form.CANONICAL, self.z, fp).tolist() for side in Side}
+            wj = w_of_z_jet(self.z, fp, 1)
+        self.w, self.dw = wj.value.tolist(), wj.derivative(1).tolist()
+        # the printed minus potential point by point: on a grid it would
+        # square by numpy's x * x, not Python's float ** 2
         self.v_printed_minus = [
             eval_potential_z(Side.MINUS, Form.TRANSFORMED, z, fp)
             for z in SAMPLE_Z]
-        # the order-2 closed-form states and w (an order-1 jet) at SAMPLE_Z
-        self.states = {side: [[
-            spectrum.phi_plus_jet(fp, n, z, 2) if side is Side.PLUS
-            else spectrum.phi_minus_jet(fp, n, z, "operator", 2)
-            for z in SAMPLE_Z] for n in range(N_STATES)] for side in Side}
-        self.w = [w_of_z_jet(z, fp, 1) for z in SAMPLE_Z]
+        # the order-2 closed-form states on all of SAMPLE_Z, one jet per n
+        self.states = {side: [
+            spectrum.phi_plus_jet(fp, n, self.z, 2) if side is Side.PLUS
+            else spectrum.phi_minus_jet(fp, n, self.z, "operator", 2)
+            for n in range(N_STATES)] for side in Side}
         if mp is not None:
             self.Hm, self.Hp, self.e1 = (diffop.build(n, fp, mp) for n in (
                 "H_minus", "H_plus", "eta1_constructed"))
@@ -121,10 +128,11 @@ def _transform_shift(side: Side):
 def _eigen_residual(r: _Run, side: Side) -> float:
     """max |-phi'' + (V - E) phi| / (|E| max|phi|) over states and SAMPLE_Z."""
     worst = 0.0
-    for en, jets in zip(r.energies, r.states[side]):
-        scale = max(abs(j.value) for j in jets)
-        for j, v in zip(jets, r.v[side]):
-            res = -j.derivative(2) + (v - en) * j.value
+    for en, j in zip(r.energies, r.states[side]):
+        values = j.value.tolist()
+        scale = max(abs(phi) for phi in values)
+        for d2, phi, v in zip(j.derivative(2).tolist(), values, r.v[side]):
+            res = -d2 + (v - en) * phi
             worst = max(worst, abs(res) / (abs(en) * scale))
     return worst
 
@@ -132,12 +140,14 @@ def _eigen_residual(r: _Run, side: Side) -> float:
 def _ladder_up(r: _Run) -> float:
     """(w + d/dz) phi_n^- = sqrt(E_n) phi_n^+ on the first eight points."""
     worst = 0.0
-    for n, (en, jets) in enumerate(zip(r.energies, r.states[Side.PLUS])):
-        scale = max(abs(j.value) for j in jets)
-        for z, w, j in zip(SAMPLE_Z[:8], r.w, jets):
-            lower = spectrum.phi_minus_jet(r.fp, n, z, "normalized", order=1)
-            raised = w.value * lower.value + lower.derivative(1)
-            target = math.sqrt(en) * j.value
+    for n, (en, j) in enumerate(zip(r.energies, r.states[Side.PLUS])):
+        values = j.value.tolist()
+        scale = max(abs(phi) for phi in values)
+        lower = spectrum.phi_minus_jet(r.fp, n, r.z[:8], "normalized", 1)
+        for w, low, dlow, phi in zip(r.w, lower.value.tolist(),
+                                     lower.derivative(1).tolist(), values):
+            raised = w * low + dlow
+            target = math.sqrt(en) * phi
             worst = max(worst, abs(raised - target) / (math.sqrt(en) * scale))
     return worst
 
@@ -194,7 +204,7 @@ def _printed_ladder(r: _Run) -> float:
     sw = math.sqrt(ob)
     return max(0.0, *(
         abs((oh * z + (rq / sw) / z
-             + 2 * d * ob * z / (1 + d * ob * z**2)) - w.value)
+             + 2 * d * ob * z / (1 + d * ob * z**2)) - w)
         for z, w in zip(SAMPLE_Z, r.w)))
 
 
@@ -241,8 +251,8 @@ ROWS = (
     Row("transform_shift_minus", 1e-10, _transform_shift(Side.MINUS)),
     Row("transform_shift_plus", 1e-10, _transform_shift(Side.PLUS)),
     Row("shape_invariance", 1e-10, lambda r: numeric.max_rel_gap(
-        (2 * w.derivative(1), vp - vm)
-        for w, vp, vm in zip(r.w, r.v[Side.PLUS], r.v[Side.MINUS]))),
+        (2 * dw, vp - vm)
+        for dw, vp, vm in zip(r.dw, r.v[Side.PLUS], r.v[Side.MINUS]))),
     Row("parity", 1e-10, lambda r: numeric.max_rel_gap(
         (eval_potential(side, Form.OPERATOR_PRODUCT, -x, r.fp),
          eval_potential(side, Form.OPERATOR_PRODUCT, x, r.fp))
@@ -256,9 +266,9 @@ ROWS = (
     Row("eigen_residual_minus", 1e-8,
         lambda r: _eigen_residual(r, Side.MINUS)),
     Row("ladder_closed_vs_operator", 1e-9, lambda r: numeric.max_rel_gap(
-        (spectrum.phi_minus_jet(r.fp, n, z, "closed").value, j.value)
-        for n, jets in enumerate(r.states[Side.MINUS])
-        for z, j in zip(SAMPLE_Z[:8], jets))),
+        pair for n, j in enumerate(r.states[Side.MINUS])
+        for pair in zip(spectrum.phi_minus_jet(
+            r.fp, n, r.z[:8], "closed").value.tolist(), j.value.tolist()))),
     Row("ladder_up_consistency", 1e-8, _ladder_up),
     Row("normalization_diagonal", 1e-8,
         lambda r: _normalization(r, spectrum.phi_plus_jet, 1.0)),

@@ -62,3 +62,17 @@ def random_forward_sets(count, seed=0):
         d = float(rng.uniform(0.2, 3.0))
         out.append(solve_forward(ob, rq, d))
     return out
+
+
+def pointwise_hex(jet, size: int) -> list[list[str]]:
+    """The coefficients of a jet at each of its ``size`` points, by
+    ``float.hex`` (a float coefficient is the same at every point)."""
+    cols = [np.broadcast_to(c, size).tolist() for c in jet.coeffs]
+    return [[float(col[i]).hex() for col in cols] for i in range(size)]
+
+
+def random_box_points(count: int, seed: int) -> np.ndarray:
+    """``count`` points log-uniform in [1e-4, 16], the z range of the
+    states' bit-identity checks."""
+    rng = np.random.default_rng(seed)
+    return 10 ** rng.uniform(-4, np.log10(16), size=count)

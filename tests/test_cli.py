@@ -13,6 +13,7 @@ import pytest
 
 import swanson
 from swanson.cli import DEFAULT_TOLS, main
+from swanson.verify import fmt as verify_fmt
 from conftest import FEASIBLE_TRIPLES, subprocess_env
 
 FEASIBLE = ["--omega", "0.0375710788598238",
@@ -202,6 +203,44 @@ class TestWavefunctions:
         assert code == 0
         assert "skipped 1" in err
         assert len(out.read_text().splitlines()) == 2
+        # a grid point is skipped once, whatever the number of states
+        code, _, err = run_main(["wavefunctions", "--n-list", "0,1,2",
+                                 "--z-grid=-1,0,1", "--format", "csv",
+                                 "--out", str(out)], capsys)
+        assert code == 0
+        assert err == "warning: skipped 2 non-positive grid points\n"
+        assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_grid_rows_equal_one_point_runs(self, side, capsys):
+        zs = ["0.05", "0.7", "1.3", "2.9"]
+        argv = ["wavefunctions", "--side", side, "--n-list", "3,0,17",
+                "--format", "csv", "--omega-bar", "0.7", "--d", "1.9"]
+        code, grid, _ = run_main(argv + ["--z-grid", ",".join(zs)], capsys)
+        assert code == 0
+        one = []  # one[i][k]: the row of the k-th state at zs[i]
+        for z in zs:
+            code, out, _ = run_main(argv + ["--z-grid", z], capsys)
+            assert code == 0
+            one.append(out.splitlines()[1:])
+        assert grid.splitlines()[1:] == [
+            one[i][k] for k in range(3) for i in range(len(zs))]
+
+    @pytest.mark.parametrize("side, z_grid, message", [
+        # each point's own first error: the tiny z fails in w (minus side)
+        # before the huge one overflows in the plus-side state
+        ("minus", "5e-324,1e300,1",
+         "DomainError: jet division by a jet with zero value"),
+        ("plus", "5e-324,1e300,1", "OverflowError: math range error"),
+        ("minus", "1e-300,1e300,3", "OverflowError: math range error"),
+    ])
+    def test_error_is_the_first_failing_point(self, side, z_grid, message,
+                                              capsys):
+        code, out, err = run_main(["wavefunctions", "--side", side,
+                                   "--n-list", "0,3", "--omega-bar", "0.01",
+                                   "--z-grid", z_grid], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"numeric failure: {message}\n"
 
 
 class TestVerify:
@@ -408,6 +447,44 @@ class TestDeterminism:
                          "--out", str(s)]) == 0
             pairs.append((v.read_bytes(), s.read_bytes()))
         assert pairs[0] == pairs[1]
+
+    def test_shared_parser_keeps_no_state_between_calls(self, capsys):
+        # one parser serves every main() call of the process
+        wave = ["wavefunctions", "--n-list", "0,2", "--z-grid", "0.4,1.1"]
+        calls = [["verify", "--tol", "parity=0.5", "--tol",
+                  "fd_spectrum_plus=1e-3"],
+                 ["verify"],
+                 wave + ["--side", "minus", "--format", "csv"],
+                 wave,
+                 ["solve", "--mode", "inverse", *FEASIBLE]]
+        first = [run_main(argv, capsys) for argv in calls]
+        again = [run_main(argv, capsys) for argv in reversed(calls)]
+        assert first == again[::-1]
+        tols = [{e["id"]: e["tolerance"]
+                 for e in json.loads(out)["identities"]}
+                for _, out, _ in first[:2]]
+        assert (tols[0]["parity"], tols[0]["fd_spectrum_plus"]) == (
+            "0.5", "0.001")
+        assert (tols[1]["parity"], tols[1]["fd_spectrum_plus"]) == (
+            verify_fmt(DEFAULT_TOLS["parity"]),
+            verify_fmt(DEFAULT_TOLS["fd_spectrum_plus"]))
+        assert first[2][1].startswith("n,z,value,derivative\n")
+        assert json.loads(first[3][1])[0]["value"] != json.loads(
+            run_main(wave + ["--side", "minus"], capsys)[1])[0]["value"]
+        assert json.loads(first[4][1])["mode"] == "inverse"
+
+    def test_parser_is_built_on_the_first_call_not_at_import(self):
+        probe = ("import swanson.cli as c\n"
+                 "before = c._parser.cache_info().currsize\n"
+                 "c.main(['solve'])\n"
+                 "c.main(['solve'])\n"
+                 "print(before, c._parser.cache_info().currsize,"
+                 " c._parser.cache_info().misses)\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0
+        assert proc.stdout.split()[-3:] == ["0", "1", "1"]
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

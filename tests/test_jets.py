@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swanson.jets import Jet, elementwise
+from conftest import pointwise_hex, random_box_points
 
 
 def fd_derivative(f, x, k, h=1e-5):
@@ -147,6 +148,44 @@ class TestAlgebraicExactness:
         from swanson.errors import DomainError
         with pytest.raises(DomainError):
             Jet.variable(-1.0, 2).power(0.5)
+
+
+class TestArrayElementaryFunctions:
+    """exp, log and real powers of a jet with array coefficients equal the
+    one-point jets element by element, bit for bit."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_exp_log_power_equal_the_pointwise_jets(self, order):
+        zs = random_box_points(40, seed=order)
+        fns = (lambda j: j.exp(), lambda j: j.log(),
+               lambda j: j.power(2.7), lambda j: j.power(-0.35),
+               lambda j: (j * j - 3.0 * j).exp(), lambda j: j.sqrt())
+        for f in fns:
+            grid = f(Jet.variable(zs, order))
+            assert pointwise_hex(grid, len(zs)) == [
+                pointwise_hex(f(Jet.variable(z, order)), 1)[0]
+                for z in zs.tolist()]
+
+    def test_array_constants_mix_as_floats_do(self):
+        zs = random_box_points(12, seed=9)
+        c = np.linspace(-2.0, 3.0, len(zs))
+        fns = (lambda j, k: j + k, lambda j, k: k + j, lambda j, k: k - j,
+               lambda j, k: j - k, lambda j, k: k * j, lambda j, k: j * k,
+               lambda j, k: j / k, lambda j, k: k / j)
+        for f in fns:
+            grid = f(Jet.variable(zs, 3), c)
+            assert isinstance(grid, Jet)
+            assert pointwise_hex(grid, len(zs)) == [
+                pointwise_hex(f(Jet.variable(z, 3), k), 1)[0]
+                for z, k in zip(zs.tolist(), c.tolist())]
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_log_and_power_reject_any_nonpositive_element(self, bad):
+        from swanson.errors import DomainError
+        xj = Jet.variable(np.array([1.0, bad, 2.0]), 2)
+        for f in (Jet.log, lambda j: j.power(1.5), Jet.sqrt):
+            with pytest.raises(DomainError):
+                f(xj)
 
 
 class TestElementwise:

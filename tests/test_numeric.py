@@ -198,7 +198,7 @@ class TestTridiagonalEigenvalues:
 def _fd_system(side, fp, n_points=500):
     # the FD oracle's rows on its coarsest default grid, in its box
     V = lambda z: eval_potential_z(side, Form.CANONICAL, z, fp)
-    return fd_discretize(V, *fd_box(V, 4, [500, 1000]), n_points)
+    return fd_discretize(V, *fd_box(V, 4, [500, 1000])[:2], n_points)
 
 
 def _random_system():
@@ -389,6 +389,26 @@ class TestNewtonZoom:
         assert calls[0][1] == []
         for n, coarse in ((100, calls[1][1]), (200, calls[2][1])):
             assert coarse == tridiag_eigs(fd_discretize(V, 1e-3, 10.0, n), 3)
+
+    def test_first_grid_starts_from_the_box_levels(self, monkeypatch,
+                                                   fp_star):
+        calls = []
+
+        def recorded(sys_, k, guess=()):
+            calls.append((sys_.n_points, list(guess)))
+            return tridiag_eigs(sys_, k, guess)
+
+        V = lambda z: eval_potential_z(Side.MINUS, Form.CANONICAL, z, fp_star)
+        z_min, z_max, coarse = fd_box(V, 3, [200, 400])
+        unseeded = refine_extrapolate(V, 3, [200, 400], z_min, z_max)
+        monkeypatch.setattr(numeric, "tridiag_eigs", recorded)
+        seeded = numeric.fd_levels(V, 3, [200, 400])
+        # the box's coarse solve, then the refinement from its levels
+        assert calls[0] == (100, []) and calls[1] == (100, coarse)
+        assert [n for n, _ in calls] == [100, 100, 200, 400]
+        assert ([x.hex() for x in seeded[0]]
+                == [x.hex() for x in unseeded[0]])
+        assert seeded[1].hex() == unseeded[1].hex()
 
     def test_default_sweep_scans_at_most_a_quarter_of_the_rows(
             self, monkeypatch, capsys):

@@ -12,7 +12,8 @@ from swanson.potentials import (Form, Side, a_jet, b1_jet, b_plain_jet,
                                 b_tilde_jet, c1_jet, coord_x, dlog_rho_jet,
                                 eval_potential, eval_potential_z,
                                 transform_shift, w_of_z_jet)
-from conftest import SAMPLE_X, SAMPLE_Z, random_forward_sets
+from conftest import (SAMPLE_X, SAMPLE_Z, pointwise_hex, random_box_points,
+                      random_forward_sets)
 
 
 class TestPointFunctions:
@@ -264,11 +265,20 @@ class TestGridEvaluation:
         assert fp.gamma < 1.7
         V = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
         self._assert_grid_is_pointwise(
-            fp, np.geomspace(*fd_box(V, 4, [500, 1000]), 1001))
+            fp, np.geomspace(*fd_box(V, 4, [500, 1000])[:2], 1001))
 
     def test_first_frozen_triple(self, inverse_sets):
         self._assert_grid_is_pointwise(inverse_sets[0][1],
                                        np.linspace(1e-3, 10.0, 1001))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_superpotential_jet_on_a_grid_is_pointwise(self, order):
+        zs = random_box_points(40, seed=20 + order)
+        for fp in random_forward_sets(4, seed=30 + order):
+            grid = w_of_z_jet(zs, fp, order)
+            assert pointwise_hex(grid, len(zs)) == [
+                pointwise_hex(w_of_z_jet(z, fp, order), 1)[0]
+                for z in zs.tolist()]
 
     def test_one_point_stays_a_float(self, fp_star):
         w = w_of_z_jet(1.3, fp_star, 3)

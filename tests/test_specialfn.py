@@ -10,6 +10,7 @@ import pytest
 
 from swanson.jets import Jet
 from swanson.specialfn import kummer, laguerre
+from conftest import pointwise_hex, random_box_points
 from reference import pochhammer
 
 
@@ -89,6 +90,20 @@ class TestLaguerre:
                 got = np.broadcast_to(laguerre(n, beta, t), t.shape)
                 assert [v.hex() for v in got.tolist()] == [
                     laguerre(n, beta, v).hex() for v in t.tolist()]
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_array_jet_argument_equals_pointwise(self, order):
+        # the states pass t = scale z^2 as a jet on a whole grid of z
+        zs = random_box_points(30, seed=10 + order)
+        for n in (0, 1, 2, 7, 23, 40):
+            for beta in (-0.5, 0.3, 2.75):
+                t = 1.7 * Jet.variable(zs, order) ** 2
+                got = laguerre(n, beta, t)
+                assert got.order == order
+                assert pointwise_hex(got, len(zs)) == [
+                    pointwise_hex(laguerre(
+                        n, beta, 1.7 * Jet.variable(z, order) ** 2), 1)[0]
+                    for z in zs.tolist()]
 
 
 def _jet_arithmetic_laguerre(n, beta, t):

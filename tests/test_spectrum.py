@@ -10,7 +10,8 @@ from swanson.numeric import quad_halfline
 from swanson.potentials import Form, Side, eval_potential_z, w_of_z_jet
 from swanson.spectrum import (energies_plus, j_integral, phi_minus_jet,
                               phi_plus_jet, psi_plus_jet, psi_plus_norm)
-from conftest import SAMPLE_Z, random_forward_sets
+from conftest import (SAMPLE_Z, pointwise_hex, random_box_points,
+                      random_forward_sets)
 from reference import (GKPotential, energy_shift, gk_eigenvalues, gk_of,
                        j_diagonal_exact, quad_interval_nodewise)
 
@@ -239,9 +240,9 @@ class TestPreTransformStates:
 
 
 class TestValueOnlyStates:
-    """Order-0 states skip the jet arithmetic; their value must still be the
-    jet's value bit for bit, at every n the CLI reaches and far into the
-    Gaussian tail."""
+    """Order-0 states (the quadratures need values only) must give the
+    higher-order jet's value bit for bit, at every n the CLI reaches and
+    far into the Gaussian tail."""
 
     def test_order_zero_equals_jet_value(self):
         rng = np.random.default_rng(4)
@@ -272,6 +273,51 @@ class TestValueOnlyStates:
                     assert grid.order == 0
                     assert [v.hex() for v in grid.value.tolist()] == [
                         state(fp, n, z, 0).value.hex() for z in zs.tolist()]
+
+
+STATES = {
+    "phi_plus": lambda fp, n, z, order: phi_plus_jet(fp, n, z, order),
+    "psi_plus": lambda fp, n, z, order: psi_plus_jet(fp, n, z, order),
+    **{f"phi_minus_{method}": (
+        lambda m: lambda fp, n, z, order: phi_minus_jet(fp, n, z, m, order))(
+            method) for method in ("operator", "normalized", "closed")},
+}
+
+
+class TestArrayStates:
+    """A state on a grid of z is one jet with array coefficients, each
+    element bit for bit the one-point jet's, at every order the callers
+    use."""
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_grid_equals_pointwise_jets(self, name, order):
+        state = STATES[name]
+        rng = np.random.default_rng(order)
+        zs = random_box_points(24, seed=40 + order)
+        for fp in random_forward_sets(3, seed=50 + order):
+            for n in [0, 40, *rng.integers(1, 40, size=2).tolist()]:
+                grid = state(fp, n, zs, order)
+                assert grid.order == order
+                assert pointwise_hex(grid, len(zs)) == [
+                    pointwise_hex(state(fp, n, z, order), 1)[0]
+                    for z in zs.tolist()]
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_any_nonpositive_point_is_rejected(self, name, bad, fp_star):
+        with pytest.raises(DomainError):
+            STATES[name](fp_star, 2, np.array([0.5, bad, 1.0]), 2)
+
+    def test_overflow_gives_inf_without_a_warning(self, fp_star):
+        # numpy warnings are errors in this suite; Python floats overflow
+        # to inf in silence, and so must a grid
+        grid = phi_plus_jet(fp_star, 0, np.array([1e154, 1.0]), 2)
+        one = phi_plus_jet(fp_star, 0, 1e154, 2)
+        assert pointwise_hex(grid, 2)[0] == pointwise_hex(one, 1)[0]
+        for name in STATES:
+            with pytest.raises(OverflowError):
+                STATES[name](fp_star, 0, np.array([1e-300, 1e300, 3.0]), 2)
 
 
 def _state_grid(fp, n):

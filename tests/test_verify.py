@@ -177,7 +177,7 @@ def test_failing_plus_side_still_runs_the_minus_side(monkeypatch):
 
     calls = []
 
-    def refine(V, k, grids, z_min, z_max):
+    def refine(V, k, grids, z_min, z_max, guess):
         calls.append(V)
         raise NonConvergent(f"order check {len(calls)}")
 
@@ -185,3 +185,65 @@ def test_failing_plus_side_still_runs_the_minus_side(monkeypatch):
     with pytest.raises(NonConvergent, match="order check 1"):
         verify.numeric_spectra(RunConfig(), solve_forward(1.0, 1.0, 1.0), 3)
     assert len(calls) == 2
+
+
+def _pointwise_state_rows(fp) -> dict:
+    """The residuals of the rows that read the states and w, each state
+    evaluated at one z at a time."""
+    from swanson.potentials import Form, Side, eval_potential_z
+
+    zs, n_states = verify.SAMPLE_Z, verify.N_STATES
+    energies = spectrum.energies_plus(fp, n_states - 1)
+    v = {side: [eval_potential_z(side, Form.CANONICAL, z, fp) for z in zs]
+         for side in Side}
+    states = {side: [[
+        spectrum.phi_plus_jet(fp, n, z, 2) if side is Side.PLUS
+        else spectrum.phi_minus_jet(fp, n, z, "operator", 2) for z in zs]
+        for n in range(n_states)] for side in Side}
+    w = [w_of_z_jet(z, fp, 1) for z in zs]
+
+    def eigen(side):
+        worst = 0.0
+        for en, jets in zip(energies, states[side]):
+            scale = max(abs(j.value) for j in jets)
+            for j, vz in zip(jets, v[side]):
+                res = -j.derivative(2) + (vz - en) * j.value
+                worst = max(worst, abs(res) / (abs(en) * scale))
+        return worst
+
+    def ladder_up():
+        worst = 0.0
+        for n, (en, jets) in enumerate(zip(energies, states[Side.PLUS])):
+            scale = max(abs(j.value) for j in jets)
+            for z, wz, j in zip(zs[:8], w, jets):
+                low = spectrum.phi_minus_jet(fp, n, z, "normalized", order=1)
+                raised = wz.value * low.value + low.derivative(1)
+                target = math.sqrt(en) * j.value
+                worst = max(worst,
+                            abs(raised - target) / (math.sqrt(en) * scale))
+        return worst
+
+    return {
+        "eigen_residual_plus": eigen(Side.PLUS),
+        "eigen_residual_minus": eigen(Side.MINUS),
+        "ladder_closed_vs_operator": numeric.max_rel_gap(
+            (spectrum.phi_minus_jet(fp, n, z, "closed").value, j.value)
+            for n, jets in enumerate(states[Side.MINUS])
+            for z, j in zip(zs[:8], jets)),
+        "ladder_up_consistency": ladder_up(),
+        "shape_invariance": numeric.max_rel_gap(
+            (2 * wz.derivative(1), vp - vm)
+            for wz, vp, vm in zip(w, v[Side.PLUS], v[Side.MINUS])),
+    }
+
+
+def test_state_rows_equal_a_point_by_point_evaluation(inverse_sets):
+    # the battery builds each state on all of SAMPLE_Z in one call
+    from swanson.cli import RunConfig
+
+    rows = {row.ids: row for row in verify.ROWS}
+    for fp in random_forward_sets(4, seed=60) + [inverse_sets[0][1]]:
+        r = verify._Run(RunConfig(), fp, None)
+        want = _pointwise_state_rows(fp)
+        assert {name: rows[name].fn(r).hex() for name in want} == {
+            name: res.hex() for name, res in want.items()}
