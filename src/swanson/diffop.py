@@ -1,12 +1,14 @@
-"""Linear ODE operators evaluated one point at a time.
+"""Linear ODE operators evaluated on all their sample points at once.
 
 An operator sum_i c_i(x) d^i/dx^i of order k is one function ``at(x, order)``
 that returns the jets of all its coefficients [c0, ..., ck] at x, each
-truncated at ``order``.  Compositions, formal adjoints and metric
-conjugations are done at the coefficient level: each evaluates its operands
-once per point and combines their jets, and the results are compared
-numerically at sample points; for the rational coefficients in this model
-that comparison is decisive without a symbolic engine.
+truncated at ``order``; x is a point or an ndarray of points, each element
+bit for bit its one-point value (see ``jets``).  Compositions, formal
+adjoints and metric conjugations are done at the coefficient level: each
+evaluates its operands once per call and combines their jets, and
+``residual`` compares two operators with one ``at`` call each on all the
+sample points; for the rational coefficients in this model that comparison
+is decisive without a symbolic engine.
 
 Evaluating an operand to a higher order than a term needs is exact: in
 truncated jet arithmetic coefficient k is computed from coefficients <= k
@@ -18,19 +20,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import zip_longest
 from math import comb
+from operator import add
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import JetOrderExceeded, ModeError
-from .jets import Jet
+from .jets import Jet, elementwise
 from .numeric import max_rel_gap
 from .params import FactorizationParams, ModelParams
 from .potentials import (Form, Side, a_jet, b1_jet, b_tilde_jet, c1_jet,
-                         dlog_rho_jet, eval_potential, h_zeroth_jet,
-                         w_of_z_jet)
+                         dlog_rho_jet, eval_potential, h_tilde_jet,
+                         h_zeroth_jet, w_of_z_jet)
 
-CoeffFn = Callable[[float, int], Jet]
+CoeffFn = Callable[[float | np.ndarray, int], Jet]
 
 JET_BUDGET = 12
 
@@ -39,12 +45,12 @@ JET_BUDGET = 12
 class LinDiffOp:
     """Immutable linear ODE operator sum_i c_i(x) d^i/dx^i, i = 0..order.
 
-    ``at(x, n)`` returns the coefficient jets [c0, ..., c_order] at x, each
-    to Taylor order n.
+    ``at(x, n)`` returns the coefficient jets [c0, ..., c_order] at x (a
+    point or an ndarray of points), each to Taylor order n.
     """
 
     order: int
-    at: Callable[[float, int], list[Jet]]
+    at: Callable[[float | np.ndarray, int], list[Jet]]
 
 
 def compose(T: LinDiffOp, S: LinDiffOp) -> LinDiffOp:
@@ -112,11 +118,14 @@ def conjugate(T: LinDiffOp, dlog_rho: CoeffFn, sign: int) -> LinDiffOp:
 
 
 def residual(T: LinDiffOp, S: LinDiffOp, points: Sequence[float]) -> float:
-    """Max relative coefficient discrepancy over the sample points."""
-    return max_rel_gap(
-        pair for x in points for pair in zip_longest(
-            [c.value for c in S.at(x, 0)], [c.value for c in T.at(x, 0)],
-            fillvalue=0.0))
+    """Max relative coefficient discrepancy over the sample points, each
+    operator evaluated once on all of them (an overflow gives inf, a NaN
+    gap a NaN residual)."""
+    x = np.asarray(points, dtype=float)
+    with np.errstate(all="ignore"):
+        s, t = S.at(x, 0), T.at(x, 0)
+    return max_rel_gap(zip_longest([c.value for c in s], [c.value for c in t],
+                                   fillvalue=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -202,55 +211,47 @@ def build(which: str, fp: FactorizationParams,
     if which in ("h_tilde_minus", "h_tilde_plus"):
         side = Side.MINUS if which == "h_tilde_minus" else Side.PLUS
 
-        def at(z, order):
-            wj = w_of_z_jet(z, fp, order + 1)
-            wp = wj.shift(1)
-            v = wj * wj + wp if side is Side.PLUS else wj * wj - wp
-            return [v, Jet.const(0.0, order), Jet.const(-1.0, order)]
-
-        return LinDiffOp(2, at)
+        return LinDiffOp(2, lambda z, order: [h_tilde_jet(side, z, fp, order),
+                                              Jet.const(0.0, order),
+                                              Jet.const(-1.0, order)])
     raise ValueError(f"unknown operator id {which!r}")
 
 
 def infer_delta(mp: ModelParams, fp: FactorizationParams,
                 points: Sequence[float],
-                target: Callable[[float], float] | None = None,
+                target: Callable[[np.ndarray], np.ndarray] | None = None,
                 ) -> tuple[float, float]:
     """Least-squares gauge constant for the printed zeroth-order coefficient.
 
     Finds the constant delta such that the zeroth coefficient of the
     metric-conjugated printed operator matches the general Hermitian
     potential across the sample points.  ``target`` overrides the reference
-    values (used for synthetic round trips).  Returns (delta, rms residual).
+    values (used for synthetic round trips); it is called with the ndarray
+    of all the points.  Returns (delta, rms residual).
     """
     _need_inverse(fp, mp)
     ob = mp.omega_bar
+    x = np.asarray(points, dtype=float)
+    # a^2 = x^4 by libm's pow, as Python's x**4 on one point: (x*x)*(x*x)
+    # rounds twice and moves the fitted constant, which is rounding noise
+    a2 = elementwise(lambda v: v**4, x)
+    b1 = b1_jet(x, fp, mp, 1)
+    ref = (eval_potential(Side.MINUS, Form.GENERAL, x, fp, mp)
+           if target is None else target(x))
 
-    def conjugated_zeroth(x: float, delta: float) -> float:
-        # zeroth coefficient of rho H(delta) rho^{-1}:
-        # c1(delta) + b1^2/(4 ob a^2) - b1'/2
-        b1 = b1_jet(x, fp, mp, 1)
-        a2 = x**4
+    def misfit(delta: float) -> np.ndarray:
+        # zeroth coefficient of rho H(delta) rho^{-1} less the target:
+        # c1(delta) + b1^2/(4 ob a^2) - b1'/2 - target
         return (c1_jet(x, fp, mp, 0, delta=delta).value
-                + b1.value**2 / (4 * ob * a2) - b1.derivative(1) / 2)
+                + b1.value * b1.value / (4 * ob * a2)
+                - b1.derivative(1) / 2 - ref)
 
-    if target is None:
-        def target_fn(x):
-            return eval_potential(Side.MINUS, Form.GENERAL, x, fp, mp)
-    else:
-        target_fn = target
-
-    # conjugated zeroth is c1(0) - delta*a' + (metric terms): linear in delta
-    num = 0.0
-    den = 0.0
-    for x in points:
-        ap = 2 * x
-        r0 = conjugated_zeroth(x, 0.0) - target_fn(x)
-        num += ap * r0
-        den += ap * ap
-    delta = num / den if den > 0 else 0.0
-    ss = 0.0
-    for x in points:
-        r = conjugated_zeroth(x, delta) - target_fn(x)
-        ss += r * r
-    return delta, math.sqrt(ss / len(points))
+    # the misfit is c1(0) - delta*a' + (metric terms): linear in delta.  The
+    # sums run left to right from 0.0, as a loop over the points adds them
+    # (np.sum adds in pairs, which moves the last bits)
+    ap = 2 * x
+    r0 = misfit(0.0)
+    den = reduce(add, (ap * ap).tolist(), 0.0)
+    delta = reduce(add, (ap * r0).tolist(), 0.0) / den if den > 0 else 0.0
+    r = misfit(delta)
+    return delta, math.sqrt(reduce(add, (r * r).tolist(), 0.0) / len(x))

@@ -7,15 +7,15 @@ differentiation everywhere a derivative of a coefficient function is needed.
 
 A coefficient is a Python float, or an ndarray holding the coefficient at
 every point of a grid: the same arithmetic then evaluates a formula on the
-whole grid at once (``numeric.fd_discretize`` samples the half-line
-potential that way, ``spectrum`` the states).  numpy's element-wise
-``+ - * /`` round exactly like Python floats, so each element equals the
-one-point value bit for bit.  Powers, ``exp`` and ``log`` are the
-exception: Python's ``float ** p`` and ``math.exp``/``math.log`` are libm
-calls, which numpy's ``x * x``, ``np.exp`` and ``np.log`` differ from in
-the last bit for some x, so they reach a grid through ``elementwise``
-(``Jet.exp``, ``Jet.log`` and real powers do so themselves; ``potentials``
-squares w that way).  A float coefficient stays a float: the scalar path
+whole grid at once (``numeric.fd_discretize`` samples V that way,
+``spectrum`` the states, ``diffop`` the operators and ``verify`` its rows).
+numpy's element-wise ``+ - * /`` round exactly like Python floats, so each
+element equals the one-point value bit for bit; a square is written q * q.
+Powers, ``exp`` and ``log`` are the exception: Python's ``float ** p`` and
+``math.exp``/``math.log`` are libm calls, which numpy's ``**``, ``np.exp``
+and ``np.log`` differ from in the last bit for some x, so they reach a grid
+through ``elementwise`` (``Jet.exp``, ``Jet.log`` and real powers do so
+themselves).  A float coefficient stays a float: the scalar path
 calls no numpy function.  numpy warns where Python float arithmetic
 overflows to inf in silence, so a caller runs grid arithmetic under
 ``np.errstate(all="ignore")``.
@@ -53,7 +53,7 @@ def any_nonpositive(v) -> bool:
 def elementwise(fn, v):
     """``fn`` of a float, or of each element of an ndarray as a Python float.
 
-    A libm function (``math.exp``, ``lambda t: t ** 2``) stays bit for bit
+    A libm function (``math.exp``, ``lambda t: t ** 4``) stays bit for bit
     the one-point value on a grid, and an error it raises (an overflowing
     ``**`` or ``math.exp``) is raised at the first element that meets it.
     """

@@ -6,8 +6,10 @@ grid in one call), the k lowest levels of its tridiagonal pencil by
 Sturm-sequence bisection (fully deterministic), Richardson extrapolation
 over grid refinements, the one quadrature rule (composite Gauss-Legendre, on
 an interval or a Gaussian-decay half line, the integrand sampled on many
-nodes per call), the relative gap the identity checks reduce to, and spectra
-comparison.  Nothing here reuses the closed-form machinery it checks.
+nodes per call), the relative gap the identity checks reduce to and the
+one maximum they all reduce with (``worst``: a NaN anywhere makes it NaN,
+so the check fails), and spectra comparison.  Nothing here reuses the
+closed-form machinery it checks.
 
 The Sturm count is a scalar Python loop over all the rows with one
 comparison per pivot: per row that costs less than numpy calls on k-element
@@ -66,7 +68,7 @@ class SpectrumComparison:
 
     @property
     def max_rel_error(self) -> float:
-        return max((p[3] for p in self.pairs), default=0.0)
+        return worst(p[3] for p in self.pairs)
 
 
 def fd_discretize(V: Potential, z_min: float, z_max: float,
@@ -455,12 +457,19 @@ def quad_halfline(f: Integrand, decay_rate: float,
     return quad_interval(f, 0.0, math.sqrt(90.0 / decay_rate), tol)
 
 
-def max_rel_gap(pairs: Iterable[tuple[float, float]]) -> float:
-    """max |v - r| / max(1, |r|) over (value, reference) pairs, 0 if none."""
-    worst = 0.0
-    for v, r in pairs:
-        worst = max(worst, abs(v - r) / max(1.0, abs(r)))
-    return worst
+def worst(values: Iterable) -> float:
+    """The largest of numbers or ndarrays of numbers, 0.0 if there are
+    none, and NaN if any is NaN (Python's max keeps its first argument when
+    the other is NaN, so a NaN gap would read as no gap)."""
+    return float(np.max(np.concatenate(
+        [np.ravel(v) for v in values] + [np.zeros(1)])))
+
+
+def max_rel_gap(pairs: Iterable[tuple]) -> float:
+    """max |v - r| / max(1, |r|) over (value, reference) pairs, each a
+    number or an ndarray of them; 0 if none, NaN if any gap is NaN."""
+    with np.errstate(all="ignore"):
+        return worst(abs(v - r) / np.maximum(1.0, abs(r)) for v, r in pairs)
 
 
 def compare_spectra(analytic: Sequence[float], numeric: Sequence[float],

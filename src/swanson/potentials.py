@@ -9,6 +9,10 @@ generates every potential of the hierarchy.  The canonical potentials are the
 zeroth-order coefficients of the factorizing operator products; each printed
 expansion is evaluated exactly as written and classified as validated or
 suspect against the canonical form elsewhere (verification report).
+
+Every function of x (or z) takes a point or an ndarray of points, each
+element bit for bit its one-point value: a sample-dependent square is the
+product q * q (see ``jets``).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ModeError
-from .jets import Jet, any_zero, elementwise
+from .jets import Jet, any_zero
 from .params import FactorizationParams, ModelParams, derive_constants
 
 
@@ -45,7 +49,7 @@ class Form(enum.Enum):
 # jet-valued building blocks
 
 
-def a_jet(x: float, order: int) -> Jet:
+def a_jet(x, order: int) -> Jet:
     return Jet.variable(x, order) ** 2
 
 
@@ -54,28 +58,28 @@ def _b_tilde(xj: Jet, fp: FactorizationParams) -> Jet:
     return fp.mu / xj - fp.rho_q * xj + fp.lam * xj / (xj**2 + fp.d)
 
 
-def b_tilde_jet(x: float, fp: FactorizationParams, order: int) -> Jet:
-    if x == 0:
+def b_tilde_jet(x, fp: FactorizationParams, order: int) -> Jet:
+    if any_zero(x):
         raise DomainError("superpotential singular at x = 0")
     return _b_tilde(Jet.variable(x, order), fp)
 
 
-def b_plain_jet(x: float, fp: FactorizationParams, order: int) -> Jet:
+def b_plain_jet(x, fp: FactorizationParams, order: int) -> Jet:
     if fp.c is None:
         raise ModeError("plain superpotential needs the inverse-mode constant c")
-    if x == 0:
+    if any_zero(x):
         raise DomainError("superpotential singular at x = 0")
     xj = Jet.variable(x, order)
     return 1.0 / xj + fp.c * xj / (xj**2 + fp.d)
 
 
-def b1_jet(x: float, fp: FactorizationParams, mp: ModelParams, order: int) -> Jet:
+def b1_jet(x, fp: FactorizationParams, mp: ModelParams, order: int) -> Jet:
     """First-order (non-Hermitian) coefficient (alpha-beta) a (2b - a')."""
     xj = Jet.variable(x, order)
     return (mp.alpha - mp.beta) * xj**2 * (2 * b_plain_jet(x, fp, order) - 2 * xj)
 
 
-def c1_jet(x: float, fp: FactorizationParams, mp: ModelParams, order: int,
+def c1_jet(x, fp: FactorizationParams, mp: ModelParams, order: int,
            delta: float | None = None) -> Jet:
     """Zeroth-order coefficient of the non-Hermitian operator, as printed.
 
@@ -95,7 +99,7 @@ def c1_jet(x: float, fp: FactorizationParams, mp: ModelParams, order: int,
             - delta * ap + om / 2)
 
 
-def h_zeroth_jet(side: Side, x: float, fp: FactorizationParams,
+def h_zeroth_jet(side: Side, x, fp: FactorizationParams,
                  order: int) -> Jet:
     """Zeroth coefficient of h- = A^dag A or of h+ = A A^dag."""
     ob = fp.omega_bar
@@ -108,16 +112,16 @@ def h_zeroth_jet(side: Side, x: float, fp: FactorizationParams,
             - ob * a * a.shift(2))
 
 
-def dlog_rho_jet(x: float, fp: FactorizationParams, mp: ModelParams,
+def dlog_rho_jet(x, fp: FactorizationParams, mp: ModelParams,
                  order: int) -> Jet:
     """(log rho)' = -b1 / (2 ob a^2), closed form (no quadrature)."""
     xj = Jet.variable(x, order)
     return -b1_jet(x, fp, mp, order) / (2 * mp.omega_bar * xj**4)
 
 
-def coord_x(z: float, omega_bar: float) -> float:
+def coord_x(z, omega_bar: float):
     """x(z) = -1/(sqrt(ob) z); the same formula maps x back to z."""
-    if z == 0:
+    if any_zero(z):
         raise DomainError("coordinate map singular at 0")
     return -1.0 / (math.sqrt(omega_bar) * z)
 
@@ -126,10 +130,11 @@ def coord_x(z: float, omega_bar: float) -> float:
 # potential forms in x
 
 
-def eval_potential(side: Side, form: Form, x: float, fp: FactorizationParams,
-                   mp: ModelParams | None = None) -> float:
-    """Evaluate one printed or canonical potential form at x."""
-    if x == 0:
+def eval_potential(side: Side, form: Form, x, fp: FactorizationParams,
+                   mp: ModelParams | None = None):
+    """Evaluate one printed or canonical potential form at x, or on a grid
+    of x."""
+    if any_zero(x):
         raise DomainError("potential singular at x = 0")
     if form in (Form.TRANSFORMED, Form.CANONICAL):
         raise ModeError("half-line forms are evaluated in the z chart")
@@ -137,6 +142,7 @@ def eval_potential(side: Side, form: Form, x: float, fp: FactorizationParams,
     sw = math.sqrt(ob)
     mu, rq, lam, d = fp.mu, fp.rho_q, fp.lam, fp.d
     x2 = x * x
+    xd2 = (x2 + d) * (x2 + d)
 
     if form is Form.OPERATOR_PRODUCT:
         return h_zeroth_jet(side, x, fp, 0).value
@@ -153,7 +159,7 @@ def eval_potential(side: Side, form: Form, x: float, fp: FactorizationParams,
         # plus side: printed partner expansion (suspect; double primes)
         bt = b_tilde_jet(x, fp, 2)
         btpp = bt.derivative(2)
-        return (bt.value**2
+        return (bt.value * bt.value
                 + sw * (-sw * x2 * 2 + x2 * btpp - bt.value * 2))
 
     if form is Form.RATIONAL_ANSATZ:
@@ -167,38 +173,38 @@ def eval_potential(side: Side, form: Form, x: float, fp: FactorizationParams,
         c = fp.c
         return (a1 / x2 + 2 * (a3 + 2 * a4) * x2 + (-2 * a1 + a2) * (c + 1) + a5
                 + c * ((2 * a1 + a1 * c + 2 * a1 * d - 3 * a2 * d) * x2
-                       + 2 * a1 * (1 + d) - a2 * d) / (x2 + d) ** 2)
+                       + 2 * a1 * (1 + d) - a2 * d) / xd2)
 
     if form is Form.MATCHED:
         if side is Side.MINUS:
             return (mu**2 / x2 + rq * (rq + 3 * sw) * x2 - mu * (2 * rq + sw)
-                    + lam * (-(2 * rq + sw) * x2**2
+                    + lam * (-(2 * rq + sw) * (x2 * x2)
                              + (-3 * d * sw + lam + 2 * mu - 2 * d * rq) * x2
-                             + 2 * d * mu) / (x2 + d) ** 2)
+                             + 2 * d * mu) / xd2)
         # plus side as printed (suspect x^2 coefficient)
         return (mu**2 / x2 + (rq**2 + rq * sw - 2 * ob) * x2
                 - mu * (2 * rq + 3 * sw)
-                + lam * (-(2 * rq + 3 * sw) * x2**2
+                + lam * (-(2 * rq + 3 * sw) * (x2 * x2)
                          + (lam + 2 * mu - 2 * d * rq - d * sw + 2 * d * mu) * x2
-                         + 2 * d * mu) / (d + x2) ** 2)
+                         + 2 * d * mu) / xd2)
 
     if form is Form.EXPANDED:
         if side is Side.MINUS:
             return (mu**2 / x2 + rq * (rq + 3 * sw) * x2
                     - (mu + lam) * (sw + 2 * rq)
                     + lam * ((2 * rq * d + 2 * mu + lam - d * sw) * x2
-                             + d * (2 * mu + d * sw + 2 * rq * d)) / (x2 + d) ** 2)
+                             + d * (2 * mu + d * sw + 2 * rq * d)) / xd2)
         # plus side as printed (suspect x^2 coefficient)
         return (mu**2 / x2 + rq * (rq + sw - 2 * ob) * x2
                 - (mu + lam) * (3 * sw + 2 * rq)
                 + lam * ((2 * rq * d + 2 * mu + lam + 5 * d * sw) * x2
-                         + d * (2 * mu + 3 * d * sw + 2 * rq * d)) / (x2 + d) ** 2)
+                         + d * (2 * mu + 3 * d * sw + 2 * rq * d)) / xd2)
 
     if form is Form.REDUCED:
         if side is Side.MINUS:
             return (mu**2 / x2 + rq * (rq + 3 * sw) * x2
                     + 2 * d * (rq + 3.5 * sw) * (rq + 0.5 * sw)
-                    + 4 * ob * d**2 * (3 * x2 + d) / (x2 + d) ** 2)
+                    + 4 * ob * d**2 * (3 * x2 + d) / xd2)
         return (mu**2 / x2 + (rq**2 + rq * sw - 2 * ob) * x2
                 + 2 * d * (rq + 3.5 * sw) * (rq + 1.5 * sw))
 
@@ -221,22 +227,23 @@ def w_of_z_jet(z, fp: FactorizationParams, order: int) -> Jet:
     return _b_tilde(xj, fp) - sw * xj
 
 
-def _square(side: Side, z, w):
-    """w^2 by Python's float ** 2 (libm pow) on every element, as at one
-    point: x * x differs from it in the last bit.  An overflow raises
-    OverflowError naming the potential and the first point where w^2
-    leaves the float range."""
-    try:
-        return elementwise(lambda v: v**2, w)
-    except OverflowError:
-        for zi, wi in zip(np.ravel(z).tolist(), np.ravel(w).tolist()):
-            try:
-                wi**2
-            except OverflowError:
-                raise OverflowError(
-                    f"w^2 in the canonical {side.value} potential overflows "
-                    f"at z = {zi:.17g}") from None
-        raise
+def h_tilde_jet(side: Side, z, fp: FactorizationParams, order: int) -> Jet:
+    """Zeroth coefficient w^2 -+ w' of h~- = A~dag A~ or of h~+ = A~ A~dag,
+    at z or on a grid of z.
+
+    Raises OverflowError naming the potential and the first point where w^2
+    leaves the float range (w finite, w * w not).
+    """
+    wj = w_of_z_jet(z, fp, order + 1)
+    w2 = wj * wj
+    over = np.isinf(w2.value) & np.isfinite(wj.value)
+    if over.any():
+        zi = float(np.ravel(z)[np.argmax(over)])
+        raise OverflowError(f"w^2 in the canonical {side.value} potential "
+                            f"overflows at z = {zi:.17g}")
+    if side is Side.PLUS:
+        return w2 + wj.shift(1)
+    return w2 - wj.shift(1)
 
 
 def eval_potential_z(side: Side, form: Form, z,
@@ -248,12 +255,7 @@ def eval_potential_z(side: Side, form: Form, z,
     sw = math.sqrt(ob)
 
     if form is Form.CANONICAL:
-        wj = w_of_z_jet(z, fp, 1)
-        w, wp = wj.value, wj.derivative(1)
-        w2 = _square(side, z, w)
-        if side is Side.PLUS:
-            return w2 + wp
-        return w2 - wp
+        return h_tilde_jet(side, z, fp, 0).value
 
     if form is Form.TRANSFORMED:
         z2 = z * z
@@ -261,9 +263,10 @@ def eval_potential_z(side: Side, form: Form, z,
             return (mu**2 * ob * z2 + (rq**2 + sw * rq) / (ob * z2)
                     + 2 * d * (rq + 3.5 * sw) * (rq + 1.5 * sw))
         # minus side as printed (suspect non-polynomial numerator)
+        q = d * ob * z2 + 1
         return (mu**2 * ob * z2 + (rq**2 + 3 * sw * rq + 2 * ob) / (ob * z2)
                 + 2 * d * (rq + 3.5 * sw) * (rq + 0.5 * sw) + 4 * ob * d
-                + 4 * ob * d * (2 * d * ob * z2 - 1) / (d * ob * z2 + 1) ** 2)
+                + 4 * ob * d * (2 * d * ob * z2 - 1) / (q * q))
 
     raise ModeError("only the transformed and canonical forms live in the z chart")
 

@@ -3,7 +3,10 @@
 Each row of ``ROWS`` holds its ids, their tolerance (None for an erratum: a
 suspect printed form, reported and never failed), its note, whether it needs
 inverse-mode parameters, and its residual function (a tuple for several ids).
-``run`` builds the intermediates once and measures the rows in order.
+``run`` builds the intermediates once and measures the rows in order.  Every
+row evaluates its sample points in one call (an ndarray of SAMPLE_X or
+SAMPLE_Z), with numpy's warnings off, and reduces through
+``numeric.max_rel_gap`` or ``numeric.worst``, so a NaN anywhere fails it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .potentials import (Form, Side, coord_x, dlog_rho_jet, eval_potential,
 from .specialfn import laguerre
 from . import diffop, numeric, spectrum
 
-# Sample points away from the singular loci; some checks use the first eight.
+# Sample points away from the singular loci; the ladder checks use the first
+# eight of SAMPLE_Z.
 SAMPLE_X = [-3.1, -2.3, -1.7, -1.3, -0.9, -0.62, -0.41, -0.3,
             0.33, 0.47, 0.71, 1.1, 1.55, 2.1, 2.7, 3.4, 4.1, 4.8, 0.85, -4.6]
 SAMPLE_Z = [0.31, 0.45, 0.6, 0.8, 1.0, 1.25, 1.5, 1.8, 2.1, 2.5,
@@ -79,18 +83,15 @@ class _Run:
         self.At = diffop.build("Atilde", fp)
         self.Atd = diffop.build("Atilde_dag", fp)
         self.energies = spectrum.energies_plus(fp, N_STATES - 1)
-        self.z = np.array(SAMPLE_Z)
-        # the canonical potentials, w and w' on all of SAMPLE_Z at once
-        with np.errstate(all="ignore"):
-            self.v = {side: eval_potential_z(
-                side, Form.CANONICAL, self.z, fp).tolist() for side in Side}
-            wj = w_of_z_jet(self.z, fp, 1)
-        self.w, self.dw = wj.value.tolist(), wj.derivative(1).tolist()
-        # the printed minus potential point by point: on a grid it would
-        # square by numpy's x * x, not Python's float ** 2
-        self.v_printed_minus = [
-            eval_potential_z(Side.MINUS, Form.TRANSFORMED, z, fp)
-            for z in SAMPLE_Z]
+        self.x, self.z = np.array(SAMPLE_X), np.array(SAMPLE_Z)
+        # the canonical and printed minus potentials, w and w' on all of
+        # SAMPLE_Z at once
+        self.v = {side: eval_potential_z(side, Form.CANONICAL, self.z, fp)
+                  for side in Side}
+        self.v_printed_minus = eval_potential_z(Side.MINUS, Form.TRANSFORMED,
+                                                self.z, fp)
+        wj = w_of_z_jet(self.z, fp, 1)
+        self.w, self.dw = wj.value, wj.derivative(1)
         # the order-2 closed-form states on all of SAMPLE_Z, one jet per n
         self.states = {side: [
             spectrum.phi_plus_jet(fp, n, self.z, 2) if side is Side.PLUS
@@ -108,58 +109,45 @@ class _Run:
 
 def _form(side: Side, form: Form):
     """A printed x-chart potential against the canonical h+- coefficient."""
-    return lambda r: numeric.max_rel_gap(
-        (eval_potential(side, form, x, r.fp, r.mp),
-         eval_potential(side, Form.OPERATOR_PRODUCT, x, r.fp))
-        for x in SAMPLE_X)
+    return lambda r: numeric.max_rel_gap([(
+        eval_potential(side, form, r.x, r.fp, r.mp),
+        eval_potential(side, Form.OPERATOR_PRODUCT, r.x, r.fp))])
 
 
 def _transform_shift(side: Side):
     """The canonical half-line potential is h+- at x(z) plus the shift."""
-    def shifted(r, z):
-        x = coord_x(z, r.fp.omega_bar)
+    def shifted(r, x):
         return (eval_potential(side, Form.OPERATOR_PRODUCT, x, r.fp)
                 + transform_shift(x, r.fp.omega_bar))
 
-    return lambda r: numeric.max_rel_gap(
-        (v, shifted(r, z)) for z, v in zip(SAMPLE_Z, r.v[side]))
+    return lambda r: numeric.max_rel_gap([
+        (r.v[side], shifted(r, coord_x(r.z, r.fp.omega_bar)))])
 
 
 def _eigen_residual(r: _Run, side: Side) -> float:
     """max |-phi'' + (V - E) phi| / (|E| max|phi|) over states and SAMPLE_Z."""
-    worst = 0.0
-    for en, j in zip(r.energies, r.states[side]):
-        values = j.value.tolist()
-        scale = max(abs(phi) for phi in values)
-        for d2, phi, v in zip(j.derivative(2).tolist(), values, r.v[side]):
-            res = -d2 + (v - en) * phi
-            worst = max(worst, abs(res) / (abs(en) * scale))
-    return worst
+    return numeric.worst(
+        abs(-j.derivative(2) + (r.v[side] - en) * j.value)
+        / (abs(en) * np.max(abs(j.value)))
+        for en, j in zip(r.energies, r.states[side]))
 
 
 def _ladder_up(r: _Run) -> float:
     """(w + d/dz) phi_n^- = sqrt(E_n) phi_n^+ on the first eight points."""
-    worst = 0.0
-    for n, (en, j) in enumerate(zip(r.energies, r.states[Side.PLUS])):
-        values = j.value.tolist()
-        scale = max(abs(phi) for phi in values)
+    def gap(n, en, j):
         lower = spectrum.phi_minus_jet(r.fp, n, r.z[:8], "normalized", 1)
-        for w, low, dlow, phi in zip(r.w, lower.value.tolist(),
-                                     lower.derivative(1).tolist(), values):
-            raised = w * low + dlow
-            target = math.sqrt(en) * phi
-            worst = max(worst, abs(raised - target) / (math.sqrt(en) * scale))
-    return worst
+        raised = r.w[:8] * lower.value + lower.derivative(1)
+        target = math.sqrt(en) * j.value[:8]
+        return abs(raised - target) / (math.sqrt(en) * np.max(abs(j.value)))
 
-
-def _square(v: float) -> float:
-    return v ** 2
+    return numeric.worst(gap(n, en, j) for n, (en, j) in enumerate(
+        zip(r.energies, r.states[Side.PLUS])))
 
 
 def _normalization(r: _Run, state, target: float) -> float:
     """max |int_0^inf state^2 dz - target| over the closed-form states."""
-    return max(abs(numeric.quad_halfline(
-        lambda z: elementwise(_square, state(r.fp, n, z, 0).value),
+    return numeric.worst(abs(numeric.quad_halfline(
+        lambda z: np.square(state(r.fp, n, z, 0).value),
         r.fp.omega_hat) - target)
         for n in range(N_STATES))
 
@@ -171,41 +159,39 @@ def _orthogonality(r: _Run) -> float:
         q = numeric.quad_halfline(
             lambda z: elementwise(lambda v: v ** (2 * g - 1), z)
             * elementwise(math.exp, -oh * z * z)
-            * elementwise(_square, laguerre(n, g - 1, oh * z * z)), oh)
+            * np.square(laguerre(n, g - 1, oh * z * z)), oh)
         closed = (math.exp(math.lgamma(n + g) - math.lgamma(n + 1))
                   / (2 * oh**g))
         return abs(q - closed) / abs(closed)
 
-    return max(gap(n) for n in range(N_STATES))
+    return numeric.worst(gap(n) for n in range(N_STATES))
 
 
 def _fd_spectra(r: _Run) -> tuple[float, float]:
     """FD plus-side levels against the ladder, and the minus side matched."""
     k = min(r.cfg.n_max + 1, 4)
     ep, em = numeric_spectra(r.cfg, r.fp, k)
-    fd = max(abs(ep[n] - e) / abs(e) for n, e in enumerate(r.energies[:k]))
-    comp = numeric.compare_spectra(r.energies[:k], em)
-    return fd, (comp.max_rel_error if not comp.unmatched_numeric_levels
-                else math.inf)
+    fd = numeric.worst(abs(ep[n] - e) / abs(e)
+                       for n, e in enumerate(r.energies[:k]))
+    return fd, numeric.compare_spectra(r.energies[:k], em).max_rel_error
 
 
 def _minus_profile(r: _Run) -> float:
     """Printed minus transform less canonical, against its profile."""
     d, ob = r.fp.d, r.fp.omega_bar
-    return max(0.0, *(
-        abs((printed - canon)
-            - 4 * d**2 * ob**2 * z**2 / (1 + d * ob * z**2) ** 2)
-        for z, printed, canon in zip(SAMPLE_Z, r.v_printed_minus,
-                                     r.v[Side.MINUS])))
+    z2 = r.z * r.z
+    q = 1 + d * ob * z2
+    return numeric.worst(abs((r.v_printed_minus - r.v[Side.MINUS])
+                             - 4 * d**2 * ob**2 * z2 / (q * q)))
 
 
 def _printed_ladder(r: _Run) -> float:
     d, ob, oh, rq = r.fp.d, r.fp.omega_bar, r.fp.omega_hat, r.fp.rho_q
     sw = math.sqrt(ob)
-    return max(0.0, *(
-        abs((oh * z + (rq / sw) / z
-             + 2 * d * ob * z / (1 + d * ob * z**2)) - w)
-        for z, w in zip(SAMPLE_Z, r.w)))
+    z = r.z
+    return numeric.worst(abs((oh * z + (rq / sw) / z
+                              + 2 * d * ob * z / (1 + d * ob * (z * z)))
+                             - r.w))
 
 
 def _printed_normalization(r: _Run) -> float:
@@ -213,7 +199,7 @@ def _printed_normalization(r: _Run) -> float:
         q = spectrum.j_integral(r.fp, n, n, "quadrature")
         return abs(q - spectrum.j_integral(r.fp, n, n, "closed")) / abs(q)
 
-    return max(gap(n) for n in range(1, N_STATES))
+    return numeric.worst(gap(n) for n in range(1, N_STATES))
 
 
 @dataclass(frozen=True)
@@ -245,18 +231,17 @@ ROWS = (
     Row("potential_expanded_minus", 1e-10, _form(Side.MINUS, Form.EXPANDED)),
     Row("potential_reduced_minus", 1e-10, _form(Side.MINUS, Form.REDUCED)),
     Row("potential_reduced_plus", 1e-10, _form(Side.PLUS, Form.REDUCED)),
-    Row("potential_transformed_plus", 1e-10, lambda r: numeric.max_rel_gap(
-        (eval_potential_z(Side.PLUS, Form.TRANSFORMED, z, r.fp), v)
-        for z, v in zip(SAMPLE_Z, r.v[Side.PLUS]))),
+    Row("potential_transformed_plus", 1e-10, lambda r: numeric.max_rel_gap([(
+        eval_potential_z(Side.PLUS, Form.TRANSFORMED, r.z, r.fp),
+        r.v[Side.PLUS])])),
     Row("transform_shift_minus", 1e-10, _transform_shift(Side.MINUS)),
     Row("transform_shift_plus", 1e-10, _transform_shift(Side.PLUS)),
-    Row("shape_invariance", 1e-10, lambda r: numeric.max_rel_gap(
-        (2 * dw, vp - vm)
-        for dw, vp, vm in zip(r.dw, r.v[Side.PLUS], r.v[Side.MINUS]))),
+    Row("shape_invariance", 1e-10, lambda r: numeric.max_rel_gap([
+        (2 * r.dw, r.v[Side.PLUS] - r.v[Side.MINUS])])),
     Row("parity", 1e-10, lambda r: numeric.max_rel_gap(
-        (eval_potential(side, Form.OPERATOR_PRODUCT, -x, r.fp),
-         eval_potential(side, Form.OPERATOR_PRODUCT, x, r.fp))
-        for x in SAMPLE_X for side in (Side.MINUS, Side.PLUS))),
+        (eval_potential(side, Form.OPERATOR_PRODUCT, -r.x, r.fp),
+         eval_potential(side, Form.OPERATOR_PRODUCT, r.x, r.fp))
+        for side in Side)),
     Row(("omega_hat_mu_identity", "omega_hat_gamma_identity"), 1e-12,
         lambda r: tuple(abs(r.fp.omega_hat - v) / max(1.0, r.fp.omega_hat)
                         for v in (abs(r.fp.mu) * math.sqrt(r.fp.omega_bar),
@@ -266,9 +251,8 @@ ROWS = (
     Row("eigen_residual_minus", 1e-8,
         lambda r: _eigen_residual(r, Side.MINUS)),
     Row("ladder_closed_vs_operator", 1e-9, lambda r: numeric.max_rel_gap(
-        pair for n, j in enumerate(r.states[Side.MINUS])
-        for pair in zip(spectrum.phi_minus_jet(
-            r.fp, n, r.z[:8], "closed").value.tolist(), j.value.tolist()))),
+        (spectrum.phi_minus_jet(r.fp, n, r.z[:8], "closed").value,
+         j.value[:8]) for n, j in enumerate(r.states[Side.MINUS]))),
     Row("ladder_up_consistency", 1e-8, _ladder_up),
     Row("normalization_diagonal", 1e-8,
         lambda r: _normalization(r, spectrum.phi_plus_jet, 1.0)),
@@ -277,9 +261,9 @@ ROWS = (
     Row(("fd_spectrum_plus", "isospectrality"), 1e-5, _fd_spectra),
     Row("transformed_minus_residual_profile", 1e-9, _minus_profile),
     # inverse mode: the non-Hermitian pair, its metric and the intertwiner
-    Row("similarity_first_order", 1e-10, lambda r: numeric.max_rel_gap(
-        (r.rho_Hm.at(x, 0)[1].value, r.hm.at(x, 0)[1].value)
-        for x in SAMPLE_X), inverse_only=True),
+    Row("similarity_first_order", 1e-10, lambda r: numeric.max_rel_gap([
+        (r.rho_Hm.at(r.x, 0)[1].value, r.hm.at(r.x, 0)[1].value)]),
+        inverse_only=True),
     Row("partner_similarity", 1e-9, lambda r: diffop.residual(
         r.rho_hp, r.Hp, SAMPLE_X), inverse_only=True),
     Row("metric_intertwining", 1e-9, lambda r: diffop.residual(
@@ -295,9 +279,8 @@ ROWS = (
     Row("expanded_plus_form", None, _form(Side.PLUS, Form.EXPANDED),
         "printed regrouped plus-side expansion has an extra factor on the "
         "quadratic growth coefficient"),
-    Row("transformed_minus_printed", None, lambda r: max(0.0, *(
-        abs(printed - canon)
-        for printed, canon in zip(r.v_printed_minus, r.v[Side.MINUS]))),
+    Row("transformed_minus_printed", None, lambda r: numeric.worst(
+        abs(r.v_printed_minus - r.v[Side.MINUS])),
         "printed half-line minus potential doubles one numerator term; "
         "residual follows the documented rational profile"),
     Row("ladder_printed_form", None, _printed_ladder,
@@ -330,15 +313,17 @@ def run(cfg, fp, mp=None) -> tuple[list[dict], list[dict]]:
     """(identities, errata) entries of the rows that apply, with cfg.tols
     over the table's tolerances; an oracle that does not converge, or
     arithmetic that overflows, gives residual inf and the reason as the
-    note."""
-    r = _Run(cfg, fp, mp)
+    note (with numpy's warnings off, a grid overflows to inf in silence)."""
+    with np.errstate(all="ignore"):
+        r = _Run(cfg, fp, mp)
     tols = {**DEFAULT_TOLS, **cfg.tols}
     identities, errata = [], []
     for row in ROWS:
         if row.inverse_only and mp is None:
             continue
         try:
-            values = row.fn(r)
+            with np.errstate(all="ignore"):
+                values = row.fn(r)
             residuals = (values,) if isinstance(row.ids, str) else values
             note = row.note(r) if callable(row.note) else row.note
         except NonConvergent as exc:

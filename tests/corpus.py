@@ -1,0 +1,129 @@
+"""Byte-identity corpus: run a fixed set of CLI argv in-process and record
+what each one prints, so that two versions of the package can be compared.
+
+    PYTHONPATH=src python tests/corpus.py out.json          # the 99 argv
+    PYTHONPATH=src python tests/corpus.py out.json --grid   # and the 90 points
+    python tests/corpus.py --diff before.json after.json
+
+A run writes ``{argv: [exit code, stdout, stderr]}`` as JSON, the argv joined
+by spaces; every Python warning an argv raises is printed to its stderr.
+``--diff`` prints each argv whose record differs between two files, and the
+lines that differ.  The 99 argv (97 distinct: the README's triple is the
+first frozen triple) are the default ``spectrum``, ``sweep`` and
+``verify``, the inverse ``spectrum`` and ``verify`` of the README's triple,
+``spectrum``, ``sweep`` and ``verify`` at each of the 27 corners
+omega_bar in {0.2, 1, 4}, rho_q in {0.1, 1, 3}, d in {0.2, 1, 3}, inverse
+``spectrum`` and ``verify`` at the five frozen triples, and ``spectrum``,
+``sweep`` and ``verify`` at one extreme point.  ``--grid`` adds ``verify
+--n-max 2`` at omega_bar = 1 on the 10 x 9 grid of r = rho_q and
+omega_hat, with d = omega_hat / (3/2 + r).  pytest does not collect this
+file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import itertools
+import json
+import sys
+import warnings
+
+CORNERS = ("0.2", "1", "4"), ("0.1", "1", "3"), ("0.2", "1", "3")
+EXTREME = ["--omega-bar", "6.68e-34", "--rho-q", "6.77e-52",
+           "--d", "3.21e-121"]
+GRID_R = (1e-30, 1e-20, 1e-12, 1e-8, 1e-4, 1e-2, 1.0, 10.0, 1e2, 1e3)
+GRID_OMEGA_HAT = (1e-150, 1e-100, 1e-30, 1e-6, 1.0, 1e6, 1e30, 1e100,
+                  1e150)
+
+
+def _inverse(triple) -> list[str]:
+    om, al, be = triple
+    return ["--mode", "inverse", "--omega", repr(om), "--alpha", repr(al),
+            "--beta", repr(be)]
+
+
+def byte_identity_argv() -> list[list[str]]:
+    """The 99 argv of the byte-identity run."""
+    from conftest import FEASIBLE_TRIPLES
+
+    argv = [["spectrum"], ["sweep"], ["verify"]]
+    argv += [[cmd] + _inverse(FEASIBLE_TRIPLES[0])
+             for cmd in ("spectrum", "verify")]
+    for ob, rq, d in itertools.product(*CORNERS):
+        point = ["--omega-bar", ob, "--rho-q", rq, "--d", d]
+        argv += [[cmd] + point for cmd in ("spectrum", "sweep", "verify")]
+    argv += [[cmd] + _inverse(t) for t in FEASIBLE_TRIPLES
+             for cmd in ("spectrum", "verify")]
+    argv += [[cmd] + EXTREME for cmd in ("verify", "spectrum", "sweep")]
+    return argv
+
+
+def grid_argv() -> list[list[str]]:
+    """``verify --n-max 2`` on the r x omega_hat grid at omega_bar = 1."""
+    return [["verify", "--omega-bar", "1", "--rho-q", repr(r),
+             "--d", repr(oh / (1.5 + r)), "--n-max", "2"]
+            for r in GRID_R for oh in GRID_OMEGA_HAT]
+
+
+def run_one(argv: list[str]) -> list:
+    """[exit code, stdout, stderr] of one in-process ``swanson`` run."""
+    from swanson.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code = main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def diff(path_a: str, path_b: str) -> int:
+    """Print each argv whose record differs, and the differing lines;
+    returns the number of such argv."""
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = json.load(fa), json.load(fb)
+    changed = 0
+    for key in sorted(set(a) | set(b)):
+        if a.get(key) == b.get(key):
+            continue
+        changed += 1
+        print(key)
+        if key not in a or key not in b:
+            print(f"  only in {path_a if key in a else path_b}")
+            continue
+        if a[key][0] != b[key][0]:
+            print(f"  exit code {a[key][0]} -> {b[key][0]}")
+        for name, i in (("stdout", 1), ("stderr", 2)):
+            for line in difflib.unified_diff(
+                    a[key][i].splitlines(), b[key][i].splitlines(),
+                    lineterm="", n=0):
+                if line[:1] in "+-" and line[:3] not in ("+++", "---"):
+                    print(f"  {name} {line}")
+    print(f"{changed} of {len(set(a) | set(b))} argv differ")
+    return changed
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("out", nargs="?", help="the JSON file to write")
+    p.add_argument("--grid", action="store_true",
+                   help="also run the 90-point r x omega_hat grid")
+    p.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                   help="compare two corpus files instead of running")
+    args = p.parse_args()
+    if args.diff:
+        return 1 if diff(*args.diff) else 0
+    if not args.out:
+        p.error("give the output file or --diff A B")
+    argv = byte_identity_argv() + (grid_argv() if args.grid else [])
+    record = {" ".join(a): run_one(a) for a in argv}
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

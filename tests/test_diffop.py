@@ -3,6 +3,7 @@ factorization / intertwining identities of the hierarchy."""
 
 import math
 
+import numpy as np
 import pytest
 
 from swanson.diffop import (LinDiffOp, build, compose, conjugate,
@@ -11,7 +12,7 @@ from swanson.errors import ModeError
 from swanson.jets import Jet
 from swanson.potentials import (Form, Side, b1_jet, c1_jet, dlog_rho_jet,
                                 eval_potential)
-from conftest import SAMPLE_X, SAMPLE_Z, random_forward_sets
+from conftest import SAMPLE_X, SAMPLE_Z, pointwise_hex, random_forward_sets
 
 
 def op(*coeffs):
@@ -334,3 +335,80 @@ class TestJetCoefficientAccuracy:
                 approx = (4 * dd(h) - dd(2 * h)) / 3
                 assert j.derivative(k) == pytest.approx(approx, rel=1e-6,
                                                         abs=1e-6)
+
+
+X_IDS = ("A", "A_dag", "h_minus", "h_plus")
+INVERSE_IDS = ("H_minus", "H_plus", "eta1_constructed", "eta1_explicit")
+Z_IDS = ("Atilde", "Atilde_dag", "h_tilde_minus", "h_tilde_plus")
+
+
+def assert_grid_is_pointwise(T, points, order):
+    """T on the ndarray of all the points equals T at each point, every
+    coefficient of every jet by float.hex."""
+    grid = T.at(np.array(points), order)
+    each = [T.at(x, order) for x in points]
+    for i, jet in enumerate(grid):
+        assert pointwise_hex(jet, len(points)) == [
+            pointwise_hex(jets[i], 1)[0] for jets in each]
+
+
+class TestGridOperators:
+    """Every operator takes all its sample points in one call, each element
+    bit for bit its one-point value."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_forward_ids_on_random_sets(self, order):
+        for fp in random_forward_sets(4, seed=90 + order):
+            for which in X_IDS:
+                assert_grid_is_pointwise(build(which, fp), SAMPLE_X, order)
+            for which in Z_IDS:
+                assert_grid_is_pointwise(build(which, fp), SAMPLE_Z, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_every_id_at_the_frozen_triples(self, order, inverse_sets):
+        for mp, fp, _ in inverse_sets:
+            for which in X_IDS + INVERSE_IDS:
+                assert_grid_is_pointwise(build(which, fp, mp), SAMPLE_X,
+                                         order)
+            for which in Z_IDS:
+                assert_grid_is_pointwise(build(which, fp, mp), SAMPLE_Z,
+                                         order)
+            dlr = lambda x, order: dlog_rho_jet(x, fp, mp, order)
+            Hm = build("H_minus", fp, mp)
+            assert_grid_is_pointwise(conjugate(Hm, dlr, +1), SAMPLE_X, order)
+            assert_grid_is_pointwise(
+                compose(build("eta1_constructed", fp, mp), Hm), SAMPLE_X,
+                order)
+
+    def test_residual_calls_each_operand_once_on_all_points(self, fp_star):
+        calls = []
+
+        def spy(T, name):
+            def at(x, order):
+                calls.append((name, x.tolist()))
+                return T.at(x, order)
+            return LinDiffOp(T.order, at)
+
+        A, Ad = build("A", fp_star), build("A_dag", fp_star)
+        res = residual(spy(build("h_minus", fp_star), "T"),
+                       spy(compose(Ad, A), "S"), SAMPLE_X)
+        assert sorted(calls) == [("S", SAMPLE_X), ("T", SAMPLE_X)]
+        assert res <= 1e-10
+
+    def test_a_nan_coefficient_makes_the_residual_nan(self):
+        # a max that keeps its first argument read a NaN pair as no gap
+        T = op(lambda x, order: Jet.variable(x, order) * math.nan)
+        assert math.isnan(residual(T, op(const(0.0)), SAMPLE_X))
+
+    def test_the_gauge_fit_calls_its_target_once_on_all_points(
+            self, inverse_sets):
+        mp, fp, _ = inverse_sets[0]
+        seen = []
+
+        def target(x):
+            seen.append(x.tolist())
+            return eval_potential(Side.MINUS, Form.GENERAL, x, fp, mp)
+
+        assert (infer_delta(mp, fp, SAMPLE_X, target=target)
+                == infer_delta(mp, fp, SAMPLE_X))
+        assert seen == [SAMPLE_X]

@@ -582,6 +582,25 @@ class TestRelativeGap:
         assert max_rel_gap([(1.5, 1.0), (0.2, 0.0)]) == 0.5
         assert max_rel_gap([(9.0, 10.0), (10.0, 9.0)]) == pytest.approx(1 / 9)
 
+    def test_a_nan_gap_makes_the_gap_nan(self):
+        # Python's max keeps its first argument when the other is NaN, so
+        # a loop of max(worst, gap) read these as no gap at all
+        assert math.isnan(max_rel_gap([(math.nan, 1.0)]))
+        assert math.isnan(max_rel_gap([(1.0, 1.0), (2.0, math.nan),
+                                       (5.0, 1.0)]))
+        assert math.isnan(max_rel_gap([(np.array([1.0, math.nan, 3.0]),
+                                        np.ones(3))]))
+
+    def test_arrays_and_numbers_reduce_together(self):
+        assert max_rel_gap([(np.array([1.5, 1.0]), 1.0),
+                            (0.2, np.zeros(2))]) == 0.5
+
+    def test_worst_is_zero_when_empty_and_nan_when_any_is(self):
+        assert numeric.worst([]) == 0.0
+        assert numeric.worst([0.5, np.array([0.25, 2.0])]) == 2.0
+        assert math.isnan(numeric.worst([np.array([1.0, math.nan]), 5.0]))
+        assert math.isnan(numeric.worst([5.0, math.nan, 1.0]))
+
 
 class TestSpectraComparison:
     def test_identical_lists(self):

@@ -11,7 +11,7 @@ from swanson.params import solve_forward
 from swanson.potentials import (Form, Side, a_jet, b1_jet, b_plain_jet,
                                 b_tilde_jet, c1_jet, coord_x, dlog_rho_jet,
                                 eval_potential, eval_potential_z,
-                                transform_shift, w_of_z_jet)
+                                h_tilde_jet, transform_shift, w_of_z_jet)
 from conftest import (SAMPLE_X, SAMPLE_Z, pointwise_hex, random_box_points,
                       random_forward_sets)
 
@@ -291,6 +291,77 @@ class TestGridEvaluation:
         with pytest.raises(DomainError, match="singular at z = 0"):
             eval_potential_z(Side.PLUS, Form.CANONICAL,
                              np.array([0.5, 0.0, 1.0]), fp_star)
+
+
+X_FORMS = (Form.OPERATOR_PRODUCT, Form.GENERAL, Form.RATIONAL_ANSATZ,
+           Form.MATCHED, Form.EXPANDED, Form.REDUCED)
+
+
+def _x_forms(inverse: bool):
+    """The x-chart forms a parameter set has: the general minus form and
+    the rational ansatz need inverse-mode parameters, and the ansatz is
+    printed for the minus side only."""
+    return [(side, form) for side in Side for form in X_FORMS
+            if not (side is Side.PLUS and form is Form.RATIONAL_ANSATZ)
+            and (inverse or not (side is Side.MINUS and form in (
+                Form.GENERAL, Form.RATIONAL_ANSATZ)))]
+
+
+class TestGridForms:
+    """Every potential form takes all its sample points in one call, each
+    element bit for bit its one-point value."""
+
+    @staticmethod
+    def _assert_grid_is_pointwise(f, points):
+        grid = f(np.array(points))
+        assert isinstance(grid, np.ndarray) and len(grid) == len(points)
+        assert [v.hex() for v in grid.tolist()] == [
+            float(f(p)).hex() for p in points]
+
+    def test_x_forms(self, inverse_sets):
+        sets = ([(fp, None) for fp in random_forward_sets(6, seed=40)]
+                + [(fp, mp) for mp, fp, _ in inverse_sets])
+        for fp, mp in sets:
+            for side, form in _x_forms(mp is not None):
+                self._assert_grid_is_pointwise(
+                    lambda x: eval_potential(side, form, x, fp, mp),
+                    SAMPLE_X)
+
+    def test_z_forms(self, inverse_sets):
+        sets = (random_forward_sets(6, seed=41)
+                + [fp for _, fp, _ in inverse_sets])
+        for fp in sets:
+            for side in Side:
+                for form in (Form.CANONICAL, Form.TRANSFORMED):
+                    self._assert_grid_is_pointwise(
+                        lambda z: eval_potential_z(side, form, z, fp),
+                        SAMPLE_Z)
+
+    def test_forward_sets_have_the_forms_without_inverse_parameters(self):
+        fp = random_forward_sets(1, seed=42)[0]
+        for side, form in set(_x_forms(True)) - set(_x_forms(False)):
+            with pytest.raises(ModeError):
+                eval_potential(side, form, 1.0, fp)
+
+    def test_overflowing_square_names_the_first_point_on_a_grid(self):
+        # w^2 is finite near the states, z ~ 1e-100, and overflows by z = 1;
+        # a grid is evaluated with numpy's warnings off, as its callers do
+        fp = solve_forward(1.0, 1.0, 1e200)
+        z = np.array([1e-100, 2e-100, 1.0, 3.0])
+        with np.errstate(all="ignore"):
+            self._assert_overflows_at_one(fp, z)
+
+    @staticmethod
+    def _assert_overflows_at_one(fp, z):
+        for side in Side:
+            want = (f"w^2 in the canonical {side.value} potential "
+                    f"overflows at z = 1")
+            for at in (lambda: eval_potential_z(side, Form.CANONICAL, z, fp),
+                       lambda: eval_potential_z(side, Form.CANONICAL, 1.0, fp),
+                       lambda: h_tilde_jet(side, z, fp, 2)):
+                with pytest.raises(OverflowError) as err:
+                    at()
+                assert str(err.value) == want
 
 
 class TestErrorPaths:

@@ -7,6 +7,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swanson import numeric, spectrum, verify
@@ -145,7 +146,11 @@ def test_shared_order_one_w_has_the_order_zero_value(fp_star):
 
 def test_quadrature_rows_equal_a_node_by_node_evaluation():
     # the integrands take all their nodes at once; every residual is still
-    # the node-by-node loop's on Python floats, bit for bit
+    # the node-by-node loop's on Python floats, bit for bit (a square is
+    # the product v * v on both)
+    def square(v):
+        return v * v
+
     for fp in random_forward_sets(3, seed=21):
         r = type("Run", (), {"fp": fp})()
         g, oh = fp.gamma, fp.omega_hat
@@ -153,14 +158,14 @@ def test_quadrature_rows_equal_a_node_by_node_evaluation():
         for state, target in ((spectrum.phi_plus_jet, 1.0),
                               (spectrum.psi_plus_jet, 1.0 / fp.omega_bar)):
             want = max(abs(quad_interval_nodewise(
-                lambda z: state(fp, n, z, 0).value ** 2, 0.0, hi, 1e-11)
+                lambda z: square(state(fp, n, z, 0).value), 0.0, hi, 1e-11)
                 - target) for n in range(verify.N_STATES))
             assert verify._normalization(r, state, target).hex() == want.hex()
 
         def gap(n):
             q = quad_interval_nodewise(
                 lambda z: z ** (2 * g - 1) * math.exp(-oh * z * z)
-                * laguerre(n, g - 1, oh * z * z) ** 2, 0.0, hi, 1e-11)
+                * square(laguerre(n, g - 1, oh * z * z)), 0.0, hi, 1e-11)
             closed = (math.exp(math.lgamma(n + g) - math.lgamma(n + 1))
                       / (2 * oh**g))
             return abs(q - closed) / abs(closed)
@@ -247,3 +252,69 @@ def test_state_rows_equal_a_point_by_point_evaluation(inverse_sets):
         want = _pointwise_state_rows(fp)
         assert {name: rows[name].fn(r).hex() for name in want} == {
             name: res.hex() for name, res in want.items()}
+
+
+@pytest.mark.parametrize("rho_q, d", [("1e-08", "6.666666622222223e+149"),
+                                      ("1e-30", "6.666666666666666e+149")])
+def test_nan_coefficient_pairs_fail_their_rows(rho_q, d, capsys):
+    # at omega_hat = 1e150 some of the coefficient pairs of the
+    # intertwinings and of the minus-state pairs are NaN; a max that kept
+    # its first argument read them as residual 0 and PASS
+    assert main(["verify", "--omega-bar", "1", "--rho-q", rho_q, "--d", d,
+                 "--n-max", "2"]) == 3
+    rows = {e["id"]: e for e in json.loads(capsys.readouterr().out)[
+        "identities"]}
+    for name in ("intertwining_down", "intertwining_up",
+                 "ladder_closed_vs_operator"):
+        assert (rows[name]["residual"], rows[name]["status"]) == ("nan",
+                                                                  "FAIL")
+
+
+def test_spurious_minus_level_fails_isospectrality_by_its_error(monkeypatch):
+    # with k analytic and k FD levels every FD level is matched, so a level
+    # below E0 shows as the relative error of the top analytic level
+    from swanson.cli import RunConfig
+    from swanson.params import solve_forward
+
+    fp = solve_forward(1.0, 1.0, 1.0)
+    exact = spectrum.energies_plus(fp, 3)
+    sides = []
+
+    def levels(V, k, grids):
+        sides.append("plus" if not sides else "minus")
+        if sides[-1] == "plus":
+            return exact[:k], 2.0
+        return [exact[0] / 2] + exact[:k - 1], 2.0
+
+    monkeypatch.setattr(numeric, "fd_levels", levels)
+    rows = {e["id"]: e for e in verify.run(RunConfig(), fp)[0]}
+    assert sides == ["plus", "minus"]
+    assert rows["fd_spectrum_plus"]["status"] == "PASS"
+    iso = rows["isospectrality"]
+    assert iso["status"] == "FAIL" and "note" not in iso
+    assert float(iso["residual"]) == abs(exact[0] / 2 - exact[2]) / exact[2]
+
+
+def test_every_row_evaluates_its_sample_points_in_one_call(monkeypatch,
+                                                           inverse_sets):
+    # every potential form a row reads takes all of SAMPLE_X or SAMPLE_Z
+    from swanson.cli import RunConfig
+
+    seen = []
+    for name in ("eval_potential", "eval_potential_z"):
+        def spy(side, form, x, *args, fn=getattr(verify, name)):
+            seen.append((form, x.tolist() if isinstance(x, np.ndarray)
+                         else x))
+            return fn(side, form, x, *args)
+
+        monkeypatch.setattr(verify, name, spy)
+    # the FD oracle scans V one point at a time by design; it is left out
+    monkeypatch.setattr(verify, "numeric_spectra",
+                        lambda cfg, fp, k: [spectrum.energies_plus(
+                            fp, k - 1)] * 2)
+    mp, fp, _ = inverse_sets[0]
+    verify.run(RunConfig(), fp, mp)
+    grids = (verify.SAMPLE_X, [-x for x in verify.SAMPLE_X], verify.SAMPLE_Z,
+             [-1.0 / (math.sqrt(fp.omega_bar) * z) for z in verify.SAMPLE_Z])
+    assert len(seen) > 10
+    assert all(x in grids for _, x in seen)
