@@ -48,7 +48,7 @@ _FIELD_RULES = {
     "mode": (lambda v: v in ("forward", "inverse"), "forward or inverse"),
     "format": (lambda v: v in ("json", "csv"), "json or csv"),
     **{name: (_finite, "a finite number") for name in
-       ("omega_bar", "rho_q", "d", "delta")},
+       ("omega_bar", "rho_q", "d")},
     **{name: (lambda v: v is None or _finite(v), "a finite number or null")
        for name in ("omega", "alpha", "beta")},
     "n_max": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
@@ -78,7 +78,6 @@ class RunConfig:
     omega: float | None = None
     alpha: float | None = None
     beta: float | None = None
-    delta: float = 0.0
     n_max: int = 2
     grids: list[int] = field(default_factory=lambda: [500, 1000])
     out: str | None = None
@@ -121,7 +120,7 @@ def _solve_params(cfg: RunConfig):
     """Returns (fp, mp, report) for the configured mode."""
     if cfg.mode == "forward":
         return solve_forward(cfg.omega_bar, cfg.rho_q, cfg.d), None, None
-    mp = ModelParams(cfg.omega, cfg.alpha, cfg.beta, delta_gauge=cfg.delta)
+    mp = ModelParams(cfg.omega, cfg.alpha, cfg.beta)
     fp, report = solve_inverse(mp)
     return fp, mp, report
 
@@ -330,7 +329,7 @@ def _parser() -> _Parser:
         sp.add_argument("--config", type=str, default=None)
         sp.add_argument("--mode", choices=["forward", "inverse"])
         for flag in ("--omega-bar", "--rho-q", "--d", "--omega", "--alpha",
-                     "--beta", "--delta"):
+                     "--beta"):
             sp.add_argument(flag, type=float)
         sp.add_argument("--n-max", type=int)
         sp.add_argument("--grids", type=str)
@@ -367,7 +366,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"unknown config field {key!r}")
             setattr(cfg, key, value)
     for key in ("mode", "omega_bar", "rho_q", "d", "omega", "alpha", "beta",
-                "delta", "n_max", "out", "format", "side",
+                "n_max", "out", "format", "side",
                 "sweep_param", "sweep_steps"):
         v = getattr(args, key, None)
         if v is not None:

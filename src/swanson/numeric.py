@@ -4,11 +4,12 @@ The one finite-difference oracle for -d^2/dz^2 + V(z) on the half line
 (``fd_levels``: a log mesh in a box read off V alone, V sampled on the whole
 grid in one call), the k lowest levels of its tridiagonal pencil by
 Sturm-sequence bisection (fully deterministic), Richardson extrapolation
-over grid refinements, the one quadrature rule (composite Gauss-Legendre, on
-an interval or a Gaussian-decay half line, the integrand sampled on many
-nodes per call), the relative gap the identity checks reduce to and the
-one maximum they all reduce with (``worst``: a NaN anywhere makes it NaN,
-so the check fails), and spectra comparison.  Nothing here reuses the
+over grid refinements, the one quadrature rule (``quad_halfline``:
+generalized Gauss-Laguerre in t = omega_hat z^2, exact for a polynomial
+times t^alpha e^-t, the integrand sampled on all its nodes in one call),
+the relative gap the identity checks reduce to and the one maximum they all
+reduce with (``worst``: a NaN anywhere makes it NaN, so the check fails),
+and spectra comparison.  Nothing here reuses the
 closed-form machinery it checks.
 
 The Sturm count is a scalar Python loop over all the rows with one
@@ -33,7 +34,6 @@ instead of 544,000, and over ten seeded benchmark samples the rows per
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -45,9 +45,6 @@ from .errors import NonConvergent
 # a potential sampled on a grid, or an integrand on quadrature nodes:
 # ndarray of points in, array (or one scalar) out
 Potential = Integrand = Callable[[np.ndarray], "np.ndarray | float"]
-
-# panels per call of an integrand (4096 nodes: bounded memory at 2^14 panels)
-_QUAD_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -387,74 +384,45 @@ def fd_levels(V: Potential, k: int, grids: Sequence[int],
     return refine_extrapolate(V, k, grids, *fd_box(V, k, grids))
 
 
-def quad_interval(f: Integrand, lo: float, hi: float, tol: float) -> float:
-    """Integral of f from lo to hi (negated when lo > hi) by 16-node composite
-    Gauss-Legendre, doubling the panels from 8 until two estimates agree to
-    ``tol`` relative; NonConvergent if they still differ at 2^14 panels.
+def _gauss_laguerre(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node generalized Gauss-Laguerre rule for
+    the normalized weight t^alpha e^-t / Gamma(alpha + 1) on (0, inf): the
+    eigenvalues of its Jacobi matrix (diagonal 2k + alpha + 1, off-diagonal
+    sqrt(k (k + alpha))) and their eigenvectors' first components squared
+    (Golub & Welsch, Math. Comp. 23, 1969)."""
+    k = np.arange(n)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    t, v = np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0)
+                          + np.diag(off, 1) + np.diag(off, -1))
+    return t, v[0] * v[0]
 
-    ``f`` is called on the nodes of up to 256 panels (``_QUAD_BLOCK``) at a
-    time, as an ndarray, and returns an array of the values or one scalar
-    for all of them.  Each panel's nodes are summed in node order and the
-    panels in panel order, as a node-by-node loop on Python floats would;
-    numpy's floating-point warnings are off, so an overflow in array
-    arithmetic gives inf as in Python floats.  An error that ``f`` raises
-    is the one the first failing node raises on its own.
+
+def quad_halfline(f: Integrand, decay_rate: float, alpha: float,
+                  degree: int) -> float:
+    """Integral of f over (0, inf) by the generalized Gauss-Laguerre rule in
+    t = decay_rate z^2, exact when f(z) dz, written in t, is t^alpha e^-t dt
+    times a polynomial of degree <= ``degree``.
+
+    The rule has degree // 2 + 1 nodes.  ``f`` is called once, on all the
+    nodes z = sqrt(t / decay_rate) as an ndarray, and returns an array of
+    the values or one scalar for all of them; each value is divided by the
+    weight and the Jacobian 2 sqrt(decay_rate t) in log form,
+    (alpha + 1/2) log t - t - lgamma(alpha + 1), so that Gamma cannot
+    overflow at large alpha.  numpy's floating-point warnings are off, so an
+    overflow gives inf as in Python floats.
     """
-    prev = None
-    panels = 8
-    while panels <= 2**14:
-        edges = np.linspace(lo, hi, panels + 1)
-        total = 0.0
-        with np.errstate(all="ignore"):
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            halves = 0.5 * (edges[1:] - edges[:-1])
-            for b in range(0, panels, _QUAD_BLOCK):
-                half = halves[b:b + _QUAD_BLOCK]
-                sums = _panel_sums(f, mids[b:b + _QUAD_BLOCK], half)
-                for term in (half * sums).tolist():
-                    total += term
-        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(total)):
-            return total
-        prev = total
-        panels *= 2
-    raise NonConvergent(f"quadrature on [{lo:.6g}, {hi:.6g}] did not stabilize")
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 16-node Gauss-Legendre rule on [-1, 1]
-    (computed on first use: numpy.polynomial is not imported before)."""
-    return np.polynomial.legendre.leggauss(16)
-
-
-def _panel_sums(f: Integrand, mid: np.ndarray,
-                half: np.ndarray) -> np.ndarray:
-    """sum_j w_j f(mid + half t_j) of each panel, term by term in j."""
-    nodes, weights = _gauss_legendre()
-    x = (mid[:, None] + half[:, None] * nodes).ravel()
-    try:
-        fx = f(x)
-    except Exception:
-        # what a scan of the nodes in order meets first
-        for i in range(x.size):
-            f(x[i:i + 1])
-        raise
-    fx = np.broadcast_to(np.asarray(fx, dtype=float), x.shape)
-    fx = fx.reshape(len(mid), len(nodes))
-    s = 0.0 + weights[0] * fx[:, 0]
-    for j in range(1, len(nodes)):
-        s = s + weights[j] * fx[:, j]
-    return s
-
-
-def quad_halfline(f: Integrand, decay_rate: float,
-                  tol: float = 1e-11) -> float:
-    """Integral over (0, inf) of an integrand with exp(-decay_rate z^2) decay."""
-    if decay_rate <= 0:
-        raise ValueError("need a positive decay rate")
-    # generous exponent margin: polynomial prefactors up to ~1e20 still leave
-    # the truncated tail below 1e-19
-    return quad_interval(f, 0.0, math.sqrt(90.0 / decay_rate), tol)
+    if not (decay_rate > 0 and alpha > -1 and degree >= 0):
+        raise ValueError("need decay_rate > 0, alpha > -1 and degree >= 0")
+    t, w = _gauss_laguerre(alpha, degree // 2 + 1)
+    with np.errstate(all="ignore"):
+        fz = np.broadcast_to(np.asarray(
+            f(np.sqrt(t / decay_rate)), dtype=float), t.shape)
+        terms = w * fz * np.exp(math.lgamma(alpha + 1) + t
+                                - (alpha + 0.5) * np.log(t))
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total / (2 * math.sqrt(decay_rate))
 
 
 def worst(values: Iterable) -> float:

@@ -25,7 +25,6 @@ class ModelParams:
     omega: float
     alpha: float
     beta: float
-    delta_gauge: float = 0.0
 
     def __post_init__(self):
         ob = self.omega - self.alpha - self.beta

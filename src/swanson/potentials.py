@@ -80,13 +80,9 @@ def b1_jet(x, fp: FactorizationParams, mp: ModelParams, order: int) -> Jet:
 
 
 def c1_jet(x, fp: FactorizationParams, mp: ModelParams, order: int,
-           delta: float | None = None) -> Jet:
-    """Zeroth-order coefficient of the non-Hermitian operator, as printed.
-
-    ``delta`` overrides the gauge constant (defaults to mp.delta_gauge).
-    """
-    if delta is None:
-        delta = mp.delta_gauge
+           delta: float) -> Jet:
+    """Zeroth-order coefficient of the non-Hermitian operator, as printed,
+    with the gauge constant ``delta``."""
     om, al, be = mp.omega, mp.alpha, mp.beta
     xj = Jet.variable(x, order + 1)
     a = xj**2

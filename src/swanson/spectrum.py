@@ -9,7 +9,9 @@ minus side is generated from it by the first-order ladder operator
 (``phi_minus_jet``).  Every state is a ``Jet`` in z; callers read ``.value``
 and ``.derivative(k)``.  The pre-transform states (``psi_plus_jet``) carry
 the printed normalization constant, and ``j_integral`` gives their
-normalization integrals.  Every Gamma ratio comes from ``math.lgamma``.
+normalization integrals: in t = oh z^2 each is t^gamma e^-t dt times a
+polynomial, so ``numeric.quad_halfline``'s generalized Gauss-Laguerre rule
+takes it exactly.  Every Gamma ratio comes from ``math.lgamma``.
 At any order ``z`` may be an ndarray of points: the states are then
 evaluated on all of them at once, each element bit for bit its one-point
 value (see ``jets``), with numpy's floating-point warnings off so that an
@@ -138,7 +140,8 @@ def j_integral(fp: FactorizationParams, m: int, n: int,
                method: str = "quadrature") -> float:
     """Normalization integral of the pre-transform states.
 
-    "quadrature" integrates z^(2 gamma + 1) e^(-oh z^2) F_m F_n over (0, inf).
+    "quadrature" integrates z^(2 gamma + 1) e^(-oh z^2) F_m F_n over (0, inf)
+    by the Gauss-Laguerre rule with alpha = gamma, exact at degree m + n.
     "closed" is the printed diagonal closed form (n + gamma)(n+1)! Gamma(gamma)
     / (2 oh^(gamma+1) (gamma)_n); it keeps only the leading term of the exact
     sum and is exact at n = 0 only.
@@ -157,5 +160,5 @@ def j_integral(fp: FactorizationParams, m: int, n: int,
             return (scale * _chi_jet(m, g, oh, z, g + 0.5, 0).value
                     * _chi_jet(n, g, oh, z, g + 0.5, 0).value)
 
-        return quad_halfline(f, decay_rate=oh)
+        return quad_halfline(f, oh, g, m + n)
     raise ValueError(f"unknown method {method!r}")

@@ -132,6 +132,17 @@ def _eigen_residual(r: _Run, side: Side) -> float:
         for en, j in zip(r.energies, r.states[side]))
 
 
+def _vanishing(side: Side) -> Callable[[_Run], str | None]:
+    """The note of a row scaled by max|phi|: why it reads NaN where a
+    closed-form state underflows at every sample point."""
+    def note(r: _Run) -> str | None:
+        if any(not np.any(j.value) for j in r.states[side]):
+            return "the closed-form states vanish at every sample point"
+        return None
+
+    return note
+
+
 def _ladder_up(r: _Run) -> float:
     """(w + d/dz) phi_n^- = sqrt(E_n) phi_n^+ on the first eight points."""
     def gap(n, en, j):
@@ -144,11 +155,16 @@ def _ladder_up(r: _Run) -> float:
         zip(r.energies, r.states[Side.PLUS])))
 
 
-def _normalization(r: _Run, state, target: float) -> float:
-    """max |int_0^inf state^2 dz - target| over the closed-form states."""
+# the degree in t = omega_hat z^2 of the squared Laguerre factors, n < N_STATES
+_DEGREE = 2 * (N_STATES - 1)
+
+
+def _normalization(r: _Run, state, target: float, alpha: float) -> float:
+    """max |int_0^inf state^2 dz - target| over the closed-form states,
+    whose squares are t^alpha e^-t dt times a polynomial in t."""
     return numeric.worst(abs(numeric.quad_halfline(
         lambda z: np.square(state(r.fp, n, z, 0).value),
-        r.fp.omega_hat) - target)
+        r.fp.omega_hat, alpha, _DEGREE) - target)
         for n in range(N_STATES))
 
 
@@ -159,7 +175,7 @@ def _orthogonality(r: _Run) -> float:
         q = numeric.quad_halfline(
             lambda z: elementwise(lambda v: v ** (2 * g - 1), z)
             * elementwise(math.exp, -oh * z * z)
-            * np.square(laguerre(n, g - 1, oh * z * z)), oh)
+            * np.square(laguerre(n, g - 1, oh * z * z)), oh, g - 1, _DEGREE)
         closed = (math.exp(math.lgamma(n + g) - math.lgamma(n + 1))
                   / (2 * oh**g))
         return abs(q - closed) / abs(closed)
@@ -247,15 +263,16 @@ ROWS = (
                         for v in (abs(r.fp.mu) * math.sqrt(r.fp.omega_bar),
                                   r.fp.d * r.fp.omega_bar * r.fp.gamma))),
     # closed-form spectral data
-    Row("eigen_residual_plus", 1e-8, lambda r: _eigen_residual(r, Side.PLUS)),
+    Row("eigen_residual_plus", 1e-8, lambda r: _eigen_residual(r, Side.PLUS),
+        _vanishing(Side.PLUS)),
     Row("eigen_residual_minus", 1e-8,
-        lambda r: _eigen_residual(r, Side.MINUS)),
+        lambda r: _eigen_residual(r, Side.MINUS), _vanishing(Side.MINUS)),
     Row("ladder_closed_vs_operator", 1e-9, lambda r: numeric.max_rel_gap(
         (spectrum.phi_minus_jet(r.fp, n, r.z[:8], "closed").value,
          j.value[:8]) for n, j in enumerate(r.states[Side.MINUS]))),
-    Row("ladder_up_consistency", 1e-8, _ladder_up),
-    Row("normalization_diagonal", 1e-8,
-        lambda r: _normalization(r, spectrum.phi_plus_jet, 1.0)),
+    Row("ladder_up_consistency", 1e-8, _ladder_up, _vanishing(Side.PLUS)),
+    Row("normalization_diagonal", 1e-8, lambda r: _normalization(
+        r, spectrum.phi_plus_jet, 1.0, r.fp.gamma - 1)),
     Row("orthogonality_weighted", 1e-8, _orthogonality),
     # finite-difference oracle: one run gives both
     Row(("fd_spectrum_plus", "isospectrality"), 1e-5, _fd_spectra),
@@ -290,7 +307,7 @@ ROWS = (
         "printed diagonal closed form keeps only the leading term of the "
         "exact sum; exact at the ground state only"),
     Row("psi_norm_measure", None, lambda r: _normalization(
-        r, spectrum.psi_plus_jet, 1.0 / r.fp.omega_bar),
+        r, spectrum.psi_plus_jet, 1.0 / r.fp.omega_bar, r.fp.gamma),
         "pre-transform normalization reproduces 1/omega_bar at the ground "
         "state only"),
     Row("rational_ansatz_minus", None, _form(Side.MINUS, Form.RATIONAL_ANSATZ),

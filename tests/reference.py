@@ -74,9 +74,10 @@ def j_diagonal_exact(fp, n: int) -> float:
 
 
 def quad_interval_nodewise(f, lo: float, hi: float, tol: float) -> float:
-    """Composite 16-node Gauss-Legendre as a loop over the nodes on Python
-    floats, ``f`` called on one float at a time; the panel doubling and the
-    stopping rule are ``numeric.quad_interval``'s."""
+    """Integral of f from lo to hi (negated when lo > hi) by composite
+    16-node Gauss-Legendre as a loop over the nodes on Python floats, ``f``
+    called on one float at a time, doubling the panels from 8 until two
+    estimates agree to ``tol`` relative."""
     nodes, weights = (a.tolist() for a in np.polynomial.legendre.leggauss(16))
     prev = None
     panels = 8

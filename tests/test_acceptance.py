@@ -162,7 +162,7 @@ def test_criterion_06_normalization_attainable_parts(fp_ref):
     for n in range(6):
         nrm = quad_halfline(
             lambda z: phi_plus_jet(fp_ref, n, z, 0).value ** 2,
-            fp_ref.omega_hat)
+            fp_ref.omega_hat, fp_ref.gamma - 1, 2 * n)
         worst_norm = max(worst_norm, abs(nrm - 1.0))
     g, oh = fp_ref.gamma, fp_ref.omega_hat
     ground_closed = j_integral(fp_ref, 0, 0, "closed")

@@ -105,6 +105,17 @@ class TestSolve:
         assert code == 1
         assert err == "config error: unknown config field 'z_min'\n"
 
+    def test_the_gauge_constant_is_not_configurable(self, tmp_path, capsys):
+        # verify fits the gauge constant; no delta flag or field sets it
+        code, _, err = run_main(["verify", "--delta", "5"], capsys)
+        assert code == 1
+        assert err.startswith("config error: unrecognized arguments: --delta")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"delta": 5.0}))
+        code, _, err = run_main(["solve", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err == "config error: unknown config field 'delta'\n"
+
     @pytest.mark.parametrize("args", [
         ["spectrum", "--config", "{tmp}/n_max_string.json"],
         ["spectrum", "--grids", "100,300"],

@@ -10,15 +10,13 @@ import pytest
 
 from conftest import FEASIBLE_TRIPLES, subprocess_env
 import reference
-from reference import (pochhammer, quad_interval_nodewise,
-                       sturm_count_two_sided, tridiag_eigs_per_level)
+from reference import (pochhammer, sturm_count_two_sided,
+                       tridiag_eigs_per_level)
 
-from swanson.errors import NonConvergent
-from swanson.jets import elementwise
 from swanson import numeric
 from swanson.numeric import (TridiagSystem, compare_spectra, fd_box,
                              fd_discretize, max_rel_gap, quad_halfline,
-                             quad_interval, refine_extrapolate, tridiag_eigs)
+                             refine_extrapolate, tridiag_eigs)
 from swanson.params import ModelParams, solve_forward, solve_inverse
 from swanson.potentials import Form, Side, eval_potential_z
 from swanson.spectrum import energies_plus
@@ -469,14 +467,55 @@ class TestRichardsonRefinement:
 
 
 class TestHalflineQuadrature:
+    """Generalized Gauss-Laguerre in t = decay_rate z^2."""
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5, 100.5])
+    @pytest.mark.parametrize("n", [1, 2, 6, 11, 21])
+    def test_nodes_and_weights_match_scipy(self, alpha, n):
+        from scipy.special import roots_genlaguerre
+        t, w = numeric._gauss_laguerre(alpha, n)
+        ts, ws = roots_genlaguerre(n, alpha)
+        assert np.allclose(t, ts, rtol=1e-12, atol=0)
+        # scipy's weights belong to t^alpha e^-t, the rule's to that over
+        # Gamma(alpha + 1); the smallest are 1e-31 here
+        assert np.allclose(w, ws / math.gamma(alpha + 1), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5, 100.5])
+    @pytest.mark.parametrize("degree", [0, 1, 6, 11, 40])
+    @pytest.mark.parametrize("decay_rate", [1.0, 1e-6, 3e5])
+    def test_moments_are_exact_to_the_degree(self, alpha, degree,
+                                             decay_rate):
+        # t^k t^alpha e^-t dt / Gamma(alpha + 1) is f(z) dz with
+        # t = decay_rate z^2, f = 2 decay_rate z t^(alpha+k) e^-t / Gamma
+        def f(z):
+            t = decay_rate * z * z
+            return 2 * decay_rate * z * np.exp(
+                (alpha + k) * np.log(t) - t - math.lgamma(alpha + 1))
+
+        for k in range(degree + 1):
+            want = math.exp(math.lgamma(alpha + k + 1)
+                            - math.lgamma(alpha + 1))
+            assert quad_halfline(f, decay_rate, alpha, degree) \
+                == pytest.approx(want, rel=1e-12)
+
+    def test_integrand_sees_all_nodes_in_one_call(self):
+        sizes = []
+
+        def f(z):
+            sizes.append(z.shape)
+            return np.exp(-z * z)
+
+        quad_halfline(f, 1.0, -0.5, 9)
+        assert sizes == [(5,)]
+
     def test_gaussian(self):
-        got = quad_halfline(lambda z: np.exp(-z * z), 1.0)
+        got = quad_halfline(lambda z: np.exp(-z * z), 1.0, -0.5, 0)
         assert got == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
 
     def test_moment_integral(self, fp_star):
         g, oh = fp_star.gamma, fp_star.omega_hat
         got = quad_halfline(lambda z: z ** (2 * g + 1) * np.exp(-oh * z * z),
-                            oh)
+                            oh, g, 0)
         assert got == pytest.approx(math.gamma(g + 1) / (2 * oh ** (g + 1)),
                                     rel=1e-11)
 
@@ -486,94 +525,17 @@ class TestHalflineQuadrature:
         g, oh = fp_star.gamma, fp_star.omega_hat
         got = quad_halfline(
             lambda z: z ** (2 * g - 1) * np.exp(-oh * z * z)
-            * kummer(n, g, oh * z * z) ** 2, oh)
+            * kummer(n, g, oh * z * z) ** 2, oh, g - 1, 2 * n)
         expected = (math.factorial(n) * math.gamma(g)
                     / (2 * oh ** g * pochhammer(g, n)))
         assert got == pytest.approx(expected, rel=1e-10)
 
-    def test_rejects_bad_decay_rate(self):
+    @pytest.mark.parametrize("decay_rate, alpha, degree", [
+        (0.0, 0.5, 2), (-1.0, 0.5, 2), (math.nan, 0.5, 2), (1.0, -1.0, 2),
+        (1.0, -2.5, 2), (1.0, math.nan, 2), (1.0, 0.5, -1)])
+    def test_rejects_bad_arguments(self, decay_rate, alpha, degree):
         with pytest.raises(ValueError):
-            quad_halfline(lambda z: 1.0, 0.0)
-
-    def test_non_decaying_integrand_detected(self):
-        with pytest.raises(NonConvergent):
-            # decay hint wildly wrong for a slowly-varying integrand
-            quad_halfline(lambda z: np.sin(1e6 * z * z), 1.0)
-
-
-class TestIntervalQuadrature:
-    def test_reversed_interval_negates(self):
-        # log rho integrates from the reference point +-1 toward x, so the
-        # interval runs backwards whenever |x| < 1
-        f = lambda x: 1.0 / (x * x)
-        assert quad_interval(f, 2.0, 1.0, 1e-12) == pytest.approx(-0.5,
-                                                                  rel=1e-13)
-
-    def test_divergent_integral_detected(self):
-        with pytest.raises(NonConvergent):
-            quad_interval(lambda x: 1.0 / x, 0.0, 1.0, 1e-12)
-
-
-def _narrow_peak(z: float) -> float:
-    return math.exp(-((z - 0.3) / 3e-4) ** 2)
-
-
-class TestQuadratureOnNodeArrays:
-    """The integrand sees the nodes of many panels at once; the sums run in
-    the order of a node-by-node loop, so the result is that loop's bit for
-    bit."""
-
-    CASES = [
-        (lambda z: elementwise(math.exp, -z * z),
-         lambda z: math.exp(-z * z), 0.0, 6.0),
-        # a narrow peak that needs 2^11 panels: blocks of 256
-        (lambda z: elementwise(_narrow_peak, z), _narrow_peak, 0.0, 1.0),
-        (lambda z: 1.0 / (z * z), lambda z: 1.0 / (z * z), 2.0, 1.0),
-    ]
-
-    @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_equals_the_node_by_node_loop(self, case):
-        f, scalar_f, lo, hi = self.CASES[case]
-        got = quad_interval(f, lo, hi, 1e-12)
-        assert got.hex() == quad_interval_nodewise(scalar_f, lo, hi,
-                                                   1e-12).hex()
-
-    def test_calls_take_blocks_of_panels(self):
-        sizes = []
-
-        def f(z):
-            sizes.append(z.size)
-            return elementwise(_narrow_peak, z)
-
-        quad_interval(f, 0.0, 1.0, 1e-12)
-        # one call for each pass up to 256 panels, then 256 panels a call
-        assert sizes == [16 * p for p in (8, 16, 32, 64, 128, 256)] + [
-            16 * 256] * (2 + 4 + 8)
-
-    def test_error_is_the_first_failing_node(self):
-        # a node-by-node loop meets the OverflowError of the second stage
-        # (z > 0.2) before the ValueError of the first (z > 0.9); on the
-        # whole array the first stage would fail first
-        def stage1(v):
-            if v > 0.9:
-                raise ValueError("first stage")
-            return v
-
-        def stage2(v):
-            if v > 0.2:
-                raise OverflowError("second stage")
-            return v
-
-        f = lambda z: elementwise(stage2, elementwise(stage1, z))
-        with pytest.raises(OverflowError, match="second stage"):
-            quad_interval(f, 0.0, 1.0, 1e-12)
-
-    def test_array_overflow_gives_inf_without_a_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonConvergent):
-                quad_interval(lambda z: np.exp(1e3 * (z + 1.0)), 0.0, 1.0,
-                              1e-12)
+            quad_halfline(lambda z: 1.0, decay_rate, alpha, degree)
 
 
 class TestRelativeGap:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swanson.errors import DomainError, ModeError
-from swanson.numeric import fd_box, quad_interval
+from swanson.numeric import fd_box
 from swanson.params import solve_forward
 from swanson.potentials import (Form, Side, a_jet, b1_jet, b_plain_jet,
                                 b_tilde_jet, c1_jet, coord_x, dlog_rho_jet,
@@ -14,6 +14,7 @@ from swanson.potentials import (Form, Side, a_jet, b1_jet, b_plain_jet,
                                 h_tilde_jet, transform_shift, w_of_z_jet)
 from conftest import (SAMPLE_X, SAMPLE_Z, pointwise_hex, random_box_points,
                       random_forward_sets)
+from reference import quad_interval_nodewise
 
 
 class TestPointFunctions:
@@ -41,7 +42,8 @@ class TestPointFunctions:
     def test_inverse_mode_fills_all_fields(self, inverse_sets):
         mp, fp, _ = inverse_sets[0]
         for j in (b_plain_jet(-1.5, fp, 0), b1_jet(-1.5, fp, mp, 0),
-                  c1_jet(-1.5, fp, mp, 0), dlog_rho_jet(-1.5, fp, mp, 0)):
+                  c1_jet(-1.5, fp, mp, 0, delta=0.0),
+                  dlog_rho_jet(-1.5, fp, mp, 0)):
             assert math.isfinite(j.value)
 
     def test_hermitian_limit_kills_metric(self, inverse_sets):
@@ -73,9 +75,8 @@ class TestMetric:
 
         for x in SAMPLE_X:
             want = antiderivative(x) - antiderivative(math.copysign(1.0, x))
-            got = quad_interval(
-                lambda ys: np.array([dlog_rho_jet(y, fp, mp, 0).value
-                                     for y in ys.tolist()]),
+            got = quad_interval_nodewise(
+                lambda y: dlog_rho_jet(y, fp, mp, 0).value,
                 math.copysign(1.0, x), x, tol=1e-12)
             assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 

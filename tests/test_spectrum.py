@@ -7,13 +7,14 @@ import pytest
 
 from swanson.errors import DomainError
 from swanson.numeric import quad_halfline
+from swanson.params import solve_forward
 from swanson.potentials import Form, Side, eval_potential_z, w_of_z_jet
 from swanson.spectrum import (energies_plus, j_integral, phi_minus_jet,
                               phi_plus_jet, psi_plus_jet, psi_plus_norm)
 from conftest import (SAMPLE_Z, pointwise_hex, random_box_points,
                       random_forward_sets)
 from reference import (GKPotential, energy_shift, gk_eigenvalues, gk_of,
-                       j_diagonal_exact, quad_interval_nodewise)
+                       j_diagonal_exact)
 
 
 class TestHalflineOscillator:
@@ -116,7 +117,7 @@ class TestPlusEigenfunctions:
     def test_unit_norm_ground_state(self, fp_star):
         nrm = quad_halfline(
             lambda z: phi_plus_jet(fp_star, 0, z, 0).value ** 2,
-            fp_star.omega_hat)
+            fp_star.omega_hat, fp_star.gamma - 1, 0)
         assert nrm == pytest.approx(1.0, abs=1e-10)
 
     def test_first_excited_node_location(self, fp_star):
@@ -146,7 +147,7 @@ class TestPlusEigenfunctions:
         for n in range(1, 6):
             nrm = quad_halfline(
                 lambda z: phi_plus_jet(fp_star, n, z, 0).value ** 2,
-                fp_star.omega_hat)
+                fp_star.omega_hat, fp_star.gamma - 1, 2 * n)
             assert nrm == pytest.approx(1.0, abs=1e-8)
 
 
@@ -198,12 +199,14 @@ class TestMinusEigenfunctions:
             assert abs(raised - target) <= 1e-8 * math.sqrt(E) * scale
 
     def test_normalized_state_has_unit_norm(self, fp_star):
+        # in t the square is t^gamma e^-t times a polynomial over
+        # (t + gamma)^2, smooth on t >= 0: 31 nodes take it to 1e-11
         for n in range(3):
             nrm = quad_halfline(
                 lambda zs: np.array([
                     phi_minus_jet(fp_star, n, z, "normalized", 0).value ** 2
                     for z in zs.tolist()]),
-                fp_star.omega_hat)
+                fp_star.omega_hat, fp_star.gamma, 60)
             assert nrm == pytest.approx(1.0, abs=1e-8)
 
 
@@ -218,7 +221,7 @@ class TestPreTransformStates:
 
     def test_ground_state_norm_matches_inverse_scale(self, fp_star):
         nrm = quad_halfline(lambda z: psi_plus_jet(fp_star, 0, z, 0).value ** 2,
-                            fp_star.omega_hat)
+                            fp_star.omega_hat, fp_star.gamma, 0)
         assert nrm == pytest.approx(1.0 / fp_star.omega_bar, rel=1e-10)
 
     def test_excited_norm_measured_value(self, fp_star):
@@ -227,7 +230,7 @@ class TestPreTransformStates:
         # ((n+gamma)(n+1)) -- reported, not asserted to be 1
         n, g = 1, fp_star.gamma
         nrm = quad_halfline(lambda z: psi_plus_jet(fp_star, n, z, 0).value ** 2,
-                            fp_star.omega_hat)
+                            fp_star.omega_hat, fp_star.gamma, 2 * n)
         expected = (2 * n + g) / ((n + g) * (n + 1)) / fp_star.omega_bar
         assert nrm == pytest.approx(expected, rel=1e-9)
         assert nrm == pytest.approx(0.642857142857, rel=1e-9)
@@ -429,16 +432,14 @@ class TestNormalizationIntegrals:
                                     rel=1e-9)
         assert math.isfinite(j01)
 
-    @pytest.mark.parametrize("m, n", [(0, 0), (1, 1), (0, 1), (5, 5)])
-    def test_quadrature_equals_a_node_by_node_loop(self, m, n, fp_star):
-        from swanson.spectrum import _chi_jet, _kummer_factor
-        g, oh = fp_star.gamma, fp_star.omega_hat
-        scale = _kummer_factor(m, g) * _kummer_factor(n, g)
-        want = quad_interval_nodewise(
-            lambda z: (scale * _chi_jet(m, g, oh, z, g + 0.5, 0).value
-                       * _chi_jet(n, g, oh, z, g + 0.5, 0).value),
-            0.0, math.sqrt(90.0 / oh), 1e-11)
-        assert j_integral(fp_star, m, n, "quadrature").hex() == want.hex()
+    def test_quadrature_is_exact_to_n_20(self, fp_star):
+        # in t = oh z^2 the diagonal integrand is t^gamma e^-t times a
+        # polynomial of degree 2n: the rule with n + 1 nodes is exact, at
+        # gamma = 2.5 and at gamma = 101.5
+        for fp in (fp_star, solve_forward(1.0, 100.0, 1.0 / 101.5)):
+            for n in range(21):
+                q = j_integral(fp, n, n, "quadrature")
+                assert q == pytest.approx(j_diagonal_exact(fp, n), rel=1e-12)
 
     def test_closed_forms_reject_off_diagonal(self, fp_star):
         with pytest.raises(ValueError):

@@ -14,9 +14,8 @@ from swanson import numeric, spectrum, verify
 from swanson.potentials import w_of_z_jet
 from swanson.cli import DEFAULT_TOLS, main
 from swanson.errors import NonConvergent
-from swanson.specialfn import laguerre
 from conftest import random_forward_sets
-from reference import quad_interval_nodewise
+from reference import j_diagonal_exact
 
 IDS = [name for row in verify.ROWS for name in row.names]
 FORWARD_IDS = [name for row in verify.ROWS if not row.inverse_only
@@ -68,7 +67,7 @@ def test_each_id_is_written_once_in_the_package():
 
 def test_nonconvergent_quadrature_marks_exactly_the_rows_that_integrate(
         monkeypatch, tmp_path):
-    def diverges(f, decay_rate, tol=1e-11):
+    def diverges(f, decay_rate, alpha, degree):
         raise NonConvergent("forced")
 
     monkeypatch.setattr(numeric, "quad_halfline", diverges)
@@ -90,7 +89,7 @@ def test_nonconvergent_quadrature_marks_exactly_the_rows_that_integrate(
 
 def test_arithmetic_error_is_recorded_like_nonconvergence(monkeypatch,
                                                          tmp_path):
-    def overflows(f, decay_rate, tol=1e-11):
+    def overflows(f, decay_rate, alpha, degree):
         raise OverflowError("forced")
 
     monkeypatch.setattr(numeric, "quad_halfline", overflows)
@@ -144,34 +143,54 @@ def test_shared_order_one_w_has_the_order_zero_value(fp_star):
                 == w_of_z_jet(z, fp_star, 0).value.hex())
 
 
-def test_quadrature_rows_equal_a_node_by_node_evaluation():
-    # the integrands take all their nodes at once; every residual is still
-    # the node-by-node loop's on Python floats, bit for bit (a square is
-    # the product v * v on both)
-    def square(v):
-        return v * v
+def test_quadrature_rows_are_exact():
+    # in t = omega_hat z^2 every integrand of the rows is t^alpha e^-t times
+    # a polynomial of degree 2(N_STATES - 1), which the Gauss-Laguerre rule
+    # takes exactly: the phi+ norms and the orthogonality read rounding, and
+    # the printed psi+ norm misses 1/omega_bar by the exact integral's amount
+    from swanson.params import solve_forward
 
-    for fp in random_forward_sets(3, seed=21):
+    for fp in random_forward_sets(3, seed=21) + [
+            solve_forward(1.0, 100.0, 1.0 / 101.5)]:
         r = type("Run", (), {"fp": fp})()
-        g, oh = fp.gamma, fp.omega_hat
-        hi = math.sqrt(90.0 / oh)
-        for state, target in ((spectrum.phi_plus_jet, 1.0),
-                              (spectrum.psi_plus_jet, 1.0 / fp.omega_bar)):
-            want = max(abs(quad_interval_nodewise(
-                lambda z: square(state(fp, n, z, 0).value), 0.0, hi, 1e-11)
-                - target) for n in range(verify.N_STATES))
-            assert verify._normalization(r, state, target).hex() == want.hex()
+        g, ob = fp.gamma, fp.omega_bar
+        assert verify._normalization(r, spectrum.phi_plus_jet, 1.0,
+                                     g - 1) <= 1e-12
+        assert verify._orthogonality(r) <= 1e-12
+        want = max(abs(spectrum.psi_plus_norm(fp, n) ** 2
+                       * j_diagonal_exact(fp, n) - 1.0 / ob)
+                   for n in range(verify.N_STATES))
+        got = verify._normalization(r, spectrum.psi_plus_jet, 1.0 / ob, g)
+        assert got == pytest.approx(want, rel=1e-12)
 
-        def gap(n):
-            q = quad_interval_nodewise(
-                lambda z: z ** (2 * g - 1) * math.exp(-oh * z * z)
-                * square(laguerre(n, g - 1, oh * z * z)), 0.0, hi, 1e-11)
-            closed = (math.exp(math.lgamma(n + g) - math.lgamma(n + 1))
-                      / (2 * oh**g))
-            return abs(q - closed) / abs(closed)
 
-        want = max(gap(n) for n in range(verify.N_STATES))
-        assert verify._orthogonality(r).hex() == want.hex()
+def test_the_integrating_rows_pass_where_the_states_live_far_out(capsys):
+    # at r = rho_q / sqrt(omega_bar) = 100 the states carry their mass near
+    # t = gamma = 101.5, beyond a window fixed in omega_hat alone
+    assert main(["verify", "--omega-bar", "1", "--rho-q", "100",
+                 "--d", "0.009852216748768473", "--n-max", "2"]) == 3
+    rows = {e["id"]: e for e in json.loads(capsys.readouterr().out)[
+        "identities"]}
+    for name in ("normalization_diagonal", "orthogonality_weighted"):
+        assert rows[name]["status"] == "PASS"
+        assert float(rows[name]["residual"]) <= 1e-12
+
+
+def test_rows_scaled_by_vanishing_states_say_so(capsys):
+    # at omega_hat = 1e6 every state underflows at SAMPLE_Z: the rows that
+    # divide by max|phi| read NaN and FAIL, and their note gives the reason
+    assert main(["verify", "--omega-bar", "1", "--rho-q", "1",
+                 "--d", "4e5", "--n-max", "2"]) == 3
+    rows = {e["id"]: e for e in json.loads(capsys.readouterr().out)[
+        "identities"]}
+    noted = {name for name, e in rows.items() if "note" in e}
+    assert noted == {"eigen_residual_plus", "eigen_residual_minus",
+                     "ladder_up_consistency"}
+    for name in noted:
+        assert (rows[name]["residual"], rows[name]["status"],
+                rows[name]["note"]) == (
+            "nan", "FAIL", "the closed-form states vanish at every sample "
+            "point")
 
 
 def test_failing_plus_side_still_runs_the_minus_side(monkeypatch):
