@@ -22,8 +22,8 @@ from .params import (ConstraintReport, DerivedConstants, FactorizationParams,
 from .potentials import (Form, Side, coord_x, eval_potential,
                          eval_potential_z, transform_shift)
 from .diffop import LinDiffOp, build, compose, conjugate, formal_adjoint, residual
-from .spectrum import (energies_plus, j_integral, phi_minus_jet, phi_plus_jet,
-                       psi_plus_jet, psi_plus_norm)
+from .spectrum import (energies_plus, j_integral, phi_minus_jet,
+                       phi_plus_jet)
 from .numeric import (SpectrumComparison, TridiagSystem, compare_spectra,
                       fd_discretize, quad_halfline, refine_extrapolate,
                       tridiag_eigs)
@@ -39,8 +39,7 @@ __all__ = [
     "Side", "Form", "eval_potential", "eval_potential_z", "transform_shift",
     "coord_x",
     "LinDiffOp", "build", "compose", "formal_adjoint", "conjugate", "residual",
-    "energies_plus", "phi_plus_jet", "phi_minus_jet", "psi_plus_jet",
-    "psi_plus_norm", "j_integral",
+    "energies_plus", "phi_plus_jet", "phi_minus_jet", "j_integral",
     "TridiagSystem", "SpectrumComparison", "fd_discretize", "tridiag_eigs",
     "refine_extrapolate", "quad_halfline", "compare_spectra",
 ]

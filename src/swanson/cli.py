@@ -202,7 +202,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     ep, em = verify.numeric_spectra(cfg, fp, k)
     rows = []
     for n in range(k):
-        rel = abs(ep[n] - analytic[n]) / max(1.0, abs(analytic[n]))
+        rel = abs(ep[n] - analytic[n]) / abs(analytic[n])
         rows.append([n, analytic[n], ep[n], em[n], rel])
     _emit_rows(cfg, rows, ["n", "E_analytic", "E_numeric_plus",
                            "E_numeric_minus", "rel_error_plus"])

@@ -6,11 +6,12 @@ grid in one call), the k lowest levels of its tridiagonal pencil by
 Sturm-sequence bisection (fully deterministic), Richardson extrapolation
 over grid refinements, the one quadrature rule (``quad_halfline``:
 generalized Gauss-Laguerre in t = omega_hat z^2, exact for a polynomial
-times t^alpha e^-t, the integrand sampled on all its nodes in one call),
-the relative gap the identity checks reduce to and the one maximum they all
+times t^alpha e^-t, the integrand sampled on all its nodes in one call,
+one integrand or a whole array of them such as a Gram matrix), the
+relative gap the identity checks reduce to and the one maximum they all
 reduce with (``worst``: a NaN anywhere makes it NaN, so the check fails),
-and spectra comparison.  Nothing here reuses the
-closed-form machinery it checks.
+and spectra comparison (relative errors over |E|).  Nothing here reuses
+the closed-form machinery it checks.
 
 The Sturm count is a scalar Python loop over all the rows with one
 comparison per pivot: per row that costs less than numpy calls on k-element
@@ -34,7 +35,9 @@ instead of 544,000, and over ten seeded benchmark samples the rows per
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -398,31 +401,34 @@ def _gauss_laguerre(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quad_halfline(f: Integrand, decay_rate: float, alpha: float,
-                  degree: int) -> float:
+                  degree: int) -> float | np.ndarray:
     """Integral of f over (0, inf) by the generalized Gauss-Laguerre rule in
     t = decay_rate z^2, exact when f(z) dz, written in t, is t^alpha e^-t dt
     times a polynomial of degree <= ``degree``.
 
     The rule has degree // 2 + 1 nodes.  ``f`` is called once, on all the
     nodes z = sqrt(t / decay_rate) as an ndarray, and returns an array of
-    the values or one scalar for all of them; each value is divided by the
-    weight and the Jacobian 2 sqrt(decay_rate t) in log form,
+    the values or one scalar for all of them, or an array of shape
+    (..., nodes) for several integrands at once; each value is divided by
+    the weight and the Jacobian 2 sqrt(decay_rate t) in log form,
     (alpha + 1/2) log t - t - lgamma(alpha + 1), so that Gamma cannot
-    overflow at large alpha.  numpy's floating-point warnings are off, so an
-    overflow gives inf as in Python floats.
+    overflow at large alpha.  The nodes' terms are added in node order from
+    0.0, so each integral of an array is bit for bit the one its integrand
+    gives alone; one integrand gives a float, several an ndarray.  numpy's
+    floating-point warnings are off, so an overflow gives inf as in Python
+    floats.
     """
     if not (decay_rate > 0 and alpha > -1 and degree >= 0):
         raise ValueError("need decay_rate > 0, alpha > -1 and degree >= 0")
     t, w = _gauss_laguerre(alpha, degree // 2 + 1)
     with np.errstate(all="ignore"):
-        fz = np.broadcast_to(np.asarray(
-            f(np.sqrt(t / decay_rate)), dtype=float), t.shape)
-        terms = w * fz * np.exp(math.lgamma(alpha + 1) + t
-                                - (alpha + 0.5) * np.log(t))
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    return total / (2 * math.sqrt(decay_rate))
+        fz = np.asarray(f(np.sqrt(t / decay_rate)), dtype=float)
+        terms = np.broadcast_to(w * fz * np.exp(
+            math.lgamma(alpha + 1) + t - (alpha + 0.5) * np.log(t)),
+            fz.shape[:-1] + t.shape)
+        total = functools.reduce(operator.add, np.moveaxis(terms, -1, 0), 0.0)
+        total = total / (2 * math.sqrt(decay_rate))
+    return float(total) if terms.ndim == 1 else total
 
 
 def worst(values: Iterable) -> float:
@@ -444,8 +450,10 @@ def compare_spectra(analytic: Sequence[float], numeric: Sequence[float],
                     tol: float = 1e-6) -> SpectrumComparison:
     """Nearest-neighbor pairing of two ascending spectra.
 
-    Each analytic level is matched to the nearest unused numeric level;
-    numeric levels below the lowest analytic one are flagged (zero-mode scan).
+    Each analytic level is matched to the nearest unused numeric level, and
+    the pair's relative error is its gap over |analytic|, so levels far
+    below 1 are compared on their own scale; numeric levels below the
+    lowest analytic one are flagged (zero-mode scan).
     """
     analytic = list(analytic)
     numeric = list(numeric)
@@ -462,7 +470,7 @@ def compare_spectra(analytic: Sequence[float], numeric: Sequence[float],
             break
         used[best_i] = True
         abs_err = abs(best - a)
-        pairs.append((a, best, abs_err, abs_err / max(1.0, abs(a))))
+        pairs.append((a, best, abs_err, abs_err / abs(a)))
     unmatched = [x for i, x in enumerate(numeric)
                  if not used[i] and analytic and x < analytic[0] - tol]
     return SpectrumComparison(pairs=pairs, unmatched_numeric_levels=unmatched)

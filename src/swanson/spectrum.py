@@ -7,11 +7,12 @@ eigenfunctions are Gaussian-weighted associated Laguerre polynomials,
 z^(gamma-1/2) exp(-oh z^2/2) L_n^(gamma-1)(oh z^2) (``phi_plus_jet``).  The
 minus side is generated from it by the first-order ladder operator
 (``phi_minus_jet``).  Every state is a ``Jet`` in z; callers read ``.value``
-and ``.derivative(k)``.  The pre-transform states (``psi_plus_jet``) carry
-the printed normalization constant, and ``j_integral`` gives their
-normalization integrals: in t = oh z^2 each is t^gamma e^-t dt times a
-polynomial, so ``numeric.quad_halfline``'s generalized Gauss-Laguerre rule
-takes it exactly.  Every Gamma ratio comes from ``math.lgamma``.
+and ``.derivative(k)``.  ``j_integral`` gives the normalization integrals
+of the pre-transform states, z times the plus-side shape in Kummer form,
+against the printed closed form: in t = oh z^2 each is t^gamma e^-t dt
+times a polynomial, so ``numeric.quad_halfline``'s generalized
+Gauss-Laguerre rule takes it exactly.  Every Gamma ratio comes from
+``math.lgamma``.
 At any order ``z`` may be an ndarray of points: the states are then
 evaluated on all of them at once, each element bit for bit its one-point
 value (see ``jets``), with numpy's floating-point warnings off so that an
@@ -115,25 +116,6 @@ def _printed_ratio(n: int, gamma: float) -> float:
     normalization, from log-Gamma so that large n cannot overflow."""
     return math.exp(math.lgamma(n + 2) + 2 * math.lgamma(gamma)
                     - math.lgamma(n + gamma))
-
-
-def psi_plus_norm(fp: FactorizationParams, n: int) -> float:
-    """Printed normalization constant of the pre-transform eigenfunction,
-    (-1)^n sqrt(2 oh^(gamma+1) (gamma)_n
-                / (ob (n + gamma) (n+1)! Gamma(gamma)))."""
-    g, oh, ob = fp.gamma, fp.omega_hat, fp.omega_bar
-    mag = math.sqrt(2 * oh ** (g + 1) / (ob * (n + g) * _printed_ratio(n, g)))
-    return (-1) ** n * mag
-
-
-@_quiet
-def psi_plus_jet(fp: FactorizationParams, n: int, z,
-                 order: int = 2) -> Jet:
-    if any_nonpositive(z):
-        raise DomainError("pre-transform eigenfunction needs z > 0")
-    g, oh = fp.gamma, fp.omega_hat
-    return (psi_plus_norm(fp, n) * _kummer_factor(n, g)
-            * _chi_jet(n, g, oh, z, g + 0.5, order))
 
 
 def j_integral(fp: FactorizationParams, m: int, n: int,

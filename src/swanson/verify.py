@@ -7,6 +7,10 @@ inverse-mode parameters, and its residual function (a tuple for several ids).
 row evaluates its sample points in one call (an ndarray of SAMPLE_X or
 SAMPLE_Z), with numpy's warnings off, and reduces through
 ``numeric.max_rel_gap`` or ``numeric.worst``, so a NaN anywhere fails it.
+Each identity row is meant to measure a fact that no other row implies: a row
+that holds by construction, or repeats another's gap on another scale, has
+no place here (``tests/test_mutants.py`` pins the rows each injected fault
+fails).
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NonConvergent, SwansonError
-from .jets import elementwise
 from .potentials import (Form, Side, coord_x, dlog_rho_jet, eval_potential,
                          eval_potential_z, transform_shift, w_of_z_jet)
-from .specialfn import laguerre
 from . import diffop, numeric, spectrum
 
 # Sample points away from the singular loci; the ladder checks use the first
@@ -84,14 +86,13 @@ class _Run:
         self.Atd = diffop.build("Atilde_dag", fp)
         self.energies = spectrum.energies_plus(fp, N_STATES - 1)
         self.x, self.z = np.array(SAMPLE_X), np.array(SAMPLE_Z)
-        # the canonical and printed minus potentials, w and w' on all of
-        # SAMPLE_Z at once
+        # the canonical and printed minus potentials and w on all of SAMPLE_Z
+        # at once
         self.v = {side: eval_potential_z(side, Form.CANONICAL, self.z, fp)
                   for side in Side}
         self.v_printed_minus = eval_potential_z(Side.MINUS, Form.TRANSFORMED,
                                                 self.z, fp)
-        wj = w_of_z_jet(self.z, fp, 1)
-        self.w, self.dw = wj.value, wj.derivative(1)
+        self.w = w_of_z_jet(self.z, fp, 0).value
         # the order-2 closed-form states on all of SAMPLE_Z, one jet per n
         self.states = {side: [
             spectrum.phi_plus_jet(fp, n, self.z, 2) if side is Side.PLUS
@@ -155,32 +156,19 @@ def _ladder_up(r: _Run) -> float:
         zip(r.energies, r.states[Side.PLUS])))
 
 
-# the degree in t = omega_hat z^2 of the squared Laguerre factors, n < N_STATES
-_DEGREE = 2 * (N_STATES - 1)
+def _orthonormality(r: _Run) -> float:
+    """max |<phi_m, phi_n> - delta_mn| over m, n < N_STATES: in
+    t = omega_hat z^2 each product is t^(gamma-1) e^-t dt times a polynomial
+    of degree 2(N_STATES - 1), which one Gauss-Laguerre call takes exactly
+    for the whole Gram matrix."""
+    def gram(z):
+        phi = np.array([spectrum.phi_plus_jet(r.fp, n, z, 0).value
+                        for n in range(N_STATES)])
+        return phi[:, None] * phi[None, :]
 
-
-def _normalization(r: _Run, state, target: float, alpha: float) -> float:
-    """max |int_0^inf state^2 dz - target| over the closed-form states,
-    whose squares are t^alpha e^-t dt times a polynomial in t."""
     return numeric.worst(abs(numeric.quad_halfline(
-        lambda z: np.square(state(r.fp, n, z, 0).value),
-        r.fp.omega_hat, alpha, _DEGREE) - target)
-        for n in range(N_STATES))
-
-
-def _orthogonality(r: _Run) -> float:
-    g, oh = r.fp.gamma, r.fp.omega_hat
-
-    def gap(n):
-        q = numeric.quad_halfline(
-            lambda z: elementwise(lambda v: v ** (2 * g - 1), z)
-            * elementwise(math.exp, -oh * z * z)
-            * np.square(laguerre(n, g - 1, oh * z * z)), oh, g - 1, _DEGREE)
-        closed = (math.exp(math.lgamma(n + g) - math.lgamma(n + 1))
-                  / (2 * oh**g))
-        return abs(q - closed) / abs(closed)
-
-    return numeric.worst(gap(n) for n in range(N_STATES))
+        gram, r.fp.omega_hat, r.fp.gamma - 1, 2 * (N_STATES - 1))
+        - np.eye(N_STATES)))
 
 
 def _fd_spectra(r: _Run) -> tuple[float, float]:
@@ -252,16 +240,10 @@ ROWS = (
         r.v[Side.PLUS])])),
     Row("transform_shift_minus", 1e-10, _transform_shift(Side.MINUS)),
     Row("transform_shift_plus", 1e-10, _transform_shift(Side.PLUS)),
-    Row("shape_invariance", 1e-10, lambda r: numeric.max_rel_gap([
-        (2 * r.dw, r.v[Side.PLUS] - r.v[Side.MINUS])])),
     Row("parity", 1e-10, lambda r: numeric.max_rel_gap(
         (eval_potential(side, Form.OPERATOR_PRODUCT, -r.x, r.fp),
          eval_potential(side, Form.OPERATOR_PRODUCT, r.x, r.fp))
         for side in Side)),
-    Row(("omega_hat_mu_identity", "omega_hat_gamma_identity"), 1e-12,
-        lambda r: tuple(abs(r.fp.omega_hat - v) / max(1.0, r.fp.omega_hat)
-                        for v in (abs(r.fp.mu) * math.sqrt(r.fp.omega_bar),
-                                  r.fp.d * r.fp.omega_bar * r.fp.gamma))),
     # closed-form spectral data
     Row("eigen_residual_plus", 1e-8, lambda r: _eigen_residual(r, Side.PLUS),
         _vanishing(Side.PLUS)),
@@ -271,9 +253,7 @@ ROWS = (
         (spectrum.phi_minus_jet(r.fp, n, r.z[:8], "closed").value,
          j.value[:8]) for n, j in enumerate(r.states[Side.MINUS]))),
     Row("ladder_up_consistency", 1e-8, _ladder_up, _vanishing(Side.PLUS)),
-    Row("normalization_diagonal", 1e-8, lambda r: _normalization(
-        r, spectrum.phi_plus_jet, 1.0, r.fp.gamma - 1)),
-    Row("orthogonality_weighted", 1e-8, _orthogonality),
+    Row("orthonormality_plus", 1e-8, _orthonormality),
     # finite-difference oracle: one run gives both
     Row(("fd_spectrum_plus", "isospectrality"), 1e-5, _fd_spectra),
     Row("transformed_minus_residual_profile", 1e-9, _minus_profile),
@@ -306,10 +286,6 @@ ROWS = (
     Row("normalization_integral_printed", None, _printed_normalization,
         "printed diagonal closed form keeps only the leading term of the "
         "exact sum; exact at the ground state only"),
-    Row("psi_norm_measure", None, lambda r: _normalization(
-        r, spectrum.psi_plus_jet, 1.0 / r.fp.omega_bar, r.fp.gamma),
-        "pre-transform normalization reproduces 1/omega_bar at the ground "
-        "state only"),
     Row("rational_ansatz_minus", None, _form(Side.MINUS, Form.RATIONAL_ANSATZ),
         "depends on the gauge constant and the over-determined matching "
         "residuals", inverse_only=True),

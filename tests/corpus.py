@@ -8,11 +8,15 @@ what each one prints, so that two versions of the package can be compared.
 A run writes ``{argv: [exit code, stdout, stderr]}`` as JSON, the argv joined
 by spaces; every Python warning an argv raises is printed to its stderr.
 ``--diff`` prints each argv whose record differs between two files, and the
-lines that differ.  The 99 argv (97 distinct: the README's triple is the
-first frozen triple) are the default ``spectrum``, ``sweep`` and
-``verify``, the inverse ``spectrum`` and ``verify`` of the README's triple,
-``spectrum``, ``sweep`` and ``verify`` at each of the 27 corners
-omega_bar in {0.2, 1, 4}, rho_q in {0.1, 1, 3}, d in {0.2, 1, 3}, inverse
+lines that differ, then a summary by row id over the ``verify`` documents:
+the ids found in one file only, each id's status changes (PASS -> FAIL and
+the like) with their argv, and the argv whose exit code changed.
+
+The 99 argv (97 distinct: the README's triple is the first frozen triple)
+are the default ``spectrum``, ``sweep`` and ``verify``, the inverse
+``spectrum`` and ``verify`` of the README's triple, ``spectrum``,
+``sweep`` and ``verify`` at each of the 27 corners omega_bar in
+{0.2, 1, 4}, rho_q in {0.1, 1, 3}, d in {0.2, 1, 3}, inverse
 ``spectrum`` and ``verify`` at the five frozen triples, and ``spectrum``,
 ``sweep`` and ``verify`` at one extreme point.  ``--grid`` adds ``verify
 --n-max 2`` at omega_bar = 1 on the 10 x 9 grid of r = rho_q and
@@ -23,6 +27,7 @@ file.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import difflib
 import io
@@ -103,7 +108,49 @@ def diff(path_a: str, path_b: str) -> int:
                 if line[:1] in "+-" and line[:3] not in ("+++", "---"):
                     print(f"  {name} {line}")
     print(f"{changed} of {len(set(a) | set(b))} argv differ")
+    row_summary(a, b, path_a, path_b)
     return changed
+
+
+def _statuses(record: list) -> dict[str, str]:
+    """{id: status} of the rows of a ``verify`` document, {} for any other
+    output."""
+    try:
+        doc = json.loads(record[1])
+    except ValueError:
+        return {}
+    if not isinstance(doc, dict) or "identities" not in doc:
+        return {}
+    return {e["id"]: e["status"] for e in doc["identities"] + doc["errata"]}
+
+
+def row_summary(a: dict, b: dict, path_a: str, path_b: str) -> None:
+    """Print the ids found in one file only, the status changes per id and
+    the exit-code changes, over the argv both files hold."""
+    only = {path_a: collections.Counter(), path_b: collections.Counter()}
+    moves = collections.defaultdict(list)
+    exits = []
+    for key in sorted(set(a) & set(b)):
+        if a[key][0] != b[key][0]:
+            exits.append(f"{key}: {a[key][0]} -> {b[key][0]}")
+        sa, sb = _statuses(a[key]), _statuses(b[key])
+        only[path_a].update(sa.keys() - sb.keys())
+        only[path_b].update(sb.keys() - sa.keys())
+        for name in sorted(sa.keys() & sb.keys()):
+            if sa[name] != sb[name]:
+                moves[(name, sa[name], sb[name])].append(key)
+    for path, ids in only.items():
+        print(f"ids only in {path}: " + (", ".join(
+            f"{name} ({n} argv)" for name, n in sorted(ids.items()))
+            or "none"))
+    print(f"status changes: {len(moves) or 'none'}")
+    for (name, old, new), keys in sorted(moves.items()):
+        print(f"  {name} {old} -> {new} at {len(keys)} argv")
+        for key in keys:
+            print(f"    {key}")
+    print(f"exit code changes: {len(exits) or 'none'}")
+    for line in exits:
+        print(f"  {line}")
 
 
 def main() -> int:

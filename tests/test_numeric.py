@@ -508,6 +508,45 @@ class TestHalflineQuadrature:
         quad_halfline(f, 1.0, -0.5, 9)
         assert sizes == [(5,)]
 
+    @staticmethod
+    def _node_order_loop(f, decay_rate, alpha, degree):
+        """The rule with its terms added one node at a time, from 0.0."""
+        t, w = numeric._gauss_laguerre(alpha, degree // 2 + 1)
+        fz = np.broadcast_to(f(np.sqrt(t / decay_rate)), t.shape)
+        terms = w * fz * np.exp(math.lgamma(alpha + 1) + t
+                                - (alpha + 0.5) * np.log(t))
+        total = 0.0
+        for term in terms.tolist():
+            total += term
+        return total / (2 * math.sqrt(decay_rate))
+
+    @pytest.mark.parametrize("decay_rate, alpha, degree", [
+        (1.0, -0.5, 0), (0.37, 1.5, 10), (3e5, 100.5, 40)])
+    def test_one_integrand_is_the_node_order_loop(self, decay_rate, alpha,
+                                                  degree):
+        for f in (lambda z: np.exp(-z * z) * (1 - z), lambda z: -2.5,
+                  lambda z: np.zeros_like(z)):
+            got = quad_halfline(f, decay_rate, alpha, degree)
+            assert type(got) is float
+            assert got.hex() == self._node_order_loop(
+                f, decay_rate, alpha, degree).hex()
+
+    def test_an_array_of_integrands_is_each_one_alone(self):
+        # shape (..., nodes): one call, each integral bit for bit its own
+        fs = [[lambda z, k=k, j=j: z ** k * np.cos(j * z) for j in range(3)]
+              for k in range(2)]
+        calls = []
+
+        def stacked(z):
+            calls.append(z.shape)
+            return np.array([[f(z) for f in row] for row in fs])
+
+        got = quad_halfline(stacked, 0.8, 0.5, 12)
+        assert calls == [(7,)] and got.shape == (2, 3)
+        assert [[v.hex() for v in row] for row in got.tolist()] == [
+            [quad_halfline(f, 0.8, 0.5, 12).hex() for f in row]
+            for row in fs]
+
     def test_gaussian(self):
         got = quad_halfline(lambda z: np.exp(-z * z), 1.0, -0.5, 0)
         assert got == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
@@ -574,6 +613,12 @@ class TestSpectraComparison:
         comp = compare_spectra([10.0], [10.5])
         assert comp.pairs[0][2] == pytest.approx(0.5)
         assert comp.pairs[0][3] == pytest.approx(0.05)
+
+    def test_levels_far_below_one_are_compared_relatively(self):
+        # the error is over |E| at every scale, not over max(1, |E|)
+        comp = compare_spectra([2e-6, 6e-6], [2.00002e-6, 6e-6])
+        assert comp.pairs[0][3] == pytest.approx(1e-5, rel=1e-9)
+        assert comp.max_rel_error == pytest.approx(1e-5, rel=1e-9)
 
     def test_spurious_low_level_flagged(self):
         comp = compare_spectra([10.0, 20.0], [3.0, 10.0, 20.0])

@@ -10,7 +10,7 @@ from swanson.numeric import quad_halfline
 from swanson.params import solve_forward
 from swanson.potentials import Form, Side, eval_potential_z, w_of_z_jet
 from swanson.spectrum import (energies_plus, j_integral, phi_minus_jet,
-                              phi_plus_jet, psi_plus_jet, psi_plus_norm)
+                              phi_plus_jet)
 from conftest import (SAMPLE_Z, pointwise_hex, random_box_points,
                       random_forward_sets)
 from reference import (GKPotential, energy_shift, gk_eigenvalues, gk_of,
@@ -210,38 +210,6 @@ class TestMinusEigenfunctions:
             assert nrm == pytest.approx(1.0, abs=1e-8)
 
 
-class TestPreTransformStates:
-    def test_extra_power_of_z(self, fp_star):
-        # psi/phi ~ z up to the constant-normalization ratio
-        ratios = [psi_plus_jet(fp_star, 0, z, 0).value
-                  / phi_plus_jet(fp_star, 0, z, 0).value / z
-                  for z in (0.5, 1.0, 2.0)]
-        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
-        assert ratios[0] == pytest.approx(ratios[2], rel=1e-12)
-
-    def test_ground_state_norm_matches_inverse_scale(self, fp_star):
-        nrm = quad_halfline(lambda z: psi_plus_jet(fp_star, 0, z, 0).value ** 2,
-                            fp_star.omega_hat, fp_star.gamma, 0)
-        assert nrm == pytest.approx(1.0 / fp_star.omega_bar, rel=1e-10)
-
-    def test_excited_norm_measured_value(self, fp_star):
-        # diagnostic: the printed normalization does NOT give 1/omega_bar
-        # beyond the ground state; the measured ratio is (2n+gamma) /
-        # ((n+gamma)(n+1)) -- reported, not asserted to be 1
-        n, g = 1, fp_star.gamma
-        nrm = quad_halfline(lambda z: psi_plus_jet(fp_star, n, z, 0).value ** 2,
-                            fp_star.omega_hat, fp_star.gamma, 2 * n)
-        expected = (2 * n + g) / ((n + g) * (n + 1)) / fp_star.omega_bar
-        assert nrm == pytest.approx(expected, rel=1e-9)
-        assert nrm == pytest.approx(0.642857142857, rel=1e-9)
-
-    def test_node_count_first_excited(self, fp_star):
-        zs = np.linspace(0.05, 4.0, 600)
-        vals = [psi_plus_jet(fp_star, 1, float(z), 0).value for z in zs]
-        crossings = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)
-        assert crossings == 1
-
-
 class TestValueOnlyStates:
     """Order-0 states (the quadratures need values only) must give the
     higher-order jet's value bit for bit, at every n the CLI reaches and
@@ -253,17 +221,15 @@ class TestValueOnlyStates:
             for _ in range(60):
                 n = int(rng.integers(0, 41))
                 z = float(10 ** rng.uniform(-4, 1.2))
-                for a, b in ((phi_plus_jet(fp, n, z, 0), phi_plus_jet(fp, n, z, 2)),
-                             (psi_plus_jet(fp, n, z, 0), psi_plus_jet(fp, n, z, 2))):
-                    assert a.order == 0
-                    assert a.value.hex() == b.value.hex()
+                a, b = phi_plus_jet(fp, n, z, 0), phi_plus_jet(fp, n, z, 2)
+                assert a.order == 0
+                assert a.value.hex() == b.value.hex()
 
     def test_order_zero_keeps_domain_check(self, fp_star):
-        for state in (phi_plus_jet, psi_plus_jet):
-            with pytest.raises(DomainError):
-                state(fp_star, 0, 0.0, 0)
-            with pytest.raises(DomainError):
-                state(fp_star, 0, np.array([0.5, 0.0, 1.0]), 0)
+        with pytest.raises(DomainError):
+            phi_plus_jet(fp_star, 0, 0.0, 0)
+        with pytest.raises(DomainError):
+            phi_plus_jet(fp_star, 0, np.array([0.5, 0.0, 1.0]), 0)
 
     def test_node_arrays_equal_pointwise_values(self):
         # the quadratures pass all their nodes at once
@@ -271,16 +237,15 @@ class TestValueOnlyStates:
         for fp in random_forward_sets(4, seed=12):
             zs = np.sort(10 ** rng.uniform(-4, 1.2, size=64))
             for n in (0, 1, 5, 17, 40):
-                for state in (phi_plus_jet, psi_plus_jet):
-                    grid = state(fp, n, zs, 0)
-                    assert grid.order == 0
-                    assert [v.hex() for v in grid.value.tolist()] == [
-                        state(fp, n, z, 0).value.hex() for z in zs.tolist()]
+                grid = phi_plus_jet(fp, n, zs, 0)
+                assert grid.order == 0
+                assert [v.hex() for v in grid.value.tolist()] == [
+                    phi_plus_jet(fp, n, z, 0).value.hex()
+                    for z in zs.tolist()]
 
 
 STATES = {
     "phi_plus": lambda fp, n, z, order: phi_plus_jet(fp, n, z, order),
-    "psi_plus": lambda fp, n, z, order: psi_plus_jet(fp, n, z, order),
     **{f"phi_minus_{method}": (
         lambda m: lambda fp, n, z, order: phi_minus_jet(fp, n, z, m, order))(
             method) for method in ("operator", "normalized", "closed")},
@@ -447,31 +412,22 @@ class TestNormalizationIntegrals:
 
 
 class TestPrintedConstantsAtHighN:
-    """The printed normalization constant and diagonal integral keep their
-    formulas at every n: past n = 169 a factorial no longer fits a float,
-    but the log-Gamma form stays finite."""
+    """The printed diagonal integral keeps its formula at every n: past
+    n = 169 a factorial no longer fits a float, but the log-Gamma form stays
+    finite."""
 
     @staticmethod
     def _printed(fp, n):
-        """(psi_plus_norm, printed diagonal integral) in 50-digit mpmath."""
+        """The printed diagonal integral in 50-digit mpmath."""
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             g, oh = mpmath.mpf(fp.gamma), mpmath.mpf(fp.omega_hat)
-            ob = mpmath.mpf(fp.omega_bar)
             fac, gam, rf = (mpmath.factorial(n + 1), mpmath.gamma(g),
                             mpmath.rf(g, n))
-            norm = (-1) ** n * mpmath.sqrt(2 * oh ** (g + 1) * rf
-                                           / (ob * (n + g) * fac * gam))
-            closed = (n + g) * fac * gam / (2 * oh ** (g + 1) * rf)
-            return float(norm), float(closed)
+            return float((n + g) * fac * gam / (2 * oh ** (g + 1) * rf))
 
     @pytest.mark.parametrize("n", [5, 169, 170, 200])
     def test_against_extended_precision(self, n, fp_star):
         for fp in (fp_star, *random_forward_sets(3, seed=23)):
-            norm, closed = self._printed(fp, n)
-            assert psi_plus_norm(fp, n) == pytest.approx(norm, rel=1e-12)
-            assert j_integral(fp, n, n, "closed") == pytest.approx(closed,
-                                                                   rel=1e-12)
-
-    def test_state_200_is_finite(self, fp_star):
-        assert math.isfinite(psi_plus_jet(fp_star, 200, 1.0, 0).value)
+            assert j_integral(fp, n, n, "closed") == pytest.approx(
+                self._printed(fp, n), rel=1e-12)

@@ -15,7 +15,6 @@ from swanson.potentials import w_of_z_jet
 from swanson.cli import DEFAULT_TOLS, main
 from swanson.errors import NonConvergent
 from conftest import random_forward_sets
-from reference import j_diagonal_exact
 
 IDS = [name for row in verify.ROWS for name in row.names]
 FORWARD_IDS = [name for row in verify.ROWS if not row.inverse_only
@@ -29,20 +28,17 @@ PUBLISHED_TOLS = {
     "potential_matched_minus": 1e-10, "potential_expanded_minus": 1e-10,
     "potential_reduced_minus": 1e-10, "potential_reduced_plus": 1e-10,
     "potential_transformed_plus": 1e-10, "transform_shift_minus": 1e-10,
-    "transform_shift_plus": 1e-10, "shape_invariance": 1e-10,
-    "parity": 1e-10, "omega_hat_mu_identity": 1e-12,
-    "omega_hat_gamma_identity": 1e-12, "eigen_residual_plus": 1e-8,
-    "eigen_residual_minus": 1e-8, "ladder_closed_vs_operator": 1e-9,
-    "ladder_up_consistency": 1e-8, "normalization_diagonal": 1e-8,
-    "orthogonality_weighted": 1e-8, "fd_spectrum_plus": 1e-5,
+    "transform_shift_plus": 1e-10, "parity": 1e-10,
+    "eigen_residual_plus": 1e-8, "eigen_residual_minus": 1e-8,
+    "ladder_closed_vs_operator": 1e-9, "ladder_up_consistency": 1e-8,
+    "orthonormality_plus": 1e-8, "fd_spectrum_plus": 1e-5,
     "isospectrality": 1e-5, "transformed_minus_residual_profile": 1e-9,
     "similarity_first_order": 1e-10, "partner_similarity": 1e-9,
     "metric_intertwining": 1e-9,
 }
 
 # the rows whose residual comes from numeric.quad_halfline
-INTEGRATING = {"normalization_diagonal", "orthogonality_weighted",
-               "normalization_integral_printed", "psi_norm_measure"}
+INTEGRATING = {"orthonormality_plus", "normalization_integral_printed"}
 
 
 def test_ids_are_unique_across_identities_and_errata():
@@ -136,32 +132,30 @@ def test_sweep_residual_is_the_larger_factorization_residual(tmp_path):
     assert larger > 0
 
 
-def test_shared_order_one_w_has_the_order_zero_value(fp_star):
-    # the battery reads w's value off the order-1 jet it shares between checks
-    for z in verify.SAMPLE_Z + [1e-3, 7.5, 16.0]:
-        assert (w_of_z_jet(z, fp_star, 1).value.hex()
-                == w_of_z_jet(z, fp_star, 0).value.hex())
-
-
-def test_quadrature_rows_are_exact():
-    # in t = omega_hat z^2 every integrand of the rows is t^alpha e^-t times
-    # a polynomial of degree 2(N_STATES - 1), which the Gauss-Laguerre rule
-    # takes exactly: the phi+ norms and the orthogonality read rounding, and
-    # the printed psi+ norm misses 1/omega_bar by the exact integral's amount
+def test_the_gram_row_is_exact():
+    # in t = omega_hat z^2 each product phi_m phi_n dz is t^(gamma-1) e^-t dt
+    # times a polynomial of degree 2(N_STATES - 1), which the Gauss-Laguerre
+    # rule takes exactly: the whole Gram matrix reads rounding
     from swanson.params import solve_forward
 
     for fp in random_forward_sets(3, seed=21) + [
             solve_forward(1.0, 100.0, 1.0 / 101.5)]:
         r = type("Run", (), {"fp": fp})()
-        g, ob = fp.gamma, fp.omega_bar
-        assert verify._normalization(r, spectrum.phi_plus_jet, 1.0,
-                                     g - 1) <= 1e-12
-        assert verify._orthogonality(r) <= 1e-12
-        want = max(abs(spectrum.psi_plus_norm(fp, n) ** 2
-                       * j_diagonal_exact(fp, n) - 1.0 / ob)
-                   for n in range(verify.N_STATES))
-        got = verify._normalization(r, spectrum.psi_plus_jet, 1.0 / ob, g)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert verify._orthonormality(r) <= 1e-12
+
+
+def test_the_gram_row_sees_an_off_diagonal_overlap(monkeypatch, fp_star):
+    # phi_1 + eps phi_0 in place of phi_1 keeps its norm to O(eps^2) but
+    # overlaps phi_0 by eps
+    plain = spectrum.phi_plus_jet
+
+    def mixed(fp, n, z, order):
+        jet = plain(fp, n, z, order)
+        return jet + 1e-6 * plain(fp, 0, z, order) if n == 1 else jet
+
+    monkeypatch.setattr(spectrum, "phi_plus_jet", mixed)
+    r = type("Run", (), {"fp": fp_star})()
+    assert verify._orthonormality(r) == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_the_integrating_rows_pass_where_the_states_live_far_out(capsys):
@@ -171,9 +165,8 @@ def test_the_integrating_rows_pass_where_the_states_live_far_out(capsys):
                  "--d", "0.009852216748768473", "--n-max", "2"]) == 3
     rows = {e["id"]: e for e in json.loads(capsys.readouterr().out)[
         "identities"]}
-    for name in ("normalization_diagonal", "orthogonality_weighted"):
-        assert rows[name]["status"] == "PASS"
-        assert float(rows[name]["residual"]) <= 1e-12
+    assert rows["orthonormality_plus"]["status"] == "PASS"
+    assert float(rows["orthonormality_plus"]["residual"]) <= 1e-12
 
 
 def test_rows_scaled_by_vanishing_states_say_so(capsys):
@@ -255,9 +248,6 @@ def _pointwise_state_rows(fp) -> dict:
             for n, jets in enumerate(states[Side.MINUS])
             for z, j in zip(zs[:8], jets)),
         "ladder_up_consistency": ladder_up(),
-        "shape_invariance": numeric.max_rel_gap(
-            (2 * wz.derivative(1), vp - vm)
-            for wz, vp, vm in zip(w, v[Side.PLUS], v[Side.MINUS])),
     }
 
 
