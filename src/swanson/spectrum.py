@@ -3,16 +3,19 @@
 The transformed plus-side potential is an inverse-square-plus-quadratic
 oscillator on (0, inf) (Goldman-Krivchenkov form) shifted by a constant, so
 its spectrum is an exact equidistant ladder (``energies_plus``) and its
-eigenfunctions are Gaussian-weighted associated Laguerre polynomials,
-z^(gamma-1/2) exp(-oh z^2/2) L_n^(gamma-1)(oh z^2) (``phi_plus_jet``).  The
-minus side is generated from it by the first-order ladder operator
-(``phi_minus_jet``).  Every state is a ``Jet`` in z; callers read ``.value``
-and ``.derivative(k)``.  ``j_integral`` gives the normalization integrals
-of the pre-transform states, z times the plus-side shape in Kummer form,
-against the printed closed form: in t = oh z^2 each is t^gamma e^-t dt
-times a polynomial, so ``numeric.quad_halfline``'s generalized
-Gauss-Laguerre rule takes it exactly.  Every Gamma ratio comes from
-``math.lgamma``.
+eigenfunctions are z^(gamma-1/2) exp(-t/2) L_n^(gamma-1)(t), t = oh z^2
+(``phi_plus_jet``).  The first-order ladder operator takes them to the minus
+side (``phi_minus_jet``), in closed form z^(gamma+1/2) exp(-t/2) / (t + gamma)
+times -L^_(n+1)^(gamma)(t), the X1 exceptional Laguerre polynomial
+(C. Quesne, J. Phys. A 41, 392001 (2008)).  Every state is a ``Jet`` in z;
+callers read ``.value`` and ``.derivative(k)``.  ``j_integral`` gives the
+normalization integrals of the pre-transform states, z times the plus-side
+shape in Kummer form, against the printed closed form: each is t^gamma e^-t
+dt times a polynomial, which ``numeric.quad_halfline``'s generalized
+Gauss-Laguerre rule takes exactly.  Each state and integrand is its
+Laguerre part times one envelope c z^p exp(-t/2), one exp of
+log c + p log z - t/2 with the ``math.lgamma`` norm in log c, so that no
+factor overflows alone.
 At any order ``z`` may be an ndarray of points: the states are then
 evaluated on all of them at once, each element bit for bit its one-point
 value (see ``jets``), with numpy's floating-point warnings off so that an
@@ -33,18 +36,15 @@ from .params import FactorizationParams
 from .specialfn import laguerre
 
 
-def _norm_const(n: int, gamma: float, scale: float) -> float:
-    """(-1)^n sqrt(2 scale^gamma n! / Gamma(n + gamma)), the unit norm of
-    the Laguerre-form state, from log-Gamma so that large n cannot overflow."""
-    mag = math.sqrt(2.0) * math.exp(0.5 * (
-        gamma * math.log(scale) + math.lgamma(n + 1) - math.lgamma(n + gamma)))
-    return (-1) ** n * mag
+def _log_ratio(n: int, gamma: float) -> float:
+    """log(n!/Gamma(n + gamma)), the one Gamma ratio of every norm."""
+    return math.lgamma(n + 1) - math.lgamma(n + gamma)
 
 
-def _kummer_factor(n: int, gamma: float) -> float:
-    """n!/(gamma)_n, which turns L_n^(gamma-1) into 1F1(-n; gamma; .)."""
-    return math.exp(math.lgamma(n + 1) + math.lgamma(gamma)
-                    - math.lgamma(n + gamma))
+def _log_norm(n: int, gamma: float, scale: float) -> float:
+    """log of the plus state's norm sqrt(2 scale^gamma n!/Gamma(n + gamma))."""
+    return 0.5 * (math.log(2.0) + gamma * math.log(scale)
+                  + _log_ratio(n, gamma))
 
 
 def _quiet(state):
@@ -56,12 +56,9 @@ def _quiet(state):
     return quiet
 
 
-def _chi_jet(n: int, gamma: float, scale: float, z, p: float,
-             order: int) -> Jet:
-    """z^p exp(-(scale/2) z^2) L_n^(gamma-1)(scale z^2)."""
-    zj = Jet.variable(z, order)
-    return (zj.power(p) * (-(scale / 2) * zj**2).exp()
-            * laguerre(n, gamma - 1, scale * zj**2))
+def _envelope(zj: Jet, t: Jet, log_c: float, p: float) -> Jet:
+    """c z^p exp(-t/2) as one exp of its log: no factor overflows alone."""
+    return (log_c + p * zj.log() - 0.5 * t).exp()
 
 
 def energies_plus(fp: FactorizationParams, n_max: int) -> list[float]:
@@ -76,7 +73,10 @@ def phi_plus_jet(fp: FactorizationParams, n: int, z, order: int = 2) -> Jet:
     if any_nonpositive(z):
         raise DomainError("plus-side eigenfunction needs z > 0")
     g, oh = fp.gamma, fp.omega_hat
-    return _norm_const(n, g, oh) * _chi_jet(n, g, oh, z, g - 0.5, order)
+    zj = Jet.variable(z, order)
+    t = oh * zj**2
+    return ((-1) ** n * _envelope(zj, t, _log_norm(n, g, oh), g - 0.5)
+            * laguerre(n, g - 1, t))
 
 
 @_quiet
@@ -85,7 +85,7 @@ def phi_minus_jet(fp: FactorizationParams, n: int, z,
     """Minus-side eigenfunction from the ladder operator.
 
     methods: "operator" applies (-d/dz + w) to the plus-side eigenfunction;
-    "closed" evaluates the Laguerre-bracket closed form; "normalized" divides
+    "closed" evaluates the X1 Laguerre closed form; "normalized" divides
     the operator construction by sqrt(E_n^+).
     """
     if any_nonpositive(z):
@@ -99,23 +99,16 @@ def phi_minus_jet(fp: FactorizationParams, n: int, z,
         w = w_of_z_jet(fp=fp, z=z, order=order)
         return w * phi - phi.shift(1)
     if method == "closed":
-        g, oh, d, ob = fp.gamma, fp.omega_hat, fp.d, fp.omega_bar
+        g, oh = fp.gamma, fp.omega_hat
         zj = Jet.variable(z, order)
         t = oh * zj**2
-        bracket = ((g + n + 1) * laguerre(n, g - 1, t)
-                   - (n + 1) * laguerre(n + 1, g - 1, t)
-                   + g * laguerre(n, g, t))
-        return (2 * _norm_const(n, g, oh) * zj.power(g + 0.5)
-                * (-(oh / 2) * zj**2).exp() / (zj**2 + 1.0 / (d * ob))
+        # -L^_(n+1)^(gamma)(t), the X1 exceptional Laguerre polynomial
+        bracket = ((t + (g + 1)) * laguerre(n, g, t)
+                   - (laguerre(n - 1, g, t) if n else 0.0))
+        log_c = _log_norm(n, g, oh) + math.log(2 * oh)
+        return ((-1) ** n * _envelope(zj, t, log_c, g + 0.5) / (t + g)
                 * bracket)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _printed_ratio(n: int, gamma: float) -> float:
-    """(n+1)! Gamma(gamma) / (gamma)_n, the Gamma ratio of the printed
-    normalization, from log-Gamma so that large n cannot overflow."""
-    return math.exp(math.lgamma(n + 2) + 2 * math.lgamma(gamma)
-                    - math.lgamma(n + gamma))
 
 
 def j_integral(fp: FactorizationParams, m: int, n: int,
@@ -132,15 +125,22 @@ def j_integral(fp: FactorizationParams, m: int, n: int,
     if method == "closed":
         if m != n:
             raise ValueError("the closed form is defined on the diagonal only")
-        return (n + g) * _printed_ratio(n, g) / (2 * oh ** (g + 1))
+        return ((n + g) * math.exp(math.log(n + 1) + _log_ratio(n, g)
+                                   + 2 * math.lgamma(g))
+                / (2 * oh ** (g + 1)))
     if method == "quadrature":
         from .numeric import quad_halfline
 
-        scale = _kummer_factor(m, g) * _kummer_factor(n, g)
+        def kummer_form(k: int, z: np.ndarray) -> np.ndarray:
+            # k!/(gamma)_k z^(gamma+1/2) exp(-t/2) L_k^(gamma-1)(t)
+            zj = Jet.variable(z, 0)
+            t = oh * zj**2
+            log_c = _log_ratio(k, g) + math.lgamma(g)
+            return (_envelope(zj, t, log_c, g + 0.5)
+                    * laguerre(k, g - 1, t)).value
 
         def f(z: np.ndarray) -> np.ndarray:
-            return (scale * _chi_jet(m, g, oh, z, g + 0.5, 0).value
-                    * _chi_jet(n, g, oh, z, g + 0.5, 0).value)
+            return kummer_form(m, z) * kummer_form(n, z)
 
         return quad_halfline(f, oh, g, m + n)
     raise ValueError(f"unknown method {method!r}")

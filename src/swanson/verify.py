@@ -145,15 +145,16 @@ def _vanishing(side: Side) -> Callable[[_Run], str | None]:
 
 
 def _ladder_up(r: _Run) -> float:
-    """(w + d/dz) phi_n^- = sqrt(E_n) phi_n^+ on the first eight points."""
-    def gap(n, en, j):
-        lower = spectrum.phi_minus_jet(r.fp, n, r.z[:8], "normalized", 1)
-        raised = r.w[:8] * lower.value + lower.derivative(1)
-        target = math.sqrt(en) * j.value[:8]
-        return abs(raised - target) / (math.sqrt(en) * np.max(abs(j.value)))
+    """(w + d/dz) phi_n^- = sqrt(E_n) phi_n^+ on the first eight points,
+    phi_n^- the operator state over sqrt(E_n)."""
+    def gap(en, plus, minus):
+        lower = minus * (1 / math.sqrt(en))
+        raised = r.w[:8] * lower.value[:8] + lower.derivative(1)[:8]
+        target = math.sqrt(en) * plus.value[:8]
+        return abs(raised - target) / (math.sqrt(en) * np.max(abs(plus.value)))
 
-    return numeric.worst(gap(n, en, j) for n, (en, j) in enumerate(
-        zip(r.energies, r.states[Side.PLUS])))
+    return numeric.worst(gap(*states) for states in zip(
+        r.energies, r.states[Side.PLUS], r.states[Side.MINUS]))
 
 
 def _orthonormality(r: _Run) -> float:

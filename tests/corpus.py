@@ -8,7 +8,8 @@ what each one prints, so that two versions of the package can be compared.
 A run writes ``{argv: [exit code, stdout, stderr]}`` as JSON, the argv joined
 by spaces; every Python warning an argv raises is printed to its stderr.
 ``--diff`` prints each argv whose record differs between two files, and the
-lines that differ, then a summary by row id over the ``verify`` documents:
+lines that differ, then a summary: how many argv of each file print no
+document (nothing on stdout), and by row id over the ``verify`` documents
 the ids found in one file only, each id's status changes (PASS -> FAIL and
 the like) with their argv, and the argv whose exit code changed.
 
@@ -125,8 +126,9 @@ def _statuses(record: list) -> dict[str, str]:
 
 
 def row_summary(a: dict, b: dict, path_a: str, path_b: str) -> None:
-    """Print the ids found in one file only, the status changes per id and
-    the exit-code changes, over the argv both files hold."""
+    """Print how many argv of each file print nothing to stdout, then the
+    ids found in one file only, the status changes per id and the
+    exit-code changes, over the argv both files hold."""
     only = {path_a: collections.Counter(), path_b: collections.Counter()}
     moves = collections.defaultdict(list)
     exits = []
@@ -139,6 +141,9 @@ def row_summary(a: dict, b: dict, path_a: str, path_b: str) -> None:
         for name in sorted(sa.keys() & sb.keys()):
             if sa[name] != sb[name]:
                 moves[(name, sa[name], sb[name])].append(key)
+    for path, record in ((path_a, a), (path_b, b)):
+        print(f"argv with no document in {path}: "
+              f"{sum(not r[1] for r in record.values())}")
     for path, ids in only.items():
         print(f"ids only in {path}: " + (", ".join(
             f"{name} ({n} argv)" for name, n in sorted(ids.items()))

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import swanson
+from swanson import verify
 from swanson.cli import DEFAULT_TOLS, main
 from swanson.verify import fmt as verify_fmt
 from conftest import FEASIBLE_TRIPLES, subprocess_env
@@ -238,12 +239,13 @@ class TestWavefunctions:
             one[i][k] for k in range(3) for i in range(len(zs))]
 
     @pytest.mark.parametrize("side, z_grid, message", [
-        # each point's own first error: the tiny z fails in w (minus side)
-        # before the huge one overflows in the plus-side state
+        # the subnormal z fails in w, which only the minus side reads, and
+        # the huge z fails nowhere: the error is the subnormal point's,
+        # first or last
         ("minus", "5e-324,1e300,1",
          "DomainError: jet division by a jet with zero value"),
-        ("plus", "5e-324,1e300,1", "OverflowError: math range error"),
-        ("minus", "1e-300,1e300,3", "OverflowError: math range error"),
+        ("minus", "1e300,3,5e-324",
+         "DomainError: jet division by a jet with zero value"),
     ])
     def test_error_is_the_first_failing_point(self, side, z_grid, message,
                                               capsys):
@@ -261,6 +263,21 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert all(e["status"] == "PASS" for e in doc["identities"])
         assert all(e["status"] == "REPORTED" for e in doc["errata"])
+
+    @pytest.mark.parametrize("r, omega_hat", [
+        (10.0, 1e100), (100.0, 1e30), (1000.0, 1.0)])
+    def test_large_gamma_points_print_a_full_document(self, r, omega_hat,
+                                                      capsys):
+        # the plus-side norm or z^(gamma - 1/2) alone leaves the float
+        # range here; the states form them inside one exp
+        code, out, err = run_main([
+            "verify", "--omega-bar", "1", "--rho-q", repr(r),
+            "--d", repr(omega_hat / (1.5 + r)), "--n-max", "2"], capsys)
+        assert code in (0, 3) and err == ""
+        doc = json.loads(out)
+        assert sorted(e["id"] for e in doc["identities"] + doc["errata"]) \
+            == sorted(name for row in verify.ROWS if not row.inverse_only
+                      for name in row.names)
 
     def test_errata_section_contents(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -1,10 +1,12 @@
 """Closed-form spectra and eigenfunctions of the half-line oscillator pair."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+from swanson import params
 from swanson.errors import DomainError
 from swanson.numeric import quad_halfline
 from swanson.params import solve_forward
@@ -210,6 +212,73 @@ class TestMinusEigenfunctions:
             assert nrm == pytest.approx(1.0, abs=1e-8)
 
 
+class TestX1Bracket:
+    """The closed minus state in the form of the X1 exceptional Laguerre
+    polynomial, proved with sympy at symbolic gamma and t."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_printed_bracket_is_the_x1_bracket(self, n):
+        sp = pytest.importorskip("sympy")
+        g, t = sp.symbols("gamma t")
+
+        def lag(k, a):
+            return sp.expand_func(sp.assoc_laguerre(k, a, t)) if k >= 0 else 0
+
+        printed = ((g + n + 1) * lag(n, g - 1) - (n + 1) * lag(n + 1, g - 1)
+                   + g * lag(n, g))
+        x1 = (t + g + 1) * lag(n, g) - lag(n - 1, g)
+        assert sp.expand(printed - x1) == 0
+
+    def test_printed_prefactor_is_omega_hat_over_t_plus_gamma(self,
+                                                              monkeypatch):
+        # d omega_bar gamma = omega_hat from solve_forward's own formulas,
+        # so 1/(z^2 + 1/(d omega_bar)) = omega_hat/(t + gamma)
+        sp = pytest.importorskip("sympy")
+        ob, rq, d, z = sp.symbols("omega_bar rho_q d z", positive=True)
+        monkeypatch.setattr(params, "math", types.SimpleNamespace(
+            sqrt=sp.sqrt))
+        fp = params.solve_forward(ob, rq, d)
+        assert sp.simplify(d * ob * fp.gamma - fp.omega_hat) == 0
+        t = fp.omega_hat * z**2
+        assert sp.simplify(1 / (z**2 + 1 / (d * ob))
+                           - fp.omega_hat / (t + fp.gamma)) == 0
+
+
+class TestScaleInvariance:
+    """omega_hat^(-1/4) phi(sqrt(t/omega_hat)) depends on t and gamma only:
+    across 300 decades of omega_hat the log-form states agree to the
+    rounding of the exponent's cancelling terms, about gamma |log omega_hat|
+    ulps."""
+
+    T = np.array([0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0])
+    OMEGA_HAT = (1e-150, 1e-100, 1e-30, 1e-6, 1.0, 1e6, 1e30, 1e100, 1e150)
+
+    @classmethod
+    def _scaled(cls, r, oh, name, n):
+        """fp at (r, oh) and omega_hat^(-1/4) phi_n at z = sqrt(T/omega_hat)."""
+        fp = solve_forward(1.0, r, oh / (1.5 + r))
+        z = np.sqrt(cls.T / fp.omega_hat)
+        if name == "plus":
+            v = phi_plus_jet(fp, n, z, 0).value
+        elif name == "closed":
+            v = (phi_minus_jet(fp, n, z, "closed", 0).value
+                 / math.sqrt(energies_plus(fp, n)[n]))
+        else:
+            v = phi_minus_jet(fp, n, z, "normalized", 0).value
+        return fp, v * fp.omega_hat ** -0.25
+
+    @pytest.mark.parametrize("name", ["plus", "closed", "normalized"])
+    @pytest.mark.parametrize("r", [1e-8, 1.0, 100.0])
+    def test_dimensionless_states_agree(self, r, name):
+        for n in (0, 3, 10):
+            _, ref = self._scaled(r, 1.0, name, n)
+            for oh in self.OMEGA_HAT:
+                fp, got = self._scaled(r, oh, name, n)
+                tol = 16 * np.finfo(float).eps * (
+                    1 + fp.gamma * abs(math.log(fp.omega_hat)))
+                assert np.max(abs(got - ref)) <= tol * np.max(abs(ref)), oh
+
+
 class TestValueOnlyStates:
     """Order-0 states (the quadratures need values only) must give the
     higher-order jet's value bit for bit, at every n the CLI reaches and
@@ -277,15 +346,18 @@ class TestArrayStates:
         with pytest.raises(DomainError):
             STATES[name](fp_star, 2, np.array([0.5, bad, 1.0]), 2)
 
-    def test_overflow_gives_inf_without_a_warning(self, fp_star):
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_out_of_range_points_match_one_point_runs_silently(self, name,
+                                                               fp_star):
         # numpy warnings are errors in this suite; Python floats overflow
-        # to inf in silence, and so must a grid
-        grid = phi_plus_jet(fp_star, 0, np.array([1e154, 1.0]), 2)
-        one = phi_plus_jet(fp_star, 0, 1e154, 2)
-        assert pointwise_hex(grid, 2)[0] == pointwise_hex(one, 1)[0]
-        for name in STATES:
-            with pytest.raises(OverflowError):
-                STATES[name](fp_star, 0, np.array([1e-300, 1e300, 3.0]), 2)
+        # in silence, and so must a grid.  In log form no state raises at
+        # these points: the envelope underflows to 0 where z^p alone would
+        # overflow, and t = omega_hat z^2 = inf makes the Laguerre part NaN
+        zs = np.array([1e-300, 1e154, 1e300, 3.0])
+        grid = STATES[name](fp_star, 2, zs, 2)
+        assert pointwise_hex(grid, len(zs)) == [
+            pointwise_hex(STATES[name](fp_star, 2, z, 2), 1)[0]
+            for z in zs.tolist()]
 
 
 def _state_grid(fp, n):
