@@ -213,24 +213,32 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
     fp, _, _ = _solve_params(cfg)
 
     def state(n, z):
+        """(value, derivative); a value out of float range (inf, or NaN from
+        0 times inf) is an OverflowError, not a row."""
         if cfg.side == "plus":
-            return spectrum.phi_plus_jet(fp, n, z)
-        return spectrum.phi_minus_jet(fp, n, z, "normalized")
+            j = spectrum.phi_plus_jet(fp, n, z)
+        else:
+            j = spectrum.phi_minus_jet(fp, n, z, "normalized")
+        v, dv = j.value, j.derivative(1)
+        if not (np.isfinite(v).all() and np.isfinite(dv).all()):
+            raise OverflowError(f"state {n} leaves the float range at "
+                                f"z = {z!r}")
+        return v, dv
 
     ns = sorted(set(cfg.n_list))
     z = np.array([float(v) for v in cfg.z_grid if v > 0])
     rows = []
     for n in ns:
         try:
-            j = state(n, z)
+            v, dv = state(n, z)
         except (SwansonError, ArithmeticError, ValueError):
             # the grid runs each stage of the state on every point before
             # the next stage; report the error of the first failing point
             for zi in z.tolist():
                 state(n, zi)
             raise
-        rows += ([n, zi, v, dv] for zi, v, dv in zip(
-            z.tolist(), j.value.tolist(), j.derivative(1).tolist()))
+        rows += ([n, zi, a, b] for zi, a, b in zip(
+            z.tolist(), v.tolist(), dv.tolist()))
     skipped = len(cfg.z_grid) - len(z)
     if skipped and ns:
         print(f"warning: skipped {skipped} non-positive grid points",

@@ -12,15 +12,14 @@ callers read ``.value`` and ``.derivative(k)``.  ``j_integral`` gives the
 normalization integrals of the pre-transform states, z times the plus-side
 shape in Kummer form, against the printed closed form: each is t^gamma e^-t
 dt times a polynomial, which ``numeric.quad_halfline``'s generalized
-Gauss-Laguerre rule takes exactly.  Each state and integrand is its
-Laguerre part times one envelope c z^p exp(-t/2), one exp of
-log c + p log z - t/2 with the ``math.lgamma`` norm in log c, so that no
-factor overflows alone.
+Gauss-Laguerre rule takes exactly.  Each state and integrand is its Laguerre
+part times one envelope c z^p exp(-t/2), one exp of log c + p log z - t/2
+with the ``math.lgamma`` norm in log c, so that no factor overflows alone.
 At any order ``z`` may be an ndarray of points: the states are then
 evaluated on all of them at once, each element bit for bit its one-point
-value (see ``jets``), with numpy's floating-point warnings off so that an
-overflow gives inf as in Python floats.  A DomainError is raised when any
-point is <= 0.
+value (see ``jets``), with numpy's floating-point warnings off.  Where t or
+1/z leaves the float range, a coefficient is inf or NaN, not the state's
+value (``wavefunctions`` fails there).  Any z <= 0 raises DomainError.
 """
 
 from __future__ import annotations
@@ -61,6 +60,14 @@ def _envelope(zj: Jet, t: Jet, log_c: float, p: float) -> Jet:
     return (log_c + p * zj.log() - 0.5 * t).exp()
 
 
+def _chi_jet(n: int, gamma: float, scale: float, z, log_c: float, p: float,
+             order: int) -> Jet:
+    """c z^p exp(-t/2) L_n^(gamma-1)(t) with t = scale z^2."""
+    zj = Jet.variable(z, order)
+    t = scale * zj**2
+    return _envelope(zj, t, log_c, p) * laguerre(n, gamma - 1, t)
+
+
 def energies_plus(fp: FactorizationParams, n_max: int) -> list[float]:
     """Exact plus-side ladder 2 omega_hat (2n + 2 rho_q/sqrt(ob) + 5)."""
     oh = fp.omega_hat
@@ -73,10 +80,8 @@ def phi_plus_jet(fp: FactorizationParams, n: int, z, order: int = 2) -> Jet:
     if any_nonpositive(z):
         raise DomainError("plus-side eigenfunction needs z > 0")
     g, oh = fp.gamma, fp.omega_hat
-    zj = Jet.variable(z, order)
-    t = oh * zj**2
-    return ((-1) ** n * _envelope(zj, t, _log_norm(n, g, oh), g - 0.5)
-            * laguerre(n, g - 1, t))
+    return (-1) ** n * _chi_jet(n, g, oh, z, _log_norm(n, g, oh), g - 0.5,
+                                order)
 
 
 @_quiet
@@ -131,16 +136,11 @@ def j_integral(fp: FactorizationParams, m: int, n: int,
     if method == "quadrature":
         from .numeric import quad_halfline
 
-        def kummer_form(k: int, z: np.ndarray) -> np.ndarray:
-            # k!/(gamma)_k z^(gamma+1/2) exp(-t/2) L_k^(gamma-1)(t)
-            zj = Jet.variable(z, 0)
-            t = oh * zj**2
-            log_c = _log_ratio(k, g) + math.lgamma(g)
-            return (_envelope(zj, t, log_c, g + 0.5)
-                    * laguerre(k, g - 1, t)).value
-
         def f(z: np.ndarray) -> np.ndarray:
-            return kummer_form(m, z) * kummer_form(n, z)
+            # k!/(gamma)_k z^(gamma+1/2) exp(-t/2) L_k^(gamma-1)(t), k = m, n
+            fm, fn = (_chi_jet(k, g, oh, z, _log_ratio(k, g) + math.lgamma(g),
+                               g + 0.5, 0).value for k in (m, n))
+            return fm * fn
 
         return quad_halfline(f, oh, g, m + n)
     raise ValueError(f"unknown method {method!r}")

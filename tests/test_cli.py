@@ -239,13 +239,17 @@ class TestWavefunctions:
             one[i][k] for k in range(3) for i in range(len(zs))]
 
     @pytest.mark.parametrize("side, z_grid, message", [
-        # the subnormal z fails in w, which only the minus side reads, and
-        # the huge z fails nowhere: the error is the subnormal point's,
-        # first or last
+        # each point's own first error: the subnormal z fails in w, which
+        # only the minus side reads; on the plus side its derivative, and
+        # at 1e300 (t = inf) every state, leave the float range
         ("minus", "5e-324,1e300,1",
          "DomainError: jet division by a jet with zero value"),
+        ("plus", "5e-324,1e300,1",
+         "OverflowError: state 0 leaves the float range at z = 5e-324"),
+        ("minus", "1e-300,1e300,3",
+         "OverflowError: state 0 leaves the float range at z = 1e-300"),
         ("minus", "1e300,3,5e-324",
-         "DomainError: jet division by a jet with zero value"),
+         "OverflowError: state 0 leaves the float range at z = 1e+300"),
     ])
     def test_error_is_the_first_failing_point(self, side, z_grid, message,
                                               capsys):

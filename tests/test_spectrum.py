@@ -347,17 +347,24 @@ class TestArrayStates:
             STATES[name](fp_star, 2, np.array([0.5, bad, 1.0]), 2)
 
     @pytest.mark.parametrize("name", sorted(STATES))
-    def test_out_of_range_points_match_one_point_runs_silently(self, name,
-                                                               fp_star):
-        # numpy warnings are errors in this suite; Python floats overflow
-        # in silence, and so must a grid.  In log form no state raises at
-        # these points: the envelope underflows to 0 where z^p alone would
-        # overflow, and t = omega_hat z^2 = inf makes the Laguerre part NaN
+    def test_out_of_range_points_are_flagged_as_one_point_runs_flag_them(
+            self, name, fp_star):
+        # numpy warnings are errors in this suite; Python floats leave the
+        # float range in silence, and so must a grid.  At 1e154 and 1e300,
+        # t = omega_hat z^2 is inf and no coefficient is the state's value;
+        # the grid has the one-point runs' bits wherever those are finite
+        # and is out of range where they are, so that ``wavefunctions``
+        # names the same first failing point
+        def in_range(rows):
+            return [[h if math.isfinite(float.fromhex(h)) else "out"
+                     for h in row] for row in rows]
+
         zs = np.array([1e-300, 1e154, 1e300, 3.0])
-        grid = STATES[name](fp_star, 2, zs, 2)
-        assert pointwise_hex(grid, len(zs)) == [
-            pointwise_hex(STATES[name](fp_star, 2, z, 2), 1)[0]
-            for z in zs.tolist()]
+        one = in_range(pointwise_hex(STATES[name](fp_star, 2, z, 2), 1)[0]
+                       for z in zs.tolist())
+        assert in_range(pointwise_hex(STATES[name](fp_star, 2, zs, 2),
+                                      len(zs))) == one
+        assert one[1] == one[2] == ["out"] * 3 and "out" not in one[3]
 
 
 def _state_grid(fp, n):
