@@ -5,8 +5,8 @@ rational superpotential, and the half-line oscillator pair they transform
 into.  The package solves the forward and inverse parameter-matching
 problems, evaluates every potential form and operator of the hierarchy,
 produces closed-form spectra and eigenfunctions, and checks all of it against
-independent finite-difference and quadrature oracles.  It holds only what
-the ``swanson`` commands run; the reference formulas the tests check it
+independent Lagrange-Laguerre mesh and quadrature oracles.  It holds only
+what the ``swanson`` commands run; the reference formulas the tests check it
 against live in ``tests/reference.py``.
 """
 
@@ -25,8 +25,8 @@ from .diffop import LinDiffOp, build, compose, conjugate, formal_adjoint, residu
 from .spectrum import (energies_plus, j_integral, phi_minus_jet,
                        phi_plus_jet)
 from .numeric import (SpectrumComparison, TridiagSystem, compare_spectra,
-                      fd_discretize, quad_halfline, refine_extrapolate,
-                      tridiag_eigs)
+                      fd_discretize, mesh_levels, quad_halfline,
+                      refine_extrapolate, tridiag_eigs)
 
 __all__ = [
     "__version__",
@@ -41,5 +41,5 @@ __all__ = [
     "LinDiffOp", "build", "compose", "formal_adjoint", "conjugate", "residual",
     "energies_plus", "phi_plus_jet", "phi_minus_jet", "j_integral",
     "TridiagSystem", "SpectrumComparison", "fd_discretize", "tridiag_eigs",
-    "refine_extrapolate", "quad_halfline", "compare_spectra",
+    "refine_extrapolate", "mesh_levels", "quad_halfline", "compare_spectra",
 ]

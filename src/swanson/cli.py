@@ -60,10 +60,6 @@ _FIELD_RULES = {
                "a list of finite numbers"),
     "sweep_range": (lambda v: isinstance(v, tuple) and len(v) == 2
                     and all(map(_finite, v)), "two finite numbers"),
-    "grids": (lambda v: isinstance(v, list) and len(v) >= 2
-              and all(type(n) is int and n > 0 for n in v)
-              and all(b == 2 * a for a, b in zip(v, v[1:])),
-              "two or more positive integers, each twice the one before"),
     "side": (lambda v: v in ("plus", "minus"), "plus or minus"),
     "out": (lambda v: v is None or isinstance(v, str), "a file path or null"),
 }
@@ -79,7 +75,6 @@ class RunConfig:
     alpha: float | None = None
     beta: float | None = None
     n_max: int = 2
-    grids: list[int] = field(default_factory=lambda: [500, 1000])
     out: str | None = None
     format: str = "json"
     tols: dict[str, float] = field(default_factory=dict)
@@ -198,8 +193,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     fp, _, _ = _solve_params(cfg)
     k = cfg.n_max + 1
+    (ep, _), (em, _) = (verify.numeric_levels(fp, side, k)
+                        for side in (Side.PLUS, Side.MINUS))
     analytic = spectrum.energies_plus(fp, cfg.n_max)
-    ep, em = verify.numeric_spectra(cfg, fp, k)
     rows = []
     for n in range(k):
         rel = abs(ep[n] - analytic[n]) / abs(analytic[n])
@@ -271,9 +267,9 @@ def _sweep_one(cfg: RunConfig, value: float):
         fp = solve_forward(**kw)
         stage = "analytic"
         analytic = spectrum.energies_plus(fp, 2)
-        stage = "fd"
+        stage = "mesh"
         vp = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
-        ep, _ = numeric.fd_levels(vp, 3, cfg.grids)
+        ep, _ = numeric.mesh_levels(vp, 3)
         stage = "identity"
         res = max(verify.factorization_residuals(
             *verify.ladder_operators(fp)))
@@ -340,7 +336,6 @@ def _parser() -> _Parser:
                      "--beta"):
             sp.add_argument(flag, type=float)
         sp.add_argument("--n-max", type=int)
-        sp.add_argument("--grids", type=str)
         sp.add_argument("--out", type=str)
         sp.add_argument("--format", choices=_FORMATS[name])
         sp.add_argument("--tol", action="append", default=[],
@@ -379,7 +374,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
-    for key, item in (("grids", int), ("n_list", int), ("z_grid", float)):
+    for key, item in (("n_list", int), ("z_grid", float)):
         text = getattr(args, key, None)
         if text is not None:
             setattr(cfg, key, [item(t) for t in text.split(",") if t != ""])

@@ -7,7 +7,7 @@ differentiation everywhere a derivative of a coefficient function is needed.
 
 A coefficient is a Python float, or an ndarray holding the coefficient at
 every point of a grid: the same arithmetic then evaluates a formula on the
-whole grid at once (``numeric.fd_discretize`` samples V that way,
+whole grid at once (``numeric.mesh_levels`` samples V that way,
 ``spectrum`` the states, ``diffop`` the operators and ``verify`` its rows).
 numpy's element-wise ``+ - * /`` round exactly like Python floats, so each
 element equals the one-point value bit for bit; a square is written q * q.

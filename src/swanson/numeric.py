@@ -1,36 +1,40 @@
 """Independent numerical oracles.
 
-The one finite-difference oracle for -d^2/dz^2 + V(z) on the half line
-(``fd_levels``: a log mesh in a box read off V alone, V sampled on the whole
-grid in one call), the k lowest levels of its tridiagonal pencil by
-Sturm-sequence bisection (fully deterministic), Richardson extrapolation
-over grid refinements, the one quadrature rule (``quad_halfline``:
-generalized Gauss-Laguerre in t = omega_hat z^2, exact for a polynomial
-times t^alpha e^-t, the integrand sampled on all its nodes in one call,
-one integrand or a whole array of them such as a Gram matrix), the
-relative gap the identity checks reduce to and the one maximum they all
+The one spectral oracle of the commands (``mesh_levels``: the k lowest
+levels of -d^2/dz^2 + V(z) on the half line from one dense ``eigvalsh`` on
+a regularized Lagrange-Laguerre mesh whose scale is read off V alone, with
+the observed error against the half mesh), the one quadrature rule
+(``quad_halfline``: generalized Gauss-Laguerre in t = omega_hat z^2, exact
+for a polynomial times t^alpha e^-t, the integrand sampled on all its nodes
+in one call, one integrand or a whole array of them such as a Gram matrix),
+the relative gap the identity checks reduce to and the one maximum they all
 reduce with (``worst``: a NaN anywhere makes it NaN, so the check fails),
-and spectra comparison (relative errors over |E|).  Nothing here reuses
-the closed-form machinery it checks.
+and spectra comparison (relative errors over |E|).  Nothing here reuses the
+closed-form machinery it checks.
 
-The Sturm count is a scalar Python loop over all the rows with one
-comparison per pivot: per row that costs less than numpy calls on k-element
-arrays, and it avoids LAPACK's ``stebz`` through scipy, whose import costs
-about 25 MB of resident memory and 0.3-0.5 s in a fresh interpreter.  Every
-count scans the N rows, so its cost does not follow the binary digits of
-each level or the shape of the states.  The k levels bisect in lock step,
-and one count places every level at once (the count grows with the shift),
-so a midpoint that the counts already made place is not counted again.
-Before the bisection, safeguarded Newton steps on log|det(A - lambda B)|
-zoom in on each level, and their counts go into the same table; the
-bisection then counts only the midpoints inside a window tol/2 wide, and
-gives the same levels bit for bit.  On the log mesh at N = 1000, k = 4,
-started from the 500-point grid's levels, that is 4 to 7 counts and 19 to
-22 Newton scans (each costs about 1.5 counts) at four box points, both
-sides, against 179 counts for the bisection alone.  A default ``sweep``
-scans 169,500 rows instead of 1,088,000, a default ``verify`` 92,250
-instead of 544,000, and over ten seeded benchmark samples the rows per
-``verify`` case or swept value stay within 4 % of their median.
+The mesh follows D. Baye, Phys. Rep. 565, 1 (2015): N nodes x_i of the
+Gauss-Laguerre rule, basis functions that vanish as z at the origin, and a
+kinetic matrix in closed form, built once per N.  At k = 4 one solve on
+120 nodes and its half on 60 take about 0.8 ms per side on a 2-vCPU host,
+against about 7 ms for the FD oracle below; over the 27 box corners and the
+five frozen inverse triples the mesh is within 4.2e-7 of the closed-form
+levels on both sides (FD: 1.6e-6).  Where the well is narrow beside its
+distance from the origin it is coarse: at r = rho_q / sqrt(omega_bar) = 100
+the 120-node levels are off by up to 1.8e-4, at r = 1000 by up to 4.8e-3.
+
+The finite-difference oracle (``fd_levels``: a log mesh in a box read off V
+alone, the k lowest levels of its tridiagonal pencil by Sturm-sequence
+bisection, Richardson extrapolation over grid refinements) is the mesh's
+independent reference in the tests; no command runs it.  The Sturm count is
+a scalar Python loop over all the rows with one comparison per pivot, which
+avoids LAPACK's ``stebz`` through scipy, whose import costs about 25 MB of
+resident memory and 0.3-0.5 s in a fresh interpreter.  The k levels bisect
+in lock step, and one count places every level at once (the count grows
+with the shift), so a midpoint that the counts already made place is not
+counted again.  Before the bisection, safeguarded Newton steps on
+log|det(A - lambda B)| zoom in on each level, and their counts go into the
+same table; the bisection then counts only the midpoints inside a window
+tol/2 wide, and gives the same levels bit for bit.
 """
 
 from __future__ import annotations
@@ -398,6 +402,103 @@ def _gauss_laguerre(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     t, v = np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0)
                           + np.diag(off, 1) + np.diag(off, -1))
     return t, v[0] * v[0]
+
+
+# The most levels one mesh solve takes (n_max <= 249, on 3000 nodes), and
+# the largest observed error a solve may show.  Where the mesh is within
+# 1e-5 of the closed forms, over the box and the 90-point r x omega_hat
+# grid at k = 3, the observed error is at most 9.2e-3 (narrow wells at
+# r = 100); at omega_bar = 6.68e-34, rho_q = 6.77e-52, d = 3.21e-121 and at
+# r <= 1e-20 with omega_hat <= 1e-30, where the plus mesh is off by a
+# factor up to 1e16, it is 7.1e-2.  The gate sits near the geometric middle.
+MESH_MAX_LEVELS = 250
+MESH_GATE = 2.5e-2
+
+
+def mesh_size(k: int) -> int:
+    """Nodes of the mesh for k levels: 12 per level, at least 120, so that
+    its half, which the observed error compares with, holds six per level.
+    With fewer the top levels of the half mesh are off by up to 50 % (k = 20
+    on 60 nodes, or k = 40 on 120), and the gate would refuse levels that
+    the full mesh has to 1e-7."""
+    return max(120, 12 * k)
+
+
+@functools.lru_cache(maxsize=2)
+def _laguerre_mesh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_i of the n-point regularized Lagrange-Laguerre mesh and its
+    kinetic matrix for -d^2/dx^2 in the Gauss approximation: diagonal
+    (4 + (4n + 2) x_i - x_i^2) / (12 x_i^2), off-diagonal
+    (-1)^(i-j) (x_i + x_j) / (sqrt(x_i x_j) (x_i - x_j)^2) (Baye, Hesse &
+    Vincke, Phys. Rev. E 65, 026701 (2002)).  Read-only, built once per n;
+    a solve and its half mesh are the two sizes kept."""
+    x, _ = _gauss_laguerre(0.0, n)
+    s = np.sqrt(x)
+    t = np.subtract.outer(x, x)
+    np.fill_diagonal(t, 1.0)
+    t *= t
+    t *= np.multiply.outer(s, s)
+    np.divide(np.add.outer(x, x), t, out=t)
+    t[::2, 1::2] *= -1.0
+    t[1::2, ::2] *= -1.0
+    np.fill_diagonal(t, (4.0 + (4 * n + 2) * x - x * x) / (12.0 * x * x))
+    x.flags.writeable = t.flags.writeable = False
+    return x, t
+
+
+def _mesh_solve(V: Potential, k: int, n: int, z_top: float) -> np.ndarray:
+    """The k lowest eigenvalues of T / h^2 + diag V(h x_i) on the n-point
+    mesh scaled so that its top node sits at z_top.  ``V`` is called once,
+    on all the nodes, with numpy's floating-point warnings off; a sample or
+    matrix entry that is not finite is a FloatingPointError, before LAPACK
+    sees it."""
+    x, t = _laguerre_mesh(n)
+    h = z_top / x[-1]
+    with np.errstate(all="ignore"):
+        v = np.broadcast_to(np.asarray(V(h * x), dtype=float), x.shape)
+        hamiltonian = t * (1.0 / (h * h))
+        hamiltonian[np.diag_indices(n)] += v
+    if not np.all(np.isfinite(hamiltonian)):
+        raise FloatingPointError(f"non-finite potential samples or mesh "
+                                 f"entries on (0, {z_top:.6g}]")
+    return np.linalg.eigvalsh(hamiltonian)[:k]
+
+
+def mesh_levels(V: Potential, k: int) -> tuple[list[float], float]:
+    """The k lowest levels of -d^2/dz^2 + V on the half line, from the
+    regularized Lagrange-Laguerre mesh of ``mesh_size(k)`` nodes, and their
+    observed error max_j |E_j(N/2) - E_j(N)| / |E_j(N)| against the mesh of
+    half as many nodes on the same interval.
+
+    The scale is read off V alone: a geometric scan finds V's least value
+    v_min (``_minimum``), and the top node sits at the first of the points
+    2^j z_v above it where V exceeds 16 k v_min (or the last within the
+    scan's range).  Meant for potentials whose least value and levels are
+    positive, as those of the canonical pair are.  Raises NonConvergent when
+    the observed error exceeds ``MESH_GATE``; the levels are deterministic,
+    bit for bit.
+    """
+    if not 1 <= k <= MESH_MAX_LEVELS:
+        raise ValueError(f"the mesh solves 1 to {MESH_MAX_LEVELS} levels, "
+                         f"not {k}")
+    z_v, v_min = _minimum(V)
+    if not math.isfinite(v_min):
+        raise FloatingPointError(f"potential not finite at z = {z_v:.6g}, "
+                                 "its least sample")
+    z_top = z_v
+    for z_top, v in _samples(V, z_v, 2.0):
+        if v > 16 * k * v_min:
+            break
+    n = mesh_size(k)
+    levels = _mesh_solve(V, k, n, z_top)
+    half = _mesh_solve(V, k, n // 2, z_top)
+    with np.errstate(all="ignore"):
+        error = float(np.max(abs(half - levels) / abs(levels)))
+    if not error <= MESH_GATE:
+        raise NonConvergent(f"the {n}-node mesh's levels differ from the "
+                            f"{n // 2}-node mesh's by {error:.3g}, above "
+                            f"{MESH_GATE:g}")
+    return levels.tolist(), error
 
 
 def quad_halfline(f: Integrand, decay_rate: float, alpha: float,

@@ -15,14 +15,13 @@ fails).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergent, SwansonError
+from .errors import ConfigError, NonConvergent
 from .potentials import (Form, Side, coord_x, dlog_rho_jet, eval_potential,
                          eval_potential_z, transform_shift, w_of_z_jet)
 from . import diffop, numeric, spectrum
@@ -53,27 +52,16 @@ def factorization_residuals(A, Ad, hm, hp, points=SAMPLE_X):
             diffop.residual(hp, diffop.compose(A, Ad), points))
 
 
-def numeric_spectra(cfg, fp, k: int):
-    """The k lowest FD levels of both half-line potentials, extrapolated."""
-    coarsest = numeric.refinement(cfg.grids)[0]
-    if k > coarsest:
-        raise ConfigError(f"{k} levels do not fit the coarsest grid "
-                          f"of {coarsest} points")
-
-    def levels(side: Side) -> list[float]:
-        return numeric.fd_levels(
-            lambda z: eval_potential_z(side, Form.CANONICAL, z, fp), k,
-            cfg.grids)[0]
-
-    try:
-        plus = levels(Side.PLUS)
-    except NonConvergent:
-        # the minus side runs anyway, so that a case costs the same whether
-        # or not its FD order check fails; the plus side's error is reported
-        with contextlib.suppress(SwansonError, ArithmeticError, ValueError):
-            levels(Side.MINUS)
-        raise
-    return [plus, levels(Side.MINUS)]
+def numeric_levels(fp, side: Side, k: int) -> tuple[list[float], float]:
+    """The k lowest mesh levels of one canonical half-line potential and
+    their observed error (``numeric.mesh_levels``); more levels than one
+    mesh solve takes is a configuration error, raised before any matrix is
+    built."""
+    if k > numeric.MESH_MAX_LEVELS:
+        raise ConfigError(f"{k} levels exceed the {numeric.MESH_MAX_LEVELS} "
+                          "that one mesh solve takes")
+    return numeric.mesh_levels(
+        lambda z: eval_potential_z(side, Form.CANONICAL, z, fp), k)
 
 
 class _Run:
@@ -85,6 +73,7 @@ class _Run:
         self.At = diffop.build("Atilde", fp)
         self.Atd = diffop.build("Atilde_dag", fp)
         self.energies = spectrum.energies_plus(fp, N_STATES - 1)
+        self._mesh: dict[Side, tuple[list[float], float]] = {}
         self.x, self.z = np.array(SAMPLE_X), np.array(SAMPLE_Z)
         # the canonical and printed minus potentials and w on all of SAMPLE_Z
         # at once
@@ -106,6 +95,15 @@ class _Run:
             self.rho_Hm = diffop.conjugate(self.Hm, dlr, +1)
             self.rho_hp = diffop.conjugate(self.hp, dlr, -1)
             self.gauge = diffop.infer_delta(mp, fp, SAMPLE_X)
+
+    def mesh(self, side: Side) -> tuple[list[float], float]:
+        """One side's mesh levels for the spectral rows, n <= min(n_max, 3),
+        and their observed error, solved on first use, so that a solve that
+        fails fails only its own side's row."""
+        if side not in self._mesh:
+            self._mesh[side] = numeric_levels(self.fp, side,
+                                              min(self.cfg.n_max + 1, 4))
+        return self._mesh[side]
 
 
 def _form(side: Side, form: Form):
@@ -172,13 +170,29 @@ def _orthonormality(r: _Run) -> float:
         - np.eye(N_STATES)))
 
 
-def _fd_spectra(r: _Run) -> tuple[float, float]:
-    """FD plus-side levels against the ladder, and the minus side matched."""
-    k = min(r.cfg.n_max + 1, 4)
-    ep, em = numeric_spectra(r.cfg, r.fp, k)
-    fd = numeric.worst(abs(ep[n] - e) / abs(e)
-                       for n, e in enumerate(r.energies[:k]))
-    return fd, numeric.compare_spectra(r.energies[:k], em).max_rel_error
+def _mesh_plus(r: _Run) -> float:
+    """Plus-side mesh levels against the ladder, each relative to |E_n|."""
+    levels, _ = r.mesh(Side.PLUS)
+    return numeric.worst(abs(x - e) / abs(e)
+                         for x, e in zip(levels, r.energies))
+
+
+def _mesh_minus(r: _Run) -> float:
+    """Minus-side mesh levels matched to the ladder; a spurious level below
+    E_0 shows as the error of the top one."""
+    levels, _ = r.mesh(Side.MINUS)
+    return numeric.compare_spectra(r.energies[:len(levels)],
+                                   levels).max_rel_error
+
+
+def _mesh_note(side: Side) -> Callable[[_Run], str]:
+    """The note of a spectral row: its mesh size and observed error."""
+    def note(r: _Run) -> str:
+        levels, error = r.mesh(side)
+        return (f"mesh of {numeric.mesh_size(len(levels))} nodes, observed "
+                f"error {fmt(error)}")
+
+    return note
 
 
 def _minus_profile(r: _Run) -> float:
@@ -255,8 +269,9 @@ ROWS = (
          j.value[:8]) for n, j in enumerate(r.states[Side.MINUS]))),
     Row("ladder_up_consistency", 1e-8, _ladder_up, _vanishing(Side.PLUS)),
     Row("orthonormality_plus", 1e-8, _orthonormality),
-    # finite-difference oracle: one run gives both
-    Row(("fd_spectrum_plus", "isospectrality"), 1e-5, _fd_spectra),
+    # the mesh oracle, one solve per side
+    Row("fd_spectrum_plus", 1e-5, _mesh_plus, _mesh_note(Side.PLUS)),
+    Row("isospectrality", 1e-5, _mesh_minus, _mesh_note(Side.MINUS)),
     Row("transformed_minus_residual_profile", 1e-9, _minus_profile),
     # inverse mode: the non-Hermitian pair, its metric and the intertwiner
     Row("similarity_first_order", 1e-10, lambda r: numeric.max_rel_gap([

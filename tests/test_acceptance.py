@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from swanson.diffop import build, compose, conjugate, infer_delta, residual
-from swanson.numeric import compare_spectra, quad_halfline, refine_extrapolate
+from swanson.numeric import compare_spectra, mesh_levels, quad_halfline
 from swanson.params import (ModelParams, derive_constants, solve_forward,
                             solve_inverse)
 from swanson.potentials import (Form, Side, b1_jet, c1_jet, dlog_rho_jet,
@@ -41,10 +41,10 @@ def test_criterion_01_spectrum_reproduction(fp_ref):
     E = energies_plus(fp_ref, 2)
     assert E == pytest.approx([35.0, 45.0, 55.0], rel=1e-14)
     V = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp_ref)
-    extrap, _ = refine_extrapolate(V, 3, [2000, 4000], 1e-3, 10.0)
-    worst = max(abs(extrap[n] - E[n]) / E[n] for n in range(3))
+    levels, _ = mesh_levels(V, 3)
+    worst = max(abs(levels[n] - E[n]) / E[n] for n in range(3))
     elapsed = time.perf_counter() - start
-    report("criterion 1 (half-line spectrum vs finite differences)",
+    report("criterion 1 (half-line spectrum vs the Lagrange-Laguerre mesh)",
            worst <= 1e-6 and elapsed < 5.0,
            f"max rel error {worst:.3e} (tol 1e-6), runtime {elapsed:.2f}s "
            "(limit 5s)")
@@ -53,8 +53,8 @@ def test_criterion_01_spectrum_reproduction(fp_ref):
 def test_criterion_02_isospectral_partner(fp_ref):
     E = energies_plus(fp_ref, 3)
     V = lambda z: eval_potential_z(Side.MINUS, Form.CANONICAL, z, fp_ref)
-    extrap, _ = refine_extrapolate(V, 4, [2000, 4000], 1e-3, 10.0)
-    comp = compare_spectra(E, extrap)
+    levels, _ = mesh_levels(V, 4)
+    comp = compare_spectra(E, levels)
     ok = comp.max_rel_error <= 1e-6 and not comp.unmatched_numeric_levels
     report("criterion 2 (isospectral partner, no spurious low state)", ok,
            f"max rel error {comp.max_rel_error:.3e} (tol 1e-6), "

@@ -119,8 +119,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("args", [
         ["spectrum", "--config", "{tmp}/n_max_string.json"],
+        # the grids of the old FD oracle are gone, and the mesh solves at
+        # most 250 levels
         ["spectrum", "--grids", "100,300"],
-        ["spectrum", "--n-max", "50", "--grids", "20,40"],
+        ["spectrum", "--config", "{tmp}/grids.json"],
+        ["spectrum", "--n-max", "250"],
+        ["spectrum", "--n-max", "1000000000"],
         ["solve", "--out", "{tmp}/missing/dir/x"],
         ["solve", "--omega-bar", "inf"],
         ["solve", "--config", "{tmp}/list.json"],
@@ -137,7 +141,8 @@ class TestSolve:
         for name, text in (("n_max_string", '{"n_max": "3"}'),
                            ("list", "[1, 2]"),
                            ("tols_list", '{"tols": [1]}'),
-                           ("method_name", '{"validate": 1}')):
+                           ("method_name", '{"validate": 1}'),
+                           ("grids", '{"grids": [500, 1000]}')):
             (tmp_path / f"{name}.json").write_text(text)
         args = [a.format(tmp=tmp_path) for a in args]
         code, out, err = run_main(args, capsys)
@@ -158,14 +163,31 @@ class TestSpectrum:
         assert [r[0] for r in rows] == ["0", "1", "2"]
         for r, want in zip(rows, (35.0, 45.0, 55.0)):
             assert float(r[1]) == want
-            assert abs(float(r[2]) - want) <= 1e-6 * want  # plus-side FD
-            assert abs(float(r[3]) - want) <= 1e-6 * want  # minus-side FD
+            assert abs(float(r[2]) - want) <= 1e-6 * want  # plus-side mesh
+            assert abs(float(r[3]) - want) <= 1e-6 * want  # minus-side mesh
 
     def test_single_row(self, tmp_path):
         out = tmp_path / "one.csv"
         assert main(["spectrum", "--n-max", "0", "--format", "csv",
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2
+
+    def test_the_largest_accepted_n_max_reaches_the_mesh(self, monkeypatch,
+                                                         capsys):
+        # n_max = 249 asks the mesh for its 250 levels; the solve is
+        # replaced, since the 3000-node mesh takes seconds
+        from swanson import numeric
+
+        asked = []
+
+        def levels(V, k):
+            asked.append(k)
+            return [float(n + 1) for n in range(k)], 0.0
+
+        monkeypatch.setattr(numeric, "mesh_levels", levels)
+        code, out, err = run_main(["spectrum", "--n-max", "249"], capsys)
+        assert (code, err) == (0, "")
+        assert asked == [250, 250] and len(json.loads(out)) == 250
 
 
 class TestWavefunctions:
@@ -316,10 +338,11 @@ class TestVerify:
         from swanson import numeric
         from swanson.errors import NonConvergent
 
-        def refine(*args):
-            raise NonConvergent("observed convergence order 1.47 < 1.5")
+        def levels(*args):
+            raise NonConvergent("the 120-node mesh's levels differ from the "
+                                "60-node mesh's by 0.07, above 0.025")
 
-        monkeypatch.setattr(numeric, "refine_extrapolate", refine)
+        monkeypatch.setattr(numeric, "mesh_levels", levels)
         om, al, be = FEASIBLE_TRIPLES[4]
         out = tmp_path / "verify.json"
         code = main(["verify", "--mode", "inverse", "--omega", repr(om),
@@ -332,7 +355,7 @@ class TestVerify:
         for name in ("fd_spectrum_plus", "isospectrality"):
             assert by_id[name]["status"] == "FAIL"
             assert by_id[name]["residual"] == "inf"
-            assert "order" in by_id[name]["note"]
+            assert "60-node mesh" in by_id[name]["note"]
 
     def test_bad_tolerance_syntax(self, capsys):
         assert run_main(["verify", "--tol", "oops"], capsys)[0] == 1
@@ -391,26 +414,27 @@ class TestSweep:
                          "--steps", "2"], capsys)[0] == 1
 
     @pytest.mark.parametrize("message", [
-        "observed convergence order 1.42 < 1.5",
+        "the 120-node mesh's levels differ from the 60-node mesh's by 0.07, "
+        "above 0.025",
         'quadrature on [0, 1] did not "stabilize"'])
     def test_failed_row_names_stage_type_and_message(self, message,
                                                      monkeypatch, capsys):
         from swanson import numeric
         from swanson.errors import NonConvergent
         argv = ["sweep", "--param", "rho_q", "--range", "0.5:1.0",
-                "--steps", "2", "--grids", "20,40"]
+                "--steps", "2"]
         code, ok_out, _ = run_main(argv, capsys)
         assert code == 0
 
         def fail(*args):
             raise NonConvergent(message)
 
-        monkeypatch.setattr(numeric, "refine_extrapolate", fail)
+        monkeypatch.setattr(numeric, "mesh_levels", fail)
         code, out, _ = run_main(argv, capsys)
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert ([r[-1] for r in rows[1:]]
-                == [f"fd: NonConvergent: {message}"] * 2)
+                == [f"mesh: NonConvergent: {message}"] * 2)
         assert all(len(r) == 9 for r in rows)
         # rows without a comma or a quote are written as bare cells
         for line in ok_out.splitlines():
@@ -423,13 +447,12 @@ class TestSweep:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[-1] for r in rows[1:]] == [
-            "ok", "fd: OverflowError: w^2 in the canonical plus potential "
+            "ok", "mesh: OverflowError: w^2 in the canonical plus potential "
             "overflows at z = 1"]
 
     def test_failed_solve_is_one_quoted_cell(self, capsys):
         code, out, _ = run_main(["sweep", "--param", "rho_q", "--range",
-                                 "0.0:1.0", "--steps", "2", "--grids",
-                                 "20,40"], capsys)
+                                 "0.0:1.0", "--steps", "2"], capsys)
         assert code == 0
         first = out.splitlines()[1]
         assert first == ("0,nan,nan,nan,nan,nan,nan,nan,\"solve: ValueError: "
@@ -444,8 +467,8 @@ class TestNegativeValues:
           "--beta", "0.1"],
          ["solve", "--mode", "inverse", "--omega", "1", "--alpha=-2.5e-3",
           "--beta", "0.1"], 2),
-        (["sweep", "--range", "-1:2", "--steps", "2", "--grids", "20,40"],
-         ["sweep", "--range=-1:2", "--steps", "2", "--grids", "20,40"], 0),
+        (["sweep", "--range", "-1:2", "--steps", "2"],
+         ["sweep", "--range=-1:2", "--steps", "2"], 0),
         (["solve", "--mode", "inverse", "--omega", "1", "--alpha", "-inf",
           "--beta", "0.1"],
          ["solve", "--mode", "inverse", "--omega", "1", "--alpha=-inf",

@@ -1,12 +1,9 @@
-"""The one FD oracle: its accuracy over the parameter box, its independence
-from the closed forms, and that ``spectrum``, ``sweep`` and ``verify`` share
-it."""
+"""The finite-difference oracle, the mesh oracle's independent reference:
+its accuracy over the parameter box at the grids 500 and 1000 and its
+independence from the closed forms.  No command runs it."""
 
-import csv
 import dataclasses
-import io
 import itertools
-import json
 import math
 
 import pytest
@@ -14,8 +11,7 @@ import pytest
 from conftest import FEASIBLE_TRIPLES
 from reference import GKPotential, gk_eigenvalues
 
-from swanson import numeric, verify
-from swanson.cli import RunConfig, main
+from swanson import numeric
 from swanson.jets import elementwise
 from swanson.params import ModelParams, solve_forward, solve_inverse
 from swanson.potentials import Form, Side, eval_potential_z
@@ -38,11 +34,11 @@ def _levels(fp, side, k, grids):
 
 @pytest.mark.parametrize("point", CORNERS + FEASIBLE_TRIPLES)
 def test_levels_over_the_box_corners_and_the_frozen_triples(point):
-    # both sides against the closed-form ladder, k = 4, default grids
+    # both sides against the closed-form ladder, k = 4, grids 500 and 1000
     fp = _fp(point)
     exact = energies_plus(fp, 3)
     for side in Side:
-        levels, order = _levels(fp, side, 4, RunConfig().grids)
+        levels, order = _levels(fp, side, 4, [500, 1000])
         assert max(abs(x - e) / e for x, e in zip(levels, exact)) <= 1e-5
         assert order >= 1.5
 
@@ -89,27 +85,3 @@ def test_the_scan_meets_only_the_errors_it_reaches():
     _, V = _oscillator_failing_beyond(2.0)
     with pytest.raises(OverflowError, match="past 2.0"):
         numeric.fd_levels(V, 4, [500, 1000])
-
-
-POINT = ["--omega-bar", "1.7", "--rho-q", "0.8", "--d", "2.2"]
-
-
-def _run(argv, capsys):
-    assert main(argv + POINT) in (0, 3)
-    return capsys.readouterr().out
-
-
-def test_spectrum_sweep_and_verify_share_the_plus_levels(capsys):
-    spectrum = json.loads(_run(["spectrum", "--n-max", "2"], capsys))
-    rows = list(csv.DictReader(io.StringIO(_run(
-        ["sweep", "--param", "d", "--range", "2.2:2.2", "--steps", "1"],
-        capsys))))
-    assert len(rows) == 1 and rows[0]["status"] == "ok"
-    plus = [row["E_numeric_plus"] for row in spectrum]
-    assert plus == [rows[0][f"E{n}_numeric"] for n in range(3)]
-    # verify's row is the relative error of the same three levels
-    doc = json.loads(_run(["verify", "--n-max", "2"], capsys))
-    by_id = {e["id"]: e for e in doc["identities"]}
-    residual = max(abs(float(row["E_numeric_plus"]) - float(row["E_analytic"]))
-                   / abs(float(row["E_analytic"])) for row in spectrum)
-    assert by_id["fd_spectrum_plus"]["residual"] == verify.fmt(residual)

@@ -65,7 +65,7 @@ class TestDiscretization:
         from swanson.cli import main
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["spectrum", "--n-max", "0", "--grids", "20,40",
+            code = main(["spectrum", "--n-max", "0",
                          "--omega-bar", "1.0", "--rho-q", "100000000.0",
                          "--d", "2e+299"])
         err = capsys.readouterr().err

@@ -3,8 +3,8 @@
 Parameters span magnitudes 1e-300 to 1e300 and states up to n = 400.  Such
 inputs may give a config error, infeasible parameters or a numeric failure,
 but ``main`` must map each to its exit code with one stderr line, and never
-raise.  ``spectrum`` and ``sweep`` run on the coarse grids 20 and 40 with at
-most four levels or three swept values, which keeps each example fast.
+raise.  ``spectrum`` and ``sweep`` run with at most four levels or three
+swept values, which keeps each example fast.
 ``verify`` is left out: a failing identity exits 3 by design with its whole
 report on stdout and nothing on stderr.
 """
@@ -44,15 +44,14 @@ wavefunctions = st.builds(
     st.sampled_from(["plus", "minus"]), st.integers(0, 400),
     st.lists(magnitude, min_size=1, max_size=3))
 
-coarse = ["--grids", "20,40"]
 spectrum = st.builds(
-    lambda point, n_max: (["spectrum", "--n-max", str(n_max)] + coarse
+    lambda point, n_max: (["spectrum", "--n-max", str(n_max)]
                           + _flags(["--omega-bar", "--rho-q", "--d"], point)),
     st.lists(magnitude, min_size=3, max_size=3), st.integers(0, 3))
 sweep = st.builds(
     lambda point, param, lo, hi, steps: (
         ["sweep", "--param", param, f"--range={lo}:{hi}", "--steps",
-         str(steps)] + coarse
+         str(steps)]
         + _flags(["--omega-bar", "--rho-q", "--d"], point)),
     st.lists(magnitude, min_size=3, max_size=3),
     st.sampled_from(["rho_q", "d", "omega_bar"]), signed, signed,

@@ -46,6 +46,7 @@ def test_the_driver_entry_points_exist():
 
 
 def test_a_traced_run_counts_the_layers_and_restores_them(tracing):
+    # the tracer still wraps the FD functions, which no command reaches
     from swanson import numeric
     plain = numeric.refine_extrapolate
     tracer = tracing.Tracer()
@@ -53,13 +54,11 @@ def test_a_traced_run_counts_the_layers_and_restores_them(tracing):
     try:
         tracer.begin_case()
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["sweep", "--grids", "250,500", "--steps", "1"])
+            rc = cli.main(["sweep", "--steps", "1"])
         counts = tracer.end_case(1.0)
     finally:
         tracer.uninstall()
     assert rc == 0
     assert numeric.refine_extrapolate is plain
-    assert counts["numeric.tridiag_eigs.rows"] > 0
-    assert counts["numeric.fd_discretize.points"] > 0
     assert counts["diffop.residual.points"] > 0
     assert counts["jets.Jet.ops"] > 0

@@ -39,6 +39,8 @@ PUBLISHED_TOLS = {
 
 # the rows whose residual comes from numeric.quad_halfline
 INTEGRATING = {"orthonormality_plus", "normalization_integral_printed"}
+# the mesh oracle's rows, whose note states the mesh size and observed error
+MESH = {"fd_spectrum_plus", "isospectrality"}
 
 
 def test_ids_are_unique_across_identities_and_errata():
@@ -78,7 +80,9 @@ def test_nonconvergent_quadrature_marks_exactly_the_rows_that_integrate(
             assert e["note"] == "numeric non-convergence: forced"
             assert e["status"] in ("FAIL", "REPORTED")
         elif e["id"] in DEFAULT_TOLS:
-            assert e["status"] == "PASS" and "note" not in e
+            assert e["status"] == "PASS"
+            assert (e["note"].startswith("mesh of 120 nodes")
+                    if e["id"] in MESH else "note" not in e)
     failed = [e["id"] for e in doc["identities"] if e["status"] == "FAIL"]
     assert set(failed) == INTEGRATING & set(DEFAULT_TOLS)
 
@@ -103,8 +107,8 @@ def test_extreme_parameters_give_the_whole_document_and_no_warnings(
     out = tmp_path / "verify.json"
     argv = ["verify", "--omega-bar", "6.679567213444102e-34",
             "--rho-q", "6.774429997209272e-52",
-            "--d", "3.2088327224676075e-121", "--grids", "40,80",
-            "--n-max", "1", "--out", str(out)]
+            "--d", "3.2088327224676075e-121", "--n-max", "1",
+            "--out", str(out)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 3
@@ -117,8 +121,7 @@ def test_extreme_parameters_give_the_whole_document_and_no_warnings(
 
 
 def test_sweep_residual_is_the_larger_factorization_residual(tmp_path):
-    point = ["--omega-bar", "1.7", "--rho-q", "0.8", "--d", "2.2",
-             "--grids", "250,500"]
+    point = ["--omega-bar", "1.7", "--rho-q", "0.8", "--d", "2.2"]
     sweep, report = tmp_path / "sweep.csv", tmp_path / "verify.json"
     assert main(["sweep", "--param", "d", "--range", "2.2:2.2", "--steps",
                  "1", "--out", str(sweep)] + point) == 0
@@ -176,7 +179,7 @@ def test_rows_scaled_by_vanishing_states_say_so(capsys):
                  "--d", "4e5", "--n-max", "2"]) == 3
     rows = {e["id"]: e for e in json.loads(capsys.readouterr().out)[
         "identities"]}
-    noted = {name for name, e in rows.items() if "note" in e}
+    noted = {name for name, e in rows.items() if "note" in e} - MESH
     assert noted == {"eigen_residual_plus", "eigen_residual_minus",
                      "ladder_up_consistency"}
     for name in noted:
@@ -186,22 +189,34 @@ def test_rows_scaled_by_vanishing_states_say_so(capsys):
             "point")
 
 
-def test_failing_plus_side_still_runs_the_minus_side(monkeypatch):
-    # a case costs the same whether or not an FD order check fails, and the
-    # plus side's error is the one reported
+def test_a_refused_plus_mesh_fails_only_its_own_row(monkeypatch):
+    # each side's solve belongs to its own row: the minus levels are still
+    # matched when the plus mesh fails its error gate, and each side is
+    # solved once for its row and its note
     from swanson.cli import RunConfig
     from swanson.params import solve_forward
 
+    fp = solve_forward(1.0, 1.0, 1.0)
+    exact = spectrum.energies_plus(fp, 2)
     calls = []
 
-    def refine(V, k, grids, z_min, z_max, guess):
-        calls.append(V)
-        raise NonConvergent(f"order check {len(calls)}")
+    def levels(V, k):
+        calls.append(k)
+        if len(calls) == 1:
+            raise NonConvergent("error gate")
+        return exact[:k], 1e-9
 
-    monkeypatch.setattr(numeric, "refine_extrapolate", refine)
-    with pytest.raises(NonConvergent, match="order check 1"):
-        verify.numeric_spectra(RunConfig(), solve_forward(1.0, 1.0, 1.0), 3)
-    assert len(calls) == 2
+    monkeypatch.setattr(numeric, "mesh_levels", levels)
+    rows = {e["id"]: e for e in verify.run(RunConfig(), fp)[0]}
+    assert calls == [3, 3]
+    assert (rows["fd_spectrum_plus"]["residual"],
+            rows["fd_spectrum_plus"]["status"],
+            rows["fd_spectrum_plus"]["note"]) == (
+        "inf", "FAIL", "numeric non-convergence: error gate")
+    assert (rows["isospectrality"]["residual"],
+            rows["isospectrality"]["status"],
+            rows["isospectrality"]["note"]) == (
+        "0", "PASS", "mesh of 120 nodes, observed error 1.0000000000000001e-09")
 
 
 def _pointwise_state_rows(fp) -> dict:
@@ -280,7 +295,7 @@ def test_nan_coefficient_pairs_fail_their_rows(rho_q, d, capsys):
 
 
 def test_spurious_minus_level_fails_isospectrality_by_its_error(monkeypatch):
-    # with k analytic and k FD levels every FD level is matched, so a level
+    # with k analytic and k mesh levels every mesh level is matched, so a level
     # below E0 shows as the relative error of the top analytic level
     from swanson.cli import RunConfig
     from swanson.params import solve_forward
@@ -289,18 +304,19 @@ def test_spurious_minus_level_fails_isospectrality_by_its_error(monkeypatch):
     exact = spectrum.energies_plus(fp, 3)
     sides = []
 
-    def levels(V, k, grids):
+    def levels(V, k):
         sides.append("plus" if not sides else "minus")
         if sides[-1] == "plus":
-            return exact[:k], 2.0
-        return [exact[0] / 2] + exact[:k - 1], 2.0
+            return exact[:k], 0.0
+        return [exact[0] / 2] + exact[:k - 1], 0.0
 
-    monkeypatch.setattr(numeric, "fd_levels", levels)
+    monkeypatch.setattr(numeric, "mesh_levels", levels)
     rows = {e["id"]: e for e in verify.run(RunConfig(), fp)[0]}
     assert sides == ["plus", "minus"]
     assert rows["fd_spectrum_plus"]["status"] == "PASS"
     iso = rows["isospectrality"]
-    assert iso["status"] == "FAIL" and "note" not in iso
+    assert iso["status"] == "FAIL"
+    assert iso["note"] == "mesh of 120 nodes, observed error 0"
     assert float(iso["residual"]) == abs(exact[0] / 2 - exact[2]) / exact[2]
 
 
@@ -317,10 +333,10 @@ def test_every_row_evaluates_its_sample_points_in_one_call(monkeypatch,
             return fn(side, form, x, *args)
 
         monkeypatch.setattr(verify, name, spy)
-    # the FD oracle scans V one point at a time by design; it is left out
-    monkeypatch.setattr(verify, "numeric_spectra",
-                        lambda cfg, fp, k: [spectrum.energies_plus(
-                            fp, k - 1)] * 2)
+    # the mesh oracle scans V one point at a time by design; it is left out
+    monkeypatch.setattr(verify, "numeric_levels",
+                        lambda fp, side, k: (spectrum.energies_plus(
+                            fp, k - 1), 0.0))
     mp, fp, _ = inverse_sets[0]
     verify.run(RunConfig(), fp, mp)
     grids = (verify.SAMPLE_X, [-x for x in verify.SAMPLE_X], verify.SAMPLE_Z,
