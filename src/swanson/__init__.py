@@ -24,9 +24,8 @@ from .potentials import (Form, Side, coord_x, eval_potential,
 from .diffop import LinDiffOp, build, compose, conjugate, formal_adjoint, residual
 from .spectrum import (energies_plus, j_integral, phi_minus_jet,
                        phi_plus_jet)
-from .numeric import (SpectrumComparison, TridiagSystem, compare_spectra,
-                      fd_discretize, mesh_levels, quad_halfline,
-                      refine_extrapolate, tridiag_eigs)
+from .numeric import (TridiagSystem, fd_discretize, mesh_levels,
+                      quad_halfline, refine_extrapolate, tridiag_eigs)
 
 __all__ = [
     "__version__",
@@ -40,6 +39,6 @@ __all__ = [
     "coord_x",
     "LinDiffOp", "build", "compose", "formal_adjoint", "conjugate", "residual",
     "energies_plus", "phi_plus_jet", "phi_minus_jet", "j_integral",
-    "TridiagSystem", "SpectrumComparison", "fd_discretize", "tridiag_eigs",
-    "refine_extrapolate", "mesh_levels", "quad_halfline", "compare_spectra",
+    "TridiagSystem", "fd_discretize", "tridiag_eigs", "refine_extrapolate",
+    "mesh_levels", "quad_halfline",
 ]

@@ -29,9 +29,9 @@ from . import __version__
 from .errors import (BranchViolation, ConfigError, Infeasible4X,
                      NoPositiveRoot, NonConvergent, SwansonError)
 from .params import ModelParams, solve_forward, solve_inverse
-from .potentials import Form, Side, eval_potential_z
+from .potentials import Side
 from .verify import DEFAULT_TOLS, fmt
-from . import numeric, spectrum, verify
+from . import spectrum, verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -268,8 +268,7 @@ def _sweep_one(cfg: RunConfig, value: float):
         stage = "analytic"
         analytic = spectrum.energies_plus(fp, 2)
         stage = "mesh"
-        vp = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
-        ep, _ = numeric.mesh_levels(vp, 3)
+        ep, _ = verify.numeric_levels(fp, Side.PLUS, 3)
         stage = "identity"
         res = max(verify.factorization_residuals(
             *verify.ladder_operators(fp)))

@@ -7,16 +7,15 @@ the observed error against the half mesh), the one quadrature rule
 (``quad_halfline``: generalized Gauss-Laguerre in t = omega_hat z^2, exact
 for a polynomial times t^alpha e^-t, the integrand sampled on all its nodes
 in one call, one integrand or a whole array of them such as a Gram matrix),
-the relative gap the identity checks reduce to and the one maximum they all
-reduce with (``worst``: a NaN anywhere makes it NaN, so the check fails),
-and spectra comparison (relative errors over |E|).  Nothing here reuses the
-closed-form machinery it checks.
+and the relative gap the identity checks reduce to and the one maximum they
+all reduce with (``worst``: a NaN anywhere makes it NaN, so the check
+fails).  Nothing here reuses the closed-form machinery it checks.
 
 The mesh follows D. Baye, Phys. Rep. 565, 1 (2015): N nodes x_i of the
 Gauss-Laguerre rule, basis functions that vanish as z at the origin, and a
 kinetic matrix in closed form, built once per N.  At k = 4 one solve on
 120 nodes and its half on 60 take about 0.8 ms per side on a 2-vCPU host,
-against about 7 ms for the FD oracle below; over the 27 box corners and the
+against about 17 ms for the FD oracle below; over the 27 box corners and the
 five frozen inverse triples the mesh is within 4.2e-7 of the closed-form
 levels on both sides (FD: 1.6e-6).  Where the well is narrow beside its
 distance from the origin it is coarse: at r = rho_q / sqrt(omega_bar) = 100
@@ -25,16 +24,12 @@ the 120-node levels are off by up to 1.8e-4, at r = 1000 by up to 4.8e-3.
 The finite-difference oracle (``fd_levels``: a log mesh in a box read off V
 alone, the k lowest levels of its tridiagonal pencil by Sturm-sequence
 bisection, Richardson extrapolation over grid refinements) is the mesh's
-independent reference in the tests; no command runs it.  The Sturm count is
-a scalar Python loop over all the rows with one comparison per pivot, which
+independent reference in the tests; no command runs it.  Both oracles read
+V's scale from the same scans (``_well``, ``_first_above``).  The k levels
+bisect in lock step, each counting its own midpoint; the Sturm count is a
+scalar Python loop over all the rows with one comparison per pivot, which
 avoids LAPACK's ``stebz`` through scipy, whose import costs about 25 MB of
-resident memory and 0.3-0.5 s in a fresh interpreter.  The k levels bisect
-in lock step, and one count places every level at once (the count grows
-with the shift), so a midpoint that the counts already made place is not
-counted again.  Before the bisection, safeguarded Newton steps on
-log|det(A - lambda B)| zoom in on each level, and their counts go into the
-same table; the bisection then counts only the midpoints inside a window
-tol/2 wide, and gives the same levels bit for bit.
+resident memory and 0.3-0.5 s in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -63,16 +58,6 @@ class TridiagSystem:
     off_diagonal: np.ndarray
     weight: np.ndarray
     n_points: int
-
-
-@dataclass(frozen=True)
-class SpectrumComparison:
-    pairs: list[tuple[float, float, float, float]]  # analytic, numeric, abs, rel
-    unmatched_numeric_levels: list[float]
-
-    @property
-    def max_rel_error(self) -> float:
-        return worst(p[3] for p in self.pairs)
 
 
 def fd_discretize(V: Potential, z_min: float, z_max: float,
@@ -136,34 +121,7 @@ def _sturm_count(rows: Iterable[tuple[float, float, float]],
     return count
 
 
-def _sturm_newton(rows: Iterable[tuple[float, float, float]],
-                  shift: float) -> tuple[int, float]:
-    """``_sturm_count`` at ``shift``, bit for bit, and d log|det|/dlambda
-    of A - lambda B there, sum_i q_i'/q_i, from the same pivot pass.
-
-    q_i' = -b_i + e_{i-1}^2 q_{i-1}' / q_{i-1}^2 follows each (perturbed)
-    pivot; where it overflows the derivative is inf or NaN.
-    """
-    tiny = _TINY
-    ntiny = -tiny
-    q = 1.0
-    dq = 0.0
-    slope = 0.0
-    count = 0
-    for a, b, e2 in rows:
-        t = e2 / q
-        dq = t * (dq / q) - b
-        q = a - shift * b - t
-        if q < tiny:
-            count += 1
-            if q > ntiny:
-                q = ntiny
-        slope += dq / q
-    return count, slope
-
-
-def tridiag_eigs(sys: TridiagSystem, k: int,
-                 guess: Sequence[float] = ()) -> list[float]:
+def tridiag_eigs(sys: TridiagSystem, k: int) -> list[float]:
     """k smallest levels of the pencil by bisection on the Sturm count.
 
     Deterministic.  The bracket's lower end is the pencil's Gershgorin bound
@@ -172,28 +130,9 @@ def tridiag_eigs(sys: TridiagSystem, k: int,
     lo = 0), doubled until the count there reaches k; the Gershgorin upper
     bound is of order 1/(h^2 z_min^2) on the log mesh, and a tolerance
     scaled by it would lose the levels.  Every level bisects from that
-    bracket, in lock step, until every bracket is at most
-    tol = max(1e-14 * scale, tiny) wide, scale the larger magnitude of its
-    ends.
-
-    A count c at shift m places every level at once: levels 0..c-1 lie
-    below m and the others at or above it, since the count grows with the
-    shift.  Each level keeps the nearest shifts counted on either side of
-    it, the bracket's among them, and a midpoint outside them takes its
-    decision from them; only the midpoints between them are counted.  So
-    each level follows the same midpoints and decisions as if it were
-    bisected on its own.
-
-    Before the bisection each level is zoomed in on.  Once the counts
-    isolate it (j levels below its lower recorded shift, j + 1 below its
-    upper one), safeguarded Newton steps on log|det(A - lambda B)|
-    (``_sturm_newton``) narrow it, starting from ``guess[j]`` when that lies
-    between those shifts; a level never isolated, such as a double one, is
-    bisected between them.  Every probe's count joins the recorded shifts,
-    until they bracket the level within tol/2, so the bisection counts only
-    the one or two midpoints inside that window.  The guess chooses where
-    Newton starts and nothing else: the levels are the bisection's, bit for
-    bit.
+    bracket, in lock step, one ``_sturm_count`` at its own midpoint per
+    step, until every bracket is at most tol = max(1e-14 * scale, tiny)
+    wide, scale the larger magnitude of its ends.
     """
     if k > sys.n_points:
         raise ValueError("cannot request more eigenvalues than matrix size")
@@ -203,70 +142,22 @@ def tridiag_eigs(sys: TridiagSystem, k: int,
     if len(a) == 1 or np.all(e == 0.0):
         return sorted((a / b).tolist())[:k]
     rows = list(zip(a.tolist(), b.tolist(), [0.0] + (e * e).tolist()))
-    # the lowest counted shift above level j, the highest at or below it,
-    # and the counts there
-    above = [math.inf] * k
-    below_or_at = [-math.inf] * k
-    n_above = [len(rows)] * k
-    n_below_or_at = [0] * k
-
-    def record(shift: float, c: int) -> int:
-        for i in range(k):
-            if i < c:
-                if shift < above[i]:
-                    above[i], n_above[i] = shift, c
-            elif shift > below_or_at[i]:
-                below_or_at[i], n_below_or_at[i] = shift, c
-        return c
-
-    def count(shift: float) -> int:
-        return record(shift, _sturm_count(rows, shift))
-
     r = np.zeros(len(a))
     r[:-1] += np.abs(e)
     r[1:] += np.abs(e)
     lo = float(np.min((a - r) / b))
     span = abs(lo) or 1.0
-    while count(lo + span) < k:
+    while _sturm_count(rows, lo + span) < k:
         span *= 2
     hi = lo + span
     tol = max(1e-14 * max(abs(lo), abs(hi)), _TINY)
-    half, eighth = tol / 2, tol / 8
-    for j in range(k):
-        x = float(guess[j]) if j < len(guess) else math.nan
-        moved = math.inf
-        while True:
-            L, H = max(below_or_at[j], lo), min(above[j], hi)
-            if not H - L > half:
-                break
-            if not (n_below_or_at[j] == j and n_above[j] == j + 1):
-                count(0.5 * (L + H))
-                continue
-            if not L < x < H:
-                x = 0.5 * (L + H)
-            c, slope = _sturm_newton(rows, x)
-            record(x, c)
-            L, H = max(below_or_at[j], lo), min(above[j], hi)
-            step = -1.0 / slope if slope else math.inf
-            # a step within tol/8 is rounding noise about a converged level
-            # and may point just outside [L, H]: probe tol/8 inside instead;
-            # otherwise bisect unless the step lands inside and halves the
-            # last move (rtsafe)
-            if abs(step) <= eighth:
-                nxt = min(max(x + step, L + eighth), H - eighth)
-            elif L < x + step < H and abs(step) <= 0.5 * moved:
-                nxt = x + step
-            else:
-                nxt = 0.5 * (L + H)
-            moved = abs(nxt - x)
-            x = nxt
     los = np.full(k, lo)
     his = np.full(k, hi)
     while np.max(his - los) > tol:
         mids = 0.5 * (los + his)
         # eigenvalue_j < mid
-        below = [count(mid) > j if below_or_at[j] < mid < above[j]
-                 else mid >= above[j] for j, mid in enumerate(mids.tolist())]
+        below = [_sturm_count(rows, mid) > j
+                 for j, mid in enumerate(mids.tolist())]
         his = np.where(below, mids, his)
         los = np.where(below, los, mids)
     return [float(x) for x in 0.5 * (los + his)]
@@ -284,22 +175,17 @@ def refinement(grids: Sequence[int]) -> list[int]:
     return [grids[0] // 2] + grids if len(grids) == 2 else grids
 
 
-def refine_extrapolate(V: Potential, k: int,
-                       grids: Sequence[int], z_min: float, z_max: float,
-                       guess: Sequence[float] = (),
+def refine_extrapolate(V: Potential, k: int, grids: Sequence[int],
+                       z_min: float, z_max: float,
                        ) -> tuple[list[float], float]:
     """Richardson-extrapolated eigenvalues over grids refined by factor 2.
 
     Uses the two finest grids for the h^2 extrapolation; the observed order
     comes from a third (coarser) grid, computed implicitly when only two are
     given.  Raises NonConvergent when the observed order drops below 1.5.
-    Each grid's levels are where the next grid's Newton steps start, and
-    ``guess`` is where the first grid's start (see ``tridiag_eigs``).
     """
-    eigs: list[list[float]] = []
-    for n in refinement(grids):
-        eigs.append(tridiag_eigs(fd_discretize(V, z_min, z_max, n), k,
-                                 eigs[-1] if eigs else guess))
+    eigs = [tridiag_eigs(fd_discretize(V, z_min, z_max, n), k)
+            for n in refinement(grids)]
     e_c, e_m, e_f = eigs[-3], eigs[-2], eigs[-1]
     orders = []
     for j in range(k):
@@ -332,62 +218,56 @@ def _samples(V: Potential, z: float, step: float):
         yield z, float(V(z))
 
 
-def _minimum(V: Potential) -> tuple[float, float]:
-    """(z, V(z)) where V is least among the points 2^j, walking downhill
-    from z = 1, up and then down."""
+def _well(V: Potential) -> tuple[float, float]:
+    """(z_v, v_min): where V is least among the points 2^j, walking downhill
+    from z = 1, up and then down, and V there; a least sample that is not
+    finite is a FloatingPointError."""
     z, v = 1.0, float(V(1.0))
     for step in (2.0, 0.5):
         for z_next, v_next in _samples(V, z, step):
             if not v_next < v:
                 break
             z, v = z_next, v_next
+    if not math.isfinite(v):
+        raise FloatingPointError(f"potential not finite at z = {z:.6g}, "
+                                 "its least sample")
     return z, v
 
 
+def _first_above(V: Potential, z: float, level: float) -> float:
+    """The first of the points 2^j z, j >= 1, where V exceeds ``level``, or
+    the last within the scan's range (z itself if there is none)."""
+    for z, v in _samples(V, z, 2.0):
+        if v > level:
+            break
+    return z
+
+
 def fd_box(V: Potential, k: int, grids: Sequence[int],
-           ) -> tuple[float, float, list[float]]:
+           ) -> tuple[float, float]:
     """The box (z_min, z_max) of the half-line FD oracle for k levels, read
-    off V alone, and the k levels of the coarse solve that placed z_max.
+    off V alone.
 
-    A geometric scan finds V's least value v_min and its position z_v; the
-    wall z_min sits at 1e-7 z_v.  z_max is where V first exceeds 4 E_{k-1}
-    beyond z_v, with E_{k-1} the top level of one solve on the refinement's
-    coarsest grid, in the box that ends where V first exceeds 64 v_min.  A
-    box too tight only raises that level, and with it z_max.  Both right
-    ends come from one upward scan of V from z_v, each the first of its
-    points 2^j z_v above the level, or the last within the scan's range.
-    Meant for potentials whose least value and levels are positive, as
-    those of the canonical pair are.  The coarse levels are a starting
-    guess for the refinement's first grid, which has their size.
+    ``_well`` finds V's least value v_min and its position z_v; the wall
+    z_min sits at 1e-7 z_v.  z_max is where V first exceeds 4 E_{k-1}
+    beyond z_v (``_first_above``), with E_{k-1} the top level of one solve
+    on the refinement's coarsest grid, in the box that ends where V first
+    exceeds 64 v_min.  A box too tight only raises that level, and with it
+    z_max.  Meant for potentials whose least value and levels are positive,
+    as those of the canonical pair are.
     """
-    z_v, v_min = _minimum(V)
-    if not math.isfinite(v_min):
-        raise FloatingPointError(f"potential not finite at z = {z_v:.6g}, "
-                                 "its least sample")
-    upward = _samples(V, z_v, 2.0)
-    seen: list[tuple[float, float]] = []
-
-    def first_above(level: float) -> float:
-        for z, v in seen:
-            if v > level:
-                return z
-        for z, v in upward:
-            seen.append((z, v))
-            if v > level:
-                return z
-        return seen[-1][0] if seen else z_v
-
+    z_v, v_min = _well(V)
     z_min = 1e-7 * z_v
     coarse = tridiag_eigs(fd_discretize(
-        V, z_min, first_above(64 * v_min), refinement(grids)[0]), k)
-    return z_min, first_above(4 * coarse[-1]), coarse
+        V, z_min, _first_above(V, z_v, 64 * v_min), refinement(grids)[0]), k)
+    return z_min, _first_above(V, z_v, 4 * coarse[-1])
 
 
 def fd_levels(V: Potential, k: int, grids: Sequence[int],
               ) -> tuple[list[float], float]:
     """The k lowest levels of -d^2/dz^2 + V on the half line and the
     observed order: ``refine_extrapolate`` in the box ``fd_box`` reads off
-    V, its first grid started from the box's coarse levels."""
+    V."""
     return refine_extrapolate(V, k, grids, *fd_box(V, k, grids))
 
 
@@ -470,25 +350,18 @@ def mesh_levels(V: Potential, k: int) -> tuple[list[float], float]:
     observed error max_j |E_j(N/2) - E_j(N)| / |E_j(N)| against the mesh of
     half as many nodes on the same interval.
 
-    The scale is read off V alone: a geometric scan finds V's least value
-    v_min (``_minimum``), and the top node sits at the first of the points
-    2^j z_v above it where V exceeds 16 k v_min (or the last within the
-    scan's range).  Meant for potentials whose least value and levels are
-    positive, as those of the canonical pair are.  Raises NonConvergent when
-    the observed error exceeds ``MESH_GATE``; the levels are deterministic,
-    bit for bit.
+    The scale is read off V alone: ``_well`` finds V's least value v_min
+    and its position z_v, and the top node sits where V first exceeds
+    16 k v_min beyond z_v (``_first_above``).  Meant for potentials whose
+    least value and levels are positive, as those of the canonical pair
+    are.  Raises NonConvergent when the observed error exceeds
+    ``MESH_GATE``; the levels are deterministic, bit for bit.
     """
     if not 1 <= k <= MESH_MAX_LEVELS:
         raise ValueError(f"the mesh solves 1 to {MESH_MAX_LEVELS} levels, "
                          f"not {k}")
-    z_v, v_min = _minimum(V)
-    if not math.isfinite(v_min):
-        raise FloatingPointError(f"potential not finite at z = {z_v:.6g}, "
-                                 "its least sample")
-    z_top = z_v
-    for z_top, v in _samples(V, z_v, 2.0):
-        if v > 16 * k * v_min:
-            break
+    z_v, v_min = _well(V)
+    z_top = _first_above(V, z_v, 16 * k * v_min)
     n = mesh_size(k)
     levels = _mesh_solve(V, k, n, z_top)
     half = _mesh_solve(V, k, n // 2, z_top)
@@ -545,33 +418,3 @@ def max_rel_gap(pairs: Iterable[tuple]) -> float:
     number or an ndarray of them; 0 if none, NaN if any gap is NaN."""
     with np.errstate(all="ignore"):
         return worst(abs(v - r) / np.maximum(1.0, abs(r)) for v, r in pairs)
-
-
-def compare_spectra(analytic: Sequence[float], numeric: Sequence[float],
-                    tol: float = 1e-6) -> SpectrumComparison:
-    """Nearest-neighbor pairing of two ascending spectra.
-
-    Each analytic level is matched to the nearest unused numeric level, and
-    the pair's relative error is its gap over |analytic|, so levels far
-    below 1 are compared on their own scale; numeric levels below the
-    lowest analytic one are flagged (zero-mode scan).
-    """
-    analytic = list(analytic)
-    numeric = list(numeric)
-    used = [False] * len(numeric)
-    pairs = []
-    for a in analytic:
-        best, best_i = None, None
-        for i, x in enumerate(numeric):
-            if used[i]:
-                continue
-            if best is None or abs(x - a) < abs(best - a):
-                best, best_i = x, i
-        if best_i is None:
-            break
-        used[best_i] = True
-        abs_err = abs(best - a)
-        pairs.append((a, best, abs_err, abs_err / abs(a)))
-    unmatched = [x for i, x in enumerate(numeric)
-                 if not used[i] and analytic and x < analytic[0] - tol]
-    return SpectrumComparison(pairs=pairs, unmatched_numeric_levels=unmatched)

@@ -114,7 +114,7 @@ def sturm_count_two_sided(rows, shift: float) -> int:
 
 
 def tridiag_eigs_per_level(sys, k: int) -> list[float]:
-    """``numeric.tridiag_eigs`` with every level bisected alone: one count
+    """``numeric.tridiag_eigs`` with the two-sided pivot test: one count
     per level and midpoint, each by ``sturm_count_two_sided``; the bracket
     (the Gershgorin lower end, the span doubled from |lo| until k levels
     lie below), the lock-step loop, the midpoints and the stopping rule are

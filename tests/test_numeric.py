@@ -1,4 +1,5 @@
-"""Finite-difference eigensolver, quadrature, and spectra comparison."""
+"""Finite-difference eigensolver and its box, quadrature, and the relative
+gaps the checks reduce with."""
 
 import math
 import subprocess
@@ -14,9 +15,9 @@ from reference import (pochhammer, sturm_count_two_sided,
                        tridiag_eigs_per_level)
 
 from swanson import numeric
-from swanson.numeric import (TridiagSystem, compare_spectra, fd_box,
-                             fd_discretize, max_rel_gap, quad_halfline,
-                             refine_extrapolate, tridiag_eigs)
+from swanson.numeric import (TridiagSystem, fd_box, fd_discretize,
+                             max_rel_gap, quad_halfline, refine_extrapolate,
+                             tridiag_eigs)
 from swanson.params import ModelParams, solve_forward, solve_inverse
 from swanson.potentials import Form, Side, eval_potential_z
 from swanson.spectrum import energies_plus
@@ -196,7 +197,7 @@ class TestTridiagonalEigenvalues:
 def _fd_system(side, fp, n_points=500):
     # the FD oracle's rows on its coarsest default grid, in its box
     V = lambda z: eval_potential_z(side, Form.CANONICAL, z, fp)
-    return fd_discretize(V, *fd_box(V, 4, [500, 1000])[:2], n_points)
+    return fd_discretize(V, *fd_box(V, 4, [500, 1000]), n_points)
 
 
 def _random_system():
@@ -218,17 +219,17 @@ def _split_system():
 
 _BOX_POINTS = [(1.0, 1.0, 1.0), (0.2, 3.0, 0.2), (3.7, 0.4, 2.6)]
 
+_FD_POINTS = {
+    **{f"box{point}": (lambda point=point: solve_forward(*point))
+       for point in _BOX_POINTS},
+    "small-gamma": lambda: solve_forward(4.0, 0.1, 0.2),
+    "first-frozen-triple":
+        lambda: solve_inverse(ModelParams(*FEASIBLE_TRIPLES[0]))[0],
+}
+
 _SYSTEMS = {
-    **{f"box{point}-{side.name}":
-       (lambda side=side, point=point:
-        _fd_system(side, solve_forward(*point)))
-       for point in _BOX_POINTS for side in Side},
-    **{f"small-gamma-{side.name}": (lambda side=side: _fd_system(
-        side, solve_forward(4.0, 0.1, 0.2))) for side in Side},
-    **{f"first-frozen-triple-{side.name}":
-       (lambda side=side: _fd_system(
-           side, solve_inverse(ModelParams(*FEASIBLE_TRIPLES[0]))[0]))
-       for side in Side},
+    **{f"{name}-{side.name}": (lambda side=side, fp=fp: _fd_system(side, fp()))
+       for name, fp in _FD_POINTS.items() for side in Side},
     "random": _random_system,
     "zero-pivot": lambda: TridiagSystem(diagonal=np.ones(3),
                                         off_diagonal=np.ones(2),
@@ -256,16 +257,10 @@ def _pivot_row_sets(pivot):
         yield [(d0, 1.0, 0.0)] + [(a, 1.0, e2) for a, e2 in rows]
 
 
-def _rows(sys_):
-    e = sys_.off_diagonal
-    return list(zip(sys_.diagonal.tolist(), sys_.weight.tolist(),
-                    [0.0] + (e * e).tolist()))
-
-
 class TestBisectionSettlesDecisionsFromCounts:
-    """``tridiag_eigs`` counts only the midpoints the counts already made do
-    not settle, and gives every level of the per-level bisection bit for
-    bit."""
+    """Each level of ``tridiag_eigs`` settles its midpoint with the
+    one-comparison ``_sturm_count``, and every level is the per-level
+    bisection's (two-sided pivot test) bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(_SYSTEMS))
     def test_levels_equal_the_per_level_bisection(self, name):
@@ -284,21 +279,28 @@ class TestBisectionSettlesDecisionsFromCounts:
             assert (numeric._sturm_count(rows, 0.0)
                     == sturm_count_two_sided(rows, 0.0))
 
-    def test_counts_fewer_than_levels_times_iterations(self, monkeypatch,
-                                                       fp_star):
-        # the per-level bisection counts once per level and midpoint, after
-        # the same counts of the bracket search: one at lo + span for every
-        # span, doubled from |lo| until the four levels lie below
+    @pytest.mark.parametrize("name", sorted(_SYSTEMS))
+    def test_count_is_the_two_sided_count_at_the_levels(self, name):
+        # at each level, one float to either side of it, and between two
+        # distinct levels, where the count is the number of levels below
+        sys_ = _SYSTEMS[name]()
+        e = sys_.off_diagonal
+        rows = list(zip(sys_.diagonal.tolist(), sys_.weight.tolist(),
+                        [0.0] + (e * e).tolist()))
+        levels = tridiag_eigs(sys_, min(8, sys_.n_points))
+        for x in levels:
+            for shift in (math.nextafter(x, -math.inf), x,
+                          math.nextafter(x, math.inf)):
+                assert (numeric._sturm_count(rows, shift)
+                        == sturm_count_two_sided(rows, shift))
+        for j, (x, y) in enumerate(zip(levels, levels[1:])):
+            if y - x > 1e-10 * (1 + abs(x)):
+                assert numeric._sturm_count(rows, 0.5 * (x + y)) == j + 1
+
+    def test_counts_once_per_level_and_midpoint(self, monkeypatch, fp_star):
+        # the bracket search, then one count per level and midpoint: as
+        # many counts as the per-level bisection makes
         sys_ = _fd_system(Side.PLUS, fp_star)
-        a, b, e = sys_.diagonal, sys_.weight, sys_.off_diagonal
-        rows = list(zip(a.tolist(), b.tolist(), [0.0] + (e * e).tolist()))
-        r = np.zeros(len(a))
-        r[:-1] += np.abs(e)
-        r[1:] += np.abs(e)
-        lo = float(np.min((a - r) / b))
-        span, bracket_counts = abs(lo) or 1.0, 1
-        while sturm_count_two_sided(rows, lo + span) < 4:
-            span, bracket_counts = 2 * span, bracket_counts + 1
         calls = {"numeric": 0, "reference": 0}
 
         def counting(name, count):
@@ -313,113 +315,69 @@ class TestBisectionSettlesDecisionsFromCounts:
                             counting("reference",
                                      reference.sturm_count_two_sided))
         assert tridiag_eigs(sys_, 4) == tridiag_eigs_per_level(sys_, 4)
-        assert (calls["reference"] - bracket_counts) % 4 == 0
-        assert calls["numeric"] < calls["reference"]
+        assert calls["numeric"] == calls["reference"] > 4
 
 
-class TestNewtonZoom:
-    """Newton probes on log|det| only add counts to the bisection's table,
-    so the levels are the lock-step bisection's wherever Newton starts."""
+class TestFdBox:
+    # (z_min, z_max) at the points of the FD systems, pinned bit for bit:
+    # z_min = 1e-7 z_v and z_max a point 2^j z_v of the upward scan of V
+    BOXES = {
+        "box(1.0, 1.0, 1.0)": {
+            Side.PLUS: ("0x1.ad7f29abcaf48p-24", "0x1.0000000000000p+3"),
+            Side.MINUS: ("0x1.ad7f29abcaf48p-24", "0x1.0000000000000p+3")},
+        "box(0.2, 3.0, 0.2)": {
+            Side.PLUS: ("0x1.ad7f29abcaf48p-22", "0x1.0000000000000p+5"),
+            Side.MINUS: ("0x1.ad7f29abcaf48p-22", "0x1.0000000000000p+5")},
+        "box(3.7, 0.4, 2.6)": {
+            Side.PLUS: ("0x1.ad7f29abcaf48p-27", "0x1.0000000000000p+2"),
+            Side.MINUS: ("0x1.ad7f29abcaf48p-26", "0x1.0000000000000p+2")},
+        "small-gamma": {
+            Side.PLUS: ("0x1.ad7f29abcaf48p-25", "0x1.0000000000000p+4"),
+            Side.MINUS: ("0x1.ad7f29abcaf48p-24", "0x1.0000000000000p+4")},
+        "first-frozen-triple": {
+            Side.PLUS: ("0x1.ad7f29abcaf48p-26", "0x1.0000000000000p+3"),
+            Side.MINUS: ("0x1.ad7f29abcaf48p-25", "0x1.0000000000000p+3")},
+    }
 
-    @pytest.mark.parametrize("pivot", _PIVOTS)
-    def test_newton_count_is_the_count_on_the_pivot_rows(self, pivot):
-        for rows in _pivot_row_sets(pivot):
-            count, _ = numeric._sturm_newton(rows, 0.0)
-            assert count == numeric._sturm_count(rows, 0.0)
-            assert count == sturm_count_two_sided(rows, 0.0)
+    @pytest.mark.parametrize("side", [Side.PLUS, Side.MINUS])
+    @pytest.mark.parametrize("name", sorted(_FD_POINTS))
+    def test_box_is_pinned(self, name, side):
+        fp = _FD_POINTS[name]()
+        V = lambda z: eval_potential_z(side, Form.CANONICAL, z, fp)
+        assert (tuple(x.hex() for x in fd_box(V, 4, [500, 1000]))
+                == self.BOXES[name][side])
 
-    @pytest.mark.parametrize("name", sorted(_SYSTEMS))
-    def test_newton_count_is_the_count_at_the_levels(self, name):
-        sys_ = _SYSTEMS[name]()
-        rows = _rows(sys_)
-        levels = tridiag_eigs(sys_, min(8, sys_.n_points))
-        shifts = [s for x in levels for s in (math.nextafter(x, -math.inf), x,
-                                              math.nextafter(x, math.inf))]
-        shifts += [0.5 * (x + y) for x, y in zip(levels, levels[1:])]
-        for shift in shifts:
-            count, _ = numeric._sturm_newton(rows, shift)
-            assert count == numeric._sturm_count(rows, shift)
-            assert count == sturm_count_two_sided(rows, shift)
 
-    def test_slope_is_the_sum_over_the_levels(self):
-        # d log|det(A - s B)|/ds = sum_m 1/(s - lambda_m)
-        sys_ = _random_system()
-        rows = _rows(sys_)
-        s = 1 / np.sqrt(sys_.weight)
-        e = sys_.off_diagonal
-        dense = np.diag(sys_.diagonal) + np.diag(e, 1) + np.diag(e, -1)
-        levels = np.linalg.eigvalsh(dense * np.outer(s, s))
-        for shift in (levels[0] - 1.0, 0.3 * levels[2] + 0.7 * levels[3]):
-            _, slope = numeric._sturm_newton(rows, float(shift))
-            assert slope == pytest.approx(np.sum(1 / (shift - levels)),
-                                          rel=1e-8)
+class TestScansOfV:
+    """``_well`` and ``_first_above``, the scans of V both oracles read
+    their scale from."""
 
-    @pytest.mark.parametrize("name", sorted(_SYSTEMS))
-    def test_guess_only_chooses_where_newton_starts(self, name):
-        sys_ = _SYSTEMS[name]()
-        k = min(8, sys_.n_points)
-        levels = tridiag_eigs(sys_, k)
-        far = [(-1e300, 1e300)[j % 2] for j in range(k)]
-        for guess in (levels, levels[::-1], [math.nan] * k, [math.inf] * k,
-                      [-math.inf] * k, far,
-                      [x + 1e6 * (1 + abs(x)) for x in levels]):
-            assert ([x.hex() for x in tridiag_eigs(sys_, k, guess)]
-                    == [x.hex() for x in levels])
+    @pytest.mark.parametrize("side", [Side.PLUS, Side.MINUS])
+    @pytest.mark.parametrize("name", sorted(_FD_POINTS))
+    def test_well_is_a_least_sample(self, name, side):
+        fp = _FD_POINTS[name]()
+        V = lambda z: eval_potential_z(side, Form.CANONICAL, z, fp)
+        z_v, v_min = numeric._well(V)
+        assert math.frexp(z_v)[0] == 0.5
+        assert v_min == V(z_v) > 0
+        assert V(0.5 * z_v) >= v_min and V(2.0 * z_v) >= v_min
 
-    def test_guess_is_not_a_run_option(self):
-        from dataclasses import fields
-        from swanson.cli import RunConfig, main
-        assert not any("guess" in f.name for f in fields(RunConfig))
-        assert main(["spectrum", "--guess", "1"]) != 0
-
-    def test_finer_grids_start_from_the_coarser_levels(self, monkeypatch,
-                                                       fp_star):
-        calls = []
-
-        def recorded(sys_, k, guess=()):
-            calls.append((sys_.n_points, list(guess)))
-            return tridiag_eigs(sys_, k, guess)
-
-        monkeypatch.setattr(numeric, "tridiag_eigs", recorded)
-        V = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp_star)
-        refine_extrapolate(V, 3, [200, 400], 1e-3, 10.0)
-        assert [n for n, _ in calls] == [100, 200, 400]
-        assert calls[0][1] == []
-        for n, coarse in ((100, calls[1][1]), (200, calls[2][1])):
-            assert coarse == tridiag_eigs(fd_discretize(V, 1e-3, 10.0, n), 3)
-
-    def test_first_grid_starts_from_the_box_levels(self, monkeypatch,
-                                                   fp_star):
-        calls = []
-
-        def recorded(sys_, k, guess=()):
-            calls.append((sys_.n_points, list(guess)))
-            return tridiag_eigs(sys_, k, guess)
-
-        V = lambda z: eval_potential_z(Side.MINUS, Form.CANONICAL, z, fp_star)
-        z_min, z_max, coarse = fd_box(V, 3, [200, 400])
-        unseeded = refine_extrapolate(V, 3, [200, 400], z_min, z_max)
-        monkeypatch.setattr(numeric, "tridiag_eigs", recorded)
-        seeded = numeric.fd_levels(V, 3, [200, 400])
-        # the box's coarse solve, then the refinement from its levels
-        assert calls[0] == (100, []) and calls[1] == (100, coarse)
-        assert [n for n, _ in calls] == [100, 100, 200, 400]
-        assert ([x.hex() for x in seeded[0]]
-                == [x.hex() for x in unseeded[0]])
-        assert seeded[1].hex() == unseeded[1].hex()
-
-    def test_default_sweep_scans_at_most_a_quarter_of_the_rows(
-            self, monkeypatch, capsys):
-        # every level bisected from the whole bracket scanned 1,088,000 rows
-        from swanson.cli import main
-        scanned = []
-        for name in ("_sturm_count", "_sturm_newton"):
-            def counted(rows, shift, scan=getattr(numeric, name)):
-                scanned.append(len(rows))
-                return scan(rows, shift)
-            monkeypatch.setattr(numeric, name, counted)
-        assert main(["sweep"]) == 0
-        assert sum(scanned) <= 272_000
+    @pytest.mark.parametrize("side", [Side.PLUS, Side.MINUS])
+    @pytest.mark.parametrize("name", sorted(_FD_POINTS))
+    def test_first_above_is_the_first_sample_over_the_level(self, name,
+                                                            side):
+        # the levels of the FD box's coarse solve and of the mesh's top node
+        fp = _FD_POINTS[name]()
+        V = lambda z: eval_potential_z(side, Form.CANONICAL, z, fp)
+        z_v, v_min = numeric._well(V)
+        for level in (64 * v_min, 16 * 3 * v_min):
+            z = numeric._first_above(V, z_v, level)
+            assert z > z_v and math.frexp(z / z_v)[0] == 0.5
+            assert V(z) > level
+            below = 2.0 * z_v
+            while below < z:
+                assert V(below) <= level
+                below *= 2.0
 
 
 class TestRichardsonRefinement:
@@ -601,33 +559,3 @@ class TestRelativeGap:
         assert numeric.worst([0.5, np.array([0.25, 2.0])]) == 2.0
         assert math.isnan(numeric.worst([np.array([1.0, math.nan]), 5.0]))
         assert math.isnan(numeric.worst([5.0, math.nan, 1.0]))
-
-
-class TestSpectraComparison:
-    def test_identical_lists(self):
-        comp = compare_spectra([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert comp.max_rel_error == 0.0
-        assert comp.unmatched_numeric_levels == []
-
-    def test_shifted_list(self):
-        comp = compare_spectra([10.0], [10.5])
-        assert comp.pairs[0][2] == pytest.approx(0.5)
-        assert comp.pairs[0][3] == pytest.approx(0.05)
-
-    def test_levels_far_below_one_are_compared_relatively(self):
-        # the error is over |E| at every scale, not over max(1, |E|)
-        comp = compare_spectra([2e-6, 6e-6], [2.00002e-6, 6e-6])
-        assert comp.pairs[0][3] == pytest.approx(1e-5, rel=1e-9)
-        assert comp.max_rel_error == pytest.approx(1e-5, rel=1e-9)
-
-    def test_spurious_low_level_flagged(self):
-        comp = compare_spectra([10.0, 20.0], [3.0, 10.0, 20.0])
-        assert comp.unmatched_numeric_levels == [3.0]
-
-    def test_isospectral_pair(self, fp_star):
-        Vm = lambda z: eval_potential_z(Side.MINUS, Form.CANONICAL, z, fp_star)
-        em, _ = refine_extrapolate(Vm, 4, [2000, 4000], 1e-3, 10.0)
-        E = energies_plus(fp_star, 3)
-        comp = compare_spectra(E, em)
-        assert comp.max_rel_error <= 1e-6
-        assert comp.unmatched_numeric_levels == []

@@ -266,7 +266,7 @@ class TestGridEvaluation:
         assert fp.gamma < 1.7
         V = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
         self._assert_grid_is_pointwise(
-            fp, np.geomspace(*fd_box(V, 4, [500, 1000])[:2], 1001))
+            fp, np.geomspace(*fd_box(V, 4, [500, 1000]), 1001))
 
     def test_first_frozen_triple(self, inverse_sets):
         self._assert_grid_is_pointwise(inverse_sets[0][1],

@@ -62,3 +62,21 @@ def test_a_traced_run_counts_the_layers_and_restores_them(tracing):
     assert numeric.refine_extrapolate is plain
     assert counts["diffop.residual.points"] > 0
     assert counts["jets.Jet.ops"] > 0
+
+
+def test_the_fd_extras_read_the_arguments_by_position(tracing):
+    # the tracer reads the levels and rows of tridiag_eigs(sys, k) and the
+    # points of fd_discretize(V, z_min, z_max, n_points) by position
+    from swanson import numeric
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_case()
+        sys_ = numeric.fd_discretize(lambda z: z * z, 1e-3, 10.0, 40)
+        numeric.tridiag_eigs(sys_, 3)
+        counts = tracer.end_case(1.0)
+    finally:
+        tracer.uninstall()
+    assert counts["numeric.tridiag_eigs.levels"] == 3
+    assert counts["numeric.tridiag_eigs.rows"] == 40
+    assert counts["numeric.fd_discretize.points"] == 40

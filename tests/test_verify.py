@@ -295,8 +295,8 @@ def test_nan_coefficient_pairs_fail_their_rows(rho_q, d, capsys):
 
 
 def test_spurious_minus_level_fails_isospectrality_by_its_error(monkeypatch):
-    # with k analytic and k mesh levels every mesh level is matched, so a level
-    # below E0 shows as the relative error of the top analytic level
+    # the levels are paired with the ladder index by index, so a level below
+    # E0 shifts every rung: the ground state is off by half
     from swanson.cli import RunConfig
     from swanson.params import solve_forward
 
@@ -317,7 +317,45 @@ def test_spurious_minus_level_fails_isospectrality_by_its_error(monkeypatch):
     iso = rows["isospectrality"]
     assert iso["status"] == "FAIL"
     assert iso["note"] == "mesh of 120 nodes, observed error 0"
-    assert float(iso["residual"]) == abs(exact[0] / 2 - exact[2]) / exact[2]
+    assert float(iso["residual"]) == 0.5
+
+
+_GAP_CASES = {
+    # (point, the tested side's levels from the ladder E, the row's gap)
+    "identical": ((1.0, 1.0, 1.0), lambda E: E[:3], 0.0),
+    "shifted": ((1.0, 1.0, 1.0), lambda E: [E[0], 1.05 * E[1], E[2]], 0.05),
+    # every level relative to its own |E_n|, also far below one
+    "far-below-one": ((0.01, 0.01, 0.01),
+                      lambda E: [E[0], E[1], (1 + 2e-5) * E[2]], 2e-5),
+    # a level below E0 shifts every rung: the ground state is off by half
+    "spurious-low": ((1.0, 1.0, 1.0), lambda E: [E[0] / 2] + E[:2], 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GAP_CASES))
+@pytest.mark.parametrize("row, side", [("fd_spectrum_plus", 0),
+                                       ("isospectrality", 1)])
+def test_mesh_rows_pair_the_levels_with_the_ladder_index_by_index(
+        monkeypatch, row, side, case):
+    from swanson.cli import RunConfig
+    from swanson.params import solve_forward
+
+    point, tested, gap = _GAP_CASES[case]
+    fp = solve_forward(*point)
+    exact = spectrum.energies_plus(fp, 2)
+    calls = []
+
+    def levels(V, k):
+        calls.append(k)
+        return (tested(exact) if len(calls) - 1 == side else exact[:k]), 0.0
+
+    monkeypatch.setattr(numeric, "mesh_levels", levels)
+    rows = {e["id"]: e for e in verify.run(RunConfig(), fp)[0]}
+    assert calls == [3, 3]
+    assert float(rows[row]["residual"]) == pytest.approx(gap, rel=1e-9)
+    assert rows[row]["status"] == ("PASS" if gap <= 1e-5 else "FAIL")
+    other = ("isospectrality", "fd_spectrum_plus")[side]
+    assert (rows[other]["residual"], rows[other]["status"]) == ("0", "PASS")
 
 
 def test_every_row_evaluates_its_sample_points_in_one_call(monkeypatch,
