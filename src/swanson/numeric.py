@@ -11,15 +11,20 @@ and the relative gap the identity checks reduce to and the one maximum they
 all reduce with (``worst``: a NaN anywhere makes it NaN, so the check
 fails).  Nothing here reuses the closed-form machinery it checks.
 
-The mesh follows D. Baye, Phys. Rep. 565, 1 (2015): N nodes x_i of the
-Gauss-Laguerre rule, basis functions that vanish as z at the origin, and a
-kinetic matrix in closed form, built once per N.  At k = 4 one solve on
-120 nodes and its half on 60 take about 0.8 ms per side on a 2-vCPU host,
-against about 17 ms for the FD oracle below; over the 27 box corners and the
-five frozen inverse triples the mesh is within 4.2e-7 of the closed-form
-levels on both sides (FD: 1.6e-6).  Where the well is narrow beside its
-distance from the origin it is coarse: at r = rho_q / sqrt(omega_bar) = 100
-the 120-node levels are off by up to 1.8e-4, at r = 1000 by up to 4.8e-3.
+The mesh follows D. Baye, Phys. Rep. 565, 1 (2015): N = max(120, 12k + 60)
+nodes x_i of the Gauss-Laguerre rule (the eigenvalues of its Jacobi matrix,
+from ``eigvalsh``), basis functions that vanish as z at the origin, and a
+kinetic matrix in closed form, built once per N.  Every dense eigensolve of
+up to 360 rows runs with numpy's OpenBLAS held to one thread
+(``_one_blas_thread``): below that size a second thread saves no time and
+spins after each call; larger solves keep numpy's threads.  At k = 4 one
+solve on 120 nodes and its half on 60 take about 0.8 ms per side on a
+2-vCPU host, against about 17 ms for the FD oracle below; over the 27 box
+corners and the five frozen inverse triples the mesh is within 4.2e-7 of the
+closed-form levels on both sides (FD: 1.6e-6).  Where the well is narrow
+beside its distance from the origin it is coarse: at
+r = rho_q / sqrt(omega_bar) = 100 the 120-node levels are off by up to
+1.8e-4, at r = 1000 by up to 4.8e-3.
 
 The finite-difference oracle (``fd_levels``: a log mesh in a box read off V
 alone, the k lowest levels of its tridiagonal pencil by Sturm-sequence
@@ -34,10 +39,14 @@ resident memory and 0.3-0.5 s in a fresh interpreter.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -271,16 +280,92 @@ def fd_levels(V: Potential, k: int, grids: Sequence[int],
     return refine_extrapolate(V, k, grids, *fd_box(V, k, grids))
 
 
+# The largest matrix, in rows, that ``_one_blas_thread`` solves on one BLAS
+# thread.  Median ``eigvalsh`` wall times of the mesh matrix on a 2-vCPU host,
+# one thread against two: 0.33 / 0.34 ms at 120 rows, 2.39 / 2.41 ms at 300,
+# 3.56 / 3.47 ms at 360, 4.57 / 4.42 ms at 400, 7.06 / 6.54 ms at 480 and
+# 59.2 / 33.8 ms at 1000.  Up to the cut the second thread saves no time, but
+# it spins for about 0.13 s after each call, which doubles the CPU time.
+_ONE_THREAD_MAX_ROWS = 360
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
+    ctypes, or None when there is no such library or it has neither the
+    plain nor the scipy-openblas (64-bit integer) names; looked up once."""
+    root = Path(np.__file__).parent
+    for path in [*root.parent.glob("numpy.libs/*openblas*"),
+                 *root.glob(".dylibs/*openblas*")]:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}",
+                              None)
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}",
+                              None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+# how many solves hold the one-thread limit, and the count it replaced; the
+# first to enter sets the limit and the last to leave restores the count
+_limit_lock = threading.Lock()
+_limit_holders = 0
+_limit_saved = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread(rows: int):
+    """Hold numpy's OpenBLAS to one thread while a dense solve of ``rows``
+    rows runs, when rows <= ``_ONE_THREAD_MAX_ROWS``, and restore its count
+    after, on an error too.  The limit is process-wide while it holds: a
+    BLAS call made meanwhile on another thread runs on one thread as well.
+    swanson starts no threads of its own; solves entered from several
+    threads share the limit, which the last to leave lifts.  Larger solves,
+    and a numpy without a bundled OpenBLAS, run as numpy sets them up."""
+    global _limit_holders, _limit_saved
+    blas = _blas_threads() if rows <= _ONE_THREAD_MAX_ROWS else None
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _limit_lock:
+        if _limit_holders == 0:
+            _limit_saved = get()
+            put(1)
+        _limit_holders += 1
+    try:
+        yield
+    finally:
+        with _limit_lock:
+            _limit_holders -= 1
+            if _limit_holders == 0:
+                put(_limit_saved)
+
+
+def _laguerre_jacobi(alpha: float, n: int) -> np.ndarray:
+    """The n x n Jacobi matrix of the Laguerre polynomials for the weight
+    t^alpha e^-t: diagonal 2k + alpha + 1, off-diagonal sqrt(k (k + alpha));
+    its eigenvalues are the nodes of the n-node Gauss-Laguerre rule."""
+    k = np.arange(n)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    return np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def _gauss_laguerre(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-node generalized Gauss-Laguerre rule for
     the normalized weight t^alpha e^-t / Gamma(alpha + 1) on (0, inf): the
-    eigenvalues of its Jacobi matrix (diagonal 2k + alpha + 1, off-diagonal
-    sqrt(k (k + alpha))) and their eigenvectors' first components squared
-    (Golub & Welsch, Math. Comp. 23, 1969)."""
-    k = np.arange(n)
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    t, v = np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0)
-                          + np.diag(off, 1) + np.diag(off, -1))
+    eigenvalues of its Jacobi matrix and their eigenvectors' first
+    components squared (Golub & Welsch, Math. Comp. 23, 1969)."""
+    with _one_blas_thread(n):
+        t, v = np.linalg.eigh(_laguerre_jacobi(alpha, n))
     return t, v[0] * v[0]
 
 
@@ -296,23 +381,27 @@ MESH_GATE = 2.5e-2
 
 
 def mesh_size(k: int) -> int:
-    """Nodes of the mesh for k levels: 12 per level, at least 120, so that
-    its half, which the observed error compares with, holds six per level.
-    With fewer the top levels of the half mesh are off by up to 50 % (k = 20
-    on 60 nodes, or k = 40 on 120), and the gate would refuse levels that
-    the full mesh has to 1e-7."""
-    return max(120, 12 * k)
+    """Nodes of the mesh for k levels: 12 per level and 60 more, at least
+    120, so that its half, which the observed error compares with, holds six
+    per level and 30 more.  With six per level alone the top levels of the
+    half mesh are off by up to 50 % (k = 20 on 60 nodes), and without the 30
+    more the gate refused 48 solves at omega_bar = 0.2, rho_q = 3 (k from 9
+    to 40, both sides) whose full-mesh levels are within 4e-10 of the closed
+    forms.  Up to k = 5 the mesh keeps 120 nodes."""
+    return max(120, 12 * k + 60)
 
 
 @functools.lru_cache(maxsize=2)
 def _laguerre_mesh(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x_i of the n-point regularized Lagrange-Laguerre mesh and its
-    kinetic matrix for -d^2/dx^2 in the Gauss approximation: diagonal
-    (4 + (4n + 2) x_i - x_i^2) / (12 x_i^2), off-diagonal
-    (-1)^(i-j) (x_i + x_j) / (sqrt(x_i x_j) (x_i - x_j)^2) (Baye, Hesse &
-    Vincke, Phys. Rev. E 65, 026701 (2002)).  Read-only, built once per n;
-    a solve and its half mesh are the two sizes kept."""
-    x, _ = _gauss_laguerre(0.0, n)
+    """Nodes x_i of the n-point regularized Lagrange-Laguerre mesh (the
+    eigenvalues of the Laguerre Jacobi matrix, from ``eigvalsh``: the mesh
+    needs no weights) and its kinetic matrix for -d^2/dx^2 in the Gauss
+    approximation: diagonal (4 + (4n + 2) x_i - x_i^2) / (12 x_i^2),
+    off-diagonal (-1)^(i-j) (x_i + x_j) / (sqrt(x_i x_j) (x_i - x_j)^2)
+    (Baye, Hesse & Vincke, Phys. Rev. E 65, 026701 (2002)).  Read-only,
+    built once per n; a solve and its half mesh are the two sizes kept."""
+    with _one_blas_thread(n):
+        x = np.linalg.eigvalsh(_laguerre_jacobi(0.0, n))
     s = np.sqrt(x)
     t = np.subtract.outer(x, x)
     np.fill_diagonal(t, 1.0)
@@ -341,7 +430,8 @@ def _mesh_solve(V: Potential, k: int, n: int, z_top: float) -> np.ndarray:
     if not np.all(np.isfinite(hamiltonian)):
         raise FloatingPointError(f"non-finite potential samples or mesh "
                                  f"entries on (0, {z_top:.6g}]")
-    return np.linalg.eigvalsh(hamiltonian)[:k]
+    with _one_blas_thread(n):
+        return np.linalg.eigvalsh(hamiltonian)[:k]
 
 
 def mesh_levels(V: Potential, k: int) -> tuple[list[float], float]:

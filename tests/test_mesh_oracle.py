@@ -1,7 +1,8 @@
 """The one spectral oracle of the commands, the Lagrange-Laguerre mesh: its
 accuracy over the parameter box against the closed forms and against the FD
 reference, its independence from the closed forms, its error gate, its
-errors, and that ``spectrum``, ``sweep`` and ``verify`` share it."""
+errors, the one-BLAS-thread limit of its small solves, and that
+``spectrum``, ``sweep`` and ``verify`` share it."""
 
 import csv
 import dataclasses
@@ -9,6 +10,8 @@ import io
 import itertools
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -88,15 +91,28 @@ def test_a_potential_the_package_does_not_build():
 
 @pytest.mark.parametrize("k", [20, 40])
 def test_high_levels_and_their_error_estimate(k):
-    # the half mesh holds six nodes per level, so the observed error stays
-    # honest: with N = 6k its top levels are off by up to 50 %
+    # the half mesh holds six nodes per level and 30 more, so the observed
+    # error stays honest: with N = 6k its top levels are off by up to 50 %
     fp = solve_forward(1.0, 1.0, 1.0)
     for side in Side:
         levels, error = numeric.mesh_levels(_potential(fp, side), k)
         assert _rel(levels, energies_plus(fp, k - 1)) <= 1e-9
         assert error <= 1e-6
-    assert numeric.mesh_size(k) == 12 * k
-    assert numeric.mesh_size(4) == 120
+    assert numeric.mesh_size(k) == 12 * k + 60
+    assert numeric.mesh_size(5) == 120
+
+
+@pytest.mark.parametrize("d", [0.2, 1.0, 3.0])
+def test_no_spurious_refusal_at_the_narrowest_corners(d):
+    # at omega_bar = 0.2, rho_q = 3 (r about 6.7) a half mesh of six nodes
+    # per level alone differed from the full mesh by up to 0.16 at these k,
+    # and the gate refused 48 solves whose levels are right
+    fp = solve_forward(0.2, 3.0, d)
+    exact = energies_plus(fp, 39)
+    for k, side in itertools.product([*range(9, 20), *range(35, 41)], Side):
+        levels, error = numeric.mesh_levels(_potential(fp, side), k)
+        assert _rel(levels, exact) <= 1e-6
+        assert error <= numeric.MESH_GATE
 
 
 def test_the_potential_is_sampled_once_per_mesh_on_all_its_nodes():
@@ -213,3 +229,88 @@ def test_the_extreme_spectrum_is_a_non_convergence(capsys):
     assert captured.err.startswith("numeric non-convergence: the 120-node "
                                    "mesh's levels differ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.fixture
+def blas_threads():
+    # the OpenBLAS thread count getter, with the count set to 2 for the test
+    found = numeric._blas_threads()
+    if found is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get, put = found
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+@pytest.mark.parametrize("k, threads", [(4, {120: 1, 60: 1}),
+                                        (25, {360: 1, 180: 1}),
+                                        (26, {372: 2, 186: 1})])
+def test_solves_up_to_the_cut_run_on_one_blas_thread(k, threads, blas_threads,
+                                                     monkeypatch):
+    # (rows, count) of each size's node solve and mesh solve; above 360 rows
+    # numpy's count stands, and after the solve it is the count from before
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append((len(a), blas_threads()))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    numeric._laguerre_mesh.cache_clear()
+    numeric.mesh_levels(_potential(solve_forward(1.0, 1.0, 1.0), Side.PLUS),
+                        k)
+    assert seen == [(n, t) for n, t in threads.items() for _ in range(2)]
+    assert blas_threads() == 2
+
+
+def test_the_count_is_restored_after_an_error(blas_threads):
+    with pytest.raises(np.linalg.LinAlgError):
+        with numeric._one_blas_thread(120):
+            assert blas_threads() == 1
+            raise np.linalg.LinAlgError("inside the limit")
+    assert blas_threads() == 2
+
+
+def test_small_levels_do_not_depend_on_the_limit(blas_threads, monkeypatch):
+    # the same bits on one thread and on two, at the 27 corners, k <= 4;
+    # with the lookup patched to None the solves run as numpy sets them up
+    def levels():
+        numeric._laguerre_mesh.cache_clear()
+        return [x.hex() for point, side, k in itertools.product(
+                    CORNERS, Side, range(1, 5))
+                for x in numeric.mesh_levels(
+                    _potential(solve_forward(*point), side), k)[0]]
+
+    limited = levels()
+    monkeypatch.setattr(numeric, "_blas_threads", lambda: None)
+    assert levels() == limited
+
+
+def test_threads_sharing_the_limit_restore_the_count(blas_threads):
+    # more threads than cores enter and leave the limit with a short switch
+    # interval; inside it the count is 1, and the last to leave restores 2
+    inside = set()
+    matrix = np.diag(np.arange(1.0, 121.0))
+
+    def solve():
+        for _ in range(200):
+            with numeric._one_blas_thread(120):
+                inside.add(blas_threads())
+                np.linalg.eigvalsh(matrix)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=solve) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert inside == {1}
+    assert blas_threads() == 2

@@ -193,6 +193,18 @@ class TestTridiagonalEigenvalues:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "False"
 
+    def test_spectrum_does_not_depend_on_the_blas_thread_count(self):
+        # 20 levels take a 300-node mesh, under the one-thread cut
+        out = set()
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "swanson.cli", "spectrum", "--n-max",
+                 "19"], capture_output=True,
+                env={**subprocess_env(), "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            out.add(proc.stdout)
+        assert len(out) == 1
+
 
 def _fd_system(side, fp, n_points=500):
     # the FD oracle's rows on its coarsest default grid, in its box
