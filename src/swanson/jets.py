@@ -6,9 +6,10 @@ power-series rules exactly, which makes jets a drop-in substitute for symbolic
 differentiation everywhere a derivative of a coefficient function is needed.
 
 A coefficient is a Python float, or an ndarray holding the coefficient at
-every point of a grid: the same arithmetic then evaluates a formula on the
-whole grid at once (``numeric.mesh_levels`` samples V that way,
-``spectrum`` the states, ``diffop`` the operators and ``verify`` its rows).
+every point of a grid of any shape: the same arithmetic then evaluates a
+formula on the whole grid at once (``numeric.mesh_levels`` samples V that
+way, ``spectrum`` the states, as (degrees, points) grids for a ladder,
+``diffop`` the operators and ``verify`` its rows).
 numpy's element-wise ``+ - * /`` round exactly like Python floats, so each
 element equals the one-point value bit for bit; a square is written q * q.
 Powers, ``exp`` and ``log`` are the exception: Python's ``float ** p`` and
@@ -51,14 +52,16 @@ def any_nonpositive(v) -> bool:
 
 
 def elementwise(fn, v):
-    """``fn`` of a float, or of each element of an ndarray as a Python float.
+    """``fn`` of a float, or of each element of an ndarray of any shape as a
+    Python float, in the array's shape.
 
     A libm function (``math.exp``, ``lambda t: t ** 4``) stays bit for bit
     the one-point value on a grid, and an error it raises (an overflowing
-    ``**`` or ``math.exp``) is raised at the first element that meets it.
+    ``**`` or ``math.exp``) is raised at the first element, in C order, that
+    meets it.
     """
     if isinstance(v, np.ndarray):
-        return np.array([fn(x) for x in v.tolist()])
+        return np.array([fn(x) for x in v.ravel().tolist()]).reshape(v.shape)
     return fn(v)
 
 

@@ -8,13 +8,19 @@ eigenfunctions are z^(gamma-1/2) exp(-t/2) L_n^(gamma-1)(t), t = oh z^2
 side (``phi_minus_jet``), in closed form z^(gamma+1/2) exp(-t/2) / (t + gamma)
 times -L^_(n+1)^(gamma)(t), the X1 exceptional Laguerre polynomial
 (C. Quesne, J. Phys. A 41, 392001 (2008)).  Every state is a ``Jet`` in z;
-callers read ``.value`` and ``.derivative(k)``.  ``j_integral`` gives the
-normalization integrals of the pre-transform states, z times the plus-side
-shape in Kummer form, against the printed closed form: each is t^gamma e^-t
-dt times a polynomial, which ``numeric.quad_halfline``'s generalized
-Gauss-Laguerre rule takes exactly.  Each state and integrand is its Laguerre
-part times one envelope c z^p exp(-t/2), one exp of log c + p log z - t/2
-with the ``math.lgamma`` norm in log c, so that no factor overflows alone.
+callers read ``.value`` and ``.derivative(k)``.  n is a degree, or a range
+of degrees: the whole ladder is then one jet whose coefficients carry a
+leading degree axis (shape (len(n), points)), from one Laguerre recurrence
+(the closed minus state's L_(n-1) is the row before L_n), with log c and
+the sign (-1)^n as columns; each row is bit for bit its one-degree call.
+``j_integral`` gives the normalization integrals of the pre-transform
+states, z times the plus-side shape in Kummer form, against the printed
+closed form: each is t^gamma e^-t dt times a polynomial, which
+``numeric.quad_halfline``'s generalized Gauss-Laguerre rule takes exactly
+(both states from one ladder, one state squared on the diagonal).  Each
+state and integrand is its Laguerre part times one envelope c z^p exp(-t/2),
+one exp of log c + p log z - t/2 with the ``math.lgamma`` norm in log c, so
+that no factor overflows alone.
 At any order ``z`` may be an ndarray of points: the states are then
 evaluated on all of them at once, each element bit for bit its one-point
 value (see ``jets``), with numpy's floating-point warnings off.  Where t or
@@ -55,17 +61,33 @@ def _quiet(state):
     return quiet
 
 
-def _envelope(zj: Jet, t: Jet, log_c: float, p: float) -> Jet:
+def _per_degree(f, n: int | range, z):
+    """f(n) for a degree n, or f(k) for each degree k of a range n as a
+    column against the points of z."""
+    if isinstance(n, range):
+        return np.array([f(k) for k in n], dtype=float).reshape(
+            (len(n),) + (1,) * np.ndim(z))
+    return f(n)
+
+
+def _take(n: int | range, rows: tuple) -> Jet:
+    """The jet of coefficient rows, or their one row for a degree n."""
+    return Jet(rows if isinstance(n, range) else tuple(c[0] for c in rows))
+
+
+def _envelope(zj: Jet, t: Jet, log_c, p: float) -> Jet:
     """c z^p exp(-t/2) as one exp of its log: no factor overflows alone."""
     return (log_c + p * zj.log() - 0.5 * t).exp()
 
 
-def _chi_jet(n: int, gamma: float, scale: float, z, log_c: float, p: float,
-             order: int) -> Jet:
-    """c z^p exp(-t/2) L_n^(gamma-1)(t) with t = scale z^2."""
+def _chi_jet(n: int | range, gamma: float, scale: float, z, log_c,
+             p: float, order: int) -> Jet:
+    """c_k z^p exp(-t/2) L_k^(gamma-1)(t) with t = scale z^2 and
+    log c_k = log_c(k), for the degree n or each degree k of a range n."""
     zj = Jet.variable(z, order)
     t = scale * zj**2
-    return _envelope(zj, t, log_c, p) * laguerre(n, gamma - 1, t)
+    return (_envelope(zj, t, _per_degree(log_c, n, z), p)
+            * laguerre(n, gamma - 1, t))
 
 
 def energies_plus(fp: FactorizationParams, n_max: int) -> list[float]:
@@ -76,18 +98,22 @@ def energies_plus(fp: FactorizationParams, n_max: int) -> list[float]:
 
 
 @_quiet
-def phi_plus_jet(fp: FactorizationParams, n: int, z, order: int = 2) -> Jet:
+def phi_plus_jet(fp: FactorizationParams, n: int | range, z,
+                 order: int = 2) -> Jet:
+    """Plus-side eigenfunction of degree n, or the ladder of every degree of
+    a range n: one jet whose coefficients carry a leading degree axis."""
     if any_nonpositive(z):
         raise DomainError("plus-side eigenfunction needs z > 0")
     g, oh = fp.gamma, fp.omega_hat
-    return (-1) ** n * _chi_jet(n, g, oh, z, _log_norm(n, g, oh), g - 0.5,
-                                order)
+    return _per_degree(lambda k: (-1) ** k, n, z) * _chi_jet(
+        n, g, oh, z, lambda k: _log_norm(k, g, oh), g - 0.5, order)
 
 
 @_quiet
-def phi_minus_jet(fp: FactorizationParams, n: int, z,
+def phi_minus_jet(fp: FactorizationParams, n: int | range, z,
                   method: str = "operator", order: int = 2) -> Jet:
-    """Minus-side eigenfunction from the ladder operator.
+    """Minus-side eigenfunction of degree n, or the ladder of every degree
+    of a range n (one jet, as ``phi_plus_jet``).
 
     methods: "operator" applies (-d/dz + w) to the plus-side eigenfunction;
     "closed" evaluates the X1 Laguerre closed form; "normalized" divides
@@ -96,8 +122,9 @@ def phi_minus_jet(fp: FactorizationParams, n: int, z,
     if any_nonpositive(z):
         raise DomainError("minus-side eigenfunction needs z > 0")
     if method == "normalized":
-        en = energies_plus(fp, n)[n]
-        return phi_minus_jet(fp, n, z, "operator", order) * (1 / math.sqrt(en))
+        energies = energies_plus(fp, n[-1] if isinstance(n, range) else n)
+        return phi_minus_jet(fp, n, z, "operator", order) * _per_degree(
+            lambda k: 1 / math.sqrt(energies[k]), n, z)
     if method == "operator":
         from .potentials import w_of_z_jet
         phi = phi_plus_jet(fp, n, z, order + 1)
@@ -107,12 +134,20 @@ def phi_minus_jet(fp: FactorizationParams, n: int, z,
         g, oh = fp.gamma, fp.omega_hat
         zj = Jet.variable(z, order)
         t = oh * zj**2
-        # -L^_(n+1)^(gamma)(t), the X1 exceptional Laguerre polynomial
-        bracket = ((t + (g + 1)) * laguerre(n, g, t)
-                   - (laguerre(n - 1, g, t) if n else 0.0))
-        log_c = _log_norm(n, g, oh) + math.log(2 * oh)
-        return ((-1) ** n * _envelope(zj, t, log_c, g + 0.5) / (t + g)
-                * bracket)
+        # the X1 exceptional Laguerre polynomial -L^_(k+1)^(gamma)(t) =
+        # (t + gamma + 1) L_k^gamma(t) - L_(k-1)^gamma(t): L_(k-1) is the
+        # row before L_k in one recurrence, and a zero row below k = 0
+        ks = n if isinstance(n, range) else range(n, n + 1)
+        rows = laguerre(range(max(ks.start - 1, 0), ks.stop), g, t).coeffs
+        if not ks.start:
+            rows = tuple(np.concatenate((np.zeros_like(c[:1]), c))
+                         for c in rows)
+        bracket = ((t + (g + 1)) * _take(n, tuple(c[1:] for c in rows))
+                   - _take(n, tuple(c[:-1] for c in rows)))
+        log_c = lambda k: _log_norm(k, g, oh) + math.log(2 * oh)
+        return (_per_degree(lambda k: (-1) ** k, n, z)
+                * _envelope(zj, t, _per_degree(log_c, n, z), g + 0.5)
+                / (t + g) * bracket)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -136,11 +171,15 @@ def j_integral(fp: FactorizationParams, m: int, n: int,
     if method == "quadrature":
         from .numeric import quad_halfline
 
+        lo, hi = min(m, n), max(m, n)
+
         def f(z: np.ndarray) -> np.ndarray:
-            # k!/(gamma)_k z^(gamma+1/2) exp(-t/2) L_k^(gamma-1)(t), k = m, n
-            fm, fn = (_chi_jet(k, g, oh, z, _log_ratio(k, g) + math.lgamma(g),
-                               g + 0.5, 0).value for k in (m, n))
-            return fm * fn
+            # k!/(gamma)_k z^(gamma+1/2) exp(-t/2) L_k^(gamma-1)(t) for
+            # k = lo..hi from one recurrence: one row when m == n
+            chi = _chi_jet(range(lo, hi + 1), g, oh, z,
+                           lambda k: _log_ratio(k, g) + math.lgamma(g),
+                           g + 0.5, 0).value
+            return chi[m - lo] * chi[n - lo]
 
         return quad_halfline(f, oh, g, m + n)
     raise ValueError(f"unknown method {method!r}")

@@ -3,9 +3,11 @@
 Each row of ``ROWS`` holds its ids, their tolerance (None for an erratum: a
 suspect printed form, reported and never failed), its note, whether it needs
 inverse-mode parameters, and its residual function (a tuple for several ids).
-``run`` builds the intermediates once and measures the rows in order.  Every
-row evaluates its sample points in one call (an ndarray of SAMPLE_X or
-SAMPLE_Z), with numpy's warnings off, and reduces through
+``run`` builds the intermediates once and measures the rows in order: each
+side's ladder of states n < N_STATES is one state call, and h+- at
++-SAMPLE_X, which the form, parity and errata rows share, is evaluated once,
+on first use.  Every row evaluates its sample points in one call (an ndarray
+of SAMPLE_X or SAMPLE_Z), with numpy's warnings off, and reduces through
 ``numeric.max_rel_gap`` or ``numeric.worst``, so a NaN anywhere fails it.
 Each identity row is meant to measure a fact that no other row implies: a row
 that holds by construction, or repeats another's gap on another scale, has
@@ -34,6 +36,7 @@ SAMPLE_Z = [0.31, 0.45, 0.6, 0.8, 1.0, 1.25, 1.5, 1.8, 2.1, 2.5,
             2.9, 3.3, 0.37, 0.52, 0.68, 0.92, 1.12, 1.65, 1.95, 2.3]
 
 N_STATES = 6  # the spectral checks use the states n < N_STATES
+LADDER = range(N_STATES)
 
 
 def fmt(x: float) -> str:
@@ -74,6 +77,7 @@ class _Run:
         self.Atd = diffop.build("Atilde_dag", fp)
         self.energies = spectrum.energies_plus(fp, N_STATES - 1)
         self._mesh: dict[Side, tuple[list[float], float]] = {}
+        self._h: dict[tuple[Side, bool], np.ndarray] = {}
         self.x, self.z = np.array(SAMPLE_X), np.array(SAMPLE_Z)
         # the canonical and printed minus potentials and w on all of SAMPLE_Z
         # at once
@@ -82,11 +86,12 @@ class _Run:
         self.v_printed_minus = eval_potential_z(Side.MINUS, Form.TRANSFORMED,
                                                 self.z, fp)
         self.w = w_of_z_jet(self.z, fp, 0).value
-        # the order-2 closed-form states on all of SAMPLE_Z, one jet per n
-        self.states = {side: [
-            spectrum.phi_plus_jet(fp, n, self.z, 2) if side is Side.PLUS
-            else spectrum.phi_minus_jet(fp, n, self.z, "operator", 2)
-            for n in range(N_STATES)] for side in Side}
+        # the order-2 ladders n < N_STATES on all of SAMPLE_Z, one jet per
+        # side with coefficients of shape (N_STATES, points)
+        self.states = {
+            Side.PLUS: spectrum.phi_plus_jet(fp, LADDER, self.z, 2),
+            Side.MINUS: spectrum.phi_minus_jet(fp, LADDER, self.z,
+                                               "operator", 2)}
         if mp is not None:
             self.Hm, self.Hp, self.e1 = (diffop.build(n, fp, mp) for n in (
                 "H_minus", "H_plus", "eta1_constructed"))
@@ -95,6 +100,16 @@ class _Run:
             self.rho_Hm = diffop.conjugate(self.Hm, dlr, +1)
             self.rho_hp = diffop.conjugate(self.hp, dlr, -1)
             self.gauge = diffop.infer_delta(mp, fp, SAMPLE_X)
+
+    def h(self, side: Side, mirrored: bool = False) -> np.ndarray:
+        """h+- at SAMPLE_X (at -SAMPLE_X if mirrored), evaluated on first
+        use, so that an evaluation that fails fails only the rows that read
+        it."""
+        if (side, mirrored) not in self._h:
+            self._h[side, mirrored] = eval_potential(
+                side, Form.OPERATOR_PRODUCT, -self.x if mirrored else self.x,
+                self.fp)
+        return self._h[side, mirrored]
 
     def mesh(self, side: Side) -> tuple[list[float], float]:
         """One side's mesh levels for the spectral rows, n <= min(n_max, 3),
@@ -109,8 +124,7 @@ class _Run:
 def _form(side: Side, form: Form):
     """A printed x-chart potential against the canonical h+- coefficient."""
     return lambda r: numeric.max_rel_gap([(
-        eval_potential(side, form, r.x, r.fp, r.mp),
-        eval_potential(side, Form.OPERATOR_PRODUCT, r.x, r.fp))])
+        eval_potential(side, form, r.x, r.fp, r.mp), r.h(side))])
 
 
 def _transform_shift(side: Side):
@@ -123,19 +137,28 @@ def _transform_shift(side: Side):
         (r.v[side], shifted(r, coord_x(r.z, r.fp.omega_bar)))])
 
 
+def _column(values) -> np.ndarray:
+    """One number per state, as a column against the sample points."""
+    return np.array(values)[:, None]
+
+
+def _scale(j) -> np.ndarray:
+    """max|phi_n| over the sample points, one per state."""
+    return np.max(abs(j.value), axis=1, keepdims=True)
+
+
 def _eigen_residual(r: _Run, side: Side) -> float:
     """max |-phi'' + (V - E) phi| / (|E| max|phi|) over states and SAMPLE_Z."""
-    return numeric.worst(
-        abs(-j.derivative(2) + (r.v[side] - en) * j.value)
-        / (abs(en) * np.max(abs(j.value)))
-        for en, j in zip(r.energies, r.states[side]))
+    j, en = r.states[side], _column(r.energies)
+    return numeric.worst(abs(-j.derivative(2) + (r.v[side] - en) * j.value)
+                         / (abs(en) * _scale(j)))
 
 
 def _vanishing(side: Side) -> Callable[[_Run], str | None]:
     """The note of a row scaled by max|phi|: why it reads NaN where a
     closed-form state underflows at every sample point."""
     def note(r: _Run) -> str | None:
-        if any(not np.any(j.value) for j in r.states[side]):
+        if not np.all(np.any(r.states[side].value, axis=1)):
             return "the closed-form states vanish at every sample point"
         return None
 
@@ -145,14 +168,13 @@ def _vanishing(side: Side) -> Callable[[_Run], str | None]:
 def _ladder_up(r: _Run) -> float:
     """(w + d/dz) phi_n^- = sqrt(E_n) phi_n^+ on the first eight points,
     phi_n^- the operator state over sqrt(E_n)."""
-    def gap(en, plus, minus):
-        lower = minus * (1 / math.sqrt(en))
-        raised = r.w[:8] * lower.value[:8] + lower.derivative(1)[:8]
-        target = math.sqrt(en) * plus.value[:8]
-        return abs(raised - target) / (math.sqrt(en) * np.max(abs(plus.value)))
-
-    return numeric.worst(gap(*states) for states in zip(
-        r.energies, r.states[Side.PLUS], r.states[Side.MINUS]))
+    root = _column([math.sqrt(en) for en in r.energies])
+    plus = r.states[Side.PLUS]
+    lower = r.states[Side.MINUS] * _column(
+        [1 / math.sqrt(en) for en in r.energies])
+    raised = r.w[:8] * lower.value[:, :8] + lower.derivative(1)[:, :8]
+    return numeric.worst(abs(raised - root * plus.value[:, :8])
+                         / (root * _scale(plus)))
 
 
 def _orthonormality(r: _Run) -> float:
@@ -161,8 +183,7 @@ def _orthonormality(r: _Run) -> float:
     of degree 2(N_STATES - 1), which one Gauss-Laguerre call takes exactly
     for the whole Gram matrix."""
     def gram(z):
-        phi = np.array([spectrum.phi_plus_jet(r.fp, n, z, 0).value
-                        for n in range(N_STATES)])
+        phi = spectrum.phi_plus_jet(r.fp, LADDER, z, 0).value
         return phi[:, None] * phi[None, :]
 
     return numeric.worst(abs(numeric.quad_halfline(
@@ -252,17 +273,15 @@ ROWS = (
     Row("transform_shift_minus", 1e-10, _transform_shift(Side.MINUS)),
     Row("transform_shift_plus", 1e-10, _transform_shift(Side.PLUS)),
     Row("parity", 1e-10, lambda r: numeric.max_rel_gap(
-        (eval_potential(side, Form.OPERATOR_PRODUCT, -r.x, r.fp),
-         eval_potential(side, Form.OPERATOR_PRODUCT, r.x, r.fp))
-        for side in Side)),
+        (r.h(side, mirrored=True), r.h(side)) for side in Side)),
     # closed-form spectral data
     Row("eigen_residual_plus", 1e-8, lambda r: _eigen_residual(r, Side.PLUS),
         _vanishing(Side.PLUS)),
     Row("eigen_residual_minus", 1e-8,
         lambda r: _eigen_residual(r, Side.MINUS), _vanishing(Side.MINUS)),
-    Row("ladder_closed_vs_operator", 1e-9, lambda r: numeric.max_rel_gap(
-        (spectrum.phi_minus_jet(r.fp, n, r.z[:8], "closed").value,
-         j.value[:8]) for n, j in enumerate(r.states[Side.MINUS]))),
+    Row("ladder_closed_vs_operator", 1e-9, lambda r: numeric.max_rel_gap([
+        (spectrum.phi_minus_jet(r.fp, LADDER, r.z[:8], "closed").value,
+         r.states[Side.MINUS].value[:, :8])])),
     Row("ladder_up_consistency", 1e-8, _ladder_up, _vanishing(Side.PLUS)),
     Row("orthonormality_plus", 1e-8, _orthonormality),
     # the mesh oracle, one solve per side

@@ -200,3 +200,11 @@ class TestElementwise:
         got = elementwise(lambda v: v ** 2, x[:3])
         assert [v.hex() for v in got.tolist()] == [
             (v ** 2).hex() for v in x[:3].tolist()]
+
+    def test_a_grid_of_any_shape_keeps_its_shape(self):
+        # the states' ladders are (degrees, points) grids
+        x = np.random.default_rng(3).uniform(-40.0, 40.0, size=(6, 20))
+        got = elementwise(math.exp, x)
+        assert got.shape == x.shape
+        assert [[v.hex() for v in row] for row in got.tolist()] == [
+            [math.exp(v).hex() for v in row] for row in x.tolist()]

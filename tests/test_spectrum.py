@@ -367,6 +367,48 @@ class TestArrayStates:
         assert one[1] == one[2] == ["out"] * 3 and "out" not in one[3]
 
 
+class TestLadders:
+    """A range of degrees gives the whole ladder as one jet, each row bit
+    for bit the one-degree call's, also where t or 1/z leaves the float
+    range (1e300 and 1e-200): a row of degree k below the jet's order
+    takes zero at the orders above k, which its own pass never runs."""
+
+    ZS = np.array(SAMPLE_Z + [1e-200, 1e300])
+
+    @pytest.mark.parametrize("degrees", [range(6), range(41), range(3, 9)],
+                             ids=str)
+    @pytest.mark.parametrize("name, order", [
+        *(("phi_plus", order) for order in range(4)),
+        ("phi_minus_operator", 2), ("phi_minus_closed", 2),
+        ("phi_minus_normalized", 1)])
+    def test_rows_equal_one_degree_calls(self, name, order, degrees):
+        state = STATES[name]
+        for fp in [solve_forward(1.0, 1.0, 1.0),
+                   *random_forward_sets(2, seed=61)]:
+            ladder = state(fp, degrees, self.ZS, order)
+            assert [np.shape(c) for c in ladder.coeffs] == [
+                (len(degrees), len(self.ZS))] * (order + 1)
+            for row, n in enumerate(degrees):
+                one = state(fp, n, self.ZS, order)
+                assert [[v.hex() for v in c[row].tolist()]
+                        for c in ladder.coeffs] == [
+                    [v.hex() for v in np.broadcast_to(
+                        c, self.ZS.shape).tolist()] for c in one.coeffs]
+
+    def test_the_extreme_points_are_out_of_range(self, fp_star):
+        # the points above pin the padding where coefficients are inf or
+        # NaN: at 1e300 t is inf, at 1e-200 the powers of 1/z overflow
+        ladder = phi_plus_jet(fp_star, range(6), self.ZS, 3)
+        assert not np.isfinite(ladder.coeffs[0][:, -1]).any()
+        assert not np.isfinite(ladder.coeffs[3][:, -2]).all()
+
+    def test_a_scalar_point_gives_one_entry_per_degree(self, fp_star):
+        ladder = phi_plus_jet(fp_star, range(4), 1.3, 2)
+        assert [c.shape for c in ladder.coeffs] == [(4,)] * 3
+        assert [ladder.value[n].hex() for n in range(4)] == [
+            phi_plus_jet(fp_star, n, 1.3, 2).value.hex() for n in range(4)]
+
+
 def _state_grid(fp, n):
     """64 points from near 0 to a few decay lengths past the turning point
     of level n, where omega_hat z^2 ~ 4n + 2 gamma."""
@@ -475,6 +517,25 @@ class TestNormalizationIntegrals:
         assert j01 == pytest.approx(j_integral(fp_star, 1, 0, "quadrature"),
                                     rel=1e-9)
         assert math.isfinite(j01)
+
+    def test_one_recurrence_per_integral(self, monkeypatch, fp_star):
+        # the diagonal builds its state once and squares it; an off-diagonal
+        # pair reads both states from one ladder, so it is symmetric bit
+        # for bit
+        from swanson import spectrum
+
+        plain, calls = spectrum.laguerre, []
+
+        def counted(n, beta, t):
+            calls.append(n)
+            return plain(n, beta, t)
+
+        monkeypatch.setattr(spectrum, "laguerre", counted)
+        j_integral(fp_star, 3, 3, "quadrature")
+        assert calls == [range(3, 4)]
+        assert (j_integral(fp_star, 0, 2, "quadrature")
+                == j_integral(fp_star, 2, 0, "quadrature"))
+        assert calls[1:] == [range(0, 3)] * 2
 
     def test_quadrature_is_exact_to_n_20(self, fp_star):
         # in t = oh z^2 the diagonal integrand is t^gamma e^-t times a

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from swanson import numeric, spectrum, verify
+from swanson.jets import Jet
 from swanson.potentials import w_of_z_jet
 from swanson.cli import DEFAULT_TOLS, main
 from swanson.errors import NonConvergent
@@ -149,12 +150,14 @@ def test_the_gram_row_is_exact():
 
 def test_the_gram_row_sees_an_off_diagonal_overlap(monkeypatch, fp_star):
     # phi_1 + eps phi_0 in place of phi_1 keeps its norm to O(eps^2) but
-    # overlaps phi_0 by eps
+    # overlaps phi_0 by eps; the row reads the whole ladder from one call
     plain = spectrum.phi_plus_jet
 
     def mixed(fp, n, z, order):
-        jet = plain(fp, n, z, order)
-        return jet + 1e-6 * plain(fp, 0, z, order) if n == 1 else jet
+        rows = [c.copy() for c in plain(fp, n, z, order).coeffs]
+        for c in rows:
+            c[1] += 1e-6 * c[0]
+        return Jet(tuple(rows))
 
     monkeypatch.setattr(spectrum, "phi_plus_jet", mixed)
     r = type("Run", (), {"fp": fp_star})()
@@ -276,6 +279,53 @@ def test_state_rows_equal_a_point_by_point_evaluation(inverse_sets):
         want = _pointwise_state_rows(fp)
         assert {name: rows[name].fn(r).hex() for name in want} == {
             name: res.hex() for name, res in want.items()}
+
+
+def test_a_run_builds_each_ladder_and_h_sample_once(monkeypatch, fp_star):
+    # every state call of a forward run is over the whole ladder
+    # n < N_STATES: the plus ladder, the plus states the operator minus
+    # ladder differentiates, the Gram row's values, the minus ladder and the
+    # closed minus row; h+- is evaluated once at each of +-SAMPLE_X however
+    # many rows read it, and once at x(SAMPLE_Z)
+    import inspect
+    from swanson.cli import RunConfig
+    from swanson.potentials import Form
+
+    calls = Counter()
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            k = key(bound.arguments)
+            if k is not None:
+                calls[k] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def at(x):
+        for sign, label in ((1, "+x"), (-1, "-x")):
+            if np.array_equal(x, sign * np.array(verify.SAMPLE_X)):
+                return label
+        return "x(z)"
+
+    counted(spectrum, "phi_plus_jet", lambda a: ("plus", a["n"], a["order"]))
+    counted(spectrum, "phi_minus_jet",
+            lambda a: ("minus", a["n"], a["method"], a["order"]))
+    counted(verify, "eval_potential", lambda a: (
+        a["side"].value, at(a["x"]))
+        if a["form"] is Form.OPERATOR_PRODUCT else None)
+    verify.run(RunConfig(), fp_star)
+    ladder = range(verify.N_STATES)
+    assert calls == {
+        ("plus", ladder, 2): 1, ("plus", ladder, 3): 1, ("plus", ladder, 0): 1,
+        ("minus", ladder, "operator", 2): 1, ("minus", ladder, "closed", 2): 1,
+        **{(side, x): 1 for side in ("minus", "plus")
+           for x in ("+x", "-x", "x(z)")}}
 
 
 @pytest.mark.parametrize("rho_q, d", [("1e-08", "6.666666622222223e+149"),
