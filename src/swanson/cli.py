@@ -209,12 +209,12 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
     fp, _, _ = _solve_params(cfg)
 
     def state(n, z):
-        """(value, derivative); a value out of float range (inf, or NaN from
-        0 times inf) is an OverflowError, not a row."""
+        """(value, derivative) of an order-1 jet; a value out of float range
+        (inf, or NaN from 0 times inf) is an OverflowError, not a row."""
         if cfg.side == "plus":
-            j = spectrum.phi_plus_jet(fp, n, z)
+            j = spectrum.phi_plus_jet(fp, n, z, 1)
         else:
-            j = spectrum.phi_minus_jet(fp, n, z, "normalized")
+            j = spectrum.phi_minus_jet(fp, n, z, "normalized", 1)
         v, dv = j.value, j.derivative(1)
         if not (np.isfinite(v).all() and np.isfinite(dv).all()):
             raise OverflowError(f"state {n} leaves the float range at "

@@ -33,8 +33,7 @@ from .jets import Jet, elementwise
 from .numeric import max_rel_gap
 from .params import FactorizationParams, ModelParams
 from .potentials import (Form, Side, a_jet, b1_jet, b_tilde_jet, c1_jet,
-                         dlog_rho_jet, eval_potential, h_tilde_jet,
-                         h_zeroth_jet, w_of_z_jet)
+                         dlog_rho_jet, eval_potential, h_zeroth_jet)
 
 CoeffFn = Callable[[float | np.ndarray, int], Jet]
 
@@ -140,11 +139,9 @@ def _need_inverse(fp: FactorizationParams, mp: ModelParams | None):
 
 def build(which: str, fp: FactorizationParams,
           mp: ModelParams | None = None) -> LinDiffOp:
-    """Construct one of the named operators of the hierarchy.
-
-    x-chart operators: A, A_dag, h_minus, h_plus, H_minus, H_plus,
-    eta1_constructed, eta1_explicit.  z-chart operators: Atilde, Atilde_dag,
-    h_tilde_minus, h_tilde_plus.
+    """Construct one of the named operators of the hierarchy, all in the x
+    chart: A, A_dag, h_minus, h_plus, H_minus, H_plus, eta1_constructed,
+    eta1_explicit.
     """
     ob = fp.omega_bar
     sw = math.sqrt(ob)
@@ -203,17 +200,6 @@ def build(which: str, fp: FactorizationParams,
             return [num / (sw * xj * (d + x2)), sw * a_jet(x, order)]
 
         return LinDiffOp(1, at)
-    # --- z-chart operators -------------------------------------------------
-    if which in ("Atilde", "Atilde_dag"):
-        s = 1.0 if which == "Atilde" else -1.0
-        return LinDiffOp(1, lambda z, order: [w_of_z_jet(z, fp, order),
-                                              Jet.const(s, order)])
-    if which in ("h_tilde_minus", "h_tilde_plus"):
-        side = Side.MINUS if which == "h_tilde_minus" else Side.PLUS
-
-        return LinDiffOp(2, lambda z, order: [h_tilde_jet(side, z, fp, order),
-                                              Jet.const(0.0, order),
-                                              Jet.const(-1.0, order)])
     raise ValueError(f"unknown operator id {which!r}")
 
 

@@ -5,14 +5,16 @@ suspect printed form, reported and never failed), its note, whether it needs
 inverse-mode parameters, and its residual function (a tuple for several ids).
 ``run`` builds the intermediates once and measures the rows in order: each
 side's ladder of states n < N_STATES is one state call, and h+- at
-+-SAMPLE_X, which the form, parity and errata rows share, is evaluated once,
-on first use.  Every row evaluates its sample points in one call (an ndarray
-of SAMPLE_X or SAMPLE_Z), with numpy's warnings off, and reduces through
+SAMPLE_X, which the form and errata rows share, is evaluated once, on first
+use.  Every row evaluates its sample points in one call (an ndarray of
+SAMPLE_X or SAMPLE_Z), with numpy's warnings off, and reduces through
 ``numeric.max_rel_gap`` or ``numeric.worst``, so a NaN anywhere fails it.
 Each identity row is meant to measure a fact that no other row implies: a row
 that holds by construction, or repeats another's gap on another scale, has
 no place here (``tests/test_mutants.py`` pins the rows each injected fault
-fails).
+fails).  So the intertwinings, which follow from the factorizations, are
+not rows, nor are the half-line factorizations and the parity of h+-, which
+read 0 by construction.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ def ladder_operators(fp) -> list[diffop.LinDiffOp]:
     return [diffop.build(n, fp) for n in ("A", "A_dag", "h_minus", "h_plus")]
 
 
-def factorization_residuals(A, Ad, hm, hp, points=SAMPLE_X):
-    """Residuals of h- = A-dagger A and h+ = A A-dagger at the points."""
-    return (diffop.residual(hm, diffop.compose(Ad, A), points),
-            diffop.residual(hp, diffop.compose(A, Ad), points))
+def factorization_residuals(A, Ad, hm, hp):
+    """Residuals of h- = A-dagger A and h+ = A A-dagger at SAMPLE_X."""
+    return (diffop.residual(hm, diffop.compose(Ad, A), SAMPLE_X),
+            diffop.residual(hp, diffop.compose(A, Ad), SAMPLE_X))
 
 
 def numeric_levels(fp, side: Side, k: int) -> tuple[list[float], float]:
@@ -73,11 +75,9 @@ class _Run:
     def __init__(self, cfg, fp, mp):
         self.cfg, self.fp, self.mp = cfg, fp, mp
         self.A, self.Ad, self.hm, self.hp = ladder_operators(fp)
-        self.At = diffop.build("Atilde", fp)
-        self.Atd = diffop.build("Atilde_dag", fp)
         self.energies = spectrum.energies_plus(fp, N_STATES - 1)
         self._mesh: dict[Side, tuple[list[float], float]] = {}
-        self._h: dict[tuple[Side, bool], np.ndarray] = {}
+        self._h: dict[Side, np.ndarray] = {}
         self.x, self.z = np.array(SAMPLE_X), np.array(SAMPLE_Z)
         # the canonical and printed minus potentials and w on all of SAMPLE_Z
         # at once
@@ -101,15 +101,13 @@ class _Run:
             self.rho_hp = diffop.conjugate(self.hp, dlr, -1)
             self.gauge = diffop.infer_delta(mp, fp, SAMPLE_X)
 
-    def h(self, side: Side, mirrored: bool = False) -> np.ndarray:
-        """h+- at SAMPLE_X (at -SAMPLE_X if mirrored), evaluated on first
-        use, so that an evaluation that fails fails only the rows that read
-        it."""
-        if (side, mirrored) not in self._h:
-            self._h[side, mirrored] = eval_potential(
-                side, Form.OPERATOR_PRODUCT, -self.x if mirrored else self.x,
-                self.fp)
-        return self._h[side, mirrored]
+    def h(self, side: Side) -> np.ndarray:
+        """h+- at SAMPLE_X, evaluated on first use, so that an evaluation
+        that fails fails only the rows that read it."""
+        if side not in self._h:
+            self._h[side] = eval_potential(side, Form.OPERATOR_PRODUCT,
+                                           self.x, self.fp)
+        return self._h[side]
 
     def mesh(self, side: Side) -> tuple[list[float], float]:
         """One side's mesh levels for the spectral rows, n <= min(n_max, 3),
@@ -255,13 +253,6 @@ ROWS = (
     # operator identities
     Row(("factorization_minus", "factorization_plus"), 1e-10,
         lambda r: factorization_residuals(r.A, r.Ad, r.hm, r.hp)),
-    Row(("intertwining_down", "intertwining_up"), 1e-9, lambda r: tuple(
-        diffop.residual(diffop.compose(h, L), diffop.compose(L, h2), SAMPLE_X)
-        for h, L, h2 in ((r.hm, r.Ad, r.hp), (r.hp, r.A, r.hm)))),
-    Row(("z_factorization_minus", "z_factorization_plus"), 1e-10,
-        lambda r: factorization_residuals(
-            r.At, r.Atd, diffop.build("h_tilde_minus", r.fp),
-            diffop.build("h_tilde_plus", r.fp), SAMPLE_Z)),
     # potential-form agreement
     Row("potential_matched_minus", 1e-10, _form(Side.MINUS, Form.MATCHED)),
     Row("potential_expanded_minus", 1e-10, _form(Side.MINUS, Form.EXPANDED)),
@@ -272,15 +263,13 @@ ROWS = (
         r.v[Side.PLUS])])),
     Row("transform_shift_minus", 1e-10, _transform_shift(Side.MINUS)),
     Row("transform_shift_plus", 1e-10, _transform_shift(Side.PLUS)),
-    Row("parity", 1e-10, lambda r: numeric.max_rel_gap(
-        (r.h(side, mirrored=True), r.h(side)) for side in Side)),
     # closed-form spectral data
     Row("eigen_residual_plus", 1e-8, lambda r: _eigen_residual(r, Side.PLUS),
         _vanishing(Side.PLUS)),
     Row("eigen_residual_minus", 1e-8,
         lambda r: _eigen_residual(r, Side.MINUS), _vanishing(Side.MINUS)),
     Row("ladder_closed_vs_operator", 1e-9, lambda r: numeric.max_rel_gap([
-        (spectrum.phi_minus_jet(r.fp, LADDER, r.z[:8], "closed").value,
+        (spectrum.phi_minus_jet(r.fp, LADDER, r.z[:8], "closed", 0).value,
          r.states[Side.MINUS].value[:, :8])])),
     Row("ladder_up_consistency", 1e-8, _ladder_up, _vanishing(Side.PLUS)),
     Row("orthonormality_plus", 1e-8, _orthonormality),

@@ -128,9 +128,10 @@ class TestSolve:
         ["solve", "--out", "{tmp}/missing/dir/x"],
         ["solve", "--omega-bar", "inf"],
         ["solve", "--config", "{tmp}/list.json"],
-        ["verify", "--config", "{tmp}/tols_list.json", "--tol", "parity=1"],
-        ["verify", "--tol", "parity=nan"],
-        ["verify", "--tol", "parity=-1"],
+        ["verify", "--config", "{tmp}/tols_list.json", "--tol",
+         "transform_shift_plus=1"],
+        ["verify", "--tol", "transform_shift_plus=nan"],
+        ["verify", "--tol", "transform_shift_plus=-1"],
         ["solve", "--config", "{tmp}/method_name.json"],
         # --format takes only what the command writes
         ["solve", "--format", "csv"],
@@ -260,6 +261,41 @@ class TestWavefunctions:
         assert grid.splitlines()[1:] == [
             one[i][k] for k in range(3) for i in range(len(zs))]
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_rows_equal_the_order_two_state(self, side, capsys):
+        # the rows read the value and first derivative of order-1 jets; each
+        # equals the order-2 jet's bit for bit, and a state fails exactly
+        # where the order-2 jet leaves the float range too
+        import numpy as np
+        from swanson import spectrum
+        from swanson.params import solve_forward
+
+        zs = [1e-300, 1e-30, 1e-3, 0.31, 1.0, 1.7, 10.0, 1e8, 1e300]
+        compared = 0
+        for point in [(1.0, 1.0, 1.0), (0.2, 3.0, 0.2), (4.0, 0.1, 3.0),
+                      (1.0, 1e-30, 1 / 1.5), (1.0, 1.0, 1e150 / 2.5)]:
+            fp = solve_forward(*point)
+            flags = [f for name, v in zip(("--omega-bar", "--rho-q", "--d"),
+                                          point) for f in (name, repr(v))]
+            for n in (0, 1, 5, 17, 40):
+                for z in (zs[3:7], *([v] for v in zs)):
+                    code, out, _ = run_main(
+                        ["wavefunctions", "--side", side, "--n-list", str(n),
+                         "--z-grid", ",".join(map(repr, z)), *flags], capsys)
+                    j = (spectrum.phi_plus_jet(fp, n, np.array(z), 2)
+                         if side == "plus" else spectrum.phi_minus_jet(
+                             fp, n, np.array(z), "normalized", 2))
+                    v, dv = j.value, j.derivative(1)
+                    finite = np.isfinite(v).all() and np.isfinite(dv).all()
+                    assert code == (0 if finite else 3)
+                    if finite:
+                        compared += 1
+                        assert [(r["value"], r["derivative"])
+                                for r in json.loads(out)] == [
+                            (verify_fmt(a), verify_fmt(b))
+                            for a, b in zip(v.tolist(), dv.tolist())]
+        assert compared >= 100
+
     @pytest.mark.parametrize("side, z_grid, message", [
         # each point's own first error: the subnormal z fails in w, which
         # only the minus side reads; on the plus side its derivative, and
@@ -360,8 +396,11 @@ class TestVerify:
     def test_bad_tolerance_syntax(self, capsys):
         assert run_main(["verify", "--tol", "oops"], capsys)[0] == 1
 
-    # shape_invariance was a row once; it is an unknown id now
-    @pytest.mark.parametrize("name", ["nosuch", "shape_invariance"])
+    # rows that hold by construction or follow from others are not rows,
+    # so their ids are unknown
+    @pytest.mark.parametrize("name", ["nosuch", "shape_invariance", "parity",
+                                      "z_factorization_minus",
+                                      "intertwining_up"])
     def test_unknown_tolerance_id_flag(self, name, capsys):
         code, out, err = run_main(["verify", "--tol", f"{name}=1e-3"], capsys)
         assert code == 1
@@ -370,8 +409,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("tols", [{"nosuch": 1}, 5,
                                       {"isospectrality": "x"},
-                                      {"parity": math.nan}, {"parity": -1},
-                                      {"parity": True}])
+                                      {"transform_shift_plus": math.nan},
+                                      {"transform_shift_plus": -1},
+                                      {"transform_shift_plus": True}])
     def test_bad_tolerances_in_config(self, tols, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"tols": tols}))
@@ -507,7 +547,7 @@ class TestDeterminism:
     def test_shared_parser_keeps_no_state_between_calls(self, capsys):
         # one parser serves every main() call of the process
         wave = ["wavefunctions", "--n-list", "0,2", "--z-grid", "0.4,1.1"]
-        calls = [["verify", "--tol", "parity=0.5", "--tol",
+        calls = [["verify", "--tol", "transform_shift_plus=0.5", "--tol",
                   "fd_spectrum_plus=1e-3"],
                  ["verify"],
                  wave + ["--side", "minus", "--format", "csv"],
@@ -519,10 +559,11 @@ class TestDeterminism:
         tols = [{e["id"]: e["tolerance"]
                  for e in json.loads(out)["identities"]}
                 for _, out, _ in first[:2]]
-        assert (tols[0]["parity"], tols[0]["fd_spectrum_plus"]) == (
-            "0.5", "0.001")
-        assert (tols[1]["parity"], tols[1]["fd_spectrum_plus"]) == (
-            verify_fmt(DEFAULT_TOLS["parity"]),
+        assert (tols[0]["transform_shift_plus"],
+                tols[0]["fd_spectrum_plus"]) == ("0.5", "0.001")
+        assert (tols[1]["transform_shift_plus"],
+                tols[1]["fd_spectrum_plus"]) == (
+            verify_fmt(DEFAULT_TOLS["transform_shift_plus"]),
             verify_fmt(DEFAULT_TOLS["fd_spectrum_plus"]))
         assert first[2][1].startswith("n,z,value,derivative\n")
         assert json.loads(first[3][1])[0]["value"] != json.loads(

@@ -12,7 +12,7 @@ from swanson.errors import ModeError
 from swanson.jets import Jet
 from swanson.potentials import (Form, Side, b1_jet, c1_jet, dlog_rho_jet,
                                 eval_potential)
-from conftest import SAMPLE_X, SAMPLE_Z, pointwise_hex, random_forward_sets
+from conftest import SAMPLE_X, pointwise_hex, random_forward_sets
 
 
 def op(*coeffs):
@@ -119,9 +119,13 @@ class TestBuild:
             with pytest.raises(ModeError):
                 build(name, fp_star)
 
-    def test_unknown_name_rejected(self, fp_star):
-        with pytest.raises(ValueError):
-            build("nonsense", fp_star)
+    # build holds the x-chart operators only; the half-line potentials
+    # w^2 -+ w' are potentials.h_tilde_jet
+    @pytest.mark.parametrize("name", ["nonsense", "Atilde", "Atilde_dag",
+                                      "h_tilde_minus", "h_tilde_plus"])
+    def test_unknown_name_rejected(self, name, fp_star):
+        with pytest.raises(ValueError, match="unknown operator id"):
+            build(name, fp_star)
 
     def test_hermitian_limit_intertwiner_collapses(self, inverse_sets):
         # with alpha ~ beta the metric is constant and the intertwiner is
@@ -151,14 +155,6 @@ class TestFactorizationIdentities:
             hm, hp = build("h_minus", fp), build("h_plus", fp)
             assert residual(compose(hm, Ad), compose(Ad, hp), SAMPLE_X) <= 1e-9
             assert residual(compose(hp, A), compose(A, hm), SAMPLE_X) <= 1e-9
-
-    def test_halfline_factorization(self):
-        for fp in self.FORWARD_SETS:
-            At, Atd = build("Atilde", fp), build("Atilde_dag", fp)
-            assert residual(build("h_tilde_minus", fp), compose(Atd, At),
-                            SAMPLE_Z) <= 1e-10
-            assert residual(build("h_tilde_plus", fp), compose(At, Atd),
-                            SAMPLE_Z) <= 1e-10
 
     def test_inverse_sets_satisfy_the_same_identities(self, inverse_sets):
         for _, fp, _ in inverse_sets:
@@ -339,7 +335,6 @@ class TestJetCoefficientAccuracy:
 
 X_IDS = ("A", "A_dag", "h_minus", "h_plus")
 INVERSE_IDS = ("H_minus", "H_plus", "eta1_constructed", "eta1_explicit")
-Z_IDS = ("Atilde", "Atilde_dag", "h_tilde_minus", "h_tilde_plus")
 
 
 def assert_grid_is_pointwise(T, points, order):
@@ -361,17 +356,12 @@ class TestGridOperators:
         for fp in random_forward_sets(4, seed=90 + order):
             for which in X_IDS:
                 assert_grid_is_pointwise(build(which, fp), SAMPLE_X, order)
-            for which in Z_IDS:
-                assert_grid_is_pointwise(build(which, fp), SAMPLE_Z, order)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_every_id_at_the_frozen_triples(self, order, inverse_sets):
         for mp, fp, _ in inverse_sets:
             for which in X_IDS + INVERSE_IDS:
                 assert_grid_is_pointwise(build(which, fp, mp), SAMPLE_X,
-                                         order)
-            for which in Z_IDS:
-                assert_grid_is_pointwise(build(which, fp, mp), SAMPLE_Z,
                                          order)
             dlr = lambda x, order: dlog_rho_jet(x, fp, mp, order)
             Hm = build("H_minus", fp, mp)

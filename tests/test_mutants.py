@@ -88,10 +88,10 @@ def _h_zeroth(side: Side):
         f(s, *a) + 1e-3 if s is side else f(s, *a)))
 
 
-def _printed_minus(form: Form):
-    return _everywhere("eval_potential", lambda f: lambda side, fm, *a: (
-        f(side, fm, *a) * 1.001 if (side, fm) == (Side.MINUS, form)
-        else f(side, fm, *a)))
+def _printed(side: Side, form: Form, name: str = "eval_potential"):
+    """One printed potential form x 1.001 (``name`` evaluates it)."""
+    return _everywhere(name, lambda f: lambda s, fm, *a: (
+        f(s, fm, *a) * 1.001 if (s, fm) == (side, form) else f(s, fm, *a)))
 
 
 # rows that no mutant newly fails at omega_hat = 1e-6: the first FAILs
@@ -135,30 +135,36 @@ MUTANTS = {
         _rows(STATES - {"ladder_closed_vs_operator"},
               {"orthonormality_plus"})),
     "h_tilde_plus_dw_x1.001": (_h_tilde(Side.PLUS), _rows({
-        "z_factorization_plus", "potential_transformed_plus",
-        "transform_shift_plus", "eigen_residual_plus", "fd_spectrum_plus"})),
+        "potential_transformed_plus", "transform_shift_plus",
+        "eigen_residual_plus", "fd_spectrum_plus"})),
     "h_tilde_minus_dw_x1.001": (_h_tilde(Side.MINUS), _rows({
-        "z_factorization_minus", "transform_shift_minus",
-        "transformed_minus_residual_profile", "eigen_residual_minus",
-        "isospectrality"})),
+        "transform_shift_minus", "transformed_minus_residual_profile",
+        "eigen_residual_minus", "isospectrality"})),
     "h_zeroth_plus_+1e-3": (_h_zeroth(Side.PLUS), _rows({
-        "factorization_plus", "intertwining_down", "intertwining_up",
-        "potential_reduced_plus", "transform_shift_plus"},
+        "factorization_plus", "potential_reduced_plus",
+        "transform_shift_plus"},
         inverse={"metric_intertwining"})),
     "h_zeroth_minus_+1e-3": (_h_zeroth(Side.MINUS), _rows({
-        "factorization_minus", "intertwining_down", "intertwining_up",
-        "potential_matched_minus", "potential_expanded_minus",
-        "potential_reduced_minus", "transform_shift_minus"},
+        "factorization_minus", "potential_matched_minus",
+        "potential_expanded_minus", "potential_reduced_minus",
+        "transform_shift_minus"},
         inverse={"metric_intertwining"})),
     "b_tilde_+1e-3": (
         _everywhere("_b_tilde", lambda f: lambda *a: f(*a) + 1e-3),
         _rows(STATES, FD, SHAPE, {
-            "parity", "potential_matched_minus", "potential_expanded_minus",
+            "potential_matched_minus", "potential_expanded_minus",
             "potential_reduced_minus", "potential_reduced_plus"})),
-    "matched_minus_x1.001": (_printed_minus(Form.MATCHED),
+    "matched_minus_x1.001": (_printed(Side.MINUS, Form.MATCHED),
                              _rows({"potential_matched_minus"})),
-    "expanded_minus_x1.001": (_printed_minus(Form.EXPANDED),
+    "expanded_minus_x1.001": (_printed(Side.MINUS, Form.EXPANDED),
                               _rows({"potential_expanded_minus"})),
+    "reduced_minus_x1.001": (_printed(Side.MINUS, Form.REDUCED),
+                             _rows({"potential_reduced_minus"})),
+    "reduced_plus_x1.001": (_printed(Side.PLUS, Form.REDUCED),
+                            _rows({"potential_reduced_plus"})),
+    "transformed_plus_x1.001": (
+        _printed(Side.PLUS, Form.TRANSFORMED, "eval_potential_z"),
+        _rows({"potential_transformed_plus"})),
     "dlog_rho_x1.001": (_scaled("dlog_rho_jet"), _rows(inverse={
         "similarity_first_order", "partner_similarity",
         "metric_intertwining"})),

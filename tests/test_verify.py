@@ -24,12 +24,10 @@ FORWARD_IDS = [name for row in verify.ROWS if not row.inverse_only
 # the published tolerances; a change here is a change of what verify claims
 PUBLISHED_TOLS = {
     "factorization_minus": 1e-10, "factorization_plus": 1e-10,
-    "intertwining_down": 1e-9, "intertwining_up": 1e-9,
-    "z_factorization_minus": 1e-10, "z_factorization_plus": 1e-10,
     "potential_matched_minus": 1e-10, "potential_expanded_minus": 1e-10,
     "potential_reduced_minus": 1e-10, "potential_reduced_plus": 1e-10,
     "potential_transformed_plus": 1e-10, "transform_shift_minus": 1e-10,
-    "transform_shift_plus": 1e-10, "parity": 1e-10,
+    "transform_shift_plus": 1e-10,
     "eigen_residual_plus": 1e-8, "eigen_residual_minus": 1e-8,
     "ladder_closed_vs_operator": 1e-9, "ladder_up_consistency": 1e-8,
     "orthonormality_plus": 1e-8, "fd_spectrum_plus": 1e-5,
@@ -53,6 +51,28 @@ def test_default_tols_are_the_identity_rows_in_order():
             for name in row.names]
     assert list(DEFAULT_TOLS.items()) == rows
     assert list(DEFAULT_TOLS.items()) == list(PUBLISHED_TOLS.items())
+
+
+def test_no_identity_row_reads_zero_everywhere(inverse_sets):
+    # a row that holds by construction reads 0 at every point and measures
+    # nothing: each forward row is nonzero at some corner of the box, each
+    # inverse-only row at some frozen triple
+    import itertools
+    from swanson.cli import RunConfig
+    from swanson.params import solve_forward
+
+    def nonzero(runs):
+        return {e["id"] for fp, mp in runs
+                for e in verify.run(RunConfig(), fp, mp)[0]
+                if float(e["residual"]) != 0}
+
+    corners = itertools.product((0.2, 1.0, 4.0), (0.1, 1.0, 3.0),
+                                (0.2, 1.0, 3.0))
+    inverse = {name for row in verify.ROWS if row.inverse_only
+               and row.tol is not None for name in row.names}
+    assert set(DEFAULT_TOLS) - inverse - nonzero(
+        (solve_forward(*p), None) for p in corners) == set()
+    assert inverse - nonzero((fp, mp) for mp, fp, _ in inverse_sets) == set()
 
 
 def test_each_id_is_written_once_in_the_package():
@@ -285,7 +305,7 @@ def test_a_run_builds_each_ladder_and_h_sample_once(monkeypatch, fp_star):
     # every state call of a forward run is over the whole ladder
     # n < N_STATES: the plus ladder, the plus states the operator minus
     # ladder differentiates, the Gram row's values, the minus ladder and the
-    # closed minus row; h+- is evaluated once at each of +-SAMPLE_X however
+    # closed minus row's values; h+- is evaluated once at SAMPLE_X however
     # many rows read it, and once at x(SAMPLE_Z)
     import inspect
     from swanson.cli import RunConfig
@@ -308,10 +328,7 @@ def test_a_run_builds_each_ladder_and_h_sample_once(monkeypatch, fp_star):
         monkeypatch.setattr(module, name, wrapper)
 
     def at(x):
-        for sign, label in ((1, "+x"), (-1, "-x")):
-            if np.array_equal(x, sign * np.array(verify.SAMPLE_X)):
-                return label
-        return "x(z)"
+        return "x" if np.array_equal(x, verify.SAMPLE_X) else "x(z)"
 
     counted(spectrum, "phi_plus_jet", lambda a: ("plus", a["n"], a["order"]))
     counted(spectrum, "phi_minus_jet",
@@ -323,22 +340,21 @@ def test_a_run_builds_each_ladder_and_h_sample_once(monkeypatch, fp_star):
     ladder = range(verify.N_STATES)
     assert calls == {
         ("plus", ladder, 2): 1, ("plus", ladder, 3): 1, ("plus", ladder, 0): 1,
-        ("minus", ladder, "operator", 2): 1, ("minus", ladder, "closed", 2): 1,
-        **{(side, x): 1 for side in ("minus", "plus")
-           for x in ("+x", "-x", "x(z)")}}
+        ("minus", ladder, "operator", 2): 1, ("minus", ladder, "closed", 0): 1,
+        **{(side, x): 1 for side in ("minus", "plus") for x in ("x", "x(z)")}}
 
 
 @pytest.mark.parametrize("rho_q, d", [("1e-08", "6.666666622222223e+149"),
                                       ("1e-30", "6.666666666666666e+149")])
 def test_nan_coefficient_pairs_fail_their_rows(rho_q, d, capsys):
-    # at omega_hat = 1e150 some of the coefficient pairs of the
-    # intertwinings and of the minus-state pairs are NaN; a max that kept
-    # its first argument read them as residual 0 and PASS
+    # at omega_hat = 1e150 some of the state values and of the minus-state
+    # pairs are NaN; a max that kept its first argument read them as
+    # residual 0 and PASS
     assert main(["verify", "--omega-bar", "1", "--rho-q", rho_q, "--d", d,
                  "--n-max", "2"]) == 3
     rows = {e["id"]: e for e in json.loads(capsys.readouterr().out)[
         "identities"]}
-    for name in ("intertwining_down", "intertwining_up",
+    for name in ("eigen_residual_plus", "eigen_residual_minus",
                  "ladder_closed_vs_operator"):
         assert (rows[name]["residual"], rows[name]["status"]) == ("nan",
                                                                   "FAIL")
@@ -427,7 +443,7 @@ def test_every_row_evaluates_its_sample_points_in_one_call(monkeypatch,
                             fp, k - 1), 0.0))
     mp, fp, _ = inverse_sets[0]
     verify.run(RunConfig(), fp, mp)
-    grids = (verify.SAMPLE_X, [-x for x in verify.SAMPLE_X], verify.SAMPLE_Z,
+    grids = (verify.SAMPLE_X, verify.SAMPLE_Z,
              [-1.0 / (math.sqrt(fp.omega_bar) * z) for z in verify.SAMPLE_Z])
     assert len(seen) > 10
     assert all(x in grids for _, x in seen)
