@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import JetOrderExceeded, ModeError
+from .errors import ModeError
 from .jets import Jet, elementwise
 from .numeric import max_rel_gap
 from .params import FactorizationParams, ModelParams
@@ -36,8 +36,6 @@ from .potentials import (Form, Side, a_jet, b1_jet, b_tilde_jet, c1_jet,
                          dlog_rho_jet, eval_potential, h_zeroth_jet)
 
 CoeffFn = Callable[[float | np.ndarray, int], Jet]
-
-JET_BUDGET = 12
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,6 @@ class LinDiffOp:
 
 def compose(T: LinDiffOp, S: LinDiffOp) -> LinDiffOp:
     """Operator product T o S via the Leibniz expansion."""
-    if T.order + S.order > JET_BUDGET:
-        raise JetOrderExceeded("composition exceeds the jet order budget")
 
     def at(x: float, order: int) -> list[Jet]:
         # result_m = sum over i, j, k<=i with i-k+j = m of C(i,k) t_i s_j^(k)

@@ -29,9 +29,5 @@ class BranchViolation(SwansonError):
     """The selected coupling branch violates its sign/magnitude restrictions."""
 
 
-class JetOrderExceeded(SwansonError):
-    """A composition would need Taylor data beyond the configured jet budget."""
-
-
 class NonConvergent(SwansonError):
     """An iterative numerical routine failed to reach its tolerance."""

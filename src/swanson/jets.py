@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import DomainError
 
-DEFAULT_ORDER = 4
-
 # what a jet takes as a constant: a number, or a grid of them
 _SCALAR = (int, float, np.ndarray)
 
@@ -78,7 +76,7 @@ class Jet:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def variable(x, order: int = DEFAULT_ORDER) -> "Jet":
+    def variable(x, order: int) -> "Jet":
         """Jet of the identity function at x (a float or a grid)."""
         c = [0.0] * (order + 1)
         c[0] = x if isinstance(x, np.ndarray) else float(x)
@@ -87,7 +85,7 @@ class Jet:
         return Jet(tuple(c))
 
     @staticmethod
-    def const(v, order: int = DEFAULT_ORDER) -> "Jet":
+    def const(v, order: int) -> "Jet":
         """Jet of the constant v (a float or a grid)."""
         c = [0.0] * (order + 1)
         c[0] = v if isinstance(v, np.ndarray) else float(v)

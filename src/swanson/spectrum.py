@@ -13,14 +13,14 @@ of degrees: the whole ladder is then one jet whose coefficients carry a
 leading degree axis (shape (len(n), points)), from one Laguerre recurrence
 (the closed minus state's L_(n-1) is the row before L_n), with log c and
 the sign (-1)^n as columns; each row is bit for bit its one-degree call.
-``j_integral`` gives the normalization integrals of the pre-transform
-states, z times the plus-side shape in Kummer form, against the printed
-closed form: each is t^gamma e^-t dt times a polynomial, which
+``j_integral`` gives the diagonal normalization integrals of the
+pre-transform states, z times the plus-side shape in Kummer form, against
+the printed closed form: each is t^gamma e^-t dt times a polynomial, which
 ``numeric.quad_halfline``'s generalized Gauss-Laguerre rule takes exactly
-(both states from one ladder, one state squared on the diagonal).  Each
-state and integrand is its Laguerre part times one envelope c z^p exp(-t/2),
-one exp of log c + p log z - t/2 with the ``math.lgamma`` norm in log c, so
-that no factor overflows alone.
+(a range of degrees from one ladder and one rule).  Each state and
+integrand is its Laguerre part times one envelope c z^p exp(-t/2), one exp
+of log c + p log z - t/2 with the ``math.lgamma`` norm in log c, so that no
+factor overflows alone.
 At any order ``z`` may be an ndarray of points: the states are then
 evaluated on all of them at once, each element bit for bit its one-point
 value (see ``jets``), with numpy's floating-point warnings off.  Where t or
@@ -61,9 +61,9 @@ def _quiet(state):
     return quiet
 
 
-def _per_degree(f, n: int | range, z):
+def _per_degree(f, n: int | range, z=0.0):
     """f(n) for a degree n, or f(k) for each degree k of a range n as a
-    column against the points of z."""
+    column against the points of z (one value per degree for one point)."""
     if isinstance(n, range):
         return np.array([f(k) for k in n], dtype=float).reshape(
             (len(n),) + (1,) * np.ndim(z))
@@ -151,35 +151,34 @@ def phi_minus_jet(fp: FactorizationParams, n: int | range, z,
     raise ValueError(f"unknown method {method!r}")
 
 
-def j_integral(fp: FactorizationParams, m: int, n: int,
-               method: str = "quadrature") -> float:
-    """Normalization integral of the pre-transform states.
+def j_integral(fp: FactorizationParams, n: int | range,
+               method: str = "quadrature") -> float | np.ndarray:
+    """Diagonal normalization integral of the pre-transform state of degree
+    n, or one per degree of a range n (an ndarray).
 
-    "quadrature" integrates z^(2 gamma + 1) e^(-oh z^2) F_m F_n over (0, inf)
-    by the Gauss-Laguerre rule with alpha = gamma, exact at degree m + n.
-    "closed" is the printed diagonal closed form (n + gamma)(n+1)! Gamma(gamma)
+    "quadrature" integrates z^(2 gamma + 1) e^(-oh z^2) F_n^2 over (0, inf)
+    by the Gauss-Laguerre rule with alpha = gamma, exact at degree 2n: a
+    range takes one recurrence and one rule, exact at its top degree.
+    "closed" is the printed closed form (n + gamma)(n+1)! Gamma(gamma)
     / (2 oh^(gamma+1) (gamma)_n); it keeps only the leading term of the exact
     sum and is exact at n = 0 only.
     """
     g, oh = fp.gamma, fp.omega_hat
     if method == "closed":
-        if m != n:
-            raise ValueError("the closed form is defined on the diagonal only")
-        return ((n + g) * math.exp(math.log(n + 1) + _log_ratio(n, g)
-                                   + 2 * math.lgamma(g))
-                / (2 * oh ** (g + 1)))
+        return _per_degree(lambda k: (
+            (k + g) * math.exp(math.log(k + 1) + _log_ratio(k, g)
+                               + 2 * math.lgamma(g))
+            / (2 * oh ** (g + 1))), n)
     if method == "quadrature":
         from .numeric import quad_halfline
 
-        lo, hi = min(m, n), max(m, n)
-
         def f(z: np.ndarray) -> np.ndarray:
-            # k!/(gamma)_k z^(gamma+1/2) exp(-t/2) L_k^(gamma-1)(t) for
-            # k = lo..hi from one recurrence: one row when m == n
-            chi = _chi_jet(range(lo, hi + 1), g, oh, z,
+            # k!/(gamma)_k z^(gamma+1/2) exp(-t/2) L_k^(gamma-1)(t), squared
+            chi = _chi_jet(n, g, oh, z,
                            lambda k: _log_ratio(k, g) + math.lgamma(g),
                            g + 0.5, 0).value
-            return chi[m - lo] * chi[n - lo]
+            return chi * chi
 
-        return quad_halfline(f, oh, g, m + n)
+        return quad_halfline(f, oh, g,
+                             2 * (n[-1] if isinstance(n, range) else n))
     raise ValueError(f"unknown method {method!r}")

@@ -10,8 +10,10 @@ by spaces; every Python warning an argv raises is printed to its stderr.
 ``--diff`` prints each argv whose record differs between two files, and the
 lines that differ, then a summary: how many argv of each file print no
 document (nothing on stdout), and by row id over the ``verify`` documents
-the ids found in one file only, each id's status changes (PASS -> FAIL and
-the like) with their argv, and the argv whose exit code changed.
+the ids found in one file only, how many of the differing argv are equal
+once those ids' rows are dropped and the documents re-serialized as the
+CLI writes them, each id's status changes (PASS -> FAIL and the like) with
+their argv, and the argv whose exit code changed.
 
 The 99 argv (97 distinct: the README's triple is the first frozen triple)
 are the default ``spectrum``, ``sweep`` and ``verify``, the inverse
@@ -125,10 +127,23 @@ def _statuses(record: list) -> dict[str, str]:
     return {e["id"]: e["status"] for e in doc["identities"] + doc["errata"]}
 
 
+def _without(record: list, ids: set) -> list:
+    """The record with the rows of ``ids`` dropped from its ``verify``
+    document, re-serialized as the CLI writes JSON (indent 2 and a final
+    newline); any other record as it is."""
+    if not _statuses(record):
+        return record
+    doc = json.loads(record[1])
+    for part in ("identities", "errata"):
+        doc[part] = [e for e in doc[part] if e["id"] not in ids]
+    return [record[0], json.dumps(doc, indent=2) + "\n", record[2]]
+
+
 def row_summary(a: dict, b: dict, path_a: str, path_b: str) -> None:
     """Print how many argv of each file print nothing to stdout, then the
-    ids found in one file only, the status changes per id and the
-    exit-code changes, over the argv both files hold."""
+    ids found in one file only, the differing argv equal without them, the
+    status changes per id and the exit-code changes, over the argv both
+    files hold."""
     only = {path_a: collections.Counter(), path_b: collections.Counter()}
     moves = collections.defaultdict(list)
     exits = []
@@ -148,6 +163,12 @@ def row_summary(a: dict, b: dict, path_a: str, path_b: str) -> None:
         print(f"ids only in {path}: " + (", ".join(
             f"{name} ({n} argv)" for name, n in sorted(ids.items()))
             or "none"))
+    dropped = set(only[path_a]) | set(only[path_b])
+    differing = [key for key in set(a) & set(b) if a[key] != b[key]]
+    equal = sum(_without(a[key], dropped) == _without(b[key], dropped)
+                for key in differing)
+    print(f"differing argv equal once those ids are dropped: {equal} of "
+          f"{len(differing)}")
     print(f"status changes: {len(moves) or 'none'}")
     for (name, old, new), keys in sorted(moves.items()):
         print(f"  {name} {old} -> {new} at {len(keys)} argv")

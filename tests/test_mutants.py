@@ -99,7 +99,7 @@ def _printed(side: Side, form: Form, name: str = "eval_potential"):
 # (numeric.max_rel_gap's max(1, |r|) floor), so it is blind at that scale
 SMALL_MISSES = {"eigen_residual_minus", "ladder_closed_vs_operator"}
 STATES = {"eigen_residual_plus", "eigen_residual_minus",
-          "ladder_closed_vs_operator", "ladder_up_consistency"}
+          "ladder_closed_vs_operator"}
 FD = {"fd_spectrum_plus", "isospectrality"}
 SHAPE = {"potential_transformed_plus", "transformed_minus_residual_profile"}
 

@@ -1,5 +1,6 @@
 """Closed-form spectra and eigenfunctions of the half-line oscillator pair."""
 
+import itertools
 import math
 import types
 
@@ -479,18 +480,24 @@ class TestHighExcitedStates:
                 assert err <= 1e-10 * scale, (fp, name, err / scale)
 
 
+# the 27 corners of the box omega_bar in {0.2, 1, 4}, rho_q in {0.1, 1, 3},
+# d in {0.2, 1, 3}
+BOX_CORNERS = list(itertools.product((0.2, 1.0, 4.0), (0.1, 1.0, 3.0),
+                                     (0.2, 1.0, 3.0)))
+
+
 class TestNormalizationIntegrals:
     def test_ground_state_closed_form(self, fp_star):
         g, oh = fp_star.gamma, fp_star.omega_hat
         expected = math.gamma(g + 1) / (2 * oh ** (g + 1))
-        assert j_integral(fp_star, 0, 0, "closed") == pytest.approx(
+        assert j_integral(fp_star, 0, "closed") == pytest.approx(
             expected, rel=1e-13)
-        assert j_integral(fp_star, 0, 0, "quadrature") == pytest.approx(
+        assert j_integral(fp_star, 0, "quadrature") == pytest.approx(
             expected, rel=1e-10)
 
     @pytest.mark.parametrize("n", [0] + [
         pytest.param(n, marks=pytest.mark.xfail(
-            strict=True,
+            strict=True, raises=AssertionError,
             reason="printed diagonal closed form keeps only the leading term "
                    "of the exact finite sum; wrong for every excited level"))
         for n in range(1, 6)
@@ -500,42 +507,53 @@ class TestNormalizationIntegrals:
         provably wrong beyond it (relative gap 5/9 already at n=1); the
         excited cases are strict expected failures so any behavior change is
         flagged."""
-        q = j_integral(fp_star, n, n, "quadrature")
-        closed = j_integral(fp_star, n, n, "closed")
+        q = j_integral(fp_star, n, "quadrature")
+        closed = j_integral(fp_star, n, "closed")
         assert abs(q - closed) <= 1e-8 * abs(q)
 
     @pytest.mark.parametrize("n", range(6))
     def test_exact_diagonal_matches_quadrature(self, n, fp_star):
-        q = j_integral(fp_star, n, n, "quadrature")
+        q = j_integral(fp_star, n, "quadrature")
         exact = j_diagonal_exact(fp_star, n)
         assert abs(q - exact) <= 1e-10 * abs(q)
 
-    def test_off_diagonal_values_reported(self, fp_star):
-        # the weighted integral is not an orthogonality relation for the
-        # adjacent pair; its value is finite and reproducible
-        j01 = j_integral(fp_star, 0, 1, "quadrature")
-        assert j01 == pytest.approx(j_integral(fp_star, 1, 0, "quadrature"),
-                                    rel=1e-9)
-        assert math.isfinite(j01)
-
     def test_one_recurrence_per_integral(self, monkeypatch, fp_star):
-        # the diagonal builds its state once and squares it; an off-diagonal
-        # pair reads both states from one ladder, so it is symmetric bit
-        # for bit
-        from swanson import spectrum
+        # a degree builds its state once and squares it; a range takes every
+        # degree from one recurrence and one rule
+        from swanson import numeric, spectrum
 
         plain, calls = spectrum.laguerre, []
+        rule, rules = numeric.quad_halfline, []
 
         def counted(n, beta, t):
             calls.append(n)
             return plain(n, beta, t)
 
+        def counted_rule(*args):
+            rules.append(args[1:])
+            return rule(*args)
+
         monkeypatch.setattr(spectrum, "laguerre", counted)
-        j_integral(fp_star, 3, 3, "quadrature")
-        assert calls == [range(3, 4)]
-        assert (j_integral(fp_star, 0, 2, "quadrature")
-                == j_integral(fp_star, 2, 0, "quadrature"))
-        assert calls[1:] == [range(0, 3)] * 2
+        monkeypatch.setattr(numeric, "quad_halfline", counted_rule)
+        j_integral(fp_star, 3, "quadrature")
+        assert calls == [3]
+        assert len(j_integral(fp_star, range(1, 6), "quadrature")) == 5
+        assert calls[1:] == [range(1, 6)]
+        g, oh = fp_star.gamma, fp_star.omega_hat
+        assert rules == [(oh, g, 6), (oh, g, 10)]
+
+    @pytest.mark.parametrize("point", BOX_CORNERS)
+    def test_a_range_is_the_per_degree_integrals(self, point):
+        # "closed" is the same arithmetic per degree; "quadrature" shares
+        # the top degree's rule, exact for every degree below it too
+        fp = solve_forward(*point)
+        degrees = range(1, 6)
+        closed = j_integral(fp, degrees, "closed")
+        assert [x.hex() for x in closed] == [
+            j_integral(fp, n, "closed").hex() for n in degrees]
+        quad = j_integral(fp, degrees, "quadrature")
+        one = np.array([j_integral(fp, n, "quadrature") for n in degrees])
+        assert np.all(abs(quad - one) <= 1e-13 * abs(one))
 
     def test_quadrature_is_exact_to_n_20(self, fp_star):
         # in t = oh z^2 the diagonal integrand is t^gamma e^-t times a
@@ -543,12 +561,8 @@ class TestNormalizationIntegrals:
         # gamma = 2.5 and at gamma = 101.5
         for fp in (fp_star, solve_forward(1.0, 100.0, 1.0 / 101.5)):
             for n in range(21):
-                q = j_integral(fp, n, n, "quadrature")
+                q = j_integral(fp, n, "quadrature")
                 assert q == pytest.approx(j_diagonal_exact(fp, n), rel=1e-12)
-
-    def test_closed_forms_reject_off_diagonal(self, fp_star):
-        with pytest.raises(ValueError):
-            j_integral(fp_star, 0, 1, "closed")
 
 
 class TestPrintedConstantsAtHighN:
@@ -569,5 +583,5 @@ class TestPrintedConstantsAtHighN:
     @pytest.mark.parametrize("n", [5, 169, 170, 200])
     def test_against_extended_precision(self, n, fp_star):
         for fp in (fp_star, *random_forward_sets(3, seed=23)):
-            assert j_integral(fp, n, n, "closed") == pytest.approx(
+            assert j_integral(fp, n, "closed") == pytest.approx(
                 self._printed(fp, n), rel=1e-12)

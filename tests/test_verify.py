@@ -12,7 +12,6 @@ import pytest
 
 from swanson import numeric, spectrum, verify
 from swanson.jets import Jet
-from swanson.potentials import w_of_z_jet
 from swanson.cli import DEFAULT_TOLS, main
 from swanson.errors import NonConvergent
 from conftest import random_forward_sets
@@ -29,9 +28,9 @@ PUBLISHED_TOLS = {
     "potential_transformed_plus": 1e-10, "transform_shift_minus": 1e-10,
     "transform_shift_plus": 1e-10,
     "eigen_residual_plus": 1e-8, "eigen_residual_minus": 1e-8,
-    "ladder_closed_vs_operator": 1e-9, "ladder_up_consistency": 1e-8,
-    "orthonormality_plus": 1e-8, "fd_spectrum_plus": 1e-5,
-    "isospectrality": 1e-5, "transformed_minus_residual_profile": 1e-9,
+    "ladder_closed_vs_operator": 1e-9, "orthonormality_plus": 1e-8,
+    "fd_spectrum_plus": 1e-5, "isospectrality": 1e-5,
+    "transformed_minus_residual_profile": 1e-9,
     "similarity_first_order": 1e-10, "partner_similarity": 1e-9,
     "metric_intertwining": 1e-9,
 }
@@ -203,8 +202,7 @@ def test_rows_scaled_by_vanishing_states_say_so(capsys):
     rows = {e["id"]: e for e in json.loads(capsys.readouterr().out)[
         "identities"]}
     noted = {name for name, e in rows.items() if "note" in e} - MESH
-    assert noted == {"eigen_residual_plus", "eigen_residual_minus",
-                     "ladder_up_consistency"}
+    assert noted == {"eigen_residual_plus", "eigen_residual_minus"}
     for name in noted:
         assert (rows[name]["residual"], rows[name]["status"],
                 rows[name]["note"]) == (
@@ -243,8 +241,8 @@ def test_a_refused_plus_mesh_fails_only_its_own_row(monkeypatch):
 
 
 def _pointwise_state_rows(fp) -> dict:
-    """The residuals of the rows that read the states and w, each state
-    evaluated at one z at a time."""
+    """The residuals of the rows that read the states, each state evaluated
+    at one z at a time."""
     from swanson.potentials import Form, Side, eval_potential_z
 
     zs, n_states = verify.SAMPLE_Z, verify.N_STATES
@@ -255,7 +253,6 @@ def _pointwise_state_rows(fp) -> dict:
         spectrum.phi_plus_jet(fp, n, z, 2) if side is Side.PLUS
         else spectrum.phi_minus_jet(fp, n, z, "operator", 2) for z in zs]
         for n in range(n_states)] for side in Side}
-    w = [w_of_z_jet(z, fp, 1) for z in zs]
 
     def eigen(side):
         worst = 0.0
@@ -266,18 +263,6 @@ def _pointwise_state_rows(fp) -> dict:
                 worst = max(worst, abs(res) / (abs(en) * scale))
         return worst
 
-    def ladder_up():
-        worst = 0.0
-        for n, (en, jets) in enumerate(zip(energies, states[Side.PLUS])):
-            scale = max(abs(j.value) for j in jets)
-            for z, wz, j in zip(zs[:8], w, jets):
-                low = spectrum.phi_minus_jet(fp, n, z, "normalized", order=1)
-                raised = wz.value * low.value + low.derivative(1)
-                target = math.sqrt(en) * j.value
-                worst = max(worst,
-                            abs(raised - target) / (math.sqrt(en) * scale))
-        return worst
-
     return {
         "eigen_residual_plus": eigen(Side.PLUS),
         "eigen_residual_minus": eigen(Side.MINUS),
@@ -285,7 +270,6 @@ def _pointwise_state_rows(fp) -> dict:
             (spectrum.phi_minus_jet(fp, n, z, "closed").value, j.value)
             for n, jets in enumerate(states[Side.MINUS])
             for z, j in zip(zs[:8], jets)),
-        "ladder_up_consistency": ladder_up(),
     }
 
 
