@@ -209,13 +209,15 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
     fp, _, _ = _solve_params(cfg)
 
     def state(n, z):
-        """(value, derivative) of an order-1 jet; a value out of float range
-        (inf, or NaN from 0 times inf) is an OverflowError, not a row."""
+        """(value, derivative) of the order-1 jet of degree n, the one row of
+        the ladder range(n, n + 1); a value out of float range (inf, or NaN
+        from 0 times inf) is an OverflowError, not a row."""
         if cfg.side == "plus":
-            j = spectrum.phi_plus_jet(fp, n, z, 1)
+            j = spectrum.phi_plus_jet(fp, range(n, n + 1), z, 1)
         else:
-            j = spectrum.phi_minus_jet(fp, n, z, "normalized", 1)
-        v, dv = j.value, j.derivative(1)
+            j = spectrum.phi_minus_jet(fp, range(n, n + 1), z,
+                                       "normalized", 1)
+        v, dv = j.value[0], j.derivative(1)[0]
         if not (np.isfinite(v).all() and np.isfinite(dv).all()):
             raise OverflowError(f"state {n} leaves the float range at "
                                 f"z = {z!r}")

@@ -136,8 +136,8 @@ def _need_inverse(fp: FactorizationParams, mp: ModelParams | None):
 def build(which: str, fp: FactorizationParams,
           mp: ModelParams | None = None) -> LinDiffOp:
     """Construct one of the named operators of the hierarchy, all in the x
-    chart: A, A_dag, h_minus, h_plus, H_minus, H_plus, eta1_constructed,
-    eta1_explicit.
+    chart: A, A_dag, h_minus, h_plus, H_minus, H_plus, eta1_constructed
+    (the intertwiner rho^-1 A rho, by ``conjugate``), eta1_explicit.
     """
     ob = fp.omega_bar
     sw = math.sqrt(ob)
@@ -174,13 +174,8 @@ def build(which: str, fp: FactorizationParams,
         return LinDiffOp(2, at)
     if which == "eta1_constructed":
         _need_inverse(fp, mp)
-
-        def at(x, order):
-            sa = sw * a_jet(x, order)
-            return [b_tilde_jet(x, fp, order)
-                    + sa * dlog_rho_jet(x, fp, mp, order), sa]
-
-        return LinDiffOp(1, at)
+        return conjugate(build("A", fp), lambda x, order: dlog_rho_jet(
+            x, fp, mp, order), -1)
     if which == "eta1_explicit":
         _need_inverse(fp, mp)
         al, be = mp.alpha, mp.beta
@@ -200,16 +195,13 @@ def build(which: str, fp: FactorizationParams,
 
 
 def infer_delta(mp: ModelParams, fp: FactorizationParams,
-                points: Sequence[float],
-                target: Callable[[np.ndarray], np.ndarray] | None = None,
-                ) -> tuple[float, float]:
+                points: Sequence[float]) -> tuple[float, float]:
     """Least-squares gauge constant for the printed zeroth-order coefficient.
 
     Finds the constant delta such that the zeroth coefficient of the
     metric-conjugated printed operator matches the general Hermitian
-    potential across the sample points.  ``target`` overrides the reference
-    values (used for synthetic round trips); it is called with the ndarray
-    of all the points.  Returns (delta, rms residual).
+    potential, evaluated once on the ndarray of all the sample points.
+    Returns (delta, rms residual).
     """
     _need_inverse(fp, mp)
     ob = mp.omega_bar
@@ -218,12 +210,11 @@ def infer_delta(mp: ModelParams, fp: FactorizationParams,
     # rounds twice and moves the fitted constant, which is rounding noise
     a2 = elementwise(lambda v: v**4, x)
     b1 = b1_jet(x, fp, mp, 1)
-    ref = (eval_potential(Side.MINUS, Form.GENERAL, x, fp, mp)
-           if target is None else target(x))
+    ref = eval_potential(Side.MINUS, Form.GENERAL, x, fp, mp)
 
     def misfit(delta: float) -> np.ndarray:
-        # zeroth coefficient of rho H(delta) rho^{-1} less the target:
-        # c1(delta) + b1^2/(4 ob a^2) - b1'/2 - target
+        # zeroth coefficient of rho H(delta) rho^{-1} less the general
+        # potential: c1(delta) + b1^2/(4 ob a^2) - b1'/2 - ref
         return (c1_jet(x, fp, mp, 0, delta=delta).value
                 + b1.value * b1.value / (4 * ob * a2)
                 - b1.derivative(1) / 2 - ref)

@@ -8,19 +8,19 @@ eigenfunctions are z^(gamma-1/2) exp(-t/2) L_n^(gamma-1)(t), t = oh z^2
 side (``phi_minus_jet``), in closed form z^(gamma+1/2) exp(-t/2) / (t + gamma)
 times -L^_(n+1)^(gamma)(t), the X1 exceptional Laguerre polynomial
 (C. Quesne, J. Phys. A 41, 392001 (2008)).  Every state is a ``Jet`` in z;
-callers read ``.value`` and ``.derivative(k)``.  n is a degree, or a range
-of degrees: the whole ladder is then one jet whose coefficients carry a
-leading degree axis (shape (len(n), points)), from one Laguerre recurrence
-(the closed minus state's L_(n-1) is the row before L_n), with log c and
-the sign (-1)^n as columns; each row is bit for bit its one-degree call.
-``j_integral`` gives the diagonal normalization integrals of the
-pre-transform states, z times the plus-side shape in Kummer form, against
-the printed closed form: each is t^gamma e^-t dt times a polynomial, which
-``numeric.quad_halfline``'s generalized Gauss-Laguerre rule takes exactly
-(a range of degrees from one ladder and one rule).  Each state and
-integrand is its Laguerre part times one envelope c z^p exp(-t/2), one exp
-of log c + p log z - t/2 with the ``math.lgamma`` norm in log c, so that no
-factor overflows alone.
+callers read ``.value`` and ``.derivative(k)``.  n is a range of degrees
+(``specialfn.check_degrees``; one degree k is range(k, k + 1)): the whole
+ladder is one jet whose coefficients carry a leading degree axis (shape
+(len(n), points)), from one Laguerre recurrence (the closed minus state's
+L_(n-1) is the row before L_n), with log c and the sign (-1)^n as columns;
+each row is bit for bit its one-row ladder.  ``j_integral`` gives the
+diagonal normalization integrals of the pre-transform states, z times the
+plus-side shape in Kummer form, against the printed closed form: each is
+t^gamma e^-t dt times a polynomial, which ``numeric.quad_halfline``'s
+generalized Gauss-Laguerre rule takes exactly (every degree from one ladder
+and one rule).  Each state and integrand is its Laguerre part times one
+envelope c z^p exp(-t/2), one exp of log c + p log z - t/2 with the
+``math.lgamma`` norm in log c, so that no factor overflows alone.
 At any order ``z`` may be an ndarray of points: the states are then
 evaluated on all of them at once, each element bit for bit its one-point
 value (see ``jets``), with numpy's floating-point warnings off.  Where t or
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError
 from .jets import Jet, any_nonpositive
 from .params import FactorizationParams
-from .specialfn import laguerre
+from .specialfn import check_degrees, laguerre
 
 
 def _log_ratio(n: int, gamma: float) -> float:
@@ -61,18 +61,11 @@ def _quiet(state):
     return quiet
 
 
-def _per_degree(f, n: int | range, z=0.0):
-    """f(n) for a degree n, or f(k) for each degree k of a range n as a
-    column against the points of z (one value per degree for one point)."""
-    if isinstance(n, range):
-        return np.array([f(k) for k in n], dtype=float).reshape(
-            (len(n),) + (1,) * np.ndim(z))
-    return f(n)
-
-
-def _take(n: int | range, rows: tuple) -> Jet:
-    """The jet of coefficient rows, or their one row for a degree n."""
-    return Jet(rows if isinstance(n, range) else tuple(c[0] for c in rows))
+def _per_degree(f, n: range, z=0.0) -> np.ndarray:
+    """f(k) for each degree k of n, as a column against the points of z
+    (one value per degree for one point)."""
+    return np.array([f(k) for k in n], dtype=float).reshape(
+        (len(n),) + (1,) * np.ndim(z))
 
 
 def _envelope(zj: Jet, t: Jet, log_c, p: float) -> Jet:
@@ -80,10 +73,10 @@ def _envelope(zj: Jet, t: Jet, log_c, p: float) -> Jet:
     return (log_c + p * zj.log() - 0.5 * t).exp()
 
 
-def _chi_jet(n: int | range, gamma: float, scale: float, z, log_c,
+def _chi_jet(n: range, gamma: float, scale: float, z, log_c,
              p: float, order: int) -> Jet:
     """c_k z^p exp(-t/2) L_k^(gamma-1)(t) with t = scale z^2 and
-    log c_k = log_c(k), for the degree n or each degree k of a range n."""
+    log c_k = log_c(k), for each degree k of n."""
     zj = Jet.variable(z, order)
     t = scale * zj**2
     return (_envelope(zj, t, _per_degree(log_c, n, z), p)
@@ -98,10 +91,11 @@ def energies_plus(fp: FactorizationParams, n_max: int) -> list[float]:
 
 
 @_quiet
-def phi_plus_jet(fp: FactorizationParams, n: int | range, z,
+def phi_plus_jet(fp: FactorizationParams, n: range, z,
                  order: int = 2) -> Jet:
-    """Plus-side eigenfunction of degree n, or the ladder of every degree of
-    a range n: one jet whose coefficients carry a leading degree axis."""
+    """Plus-side eigenfunctions of the degrees n: one jet whose
+    coefficients carry a leading degree axis."""
+    check_degrees(n)
     if any_nonpositive(z):
         raise DomainError("plus-side eigenfunction needs z > 0")
     g, oh = fp.gamma, fp.omega_hat
@@ -110,19 +104,20 @@ def phi_plus_jet(fp: FactorizationParams, n: int | range, z,
 
 
 @_quiet
-def phi_minus_jet(fp: FactorizationParams, n: int | range, z,
+def phi_minus_jet(fp: FactorizationParams, n: range, z,
                   method: str = "operator", order: int = 2) -> Jet:
-    """Minus-side eigenfunction of degree n, or the ladder of every degree
-    of a range n (one jet, as ``phi_plus_jet``).
+    """Minus-side eigenfunctions of the degrees n (one jet, as
+    ``phi_plus_jet``).
 
     methods: "operator" applies (-d/dz + w) to the plus-side eigenfunction;
     "closed" evaluates the X1 Laguerre closed form; "normalized" divides
     the operator construction by sqrt(E_n^+).
     """
+    check_degrees(n)
     if any_nonpositive(z):
         raise DomainError("minus-side eigenfunction needs z > 0")
     if method == "normalized":
-        energies = energies_plus(fp, n[-1] if isinstance(n, range) else n)
+        energies = energies_plus(fp, n[-1])
         return phi_minus_jet(fp, n, z, "operator", order) * _per_degree(
             lambda k: 1 / math.sqrt(energies[k]), n, z)
     if method == "operator":
@@ -137,13 +132,12 @@ def phi_minus_jet(fp: FactorizationParams, n: int | range, z,
         # the X1 exceptional Laguerre polynomial -L^_(k+1)^(gamma)(t) =
         # (t + gamma + 1) L_k^gamma(t) - L_(k-1)^gamma(t): L_(k-1) is the
         # row before L_k in one recurrence, and a zero row below k = 0
-        ks = n if isinstance(n, range) else range(n, n + 1)
-        rows = laguerre(range(max(ks.start - 1, 0), ks.stop), g, t).coeffs
-        if not ks.start:
+        rows = laguerre(range(max(n.start - 1, 0), n.stop), g, t).coeffs
+        if not n.start:
             rows = tuple(np.concatenate((np.zeros_like(c[:1]), c))
                          for c in rows)
-        bracket = ((t + (g + 1)) * _take(n, tuple(c[1:] for c in rows))
-                   - _take(n, tuple(c[:-1] for c in rows)))
+        bracket = ((t + (g + 1)) * Jet(tuple(c[1:] for c in rows))
+                   - Jet(tuple(c[:-1] for c in rows)))
         log_c = lambda k: _log_norm(k, g, oh) + math.log(2 * oh)
         return (_per_degree(lambda k: (-1) ** k, n, z)
                 * _envelope(zj, t, _per_degree(log_c, n, z), g + 0.5)
@@ -151,18 +145,19 @@ def phi_minus_jet(fp: FactorizationParams, n: int | range, z,
     raise ValueError(f"unknown method {method!r}")
 
 
-def j_integral(fp: FactorizationParams, n: int | range,
-               method: str = "quadrature") -> float | np.ndarray:
-    """Diagonal normalization integral of the pre-transform state of degree
-    n, or one per degree of a range n (an ndarray).
+def j_integral(fp: FactorizationParams, n: range,
+               method: str = "quadrature") -> np.ndarray:
+    """Diagonal normalization integrals of the pre-transform states of the
+    degrees n, one per degree.
 
-    "quadrature" integrates z^(2 gamma + 1) e^(-oh z^2) F_n^2 over (0, inf)
-    by the Gauss-Laguerre rule with alpha = gamma, exact at degree 2n: a
+    "quadrature" integrates z^(2 gamma + 1) e^(-oh z^2) F_k^2 over (0, inf)
+    by the Gauss-Laguerre rule with alpha = gamma, exact at degree 2k: the
     range takes one recurrence and one rule, exact at its top degree.
-    "closed" is the printed closed form (n + gamma)(n+1)! Gamma(gamma)
-    / (2 oh^(gamma+1) (gamma)_n); it keeps only the leading term of the exact
-    sum and is exact at n = 0 only.
+    "closed" is the printed closed form (k + gamma)(k+1)! Gamma(gamma)
+    / (2 oh^(gamma+1) (gamma)_k); it keeps only the leading term of the exact
+    sum and is exact at k = 0 only.
     """
+    check_degrees(n)
     g, oh = fp.gamma, fp.omega_hat
     if method == "closed":
         return _per_degree(lambda k: (
@@ -179,6 +174,5 @@ def j_integral(fp: FactorizationParams, n: int | range,
                            g + 0.5, 0).value
             return chi * chi
 
-        return quad_halfline(f, oh, g,
-                             2 * (n[-1] if isinstance(n, range) else n))
+        return quad_halfline(f, oh, g, 2 * n[-1])
     raise ValueError(f"unknown method {method!r}")

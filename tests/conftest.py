@@ -9,7 +9,10 @@ import pytest
 
 import swanson
 from swanson import verify
+from swanson.jets import Jet
 from swanson.params import ModelParams, solve_forward, solve_inverse
+from swanson.specialfn import laguerre
+from swanson.spectrum import j_integral, phi_minus_jet, phi_plus_jet
 
 # Reference forward solution used throughout the suite.
 PSTAR = dict(omega_bar=1.0, rho_q=1.0, d=1.0)
@@ -76,3 +79,34 @@ def random_box_points(count: int, seed: int) -> np.ndarray:
     states' bit-identity checks."""
     rng = np.random.default_rng(seed)
     return 10 ** rng.uniform(-4, np.log10(16), size=count)
+
+
+# One degree of the closed forms, which take a range of degrees only: row 0
+# of the one-row ladder range(n, n + 1).
+
+def row(ladder, i: int = 0):
+    """Row i of a ladder (a jet or an ndarray with a leading degree axis)."""
+    if isinstance(ladder, Jet):
+        return Jet(tuple(c[i] for c in ladder.coeffs))
+    return ladder[i]
+
+
+def laguerre_one(n: int, beta: float, t):
+    """L_n^beta(t) of the one degree n."""
+    return row(laguerre(range(n, n + 1), beta, t))
+
+
+def phi_plus(fp, n: int, z, order: int = 2) -> Jet:
+    """The plus state of the one degree n."""
+    return row(phi_plus_jet(fp, range(n, n + 1), z, order))
+
+
+def phi_minus(fp, n: int, z, method: str = "operator",
+              order: int = 2) -> Jet:
+    """The minus state of the one degree n."""
+    return row(phi_minus_jet(fp, range(n, n + 1), z, method, order))
+
+
+def j_one(fp, n: int, method: str = "quadrature") -> float:
+    """The diagonal normalization integral of the one degree n."""
+    return row(j_integral(fp, range(n, n + 1), method))

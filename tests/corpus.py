@@ -1,7 +1,7 @@
 """Byte-identity corpus: run a fixed set of CLI argv in-process and record
 what each one prints, so that two versions of the package can be compared.
 
-    PYTHONPATH=src python tests/corpus.py out.json          # the 99 argv
+    PYTHONPATH=src python tests/corpus.py out.json          # the 419 argv
     PYTHONPATH=src python tests/corpus.py out.json --grid   # and the 90 points
     python tests/corpus.py --diff before.json after.json
 
@@ -15,16 +15,19 @@ once those ids' rows are dropped and the documents re-serialized as the
 CLI writes them, each id's status changes (PASS -> FAIL and the like) with
 their argv, and the argv whose exit code changed.
 
-The 99 argv (97 distinct: the README's triple is the first frozen triple)
-are the default ``spectrum``, ``sweep`` and ``verify``, the inverse
+The 419 argv (417 distinct: the README's triple is the first frozen
+triple) are the default ``spectrum``, ``sweep`` and ``verify``, the inverse
 ``spectrum`` and ``verify`` of the README's triple, ``spectrum``,
 ``sweep`` and ``verify`` at each of the 27 corners omega_bar in
 {0.2, 1, 4}, rho_q in {0.1, 1, 3}, d in {0.2, 1, 3}, inverse
-``spectrum`` and ``verify`` at the five frozen triples, and ``spectrum``,
-``sweep`` and ``verify`` at one extreme point.  ``--grid`` adds ``verify
---n-max 2`` at omega_bar = 1 on the 10 x 9 grid of r = rho_q and
-omega_hat, with d = omega_hat / (3/2 + r).  pytest does not collect this
-file.
+``spectrum`` and ``verify`` at the five frozen triples, ``spectrum``,
+``sweep`` and ``verify`` at one extreme point, and 320 ``wavefunctions``:
+both sides, the n-lists of ``WAVE_N_LISTS`` and the grids of ``WAVE_GRIDS``
+(from 1e-300 to 1e300, and points z <= 0) at the default point, one box
+corner, r = 1e-30, omega_hat = 1e150 and the extreme point.  ``--grid``
+adds ``verify --n-max 2`` at omega_bar = 1 on the 10 x 9 grid of
+r = rho_q and omega_hat, with d = omega_hat / (3/2 + r).  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ EXTREME = ["--omega-bar", "6.68e-34", "--rho-q", "6.77e-52",
 GRID_R = (1e-30, 1e-20, 1e-12, 1e-8, 1e-4, 1e-2, 1.0, 10.0, 1e2, 1e3)
 GRID_OMEGA_HAT = (1e-150, 1e-100, 1e-30, 1e-6, 1.0, 1e6, 1e30, 1e100,
                   1e150)
+WAVE_N_LISTS = ("0", "1", "5", "17", "40", "200", "0,1,5", "3,2,2")
+WAVE_GRIDS = ("1e-300,1e-200,1e-30,1e-3,0.31,1,1.7,10,1e8,1e154,1e300",
+              "1e-30,1e-3,0.31,1,1.7,10", "-1,0,0.31,1,2.5", "0,-2")
+WAVE_POINTS = ([], ["--omega-bar", "0.2", "--rho-q", "3", "--d", "0.2"],
+               ["--rho-q", "1e-30", "--d", repr(1 / 1.5)],
+               ["--d", repr(1e150 / 2.5)], EXTREME)
 
 
 def _inverse(triple) -> list[str]:
@@ -54,7 +63,7 @@ def _inverse(triple) -> list[str]:
 
 
 def byte_identity_argv() -> list[list[str]]:
-    """The 99 argv of the byte-identity run."""
+    """The 419 argv of the byte-identity run."""
     from conftest import FEASIBLE_TRIPLES
 
     argv = [["spectrum"], ["sweep"], ["verify"]]
@@ -66,6 +75,9 @@ def byte_identity_argv() -> list[list[str]]:
     argv += [[cmd] + _inverse(t) for t in FEASIBLE_TRIPLES
              for cmd in ("spectrum", "verify")]
     argv += [[cmd] + EXTREME for cmd in ("verify", "spectrum", "sweep")]
+    argv += [["wavefunctions", "--side", side, "--n-list", ns, "--z-grid", z]
+             + point for side in ("plus", "minus") for ns in WAVE_N_LISTS
+             for z in WAVE_GRIDS for point in WAVE_POINTS]
     return argv
 
 

@@ -15,7 +15,7 @@ import swanson
 from swanson import verify
 from swanson.cli import DEFAULT_TOLS, main
 from swanson.verify import fmt as verify_fmt
-from conftest import FEASIBLE_TRIPLES, subprocess_env
+from conftest import FEASIBLE_TRIPLES, phi_minus, phi_plus, subprocess_env
 
 FEASIBLE = ["--omega", "0.0375710788598238",
             "--alpha", "-2.4421921617411186",
@@ -267,7 +267,6 @@ class TestWavefunctions:
         # equals the order-2 jet's bit for bit, and a state fails exactly
         # where the order-2 jet leaves the float range too
         import numpy as np
-        from swanson import spectrum
         from swanson.params import solve_forward
 
         zs = [1e-300, 1e-30, 1e-3, 0.31, 1.0, 1.7, 10.0, 1e8, 1e300]
@@ -282,8 +281,8 @@ class TestWavefunctions:
                     code, out, _ = run_main(
                         ["wavefunctions", "--side", side, "--n-list", str(n),
                          "--z-grid", ",".join(map(repr, z)), *flags], capsys)
-                    j = (spectrum.phi_plus_jet(fp, n, np.array(z), 2)
-                         if side == "plus" else spectrum.phi_minus_jet(
+                    j = (phi_plus(fp, n, np.array(z), 2)
+                         if side == "plus" else phi_minus(
                              fp, n, np.array(z), "normalized", 2))
                     v, dv = j.value, j.derivative(1)
                     finite = np.isfinite(v).all() and np.isfinite(dv).all()

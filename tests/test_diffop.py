@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from swanson import diffop
 from swanson.diffop import (LinDiffOp, build, compose, conjugate,
                             formal_adjoint, infer_delta, residual)
 from swanson.errors import ModeError
 from swanson.jets import Jet
-from swanson.potentials import (Form, Side, b1_jet, c1_jet, dlog_rho_jet,
-                                eval_potential)
+from swanson.potentials import (Form, Side, a_jet, b1_jet, b_tilde_jet,
+                                c1_jet, dlog_rho_jet, eval_potential)
 from conftest import SAMPLE_X, pointwise_hex, random_forward_sets
 
 
@@ -205,6 +206,19 @@ class TestMetricConjugation:
             hp = build("h_plus", fp)
             assert residual(conjugate(hp, dlr, -1), Hp, SAMPLE_X) <= 1e-9
 
+    @pytest.mark.parametrize("order", range(4))
+    def test_intertwiner_is_the_hand_expansion(self, order, inverse_sets):
+        # rho^-1 A rho = [b~ + sqrt(ob) a (log rho)', sqrt(ob) a]: conjugate's
+        # resummation does the hand expansion's arithmetic, bit for bit
+        x = np.array(SAMPLE_X)
+        for mp, fp, _ in inverse_sets:
+            sa = math.sqrt(fp.omega_bar) * a_jet(x, order)
+            want = [b_tilde_jet(x, fp, order)
+                    + sa * dlog_rho_jet(x, fp, mp, order), sa]
+            got = build("eta1_constructed", fp, mp).at(x, order)
+            assert [pointwise_hex(j, len(x)) for j in got] == [
+                pointwise_hex(j, len(x)) for j in want]
+
     def test_intertwiner_chain(self, inverse_sets):
         for mp, fp, _ in inverse_sets:
             e1 = build("eta1_constructed", fp, mp)
@@ -284,19 +298,22 @@ class TestOnePassEvaluation:
 
 
 class TestInferDelta:
-    def test_round_trip_recovers_injected_constant(self, inverse_sets):
+    def test_round_trip_recovers_injected_constant(self, inverse_sets,
+                                                   monkeypatch):
         mp, fp, _ = inverse_sets[0]
         delta0 = 0.37
         ob = mp.omega_bar
 
-        def target(x):
-            # zeroth coefficient of the metric-conjugated operator with the
-            # gauge constant delta0 injected
+        def target(side, form, x, fp, mp):
+            # in place of the general potential: the zeroth coefficient of
+            # the metric-conjugated operator with the gauge constant delta0
+            # injected
             b1 = b1_jet(x, fp, mp, 1)
             return (c1_jet(x, fp, mp, 0, delta=delta0).value
                     + b1.value**2 / (4 * ob * x**4) - b1.derivative(1) / 2)
 
-        delta, fit = infer_delta(mp, fp, SAMPLE_X, target=target)
+        monkeypatch.setattr(diffop, "eval_potential", target)
+        delta, fit = infer_delta(mp, fp, SAMPLE_X)
         assert delta == pytest.approx(delta0, abs=1e-8)
         assert fit < 1e-10
 
@@ -390,15 +407,16 @@ class TestGridOperators:
         T = op(lambda x, order: Jet.variable(x, order) * math.nan)
         assert math.isnan(residual(T, op(const(0.0)), SAMPLE_X))
 
-    def test_the_gauge_fit_calls_its_target_once_on_all_points(
-            self, inverse_sets):
+    def test_the_gauge_fit_evaluates_its_potential_once_on_all_points(
+            self, inverse_sets, monkeypatch):
         mp, fp, _ = inverse_sets[0]
+        want = infer_delta(mp, fp, SAMPLE_X)
         seen = []
 
-        def target(x):
-            seen.append(x.tolist())
-            return eval_potential(Side.MINUS, Form.GENERAL, x, fp, mp)
+        def counted(side, form, x, fp, mp):
+            seen.append((side, form, x.tolist()))
+            return eval_potential(side, form, x, fp, mp)
 
-        assert (infer_delta(mp, fp, SAMPLE_X, target=target)
-                == infer_delta(mp, fp, SAMPLE_X))
-        assert seen == [SAMPLE_X]
+        monkeypatch.setattr(diffop, "eval_potential", counted)
+        assert infer_delta(mp, fp, SAMPLE_X) == want
+        assert seen == [(Side.MINUS, Form.GENERAL, SAMPLE_X)]

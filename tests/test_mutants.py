@@ -166,8 +166,7 @@ MUTANTS = {
         _printed(Side.PLUS, Form.TRANSFORMED, "eval_potential_z"),
         _rows({"potential_transformed_plus"})),
     "dlog_rho_x1.001": (_scaled("dlog_rho_jet"), _rows(inverse={
-        "similarity_first_order", "partner_similarity",
-        "metric_intertwining"})),
+        "partner_similarity", "metric_intertwining"})),
     "b1_jet_x1.001": (_scaled("b1_jet"), _rows()),
 }
 

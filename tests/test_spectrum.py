@@ -11,11 +11,12 @@ from swanson import params
 from swanson.errors import DomainError
 from swanson.numeric import quad_halfline
 from swanson.params import solve_forward
+from swanson.specialfn import laguerre
 from swanson.potentials import Form, Side, eval_potential_z, w_of_z_jet
 from swanson.spectrum import (energies_plus, j_integral, phi_minus_jet,
                               phi_plus_jet)
-from conftest import (SAMPLE_Z, pointwise_hex, random_box_points,
-                      random_forward_sets)
+from conftest import (SAMPLE_Z, j_one, phi_minus, phi_plus, pointwise_hex,
+                      random_box_points, random_forward_sets, row)
 from reference import (GKPotential, energy_shift, gk_eigenvalues, gk_of,
                        j_diagonal_exact)
 
@@ -45,16 +46,16 @@ class TestHalflineOscillator:
 
     def test_wavefunction_leading_power(self, fp_star):
         # value ~ z^(gamma - 1/2) as z -> 0
-        r = (phi_plus_jet(fp_star, 0, 1e-4).value
-             / phi_plus_jet(fp_star, 0, 2e-4).value)
+        r = (phi_plus(fp_star, 0, 1e-4).value
+             / phi_plus(fp_star, 0, 2e-4).value)
         assert fp_star.gamma == pytest.approx(2.5)
         assert r == pytest.approx(0.5 ** (fp_star.gamma - 0.5), rel=1e-3)
 
     def test_harmonic_ground_state_shape(self, fp_star):
         # the ground state is z^(gamma - 1/2) exp(-oh z^2 / 2) up to its norm
         g, oh = fp_star.gamma, fp_star.omega_hat
-        v1 = phi_plus_jet(fp_star, 0, 1.0).value
-        v2 = phi_plus_jet(fp_star, 0, 2.0).value
+        v1 = phi_plus(fp_star, 0, 1.0).value
+        v2 = phi_plus(fp_star, 0, 2.0).value
         assert v2 / v1 == pytest.approx(2 ** (g - 0.5) * math.exp(-1.5 * oh),
                                         rel=1e-12)
 
@@ -65,14 +66,14 @@ class TestHalflineOscillator:
             gk = gk_of(fp)
             eps0 = gk_eigenvalues(gk, 0)[0]
             for z in SAMPLE_Z:
-                j = phi_plus_jet(fp, 0, z, order=2)
+                j = phi_plus(fp, 0, z, order=2)
                 res = (-j.derivative(2)
                        + (gk.A / z**2 + gk.B * z**2 - eps0) * j.value)
                 assert abs(res) <= 1e-9 * max(1.0, abs(eps0 * j.value))
 
     def test_nonpositive_point_rejected(self, fp_star):
         with pytest.raises(DomainError):
-            phi_plus_jet(fp_star, 0, 0.0)
+            phi_plus(fp_star, 0, 0.0)
 
 
 class TestEnergyLadder:
@@ -112,14 +113,14 @@ class TestPlusEigenfunctions:
     def test_reference_point_value(self, fp_star):
         c0 = math.sqrt(2 * 2.5**2.5 / math.gamma(2.5))
         assert c0 == pytest.approx(3.8556, rel=1e-4)
-        assert phi_plus_jet(fp_star, 0, 1.0).value == pytest.approx(
+        assert phi_plus(fp_star, 0, 1.0).value == pytest.approx(
             c0 * math.exp(-1.25), rel=1e-12)
-        assert phi_plus_jet(fp_star, 0, 1.0).value == pytest.approx(1.1047,
+        assert phi_plus(fp_star, 0, 1.0).value == pytest.approx(1.1047,
                                                                 rel=1e-4)
 
     def test_unit_norm_ground_state(self, fp_star):
         nrm = quad_halfline(
-            lambda z: phi_plus_jet(fp_star, 0, z, 0).value ** 2,
+            lambda z: phi_plus(fp_star, 0, z, 0).value ** 2,
             fp_star.omega_hat, fp_star.gamma - 1, 0)
         assert nrm == pytest.approx(1.0, abs=1e-10)
 
@@ -127,21 +128,21 @@ class TestPlusEigenfunctions:
         # the degree-1 polynomial factor vanishes at z = sqrt(gamma/omega_hat)
         z0 = math.sqrt(fp_star.gamma / fp_star.omega_hat)
         assert z0 == pytest.approx(1.0)
-        assert phi_plus_jet(fp_star, 1, z0).value == pytest.approx(0.0, abs=1e-12)
+        assert phi_plus(fp_star, 1, z0).value == pytest.approx(0.0, abs=1e-12)
 
     def test_node_counts(self, fp_star):
         zs = np.linspace(0.05, 4.0, 800)
         for n in range(4):
-            vals = [phi_plus_jet(fp_star, n, float(z)).value for z in zs]
+            vals = [phi_plus(fp_star, n, float(z)).value for z in zs]
             crossings = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)
             assert crossings == n
 
     @pytest.mark.parametrize("n", range(6))
     def test_eigen_residual(self, n, fp_star):
         E = energies_plus(fp_star, n)[n]
-        scale = max(abs(phi_plus_jet(fp_star, n, z, 0).value) for z in SAMPLE_Z)
+        scale = max(abs(phi_plus(fp_star, n, z, 0).value) for z in SAMPLE_Z)
         for z in SAMPLE_Z:
-            j = phi_plus_jet(fp_star, n, z, 2)
+            j = phi_plus(fp_star, n, z, 2)
             v = eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp_star)
             res = -j.derivative(2) + (v - E) * j.value
             assert abs(res) <= 1e-8 * abs(E) * scale
@@ -149,7 +150,7 @@ class TestPlusEigenfunctions:
     def test_unit_norm_excited_states(self, fp_star):
         for n in range(1, 6):
             nrm = quad_halfline(
-                lambda z: phi_plus_jet(fp_star, n, z, 0).value ** 2,
+                lambda z: phi_plus(fp_star, n, z, 0).value ** 2,
                 fp_star.omega_hat, fp_star.gamma - 1, 2 * n)
             assert nrm == pytest.approx(1.0, abs=1e-8)
 
@@ -157,33 +158,33 @@ class TestPlusEigenfunctions:
 class TestMinusEigenfunctions:
     def test_reference_ladder_application(self, fp_star):
         # lowering partner state at the reference point: (w(1)+1)*phi0 = 6*phi0
-        got = phi_minus_jet(fp_star, 0, 1.0, "operator").value
-        phi0 = phi_plus_jet(fp_star, 0, 1.0).value
+        got = phi_minus(fp_star, 0, 1.0, "operator").value
+        phi0 = phi_plus(fp_star, 0, 1.0).value
         assert got == pytest.approx(6.0 * phi0, rel=1e-12)
         assert got == pytest.approx(6.628, rel=1e-3)
 
     @pytest.mark.parametrize("n", range(6))
     def test_closed_form_equals_operator_form(self, n, fp_star):
         for z in SAMPLE_Z:
-            a = phi_minus_jet(fp_star, n, z, "operator").value
-            b = phi_minus_jet(fp_star, n, z, "closed").value
+            a = phi_minus(fp_star, n, z, "operator").value
+            b = phi_minus(fp_star, n, z, "closed").value
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
     def test_closed_form_across_parameters(self):
         for fp in random_forward_sets(6, seed=9):
             for n in range(4):
                 for z in SAMPLE_Z[::4]:
-                    a = phi_minus_jet(fp, n, z, "operator").value
-                    b = phi_minus_jet(fp, n, z, "closed").value
+                    a = phi_minus(fp, n, z, "operator").value
+                    b = phi_minus(fp, n, z, "closed").value
                     assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
     @pytest.mark.parametrize("n", range(6))
     def test_eigen_residual(self, n, fp_star):
         E = energies_plus(fp_star, n)[n]
-        scale = max(abs(phi_minus_jet(fp_star, n, z, "operator", 0).value)
+        scale = max(abs(phi_minus(fp_star, n, z, "operator", 0).value)
                     for z in SAMPLE_Z)
         for z in SAMPLE_Z:
-            j = phi_minus_jet(fp_star, n, z, "operator", 2)
+            j = phi_minus(fp_star, n, z, "operator", 2)
             v = eval_potential_z(Side.MINUS, Form.CANONICAL, z, fp_star)
             res = -j.derivative(2) + (v - E) * j.value
             assert abs(res) <= 1e-8 * abs(E) * scale
@@ -193,12 +194,12 @@ class TestMinusEigenfunctions:
         # (d/dz + w) applied to the normalized minus state returns
         # sqrt(E_n) times the plus state
         E = energies_plus(fp_star, n)[n]
-        scale = max(abs(phi_plus_jet(fp_star, n, z, 0).value) for z in SAMPLE_Z)
+        scale = max(abs(phi_plus(fp_star, n, z, 0).value) for z in SAMPLE_Z)
         for z in SAMPLE_Z:
-            lower = phi_minus_jet(fp_star, n, z, "normalized", order=1)
+            lower = phi_minus(fp_star, n, z, "normalized", order=1)
             w = w_of_z_jet(z, fp_star, 0).value
             raised = w * lower.value + lower.derivative(1)
-            target = math.sqrt(E) * phi_plus_jet(fp_star, n, z, 0).value
+            target = math.sqrt(E) * phi_plus(fp_star, n, z, 0).value
             assert abs(raised - target) <= 1e-8 * math.sqrt(E) * scale
 
     def test_normalized_state_has_unit_norm(self, fp_star):
@@ -207,7 +208,7 @@ class TestMinusEigenfunctions:
         for n in range(3):
             nrm = quad_halfline(
                 lambda zs: np.array([
-                    phi_minus_jet(fp_star, n, z, "normalized", 0).value ** 2
+                    phi_minus(fp_star, n, z, "normalized", 0).value ** 2
                     for z in zs.tolist()]),
                 fp_star.omega_hat, fp_star.gamma, 60)
             assert nrm == pytest.approx(1.0, abs=1e-8)
@@ -260,12 +261,12 @@ class TestScaleInvariance:
         fp = solve_forward(1.0, r, oh / (1.5 + r))
         z = np.sqrt(cls.T / fp.omega_hat)
         if name == "plus":
-            v = phi_plus_jet(fp, n, z, 0).value
+            v = phi_plus(fp, n, z, 0).value
         elif name == "closed":
-            v = (phi_minus_jet(fp, n, z, "closed", 0).value
+            v = (phi_minus(fp, n, z, "closed", 0).value
                  / math.sqrt(energies_plus(fp, n)[n]))
         else:
-            v = phi_minus_jet(fp, n, z, "normalized", 0).value
+            v = phi_minus(fp, n, z, "normalized", 0).value
         return fp, v * fp.omega_hat ** -0.25
 
     @pytest.mark.parametrize("name", ["plus", "closed", "normalized"])
@@ -291,15 +292,15 @@ class TestValueOnlyStates:
             for _ in range(60):
                 n = int(rng.integers(0, 41))
                 z = float(10 ** rng.uniform(-4, 1.2))
-                a, b = phi_plus_jet(fp, n, z, 0), phi_plus_jet(fp, n, z, 2)
+                a, b = phi_plus(fp, n, z, 0), phi_plus(fp, n, z, 2)
                 assert a.order == 0
                 assert a.value.hex() == b.value.hex()
 
     def test_order_zero_keeps_domain_check(self, fp_star):
         with pytest.raises(DomainError):
-            phi_plus_jet(fp_star, 0, 0.0, 0)
+            phi_plus(fp_star, 0, 0.0, 0)
         with pytest.raises(DomainError):
-            phi_plus_jet(fp_star, 0, np.array([0.5, 0.0, 1.0]), 0)
+            phi_plus(fp_star, 0, np.array([0.5, 0.0, 1.0]), 0)
 
     def test_node_arrays_equal_pointwise_values(self):
         # the quadratures pass all their nodes at once
@@ -307,19 +308,27 @@ class TestValueOnlyStates:
         for fp in random_forward_sets(4, seed=12):
             zs = np.sort(10 ** rng.uniform(-4, 1.2, size=64))
             for n in (0, 1, 5, 17, 40):
-                grid = phi_plus_jet(fp, n, zs, 0)
+                grid = phi_plus(fp, n, zs, 0)
                 assert grid.order == 0
                 assert [v.hex() for v in grid.value.tolist()] == [
-                    phi_plus_jet(fp, n, z, 0).value.hex()
+                    phi_plus(fp, n, z, 0).value.hex()
                     for z in zs.tolist()]
 
 
+# each state as a function of (fp, degrees, z, order)
 STATES = {
-    "phi_plus": lambda fp, n, z, order: phi_plus_jet(fp, n, z, order),
+    "phi_plus": phi_plus_jet,
     **{f"phi_minus_{method}": (
         lambda m: lambda fp, n, z, order: phi_minus_jet(fp, n, z, m, order))(
             method) for method in ("operator", "normalized", "closed")},
 }
+
+
+def _one(name):
+    """The state ``name`` of one degree n, as a function of (fp, n, z,
+    order)."""
+    return lambda fp, n, z, order: row(STATES[name](fp, range(n, n + 1), z,
+                                                     order))
 
 
 class TestArrayStates:
@@ -330,7 +339,7 @@ class TestArrayStates:
     @pytest.mark.parametrize("name", sorted(STATES))
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_grid_equals_pointwise_jets(self, name, order):
-        state = STATES[name]
+        state = _one(name)
         rng = np.random.default_rng(order)
         zs = random_box_points(24, seed=40 + order)
         for fp in random_forward_sets(3, seed=50 + order):
@@ -345,7 +354,7 @@ class TestArrayStates:
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_any_nonpositive_point_is_rejected(self, name, bad, fp_star):
         with pytest.raises(DomainError):
-            STATES[name](fp_star, 2, np.array([0.5, bad, 1.0]), 2)
+            _one(name)(fp_star, 2, np.array([0.5, bad, 1.0]), 2)
 
     @pytest.mark.parametrize("name", sorted(STATES))
     def test_out_of_range_points_are_flagged_as_one_point_runs_flag_them(
@@ -361,18 +370,20 @@ class TestArrayStates:
                      for h in row] for row in rows]
 
         zs = np.array([1e-300, 1e154, 1e300, 3.0])
-        one = in_range(pointwise_hex(STATES[name](fp_star, 2, z, 2), 1)[0]
+        state = _one(name)
+        one = in_range(pointwise_hex(state(fp_star, 2, z, 2), 1)[0]
                        for z in zs.tolist())
-        assert in_range(pointwise_hex(STATES[name](fp_star, 2, zs, 2),
+        assert in_range(pointwise_hex(state(fp_star, 2, zs, 2),
                                       len(zs))) == one
         assert one[1] == one[2] == ["out"] * 3 and "out" not in one[3]
 
 
 class TestLadders:
     """A range of degrees gives the whole ladder as one jet, each row bit
-    for bit the one-degree call's, also where t or 1/z leaves the float
-    range (1e300 and 1e-200): a row of degree k below the jet's order
-    takes zero at the orders above k, which its own pass never runs."""
+    for bit the one-row ladder range(k, k + 1)'s, also where t or 1/z
+    leaves the float range (1e300 and 1e-200): a row of degree k below the
+    jet's order takes zero at the orders above k, which its own pass never
+    runs."""
 
     ZS = np.array(SAMPLE_Z + [1e-200, 1e300])
 
@@ -389,12 +400,13 @@ class TestLadders:
             ladder = state(fp, degrees, self.ZS, order)
             assert [np.shape(c) for c in ladder.coeffs] == [
                 (len(degrees), len(self.ZS))] * (order + 1)
-            for row, n in enumerate(degrees):
-                one = state(fp, n, self.ZS, order)
-                assert [[v.hex() for v in c[row].tolist()]
+            for i, k in enumerate(degrees):
+                one = state(fp, range(k, k + 1), self.ZS, order)
+                assert [np.shape(c) for c in one.coeffs] == [
+                    (1, len(self.ZS))] * (order + 1)
+                assert [[v.hex() for v in c[i].tolist()]
                         for c in ladder.coeffs] == [
-                    [v.hex() for v in np.broadcast_to(
-                        c, self.ZS.shape).tolist()] for c in one.coeffs]
+                    [v.hex() for v in c[0].tolist()] for c in one.coeffs]
 
     def test_the_extreme_points_are_out_of_range(self, fp_star):
         # the points above pin the padding where coefficients are inf or
@@ -407,7 +419,31 @@ class TestLadders:
         ladder = phi_plus_jet(fp_star, range(4), 1.3, 2)
         assert [c.shape for c in ladder.coeffs] == [(4,)] * 3
         assert [ladder.value[n].hex() for n in range(4)] == [
-            phi_plus_jet(fp_star, n, 1.3, 2).value.hex() for n in range(4)]
+            phi_plus(fp_star, n, 1.3, 2).value.hex() for n in range(4)]
+
+
+class TestDegrees:
+    """The closed forms take a range of degrees only: an int degree, an
+    empty range, a negative start or a step other than 1 is the one
+    ValueError of ``specialfn.check_degrees``."""
+
+    CALLS = {
+        "laguerre": lambda fp, n: laguerre(n, 0.5, 1.0),
+        **{name: (lambda f: lambda fp, n: f(fp, n, 1.0, 1))(state)
+           for name, state in STATES.items()},
+        **{f"j_integral_{method}": (
+            lambda m: lambda fp, n: j_integral(fp, n, m))(method)
+           for method in ("quadrature", "closed")},
+    }
+
+    @pytest.mark.parametrize("n", [3, range(0), range(-1, 2), range(0, 4, 2)],
+                             ids=repr)
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_anything_but_a_range_of_degrees_is_refused(self, name, n,
+                                                        fp_star):
+        with pytest.raises(ValueError, match="^degrees must be a nonempty "
+                           "range n >= 0 with step 1, not "):
+            self.CALLS[name](fp_star, n)
 
 
 def _state_grid(fp, n):
@@ -471,8 +507,8 @@ class TestHighExcitedStates:
         for fp in (fp_star, *random_forward_sets(2, seed=17)):
             zs = _state_grid(fp, n)
             ref = _reference_states(fp, side, n, zs)
-            jets = [phi_plus_jet(fp, n, z) if side == "plus"
-                    else phi_minus_jet(fp, n, z, "normalized") for z in zs]
+            jets = [phi_plus(fp, n, z) if side == "plus"
+                    else phi_minus(fp, n, z, "normalized") for z in zs]
             got = [(j.value, j.derivative(1)) for j in jets]
             for col, name in enumerate(("value", "derivative")):
                 scale = max(abs(r[col]) for r in ref)
@@ -490,9 +526,9 @@ class TestNormalizationIntegrals:
     def test_ground_state_closed_form(self, fp_star):
         g, oh = fp_star.gamma, fp_star.omega_hat
         expected = math.gamma(g + 1) / (2 * oh ** (g + 1))
-        assert j_integral(fp_star, 0, "closed") == pytest.approx(
+        assert j_one(fp_star, 0, "closed") == pytest.approx(
             expected, rel=1e-13)
-        assert j_integral(fp_star, 0, "quadrature") == pytest.approx(
+        assert j_one(fp_star, 0, "quadrature") == pytest.approx(
             expected, rel=1e-10)
 
     @pytest.mark.parametrize("n", [0] + [
@@ -507,19 +543,19 @@ class TestNormalizationIntegrals:
         provably wrong beyond it (relative gap 5/9 already at n=1); the
         excited cases are strict expected failures so any behavior change is
         flagged."""
-        q = j_integral(fp_star, n, "quadrature")
-        closed = j_integral(fp_star, n, "closed")
+        q, closed = (j_integral(fp_star, range(n, n + 1), method)[0]
+                     for method in ("quadrature", "closed"))
         assert abs(q - closed) <= 1e-8 * abs(q)
 
     @pytest.mark.parametrize("n", range(6))
     def test_exact_diagonal_matches_quadrature(self, n, fp_star):
-        q = j_integral(fp_star, n, "quadrature")
+        q = j_one(fp_star, n, "quadrature")
         exact = j_diagonal_exact(fp_star, n)
         assert abs(q - exact) <= 1e-10 * abs(q)
 
     def test_one_recurrence_per_integral(self, monkeypatch, fp_star):
-        # a degree builds its state once and squares it; a range takes every
-        # degree from one recurrence and one rule
+        # one degree builds its state once and squares it; a longer range
+        # takes every degree from one recurrence and one rule
         from swanson import numeric, spectrum
 
         plain, calls = spectrum.laguerre, []
@@ -535,8 +571,8 @@ class TestNormalizationIntegrals:
 
         monkeypatch.setattr(spectrum, "laguerre", counted)
         monkeypatch.setattr(numeric, "quad_halfline", counted_rule)
-        j_integral(fp_star, 3, "quadrature")
-        assert calls == [3]
+        j_one(fp_star, 3, "quadrature")
+        assert calls == [range(3, 4)]
         assert len(j_integral(fp_star, range(1, 6), "quadrature")) == 5
         assert calls[1:] == [range(1, 6)]
         g, oh = fp_star.gamma, fp_star.omega_hat
@@ -550,9 +586,9 @@ class TestNormalizationIntegrals:
         degrees = range(1, 6)
         closed = j_integral(fp, degrees, "closed")
         assert [x.hex() for x in closed] == [
-            j_integral(fp, n, "closed").hex() for n in degrees]
+            j_one(fp, n, "closed").hex() for n in degrees]
         quad = j_integral(fp, degrees, "quadrature")
-        one = np.array([j_integral(fp, n, "quadrature") for n in degrees])
+        one = np.array([j_one(fp, n, "quadrature") for n in degrees])
         assert np.all(abs(quad - one) <= 1e-13 * abs(one))
 
     def test_quadrature_is_exact_to_n_20(self, fp_star):
@@ -561,7 +597,7 @@ class TestNormalizationIntegrals:
         # gamma = 2.5 and at gamma = 101.5
         for fp in (fp_star, solve_forward(1.0, 100.0, 1.0 / 101.5)):
             for n in range(21):
-                q = j_integral(fp, n, "quadrature")
+                q = j_one(fp, n, "quadrature")
                 assert q == pytest.approx(j_diagonal_exact(fp, n), rel=1e-12)
 
 
@@ -583,5 +619,5 @@ class TestPrintedConstantsAtHighN:
     @pytest.mark.parametrize("n", [5, 169, 170, 200])
     def test_against_extended_precision(self, n, fp_star):
         for fp in (fp_star, *random_forward_sets(3, seed=23)):
-            assert j_integral(fp, n, "closed") == pytest.approx(
+            assert j_one(fp, n, "closed") == pytest.approx(
                 self._printed(fp, n), rel=1e-12)
