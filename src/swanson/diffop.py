@@ -8,7 +8,9 @@ adjoints and metric conjugations are done at the coefficient level: each
 evaluates its operands once per call and combines their jets, and
 ``residual`` compares two operators with one ``at`` call each on all the
 sample points; for the rational coefficients in this model that comparison
-is decisive without a symbolic engine.
+is decisive without a symbolic engine.  ``leibniz`` and ``gap`` are the
+product and the comparison over coefficient jets already evaluated, so that
+an operand read by two products is evaluated once.
 
 Evaluating an operand to a higher order than a term needs is exact: in
 truncated jet arithmetic coefficient k is computed from coefficients <= k
@@ -50,23 +52,25 @@ class LinDiffOp:
     at: Callable[[float | np.ndarray, int], list[Jet]]
 
 
+def leibniz(t: list[Jet], s: list[Jet], order: int) -> list[Jet]:
+    """The coefficient jets of T o S to ``order`` by the Leibniz expansion,
+    from T's coefficient jets t, to ``order``, and S's s, to ``order`` plus
+    T's order, evaluated at the same points."""
+    # result_m = sum over i, j, k<=i with i-k+j = m of C(i,k) t_i s_j^(k)
+    # s_j^(k) for every k <= T's order, each shifted once
+    shifted = [[sj.shift(k) for k in range(len(t))] for sj in s]
+    out = [Jet.const(0.0, order)] * (len(t) + len(s) - 1)
+    for i, ti in enumerate(t):
+        for j, sjk in enumerate(shifted):
+            for k in range(i + 1):
+                out[i - k + j] = out[i - k + j] + comb(i, k) * (ti * sjk[k])
+    return out
+
+
 def compose(T: LinDiffOp, S: LinDiffOp) -> LinDiffOp:
     """Operator product T o S via the Leibniz expansion."""
-
-    def at(x: float, order: int) -> list[Jet]:
-        # result_m = sum over i, j, k<=i with i-k+j = m of C(i,k) t_i s_j^(k)
-        t, s = T.at(x, order), S.at(x, order + T.order)
-        # s_j^(k) for every k <= T.order, each shifted once
-        shifted = [[sj.shift(k) for k in range(T.order + 1)] for sj in s]
-        out = [Jet.const(0.0, order)] * (T.order + S.order + 1)
-        for i, ti in enumerate(t):
-            for j, sjk in enumerate(shifted):
-                for k in range(i + 1):
-                    out[i - k + j] = (out[i - k + j]
-                                      + comb(i, k) * (ti * sjk[k]))
-        return out
-
-    return LinDiffOp(T.order + S.order, at)
+    return LinDiffOp(T.order + S.order, lambda x, order: leibniz(
+        T.at(x, order), S.at(x, order + T.order), order))
 
 
 def formal_adjoint(T: LinDiffOp) -> LinDiffOp:
@@ -112,6 +116,13 @@ def conjugate(T: LinDiffOp, dlog_rho: CoeffFn, sign: int) -> LinDiffOp:
     return LinDiffOp(T.order, at)
 
 
+def gap(t: list[Jet], s: list[Jet]) -> float:
+    """Max relative discrepancy of the values of S's coefficient jets s
+    against T's t (a NaN gap is a NaN)."""
+    return max_rel_gap(zip_longest([c.value for c in s], [c.value for c in t],
+                                   fillvalue=0.0))
+
+
 def residual(T: LinDiffOp, S: LinDiffOp, points: Sequence[float]) -> float:
     """Max relative coefficient discrepancy over the sample points, each
     operator evaluated once on all of them (an overflow gives inf, a NaN
@@ -119,8 +130,7 @@ def residual(T: LinDiffOp, S: LinDiffOp, points: Sequence[float]) -> float:
     x = np.asarray(points, dtype=float)
     with np.errstate(all="ignore"):
         s, t = S.at(x, 0), T.at(x, 0)
-    return max_rel_gap(zip_longest([c.value for c in s], [c.value for c in t],
-                                   fillvalue=0.0))
+    return gap(t, s)
 
 
 # ---------------------------------------------------------------------------

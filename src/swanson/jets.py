@@ -107,6 +107,12 @@ class Jet:
             raise IndexError(f"jet of order {self.order} has no derivative {k}")
         return self.coeffs[k] * math.factorial(k)
 
+    def truncate(self, order: int) -> "Jet":
+        """The jet to a lower ``order``: in truncated arithmetic coefficient
+        k comes from coefficients <= k alone, so these are the coefficients
+        an evaluation to ``order`` gives, bit for bit."""
+        return Jet(self.coeffs[:order + 1])
+
     def shift(self, m: int) -> "Jet":
         """Jet of the m-th derivative (loses m orders of Taylor data)."""
         if m == 0:

@@ -17,12 +17,14 @@ from ``eigvalsh``), basis functions that vanish as z at the origin, and a
 kinetic matrix in closed form, built once per N.  Every dense eigensolve of
 up to 360 rows runs with numpy's OpenBLAS held to one thread
 (``_one_blas_thread``): below that size a second thread saves no time and
-spins after each call; larger solves keep numpy's threads.  At k = 4 one
-solve on 120 nodes and its half on 60 take about 0.8 ms per side on a
-2-vCPU host, against about 17 ms for the FD oracle below; over the 27 box
-corners and the five frozen inverse triples the mesh is within 4.2e-7 of the
-closed-form levels on both sides (FD: 1.6e-6).  Where the well is narrow
-beside its distance from the origin it is coarse: at
+spins after each call; larger solves keep numpy's threads.  V is called
+twice: once on the scans' window of points 2^j, |j| <= 16 (``_scanned``),
+and once on the nodes of the mesh and its half together.  At k = 4 the
+scans, one solve on 120 nodes and its half on 60 take about 0.65 ms per
+side on a 2-vCPU host, against about 17 ms for the FD oracle below; over
+the 27 box corners and the five frozen inverse triples the mesh is within
+4.2e-7 of the closed-form levels on both sides (FD: 1.6e-6).  Where the
+well is narrow beside its distance from the origin it is coarse: at
 r = rho_q / sqrt(omega_bar) = 100 the 120-node levels are off by up to
 1.8e-4, at r = 1000 by up to 4.8e-3.
 
@@ -30,11 +32,12 @@ The finite-difference oracle (``fd_levels``: a log mesh in a box read off V
 alone, the k lowest levels of its tridiagonal pencil by Sturm-sequence
 bisection, Richardson extrapolation over grid refinements) is the mesh's
 independent reference in the tests; no command runs it.  Both oracles read
-V's scale from the same scans (``_well``, ``_first_above``).  The k levels
-bisect in lock step, each counting its own midpoint; the Sturm count is a
-scalar Python loop over all the rows with one comparison per pivot, which
-avoids LAPACK's ``stebz`` through scipy, whose import costs about 25 MB of
-resident memory and 0.3-0.5 s in a fresh interpreter.
+V's scale from the same scans (``_well``, ``_first_above``) through the
+same window.  The k levels bisect in lock step, each counting its own
+midpoint; the Sturm count is a scalar Python loop over all the rows with
+one comparison per pivot, which avoids LAPACK's ``stebz`` through scipy,
+whose import costs about 25 MB of resident memory and 0.3-0.5 s in a fresh
+interpreter.
 """
 
 from __future__ import annotations
@@ -216,10 +219,34 @@ def refine_extrapolate(V: Potential, k: int, grids: Sequence[int],
 _SCAN_LIMIT = 2.0**480
 
 
+# The scans visit only the points 2^j.  Over the 27 box corners, the five
+# frozen inverse triples and 300 seeded box points, k in {3, 4, 40}, they
+# reach j in [-4, 9] with 7 to 14 one-point calls of about 20 us each; one
+# call of a canonical potential on the 2 * 16 + 1 points 2^-16 .. 2^16 takes
+# about 48 us on a 2-vCPU host (46 us on 17 points, 50 us on 65)
+_WINDOW = 16
+
+
+def _scanned(V: Potential) -> Potential:
+    """V for the scans: at the window's points 2^j, |j| <= ``_WINDOW``, the
+    samples of one call of V on all of them, taken with numpy's warnings
+    off, and elsewhere V's one-point call.  When that call raises, the scans
+    read V one point at a time, so that they meet only the errors of the
+    points they reach."""
+    z = np.ldexp(1.0, np.arange(-_WINDOW, _WINDOW + 1))
+    try:
+        with np.errstate(all="ignore"):
+            v = np.broadcast_to(np.asarray(V(z), dtype=float), z.shape)
+    except Exception:
+        return V
+    window = dict(zip(z.tolist(), v.tolist()))
+    return lambda t: window[t] if t in window else V(t)
+
+
 def _samples(V: Potential, z: float, step: float):
     """(z step^j, V there) for j = 1, 2, ... within the scan's range, one
     point at a time, so the scan meets only the errors of points it
-    reaches."""
+    reaches (``_scanned`` serves the window's points from one call)."""
     while True:
         z *= step
         if not 1 / _SCAN_LIMIT <= z <= _SCAN_LIMIT:
@@ -265,11 +292,13 @@ def fd_box(V: Potential, k: int, grids: Sequence[int],
     z_max.  Meant for potentials whose least value and levels are positive,
     as those of the canonical pair are.
     """
-    z_v, v_min = _well(V)
+    scan = _scanned(V)
+    z_v, v_min = _well(scan)
     z_min = 1e-7 * z_v
     coarse = tridiag_eigs(fd_discretize(
-        V, z_min, _first_above(V, z_v, 64 * v_min), refinement(grids)[0]), k)
-    return z_min, _first_above(V, z_v, 4 * coarse[-1])
+        V, z_min, _first_above(scan, z_v, 64 * v_min), refinement(grids)[0]),
+        k)
+    return z_min, _first_above(scan, z_v, 4 * coarse[-1])
 
 
 def fd_levels(V: Potential, k: int, grids: Sequence[int],
@@ -415,16 +444,15 @@ def _laguerre_mesh(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, t
 
 
-def _mesh_solve(V: Potential, k: int, n: int, z_top: float) -> np.ndarray:
-    """The k lowest eigenvalues of T / h^2 + diag V(h x_i) on the n-point
-    mesh scaled so that its top node sits at z_top.  ``V`` is called once,
-    on all the nodes, with numpy's floating-point warnings off; a sample or
-    matrix entry that is not finite is a FloatingPointError, before LAPACK
-    sees it."""
+def _mesh_solve(v: np.ndarray, k: int, z_top: float) -> np.ndarray:
+    """The k lowest eigenvalues of T / h^2 + diag v on the mesh of len(v)
+    nodes scaled so that its top node sits at z_top, v the samples of V at
+    its nodes h x_i; a sample or matrix entry that is not finite is a
+    FloatingPointError, before LAPACK sees it."""
+    n = len(v)
     x, t = _laguerre_mesh(n)
     h = z_top / x[-1]
     with np.errstate(all="ignore"):
-        v = np.broadcast_to(np.asarray(V(h * x), dtype=float), x.shape)
         hamiltonian = t * (1.0 / (h * h))
         hamiltonian[np.diag_indices(n)] += v
     if not np.all(np.isfinite(hamiltonian)):
@@ -442,7 +470,9 @@ def mesh_levels(V: Potential, k: int) -> tuple[list[float], float]:
 
     The scale is read off V alone: ``_well`` finds V's least value v_min
     and its position z_v, and the top node sits where V first exceeds
-    16 k v_min beyond z_v (``_first_above``).  Meant for potentials whose
+    16 k v_min beyond z_v (``_first_above``), both scans through
+    ``_scanned``.  V is then called once on the nodes of both meshes, with
+    numpy's floating-point warnings off.  Meant for potentials whose
     least value and levels are positive, as those of the canonical pair
     are.  Raises NonConvergent when the observed error exceeds
     ``MESH_GATE``; the levels are deterministic, bit for bit.
@@ -450,11 +480,15 @@ def mesh_levels(V: Potential, k: int) -> tuple[list[float], float]:
     if not 1 <= k <= MESH_MAX_LEVELS:
         raise ValueError(f"the mesh solves 1 to {MESH_MAX_LEVELS} levels, "
                          f"not {k}")
-    z_v, v_min = _well(V)
-    z_top = _first_above(V, z_v, 16 * k * v_min)
+    scan = _scanned(V)
+    z_v, v_min = _well(scan)
+    z_top = _first_above(scan, z_v, 16 * k * v_min)
     n = mesh_size(k)
-    levels = _mesh_solve(V, k, n, z_top)
-    half = _mesh_solve(V, k, n // 2, z_top)
+    nodes = [z_top / x[-1] * x for x, _ in map(_laguerre_mesh, (n, n // 2))]
+    with np.errstate(all="ignore"):
+        v = np.broadcast_to(np.asarray(V(np.concatenate(nodes)), dtype=float),
+                            (n + n // 2,))
+    levels, half = (_mesh_solve(s, k, z_top) for s in np.split(v, [n]))
     with np.errstate(all="ignore"):
         error = float(np.max(abs(half - levels) / abs(levels)))
     if not error <= MESH_GATE:

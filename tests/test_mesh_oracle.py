@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import FEASIBLE_TRIPLES
+from corpus import GRID_OMEGA_HAT, GRID_R
 from reference import GKPotential, gk_eigenvalues
 
 from swanson import numeric, verify
@@ -115,26 +116,32 @@ def test_no_spurious_refusal_at_the_narrowest_corners(d):
         assert error <= numeric.MESH_GATE
 
 
-def test_the_potential_is_sampled_once_per_mesh_on_all_its_nodes():
+def test_the_potential_is_read_in_two_calls_the_window_and_both_meshes():
+    # every point the scans visit at a box point lies in the window, so V is
+    # called twice: on the window 2^-16 .. 2^16, then on the 120 nodes and
+    # the 60 of the half mesh at once, both topped at the same node
     fp = solve_forward(1.0, 1.0, 1.0)
-    shapes = []
+    calls = []
 
     def V(z):
-        if isinstance(z, np.ndarray):
-            shapes.append(z.shape)
+        calls.append(z)
         return eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp)
 
     numeric.mesh_levels(V, 3)
-    assert shapes == [(120,), (60,)]
+    assert [np.shape(z) for z in calls] == [(2 * numeric._WINDOW + 1,),
+                                            (120 + 60,)]
+    assert calls[0].tolist() == [2.0**j for j in range(-16, 17)]
+    assert calls[1][119] == calls[1][-1]
 
 
 def _oscillator_with(bad):
-    # A/z^2 + B z^2, with the value at one mesh node replaced
+    # A/z^2 + B z^2, with the value at one mesh node replaced: the middle
+    # one of the 120 + 60 nodes that mesh_levels(V, 4) samples at once
     gk = GKPotential(A=2.0, B=1.5)
 
     def V(z):
         v = gk.A / (z * z) + gk.B * z * z
-        if isinstance(z, np.ndarray):
+        if np.shape(z) == (180,):
             v[len(v) // 2] = bad
         return v
 
@@ -165,6 +172,63 @@ def test_the_scan_meets_only_the_errors_it_reaches():
     assert levels == pytest.approx(gk_eigenvalues(gk, 3), rel=1e-12)
     with pytest.raises(OverflowError, match="past 2.0"):
         numeric.mesh_levels(V_failing_beyond(2.0), 4)
+
+
+# verify --n-max 2 on the r x omega_hat grid of tests/corpus.py
+GRID = [(1.0, r, oh / (1.5 + r)) for r in GRID_R for oh in GRID_OMEGA_HAT]
+
+
+def _scan_and_levels(V, k):
+    """float.hex of z_v, v_min, z_top, the levels and their observed error,
+    or the error met on the way."""
+    try:
+        scan = numeric._scanned(V)
+        z_v, v_min = numeric._well(scan)
+        z_top = numeric._first_above(scan, z_v, 16 * k * v_min)
+        levels, error = numeric.mesh_levels(V, k)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [x.hex() for x in (z_v, v_min, z_top, *levels, error)]
+
+
+@pytest.mark.parametrize("point, k", [(p, 4) for p in CORNERS
+                                      + FEASIBLE_TRIPLES]
+                         + [(p, 3) for p in GRID])
+def test_the_window_gives_the_one_point_scan_bit_for_bit(point, k,
+                                                         monkeypatch):
+    fp = _fp(point)
+    sampled = [_scan_and_levels(_potential(fp, side), k) for side in Side]
+    monkeypatch.setattr(numeric, "_scanned", lambda V: V)
+    assert [_scan_and_levels(_potential(fp, side), k)
+            for side in Side] == sampled
+
+
+def test_a_window_point_the_scan_never_reaches_may_raise():
+    # the window call raises at 2^16, beyond the top node near z = 4; the
+    # scans then read V one point at a time, and the levels are the same
+    gk = GKPotential(A=2.0, B=1.5)
+
+    def at(t):
+        return gk.A / t**2 + gk.B * t**2
+
+    def raising_at_the_window_top(t):
+        if t == 2.0**numeric._WINDOW:
+            raise OverflowError("at the window's top")
+        return at(t)
+
+    calls = []
+
+    def V(z):
+        calls.append(np.shape(z))
+        return elementwise(raising_at_the_window_top, z)
+
+    levels, error = numeric.mesh_levels(V, 4)
+    want, want_error = numeric.mesh_levels(lambda z: elementwise(at, z), 4)
+    assert [x.hex() for x in levels + [error]] == [
+        x.hex() for x in want + [want_error]]
+    assert calls[0] == (2 * numeric._WINDOW + 1,)
+    assert calls[1:-1] and set(calls[1:-1]) == {()}
+    assert calls[-1] == (180,)
 
 
 @pytest.mark.parametrize("k", [0, numeric.MESH_MAX_LEVELS + 1])
@@ -262,7 +326,8 @@ def test_solves_up_to_the_cut_run_on_one_blas_thread(k, threads, blas_threads,
     numeric._laguerre_mesh.cache_clear()
     numeric.mesh_levels(_potential(solve_forward(1.0, 1.0, 1.0), Side.PLUS),
                         k)
-    assert seen == [(n, t) for n, t in threads.items() for _ in range(2)]
+    # the nodes of both sizes first, then the two solves
+    assert seen == list(threads.items()) * 2
     assert blas_threads() == 2
 
 

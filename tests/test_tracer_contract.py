@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FEASIBLE_TRIPLES
 from swanson import cli
 from swanson.jets import Jet
 
@@ -46,15 +47,19 @@ def test_the_driver_entry_points_exist():
 
 
 def test_a_traced_run_counts_the_layers_and_restores_them(tracing):
-    # the tracer still wraps the FD functions, which no command reaches
+    # the tracer still wraps the FD functions, which no command reaches; an
+    # inverse verify reaches diffop.residual (sweep and the forward rows
+    # take their products from evaluated coefficient jets)
     from swanson import numeric
     plain = numeric.refine_extrapolate
+    om, al, be = FEASIBLE_TRIPLES[0]
     tracer = tracing.Tracer()
     tracer.install()
     try:
         tracer.begin_case()
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["sweep", "--steps", "1"])
+            rc = cli.main(["verify", "--mode", "inverse", "--omega", repr(om),
+                           "--alpha", repr(al), "--beta", repr(be)])
         counts = tracer.end_case(1.0)
     finally:
         tracer.uninstall()

@@ -1,6 +1,7 @@
 """The check table of ``swanson verify``: ids, tolerances and the runner."""
 
 import ast
+import itertools
 import json
 import math
 import warnings
@@ -56,7 +57,6 @@ def test_no_identity_row_reads_zero_everywhere(inverse_sets):
     # a row that holds by construction reads 0 at every point and measures
     # nothing: each forward row is nonzero at some corner of the box, each
     # inverse-only row at some frozen triple
-    import itertools
     from swanson.cli import RunConfig
     from swanson.params import solve_forward
 
@@ -65,12 +65,10 @@ def test_no_identity_row_reads_zero_everywhere(inverse_sets):
                 for e in verify.run(RunConfig(), fp, mp)[0]
                 if float(e["residual"]) != 0}
 
-    corners = itertools.product((0.2, 1.0, 4.0), (0.1, 1.0, 3.0),
-                                (0.2, 1.0, 3.0))
     inverse = {name for row in verify.ROWS if row.inverse_only
                and row.tol is not None for name in row.names}
     assert set(DEFAULT_TOLS) - inverse - nonzero(
-        (solve_forward(*p), None) for p in corners) == set()
+        (solve_forward(*p), None) for p in CORNERS) == set()
     assert inverse - nonzero((fp, mp) for mp, fp, _ in inverse_sets) == set()
 
 
@@ -153,6 +151,39 @@ def test_sweep_residual_is_the_larger_factorization_residual(tmp_path):
     larger = max(by_id["factorization_minus"], by_id["factorization_plus"])
     assert float(row[header.index("max_identity_residual")]) == larger
     assert larger > 0
+
+
+CORNERS = list(itertools.product((0.2, 1.0, 4.0), (0.1, 1.0, 3.0),
+                                 (0.2, 1.0, 3.0)))
+
+
+def test_factorization_rows_equal_the_composed_residuals(inverse_sets):
+    # A and A-dagger evaluated once, to order 1, give the residuals of the
+    # composed operators bit for bit, at the corners and the frozen triples
+    from swanson import diffop
+    from swanson.params import solve_forward
+
+    for fp in [solve_forward(*p) for p in CORNERS] + [
+            fp for _, fp, _ in inverse_sets]:
+        A, Ad, hm, hp = verify.ladder_operators(fp)
+        want = (diffop.residual(hm, diffop.compose(Ad, A), verify.SAMPLE_X),
+                diffop.residual(hp, diffop.compose(A, Ad), verify.SAMPLE_X))
+        got = verify.factorization_residuals(A, Ad, hm, hp)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_the_intertwining_row_equals_the_composed_residual(inverse_sets):
+    # eta1 evaluated once, to order 2, gives the residual of the composed
+    # operators bit for bit at the frozen triples
+    from swanson import diffop
+    from swanson.cli import RunConfig
+
+    row = next(row for row in verify.ROWS if row.ids == "metric_intertwining")
+    for mp, fp, _ in inverse_sets:
+        r = verify._Run(RunConfig(), fp, mp)
+        want = diffop.residual(diffop.compose(r.e1, r.Hm),
+                               diffop.compose(r.Hp, r.e1), verify.SAMPLE_X)
+        assert row.fn(r).hex() == want.hex()
 
 
 def test_the_gram_row_is_exact():
@@ -421,7 +452,8 @@ def test_every_row_evaluates_its_sample_points_in_one_call(monkeypatch,
             return fn(side, form, x, *args)
 
         monkeypatch.setattr(verify, name, spy)
-    # the mesh oracle scans V one point at a time by design; it is left out
+    # the mesh oracle samples V on its own points, the scans' window and the
+    # nodes of both meshes (tests/test_mesh_oracle.py); it is left out
     monkeypatch.setattr(verify, "numeric_levels",
                         lambda fp, side, k: (spectrum.energies_plus(
                             fp, k - 1), 0.0))
