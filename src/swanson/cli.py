@@ -193,8 +193,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     fp, _, _ = _solve_params(cfg)
     k = cfg.n_max + 1
-    (ep, _), (em, _) = (verify.numeric_levels(fp, side, k)
-                        for side in (Side.PLUS, Side.MINUS))
+    ep, em = (verify.numeric_levels(fp, side, k).levels
+              for side in (Side.PLUS, Side.MINUS))
     analytic = spectrum.energies_plus(fp, cfg.n_max)
     rows = []
     for n in range(k):
@@ -270,7 +270,7 @@ def _sweep_one(cfg: RunConfig, value: float):
         stage = "analytic"
         analytic = spectrum.energies_plus(fp, 2)
         stage = "mesh"
-        ep, _ = verify.numeric_levels(fp, Side.PLUS, 3)
+        ep = verify.numeric_levels(fp, Side.PLUS, 3).levels
         stage = "identity"
         res = max(verify.factorization_residuals(
             *verify.ladder_operators(fp)))

@@ -1,43 +1,30 @@
 """Independent numerical oracles.
 
-The one spectral oracle of the commands (``mesh_levels``: the k lowest
+The one spectral oracle of the commands, ``mesh_levels``: the k lowest
 levels of -d^2/dz^2 + V(z) on the half line from one dense ``eigvalsh`` on
-a regularized Lagrange-Laguerre mesh whose scale is read off V alone, with
-the observed error against the half mesh), the one quadrature rule
-(``quad_halfline``: generalized Gauss-Laguerre in t = omega_hat z^2, exact
-for a polynomial times t^alpha e^-t, the integrand sampled on all its nodes
-in one call, one integrand or a whole array of them such as a Gram matrix),
-and the relative gap the identity checks reduce to and the one maximum they
-all reduce with (``worst``: a NaN anywhere makes it NaN, so the check
-fails).  Nothing here reuses the closed-form machinery it checks.
+a Gauss-rule Galerkin mesh in t = s z^2, in the basis of the radial
+oscillator l(l + 1) / z^2 + s^2 z^2 read off V's two asymptotes, with the
+observed error against a smaller partner mesh.  It is exact for an isotonic
+V at any size.  The one quadrature rule, ``quad_halfline``: generalized
+Gauss-Laguerre in t = omega_hat z^2, the integrand sampled on all its nodes
+in one call.  Both take their nodes from one Laguerre rule
+(``_laguerre_rule``).  ``worst`` is the one maximum every identity check
+reduces with: a NaN anywhere makes it NaN, so the check fails.  Nothing
+here reuses the closed-form machinery it checks.
 
-The mesh follows D. Baye, Phys. Rep. 565, 1 (2015): N = max(120, 12k + 60)
-nodes x_i of the Gauss-Laguerre rule (the eigenvalues of its Jacobi matrix,
-from ``eigvalsh``), basis functions that vanish as z at the origin, and a
-kinetic matrix in closed form, built once per N.  Every dense eigensolve of
-up to 360 rows runs with numpy's OpenBLAS held to one thread
-(``_one_blas_thread``): below that size a second thread saves no time and
-spins after each call; larger solves keep numpy's threads.  V is called
-twice: once on the scans' window of points 2^j, |j| <= 16 (``_scanned``),
-and once on the nodes of the mesh and its half together.  At k = 4 the
-scans, one solve on 120 nodes and its half on 60 take about 0.65 ms per
-side on a 2-vCPU host, against about 17 ms for the FD oracle below; over
-the 27 box corners and the five frozen inverse triples the mesh is within
-4.2e-7 of the closed-form levels on both sides (FD: 1.6e-6).  Where the
-well is narrow beside its distance from the origin it is coarse: at
-r = rho_q / sqrt(omega_bar) = 100 the 120-node levels are off by up to
-1.8e-4, at r = 1000 by up to 4.8e-3.
+Every dense eigensolve of up to 360 rows runs with numpy's OpenBLAS held to
+one thread (``_one_blas_thread``), and no mesh has more, so its levels do
+not depend on the thread count.  At k = 3 the mesh of 46 + 23 nodes takes
+about 0.53 ms per side on a 2-vCPU host, and 250 levels on 360 + 270 nodes
+about 21 ms.
 
 The finite-difference oracle (``fd_levels``: a log mesh in a box read off V
-alone, the k lowest levels of its tridiagonal pencil by Sturm-sequence
-bisection, Richardson extrapolation over grid refinements) is the mesh's
-independent reference in the tests; no command runs it.  Both oracles read
-V's scale from the same scans (``_well``, ``_first_above``) through the
-same window.  The k levels bisect in lock step, each counting its own
-midpoint; the Sturm count is a scalar Python loop over all the rows with
-one comparison per pivot, which avoids LAPACK's ``stebz`` through scipy,
-whose import costs about 25 MB of resident memory and 0.3-0.5 s in a fresh
-interpreter.
+by the scans ``_well`` and ``_first_above``, the k lowest levels of its
+tridiagonal pencil by lock-step Sturm-sequence bisection, Richardson
+extrapolation over grid refinements) is the mesh's independent reference in
+the tests; no command runs it.  The Sturm count is a scalar Python loop,
+which avoids LAPACK's ``stebz`` through scipy, whose import costs about
+25 MB of resident memory and 0.3-0.5 s in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -219,34 +206,36 @@ def refine_extrapolate(V: Potential, k: int, grids: Sequence[int],
 _SCAN_LIMIT = 2.0**480
 
 
-# The scans visit only the points 2^j.  Over the 27 box corners, the five
-# frozen inverse triples and 300 seeded box points, k in {3, 4, 40}, they
-# reach j in [-4, 9] with 7 to 14 one-point calls of about 20 us each; one
-# call of a canonical potential on the 2 * 16 + 1 points 2^-16 .. 2^16 takes
-# about 48 us on a 2-vCPU host (46 us on 17 points, 50 us on 65)
+# The scans visit only the points 2^j, at box points with j in [-4, 9], in
+# one-point calls of about 20 us each; one call of a canonical potential on
+# the 33 points 2^-16 .. 2^16 takes about 48 us on a 2-vCPU host
 _WINDOW = 16
 
 
-def _scanned(V: Potential) -> Potential:
-    """V for the scans: at the window's points 2^j, |j| <= ``_WINDOW``, the
-    samples of one call of V on all of them, taken with numpy's warnings
-    off, and elsewhere V's one-point call.  When that call raises, the scans
-    read V one point at a time, so that they meet only the errors of the
+def _sampled(V: Potential, z: np.ndarray) -> Potential:
+    """V at the points z from one call of V on all of them, taken with
+    numpy's warnings off, and elsewhere V's one-point call.  When that call
+    raises, V itself, so that its readers meet only the errors of the
     points they reach."""
-    z = np.ldexp(1.0, np.arange(-_WINDOW, _WINDOW + 1))
     try:
         with np.errstate(all="ignore"):
             v = np.broadcast_to(np.asarray(V(z), dtype=float), z.shape)
     except Exception:
         return V
-    window = dict(zip(z.tolist(), v.tolist()))
-    return lambda t: window[t] if t in window else V(t)
+    served = dict(zip(z.tolist(), v.tolist()))
+    return lambda t: served[t] if t in served else V(t)
+
+
+def _scanned(V: Potential) -> Potential:
+    """V for the scans, served at the window's points 2^j, |j| <=
+    ``_WINDOW`` (``_sampled``)."""
+    return _sampled(V, np.ldexp(1.0, np.arange(-_WINDOW, _WINDOW + 1)))
 
 
 def _samples(V: Potential, z: float, step: float):
     """(z step^j, V there) for j = 1, 2, ... within the scan's range, one
     point at a time, so the scan meets only the errors of points it
-    reaches (``_scanned`` serves the window's points from one call)."""
+    reaches."""
     while True:
         z *= step
         if not 1 / _SCAN_LIMIT <= z <= _SCAN_LIMIT:
@@ -310,11 +299,9 @@ def fd_levels(V: Potential, k: int, grids: Sequence[int],
 
 
 # The largest matrix, in rows, that ``_one_blas_thread`` solves on one BLAS
-# thread.  Median ``eigvalsh`` wall times of the mesh matrix on a 2-vCPU host,
-# one thread against two: 0.33 / 0.34 ms at 120 rows, 2.39 / 2.41 ms at 300,
-# 3.56 / 3.47 ms at 360, 4.57 / 4.42 ms at 400, 7.06 / 6.54 ms at 480 and
-# 59.2 / 33.8 ms at 1000.  Up to the cut the second thread saves no time, but
-# it spins for about 0.13 s after each call, which doubles the CPU time.
+# thread.  Median ``eigvalsh`` wall times on a 2-vCPU host, one thread against
+# two: 3.56 / 3.47 ms at 360 rows, 7.06 / 6.54 ms at 480, 59.2 / 33.8 ms at
+# 1000; up to the cut a second thread saves no time but spins after each call.
 _ONE_THREAD_MAX_ROWS = 360
 
 
@@ -354,11 +341,10 @@ _limit_saved = 0
 def _one_blas_thread(rows: int):
     """Hold numpy's OpenBLAS to one thread while a dense solve of ``rows``
     rows runs, when rows <= ``_ONE_THREAD_MAX_ROWS``, and restore its count
-    after, on an error too.  The limit is process-wide while it holds: a
-    BLAS call made meanwhile on another thread runs on one thread as well.
-    swanson starts no threads of its own; solves entered from several
-    threads share the limit, which the last to leave lifts.  Larger solves,
-    and a numpy without a bundled OpenBLAS, run as numpy sets them up."""
+    after, on an error too.  The limit is process-wide while it holds, and
+    solves entered from several threads share it; the last to leave lifts
+    it.  Larger solves, and a numpy without a bundled OpenBLAS, run as numpy
+    sets them up."""
     global _limit_holders, _limit_saved
     blas = _blas_threads() if rows <= _ONE_THREAD_MAX_ROWS else None
     if blas is None:
@@ -381,121 +367,133 @@ def _one_blas_thread(rows: int):
 
 def _laguerre_jacobi(alpha: float, n: int) -> np.ndarray:
     """The n x n Jacobi matrix of the Laguerre polynomials for the weight
-    t^alpha e^-t: diagonal 2k + alpha + 1, off-diagonal sqrt(k (k + alpha));
-    its eigenvalues are the nodes of the n-node Gauss-Laguerre rule."""
+    t^alpha e^-t: diagonal 2k + alpha + 1, off-diagonal sqrt(k (k + alpha))."""
     k = np.arange(n)
     off = np.sqrt(k[1:] * (k[1:] + alpha))
     return np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def _gauss_laguerre(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-node generalized Gauss-Laguerre rule for
-    the normalized weight t^alpha e^-t / Gamma(alpha + 1) on (0, inf): the
-    eigenvalues of its Jacobi matrix and their eigenvectors' first
-    components squared (Golub & Welsch, Math. Comp. 23, 1969)."""
+def _laguerre_rule(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes t of the n-node Gauss-Laguerre rule for the weight
+    t^alpha e^-t and the orthonormal eigenvectors U of its Jacobi matrix, by
+    column, from one ``eigh``; U[0]^2 are the rule's weights for that weight
+    over Gamma(alpha + 1) (Golub & Welsch, Math. Comp. 23, 1969)."""
     with _one_blas_thread(n):
-        t, v = np.linalg.eigh(_laguerre_jacobi(alpha, n))
-    return t, v[0] * v[0]
+        return np.linalg.eigh(_laguerre_jacobi(alpha, n))
 
 
-# The most levels one mesh solve takes (n_max <= 249, on 3000 nodes), and
-# the largest observed error a solve may show.  Where the mesh is within
-# 1e-5 of the closed forms, over the box and the 90-point r x omega_hat
-# grid at k = 3, the observed error is at most 9.2e-3 (narrow wells at
-# r = 100); at omega_bar = 6.68e-34, rho_q = 6.77e-52, d = 3.21e-121 and at
-# r <= 1e-20 with omega_hat <= 1e-30, where the plus mesh is off by a
-# factor up to 1e16, it is 7.1e-2.  The gate sits near the geometric middle.
+# The most levels one mesh solve takes, and the largest observed error a
+# solve may show: at most 4.4e-7 where the mesh is within 1e-5 of the closed
+# forms (box, frozen triples and the 90-point grid at k = 3), 0.97 where the
+# plus mesh is off by a factor 1e5 (r <= 1e-20, omega_hat = 1e-30).
 MESH_MAX_LEVELS = 250
 MESH_GATE = 2.5e-2
 
 
-def mesh_size(k: int) -> int:
-    """Nodes of the mesh for k levels: 12 per level and 60 more, at least
-    120, so that its half, which the observed error compares with, holds six
-    per level and 30 more.  With six per level alone the top levels of the
-    half mesh are off by up to 50 % (k = 20 on 60 nodes), and without the 30
-    more the gate refused 48 solves at omega_bar = 0.2, rho_q = 3 (k from 9
-    to 40, both sides) whose full-mesh levels are within 4e-10 of the closed
-    forms.  Up to k = 5 the mesh keeps 120 nodes."""
-    return max(120, 12 * k + 60)
+def mesh_size(k: int) -> tuple[int, int]:
+    """Nodes of the mesh for k levels and of the partner its observed error
+    compares with: 20 more than k in the partner and twice as many in the
+    mesh, at most ``_ONE_THREAD_MAX_ROWS``, so that no level depends on the
+    BLAS thread count.  Over the box corners and the frozen triples the mesh
+    is within 7.6e-11 of the closed forms for k <= 40 (48 nodes at k = 4)
+    and within 2.6e-10 for k = 250; the observed error is at most 1.5e-5."""
+    return min(2 * k + 40, _ONE_THREAD_MAX_ROWS), k + 20
 
 
-@functools.lru_cache(maxsize=2)
-def _laguerre_mesh(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x_i of the n-point regularized Lagrange-Laguerre mesh (the
-    eigenvalues of the Laguerre Jacobi matrix, from ``eigvalsh``: the mesh
-    needs no weights) and its kinetic matrix for -d^2/dx^2 in the Gauss
-    approximation: diagonal (4 + (4n + 2) x_i - x_i^2) / (12 x_i^2),
-    off-diagonal (-1)^(i-j) (x_i + x_j) / (sqrt(x_i x_j) (x_i - x_j)^2)
-    (Baye, Hesse & Vincke, Phys. Rev. E 65, 026701 (2002)).  Read-only,
-    built once per n; a solve and its half mesh are the two sizes kept."""
-    with _one_blas_thread(n):
-        x = np.linalg.eigvalsh(_laguerre_jacobi(0.0, n))
-    s = np.sqrt(x)
-    t = np.subtract.outer(x, x)
-    np.fill_diagonal(t, 1.0)
-    t *= t
-    t *= np.multiply.outer(s, s)
-    np.divide(np.add.outer(x, x), t, out=t)
-    t[::2, 1::2] *= -1.0
-    t[1::2, ::2] *= -1.0
-    np.fill_diagonal(t, (4.0 + (4 * n + 2) * x - x * x) / (12.0 * x * x))
-    x.flags.writeable = t.flags.writeable = False
-    return x, t
+# at z_v 2^-29 and z_v 2^29 the next terms are 2^-58 of the first
+_REACH = 30
 
 
-def _mesh_solve(v: np.ndarray, k: int, z_top: float) -> np.ndarray:
-    """The k lowest eigenvalues of T / h^2 + diag v on the mesh of len(v)
-    nodes scaled so that its top node sits at z_top, v the samples of V at
-    its nodes h x_i; a sample or matrix entry that is not finite is a
-    FloatingPointError, before LAPACK sees it."""
-    n = len(v)
-    x, t = _laguerre_mesh(n)
-    h = z_top / x[-1]
-    with np.errstate(all="ignore"):
-        hamiltonian = t * (1.0 / (h * h))
-        hamiltonian[np.diag_indices(n)] += v
-    if not np.all(np.isfinite(hamiltonian)):
-        raise FloatingPointError(f"non-finite potential samples or mesh "
-                                 f"entries on (0, {z_top:.6g}]")
-    with _one_blas_thread(n):
-        return np.linalg.eigvalsh(hamiltonian)[:k]
+def _asymptotes(V: Potential, z_v: float) -> tuple[float, float]:
+    """(l(l + 1), s^2) of V ~ l(l + 1) / z^2 at small z and s^2 z^2 at large
+    z: z^2 V and V / z^2 at the outermost of the points z_v 2^-j, and of
+    z_v 2^j, j < ``_REACH``, out to which V is finite, all served by one
+    call (``_sampled``); a point whose sample raises ends its side's read.
+    A read that admits no mesh is a FloatingPointError."""
+    j = np.arange(_REACH)
+    sides = [(z_v * np.ldexp(1.0, -j)).tolist(),
+             (z_v * np.ldexp(1.0, j)).tolist()]
+    sample = _sampled(V, np.array(sides[0] + sides[1]))
+    reads = []
+    for points in sides:
+        last = math.nan, math.nan
+        for z in points:
+            try:
+                v = float(sample(z))
+            except Exception:
+                break
+            if not math.isfinite(v):
+                break
+            last = z, v
+        reads.append(last)
+    (z_0, v_0), (z_1, v_1) = reads
+    # the points are powers of 2: both reads are exact unless they overflow
+    c, s2 = v_0 * z_0 * z_0, v_1 / z_1 / z_1
+    if not (0 < s2 < math.inf and -0.25 <= c < math.inf):
+        raise FloatingPointError(f"no mesh for the potential's asymptotes "
+                                 f"l(l + 1) = {c:.6g}, s^2 = {s2:.6g} read "
+                                 f"about z = {z_v:.6g}")
+    return c, s2
 
 
-def mesh_levels(V: Potential, k: int) -> tuple[list[float], float]:
-    """The k lowest levels of -d^2/dz^2 + V on the half line, from the
-    regularized Lagrange-Laguerre mesh of ``mesh_size(k)`` nodes, and their
-    observed error max_j |E_j(N/2) - E_j(N)| / |E_j(N)| against the mesh of
-    half as many nodes on the same interval.
+@dataclass(frozen=True)
+class MeshLevels:
+    """The levels of one mesh solve, their observed error, the sizes of the
+    mesh and its partner, and the mesh's a = l + 1/2 and s."""
 
-    The scale is read off V alone: ``_well`` finds V's least value v_min
-    and its position z_v, and the top node sits where V first exceeds
-    16 k v_min beyond z_v (``_first_above``), both scans through
-    ``_scanned``.  V is then called once on the nodes of both meshes, with
-    numpy's floating-point warnings off.  Meant for potentials whose
-    least value and levels are positive, as those of the canonical pair
-    are.  Raises NonConvergent when the observed error exceeds
-    ``MESH_GATE``; the levels are deterministic, bit for bit.
+    levels: list[float]
+    error: float
+    nodes: int
+    partner: int
+    a: float
+    s: float
+
+
+def mesh_levels(V: Potential, k: int) -> MeshLevels:
+    """The k lowest levels of -d^2/dz^2 + V on the half line and their
+    observed error max_j |E_j(partner) - E_j| / |E_j|, from the Gauss-rule
+    Galerkin mesh in t = s z^2 in the basis of the radial oscillator
+    l(l + 1) / z^2 + s^2 z^2, a = l + 1/2 (D. Baye, Phys. Rep. 565, 1
+    (2015)), on ``mesh_size(k)`` nodes.
+
+    The basis is read off V alone, ``_asymptotes`` about V's least sample
+    (``_well``).  V is called once on the nodes z_q = sqrt(t_q / s) of the
+    mesh and its partner (``_laguerre_rule`` for a), with numpy's warnings
+    off; a sample of V - l(l + 1) / z^2 - s^2 z^2 that is not finite is a
+    FloatingPointError.  Raises NonConvergent when the observed error
+    exceeds ``MESH_GATE``; the levels are deterministic, bit for bit.
     """
     if not 1 <= k <= MESH_MAX_LEVELS:
         raise ValueError(f"the mesh solves 1 to {MESH_MAX_LEVELS} levels, "
                          f"not {k}")
-    scan = _scanned(V)
-    z_v, v_min = _well(scan)
-    z_top = _first_above(scan, z_v, 16 * k * v_min)
-    n = mesh_size(k)
-    nodes = [z_top / x[-1] * x for x, _ in map(_laguerre_mesh, (n, n // 2))]
+    z_v, _ = _well(_scanned(V))
+    c, s2 = _asymptotes(V, z_v)
+    a, s = math.sqrt(c + 0.25), math.sqrt(s2)
+    n, partner = mesh_size(k)
+    rules = [_laguerre_rule(a, size) for size in (n, partner)]
+    t = np.concatenate([nodes for nodes, _ in rules])
     with np.errstate(all="ignore"):
-        v = np.broadcast_to(np.asarray(V(np.concatenate(nodes)), dtype=float),
-                            (n + n // 2,))
-    levels, half = (_mesh_solve(s, k, z_top) for s in np.split(v, [n]))
+        v = np.broadcast_to(np.asarray(V(np.sqrt(t / s)), dtype=float),
+                            t.shape)
+        w = v - s * (c / t + t)
+    if not np.all(np.isfinite(w)):
+        raise FloatingPointError(f"non-finite potential samples on the "
+                                 f"{n}- and {partner}-node meshes")
+    solved = []
+    for part, (_, u) in zip(np.split(w, [n]), rules):
+        # U diag(w) U^T + diag(s (4n + 2a + 2))
+        with _one_blas_thread(len(part)):
+            hamiltonian = (u * part) @ u.T + np.diag(
+                s * (4.0 * np.arange(len(part)) + 2.0 * a + 2.0))
+            solved.append(np.linalg.eigvalsh(hamiltonian)[:k])
+    levels, coarse = solved
     with np.errstate(all="ignore"):
-        error = float(np.max(abs(half - levels) / abs(levels)))
+        error = float(np.max(abs(coarse - levels) / abs(levels)))
     if not error <= MESH_GATE:
         raise NonConvergent(f"the {n}-node mesh's levels differ from the "
-                            f"{n // 2}-node mesh's by {error:.3g}, above "
+                            f"{partner}-node mesh's by {error:.3g}, above "
                             f"{MESH_GATE:g}")
-    return levels.tolist(), error
+    return MeshLevels(levels.tolist(), error, n, partner, a, s)
 
 
 def quad_halfline(f: Integrand, decay_rate: float, alpha: float,
@@ -518,7 +516,8 @@ def quad_halfline(f: Integrand, decay_rate: float, alpha: float,
     """
     if not (decay_rate > 0 and alpha > -1 and degree >= 0):
         raise ValueError("need decay_rate > 0, alpha > -1 and degree >= 0")
-    t, w = _gauss_laguerre(alpha, degree // 2 + 1)
+    t, u = _laguerre_rule(alpha, degree // 2 + 1)
+    w = u[0] * u[0]
     with np.errstate(all="ignore"):
         fz = np.asarray(f(np.sqrt(t / decay_rate)), dtype=float)
         terms = np.broadcast_to(w * fz * np.exp(

@@ -70,11 +70,11 @@ def factorization_residuals(A, Ad, hm, hp):
                 diffop.gap(hp.at(x, 0), diffop.leibniz(_at_order_0(a), ad, 0)))
 
 
-def numeric_levels(fp, side: Side, k: int) -> tuple[list[float], float]:
-    """The k lowest mesh levels of one canonical half-line potential and
-    their observed error (``numeric.mesh_levels``); more levels than one
-    mesh solve takes is a configuration error, raised before any matrix is
-    built."""
+def numeric_levels(fp, side: Side, k: int) -> numeric.MeshLevels:
+    """The k lowest mesh levels of one canonical half-line potential, their
+    observed error and the mesh (``numeric.mesh_levels``); more levels than
+    one mesh solve takes is a configuration error, raised before any matrix
+    is built."""
     if k > numeric.MESH_MAX_LEVELS:
         raise ConfigError(f"{k} levels exceed the {numeric.MESH_MAX_LEVELS} "
                           "that one mesh solve takes")
@@ -89,7 +89,7 @@ class _Run:
         self.cfg, self.fp, self.mp = cfg, fp, mp
         self.A, self.Ad, self.hm, self.hp = ladder_operators(fp)
         self.energies = spectrum.energies_plus(fp, N_STATES - 1)
-        self._mesh: dict[Side, tuple[list[float], float]] = {}
+        self._mesh: dict[Side, numeric.MeshLevels] = {}
         self._h: dict[Side, np.ndarray] = {}
         self.x, self.z = np.array(SAMPLE_X), np.array(SAMPLE_Z)
         # the canonical and printed minus potentials and w on all of SAMPLE_Z
@@ -121,10 +121,10 @@ class _Run:
                                            self.x, self.fp)
         return self._h[side]
 
-    def mesh(self, side: Side) -> tuple[list[float], float]:
+    def mesh(self, side: Side) -> numeric.MeshLevels:
         """One side's mesh levels for the spectral rows, n <= min(n_max, 3),
-        and their observed error, solved on first use, so that a solve that
-        fails fails only its own side's row."""
+        solved on first use, so that a solve that fails fails only its own
+        side's row."""
         if side not in self._mesh:
             self._mesh[side] = numeric_levels(self.fp, side,
                                               min(self.cfg.n_max + 1, 4))
@@ -193,19 +193,20 @@ def _mesh_gap(side: Side) -> Callable[[_Run], float]:
     """One side's mesh levels against the ladder, index by index, each
     relative to |E_n|; a spurious level below E_0 shifts every rung."""
     def gap(r: _Run) -> float:
-        levels, _ = r.mesh(side)
-        return numeric.worst(abs(x - e) / abs(e)
-                             for x, e in zip(levels, r.energies))
+        return numeric.worst(abs(x - e) / abs(e) for x, e in zip(
+            r.mesh(side).levels, r.energies))
 
     return gap
 
 
 def _mesh_note(side: Side) -> Callable[[_Run], str]:
-    """The note of a spectral row: its mesh size and observed error."""
+    """The note of a spectral row: the sizes of its mesh and of the
+    partner, the mesh's a and s, and the observed error."""
     def note(r: _Run) -> str:
-        levels, error = r.mesh(side)
-        return (f"mesh of {numeric.mesh_size(len(levels))} nodes, observed "
-                f"error {fmt(error)}")
+        m = r.mesh(side)
+        return (f"mesh of {fmt(m.nodes)} + {fmt(m.partner)} nodes, "
+                f"a = {fmt(m.a)}, s = {fmt(m.s)}, observed error "
+                f"{fmt(m.error)}")
 
     return note
 

@@ -1,7 +1,7 @@
 """Byte-identity corpus: run a fixed set of CLI argv in-process and record
 what each one prints, so that two versions of the package can be compared.
 
-    PYTHONPATH=src python tests/corpus.py out.json          # the 419 argv
+    PYTHONPATH=src python tests/corpus.py out.json          # the 421 argv
     PYTHONPATH=src python tests/corpus.py out.json --grid   # and the 90 points
     python tests/corpus.py --diff before.json after.json
 
@@ -15,7 +15,7 @@ once those ids' rows are dropped and the documents re-serialized as the
 CLI writes them, each id's status changes (PASS -> FAIL and the like) with
 their argv, and the argv whose exit code changed.
 
-The 419 argv (417 distinct: the README's triple is the first frozen
+The 421 argv (419 distinct: the README's triple is the first frozen
 triple) are the default ``spectrum``, ``sweep`` and ``verify``, the inverse
 ``spectrum`` and ``verify`` of the README's triple, ``spectrum``,
 ``sweep`` and ``verify`` at each of the 27 corners omega_bar in
@@ -24,10 +24,11 @@ triple) are the default ``spectrum``, ``sweep`` and ``verify``, the inverse
 ``sweep`` and ``verify`` at one extreme point, and 320 ``wavefunctions``:
 both sides, the n-lists of ``WAVE_N_LISTS`` and the grids of ``WAVE_GRIDS``
 (from 1e-300 to 1e300, and points z <= 0) at the default point, one box
-corner, r = 1e-30, omega_hat = 1e150 and the extreme point.  ``--grid``
-adds ``verify --n-max 2`` at omega_bar = 1 on the 10 x 9 grid of
-r = rho_q and omega_hat, with d = omega_hat / (3/2 + r).  pytest does not
-collect this file.
+corner, r = 1e-30, omega_hat = 1e150 and the extreme point, and the 250
+levels of ``spectrum --n-max 249`` at the default point and at the corner
+(0.2, 0.1, 3).  ``--grid`` adds ``verify --n-max 2`` at omega_bar = 1 on
+the 10 x 9 grid of r = rho_q and omega_hat, with d = omega_hat / (3/2 + r).
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _inverse(triple) -> list[str]:
 
 
 def byte_identity_argv() -> list[list[str]]:
-    """The 419 argv of the byte-identity run."""
+    """The 421 argv of the byte-identity run."""
     from conftest import FEASIBLE_TRIPLES
 
     argv = [["spectrum"], ["sweep"], ["verify"]]
@@ -78,6 +79,8 @@ def byte_identity_argv() -> list[list[str]]:
     argv += [["wavefunctions", "--side", side, "--n-list", ns, "--z-grid", z]
              + point for side in ("plus", "minus") for ns in WAVE_N_LISTS
              for z in WAVE_GRIDS for point in WAVE_POINTS]
+    argv += [["spectrum", "--n-max", "249"] + point for point in (
+        [], ["--omega-bar", "0.2", "--rho-q", "0.1", "--d", "3"])]
     return argv
 
 

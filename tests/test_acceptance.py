@@ -43,7 +43,7 @@ def test_criterion_01_spectrum_reproduction(fp_ref):
     E = energies_plus(fp_ref, 2)
     assert E == pytest.approx([35.0, 45.0, 55.0], rel=1e-14)
     V = lambda z: eval_potential_z(Side.PLUS, Form.CANONICAL, z, fp_ref)
-    levels, _ = mesh_levels(V, 3)
+    levels = mesh_levels(V, 3).levels
     worst = max(abs(levels[n] - E[n]) / E[n] for n in range(3))
     elapsed = time.perf_counter() - start
     report("criterion 1 (half-line spectrum vs the Lagrange-Laguerre mesh)",
@@ -55,7 +55,7 @@ def test_criterion_01_spectrum_reproduction(fp_ref):
 def test_criterion_02_isospectral_partner(fp_ref):
     E = energies_plus(fp_ref, 3)
     V = lambda z: eval_potential_z(Side.MINUS, Form.CANONICAL, z, fp_ref)
-    levels, _ = mesh_levels(V, 4)
+    levels = mesh_levels(V, 4).levels
     # paired index by index: a spurious level below E0 shifts every rung
     worst = max(abs(levels[n] - E[n]) / E[n] for n in range(4))
     report("criterion 2 (isospectral partner, no spurious low state)",

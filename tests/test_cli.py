@@ -175,15 +175,14 @@ class TestSpectrum:
 
     def test_the_largest_accepted_n_max_reaches_the_mesh(self, monkeypatch,
                                                          capsys):
-        # n_max = 249 asks the mesh for its 250 levels; the solve is
-        # replaced, since the 3000-node mesh takes seconds
+        # n_max = 249 asks the mesh for its 250 levels
         from swanson import numeric
 
         asked = []
 
-        def levels(V, k):
+        def levels(V, k, solve=numeric.mesh_levels):
             asked.append(k)
-            return [float(n + 1) for n in range(k)], 0.0
+            return solve(V, k)
 
         monkeypatch.setattr(numeric, "mesh_levels", levels)
         code, out, err = run_main(["spectrum", "--n-max", "249"], capsys)
@@ -374,8 +373,8 @@ class TestVerify:
         from swanson.errors import NonConvergent
 
         def levels(*args):
-            raise NonConvergent("the 120-node mesh's levels differ from the "
-                                "60-node mesh's by 0.07, above 0.025")
+            raise NonConvergent("the 46-node mesh's levels differ from the "
+                                "23-node mesh's by 0.07, above 0.025")
 
         monkeypatch.setattr(numeric, "mesh_levels", levels)
         om, al, be = FEASIBLE_TRIPLES[4]
@@ -390,7 +389,7 @@ class TestVerify:
         for name in ("fd_spectrum_plus", "isospectrality"):
             assert by_id[name]["status"] == "FAIL"
             assert by_id[name]["residual"] == "inf"
-            assert "60-node mesh" in by_id[name]["note"]
+            assert "23-node mesh" in by_id[name]["note"]
 
     def test_bad_tolerance_syntax(self, capsys):
         assert run_main(["verify", "--tol", "oops"], capsys)[0] == 1
@@ -453,7 +452,7 @@ class TestSweep:
                          "--steps", "2"], capsys)[0] == 1
 
     @pytest.mark.parametrize("message", [
-        "the 120-node mesh's levels differ from the 60-node mesh's by 0.07, "
+        "the 46-node mesh's levels differ from the 23-node mesh's by 0.07, "
         "above 0.025",
         'quadrature on [0, 1] did not "stabilize"'])
     def test_failed_row_names_stage_type_and_message(self, message,

@@ -194,12 +194,13 @@ class TestTridiagonalEigenvalues:
         assert proc.stderr.strip() == "False"
 
     def test_spectrum_does_not_depend_on_the_blas_thread_count(self):
-        # 20 levels take a 300-node mesh, under the one-thread cut
+        # the 250 levels take 360 + 270 nodes, within the one-thread cut;
+        # the count is set in the child's environment only
         out = set()
         for threads in ("1", "2"):
             proc = subprocess.run(
                 [sys.executable, "-m", "swanson.cli", "spectrum", "--n-max",
-                 "19"], capture_output=True,
+                 "249"], capture_output=True,
                 env={**subprocess_env(), "OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
             out.add(proc.stdout)
@@ -361,8 +362,8 @@ class TestFdBox:
 
 
 class TestScansOfV:
-    """``_well`` and ``_first_above``, the scans of V both oracles read
-    their scale from."""
+    """``_well`` and ``_first_above``, the scans of V the FD oracle reads
+    its box from; the mesh reads its z_v from ``_well``."""
 
     @pytest.mark.parametrize("side", [Side.PLUS, Side.MINUS])
     @pytest.mark.parametrize("name", sorted(_FD_POINTS))
@@ -378,7 +379,7 @@ class TestScansOfV:
     @pytest.mark.parametrize("name", sorted(_FD_POINTS))
     def test_first_above_is_the_first_sample_over_the_level(self, name,
                                                             side):
-        # the levels of the FD box's coarse solve and of the mesh's top node
+        # the level of the FD box's coarse solve, and a lower one
         fp = _FD_POINTS[name]()
         V = lambda z: eval_potential_z(side, Form.CANONICAL, z, fp)
         z_v, v_min = numeric._well(V)
@@ -443,7 +444,8 @@ class TestHalflineQuadrature:
     @pytest.mark.parametrize("n", [1, 2, 6, 11, 21])
     def test_nodes_and_weights_match_scipy(self, alpha, n):
         from scipy.special import roots_genlaguerre
-        t, w = numeric._gauss_laguerre(alpha, n)
+        t, u = numeric._laguerre_rule(alpha, n)
+        w = u[0] ** 2
         ts, ws = roots_genlaguerre(n, alpha)
         assert np.allclose(t, ts, rtol=1e-12, atol=0)
         # scipy's weights belong to t^alpha e^-t, the rule's to that over
@@ -481,7 +483,8 @@ class TestHalflineQuadrature:
     @staticmethod
     def _node_order_loop(f, decay_rate, alpha, degree):
         """The rule with its terms added one node at a time, from 0.0."""
-        t, w = numeric._gauss_laguerre(alpha, degree // 2 + 1)
+        t, u = numeric._laguerre_rule(alpha, degree // 2 + 1)
+        w = u[0] * u[0]
         fz = np.broadcast_to(f(np.sqrt(t / decay_rate)), t.shape)
         terms = w * fz * np.exp(math.lgamma(alpha + 1) + t
                                 - (alpha + 0.5) * np.log(t))

@@ -17,6 +17,13 @@ from swanson.cli import DEFAULT_TOLS, main
 from swanson.errors import NonConvergent
 from conftest import phi_minus, phi_plus, random_forward_sets
 
+
+def _solved(levels, error):
+    """What a mesh solve of these levels returns: the sizes ``mesh_size``
+    gives for them, and a = 3/2, s = 5/2."""
+    return numeric.MeshLevels(levels, error, *numeric.mesh_size(len(levels)),
+                              1.5, 2.5)
+
 IDS = [name for row in verify.ROWS for name in row.names]
 FORWARD_IDS = [name for row in verify.ROWS if not row.inverse_only
                for name in row.names]
@@ -99,7 +106,7 @@ def test_nonconvergent_quadrature_marks_exactly_the_rows_that_integrate(
             assert e["status"] in ("FAIL", "REPORTED")
         elif e["id"] in DEFAULT_TOLS:
             assert e["status"] == "PASS"
-            assert (e["note"].startswith("mesh of 120 nodes")
+            assert (e["note"].startswith("mesh of 46 + 23 nodes, a = ")
                     if e["id"] in MESH else "note" not in e)
     failed = [e["id"] for e in doc["identities"] if e["status"] == "FAIL"]
     assert set(failed) == INTEGRATING & set(DEFAULT_TOLS)
@@ -216,9 +223,11 @@ def test_the_gram_row_sees_an_off_diagonal_overlap(monkeypatch, fp_star):
 
 def test_the_integrating_rows_pass_where_the_states_live_far_out(capsys):
     # at r = rho_q / sqrt(omega_bar) = 100 the states carry their mass near
-    # t = gamma = 101.5, beyond a window fixed in omega_hat alone
+    # t = gamma = 101.5, beyond a window fixed in omega_hat alone; every row
+    # passes, the mesh rows too, since the mesh's basis sits where the
+    # states live
     assert main(["verify", "--omega-bar", "1", "--rho-q", "100",
-                 "--d", "0.009852216748768473", "--n-max", "2"]) == 3
+                 "--d", "0.009852216748768473", "--n-max", "2"]) == 0
     rows = {e["id"]: e for e in json.loads(capsys.readouterr().out)[
         "identities"]}
     assert rows["orthonormality_plus"]["status"] == "PASS"
@@ -256,7 +265,7 @@ def test_a_refused_plus_mesh_fails_only_its_own_row(monkeypatch):
         calls.append(k)
         if len(calls) == 1:
             raise NonConvergent("error gate")
-        return exact[:k], 1e-9
+        return _solved(exact[:k], 1e-9)
 
     monkeypatch.setattr(numeric, "mesh_levels", levels)
     rows = {e["id"]: e for e in verify.run(RunConfig(), fp)[0]}
@@ -268,7 +277,8 @@ def test_a_refused_plus_mesh_fails_only_its_own_row(monkeypatch):
     assert (rows["isospectrality"]["residual"],
             rows["isospectrality"]["status"],
             rows["isospectrality"]["note"]) == (
-        "0", "PASS", "mesh of 120 nodes, observed error 1.0000000000000001e-09")
+        "0", "PASS", "mesh of 46 + 23 nodes, a = 1.5, s = 2.5, observed error "
+        "1.0000000000000001e-09")
 
 
 def _pointwise_state_rows(fp) -> dict:
@@ -388,8 +398,8 @@ def test_spurious_minus_level_fails_isospectrality_by_its_error(monkeypatch):
     def levels(V, k):
         sides.append("plus" if not sides else "minus")
         if sides[-1] == "plus":
-            return exact[:k], 0.0
-        return [exact[0] / 2] + exact[:k - 1], 0.0
+            return _solved(exact[:k], 0.0)
+        return _solved([exact[0] / 2] + exact[:k - 1], 0.0)
 
     monkeypatch.setattr(numeric, "mesh_levels", levels)
     rows = {e["id"]: e for e in verify.run(RunConfig(), fp)[0]}
@@ -397,7 +407,8 @@ def test_spurious_minus_level_fails_isospectrality_by_its_error(monkeypatch):
     assert rows["fd_spectrum_plus"]["status"] == "PASS"
     iso = rows["isospectrality"]
     assert iso["status"] == "FAIL"
-    assert iso["note"] == "mesh of 120 nodes, observed error 0"
+    assert iso["note"] == ("mesh of 46 + 23 nodes, a = 1.5, s = 2.5, "
+                           "observed error 0")
     assert float(iso["residual"]) == 0.5
 
 
@@ -428,7 +439,8 @@ def test_mesh_rows_pair_the_levels_with_the_ladder_index_by_index(
 
     def levels(V, k):
         calls.append(k)
-        return (tested(exact) if len(calls) - 1 == side else exact[:k]), 0.0
+        return _solved(tested(exact) if len(calls) - 1 == side else exact[:k],
+                       0.0)
 
     monkeypatch.setattr(numeric, "mesh_levels", levels)
     rows = {e["id"]: e for e in verify.run(RunConfig(), fp)[0]}
@@ -455,7 +467,7 @@ def test_every_row_evaluates_its_sample_points_in_one_call(monkeypatch,
     # the mesh oracle samples V on its own points, the scans' window and the
     # nodes of both meshes (tests/test_mesh_oracle.py); it is left out
     monkeypatch.setattr(verify, "numeric_levels",
-                        lambda fp, side, k: (spectrum.energies_plus(
+                        lambda fp, side, k: _solved(spectrum.energies_plus(
                             fp, k - 1), 0.0))
     mp, fp, _ = inverse_sets[0]
     verify.run(RunConfig(), fp, mp)
