@@ -5,7 +5,8 @@ rational superpotential, and the half-line oscillator pair they transform
 into.  The package solves the forward and inverse parameter-matching
 problems, evaluates every potential form and operator of the hierarchy,
 produces closed-form spectra and eigenfunctions, and checks all of it against
-independent Lagrange-Laguerre mesh and quadrature oracles.  It re-exports
+independent oracles: the Gauss-rule Galerkin mesh in t = s z^2 and the
+Gauss-Laguerre quadrature.  It re-exports
 nothing: ``swanson.cli`` runs the commands and imports every module.  Kept
 besides what the commands run: the FD pipeline of ``numeric`` and
 ``specialfn.kummer`` (the benchmark tracer wraps them; the tests' references),

@@ -206,9 +206,11 @@ def refine_extrapolate(V: Potential, k: int, grids: Sequence[int],
 _SCAN_LIMIT = 2.0**480
 
 
-# The scans visit only the points 2^j, at box points with j in [-4, 9], in
-# one-point calls of about 20 us each; one call of a canonical potential on
-# the 33 points 2^-16 .. 2^16 takes about 48 us on a 2-vCPU host
+# The scans visit only the points 2^j.  Over the 27 box corners, the five
+# frozen inverse triples and 300 seeded box points, k in {3, 4, 40}, they
+# reach j in [-4, 9] with 7 to 14 one-point calls of about 20 us each; one
+# call of a canonical potential on the 2 * 16 + 1 points 2^-16 .. 2^16 takes
+# about 48 us on a 2-vCPU host (46 us on 17 points, 50 us on 65)
 _WINDOW = 16
 
 
@@ -299,9 +301,12 @@ def fd_levels(V: Potential, k: int, grids: Sequence[int],
 
 
 # The largest matrix, in rows, that ``_one_blas_thread`` solves on one BLAS
-# thread.  Median ``eigvalsh`` wall times on a 2-vCPU host, one thread against
-# two: 3.56 / 3.47 ms at 360 rows, 7.06 / 6.54 ms at 480, 59.2 / 33.8 ms at
-# 1000; up to the cut a second thread saves no time but spins after each call.
+# thread.  Median ``eigvalsh`` wall times of a dense symmetric matrix on a
+# 2-vCPU host, one thread against two: 0.33 / 0.34 ms at 120 rows, 2.39 / 2.41
+# ms at 300, 3.56 / 3.47 ms at 360, 4.57 / 4.42 ms at 400, 7.06 / 6.54 ms at
+# 480 and 59.2 / 33.8 ms at 1000.  Up to the cut the second thread saves no
+# time, but it spins for about 0.13 s after each call, which doubles the CPU
+# time.
 _ONE_THREAD_MAX_ROWS = 360
 
 
@@ -341,10 +346,11 @@ _limit_saved = 0
 def _one_blas_thread(rows: int):
     """Hold numpy's OpenBLAS to one thread while a dense solve of ``rows``
     rows runs, when rows <= ``_ONE_THREAD_MAX_ROWS``, and restore its count
-    after, on an error too.  The limit is process-wide while it holds, and
-    solves entered from several threads share it; the last to leave lifts
-    it.  Larger solves, and a numpy without a bundled OpenBLAS, run as numpy
-    sets them up."""
+    after, on an error too.  The limit is process-wide while it holds: a
+    BLAS call made meanwhile on another thread runs on one thread as well.
+    swanson starts no threads of its own; solves entered from several
+    threads share the limit, which the last to leave lifts.  Larger solves,
+    and a numpy without a bundled OpenBLAS, run as numpy sets them up."""
     global _limit_holders, _limit_saved
     blas = _blas_threads() if rows <= _ONE_THREAD_MAX_ROWS else None
     if blas is None:
@@ -365,21 +371,17 @@ def _one_blas_thread(rows: int):
                 put(_limit_saved)
 
 
-def _laguerre_jacobi(alpha: float, n: int) -> np.ndarray:
-    """The n x n Jacobi matrix of the Laguerre polynomials for the weight
-    t^alpha e^-t: diagonal 2k + alpha + 1, off-diagonal sqrt(k (k + alpha))."""
-    k = np.arange(n)
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    return np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-
-
 def _laguerre_rule(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The nodes t of the n-node Gauss-Laguerre rule for the weight
-    t^alpha e^-t and the orthonormal eigenvectors U of its Jacobi matrix, by
-    column, from one ``eigh``; U[0]^2 are the rule's weights for that weight
-    over Gamma(alpha + 1) (Golub & Welsch, Math. Comp. 23, 1969)."""
+    t^alpha e^-t and the orthonormal eigenvectors U, by column, of its
+    Jacobi matrix (diagonal 2k + alpha + 1, off-diagonal sqrt(k (k + alpha)))
+    from one ``eigh``; U[0]^2 are the rule's weights for that weight over
+    Gamma(alpha + 1) (Golub & Welsch, Math. Comp. 23, 1969)."""
+    k = np.arange(n)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
     with _one_blas_thread(n):
-        return np.linalg.eigh(_laguerre_jacobi(alpha, n))
+        return np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0)
+                              + np.diag(off, 1) + np.diag(off, -1))
 
 
 # The most levels one mesh solve takes, and the largest observed error a
@@ -417,14 +419,12 @@ def _asymptotes(V: Potential, z_v: float) -> tuple[float, float]:
     reads = []
     for points in sides:
         last = math.nan, math.nan
-        for z in points:
-            try:
+        with contextlib.suppress(Exception):
+            for z in points:
                 v = float(sample(z))
-            except Exception:
-                break
-            if not math.isfinite(v):
-                break
-            last = z, v
+                if not math.isfinite(v):
+                    break
+                last = z, v
         reads.append(last)
     (z_0, v_0), (z_1, v_1) = reads
     # the points are powers of 2: both reads are exact unless they overflow
@@ -438,13 +438,11 @@ def _asymptotes(V: Potential, z_v: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MeshLevels:
-    """The levels of one mesh solve, their observed error, the sizes of the
-    mesh and its partner, and the mesh's a = l + 1/2 and s."""
+    """The levels of one mesh solve on ``mesh_size(len(levels))`` nodes,
+    their observed error, and the mesh's a = l + 1/2 and s."""
 
     levels: list[float]
     error: float
-    nodes: int
-    partner: int
     a: float
     s: float
 
@@ -493,7 +491,7 @@ def mesh_levels(V: Potential, k: int) -> MeshLevels:
         raise NonConvergent(f"the {n}-node mesh's levels differ from the "
                             f"{partner}-node mesh's by {error:.3g}, above "
                             f"{MESH_GATE:g}")
-    return MeshLevels(levels.tolist(), error, n, partner, a, s)
+    return MeshLevels(levels.tolist(), error, a, s)
 
 
 def quad_halfline(f: Integrand, decay_rate: float, alpha: float,

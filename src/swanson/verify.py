@@ -204,7 +204,8 @@ def _mesh_note(side: Side) -> Callable[[_Run], str]:
     partner, the mesh's a and s, and the observed error."""
     def note(r: _Run) -> str:
         m = r.mesh(side)
-        return (f"mesh of {fmt(m.nodes)} + {fmt(m.partner)} nodes, "
+        nodes, partner = numeric.mesh_size(len(m.levels))
+        return (f"mesh of {fmt(nodes)} + {fmt(partner)} nodes, "
                 f"a = {fmt(m.a)}, s = {fmt(m.s)}, observed error "
                 f"{fmt(m.error)}")
 

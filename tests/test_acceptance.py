@@ -46,7 +46,8 @@ def test_criterion_01_spectrum_reproduction(fp_ref):
     levels = mesh_levels(V, 3).levels
     worst = max(abs(levels[n] - E[n]) / E[n] for n in range(3))
     elapsed = time.perf_counter() - start
-    report("criterion 1 (half-line spectrum vs the Lagrange-Laguerre mesh)",
+    report("criterion 1 (half-line spectrum vs the Galerkin mesh in "
+           "t = s z^2)",
            worst <= 1e-6 and elapsed < 5.0,
            f"max rel error {worst:.3e} (tol 1e-6), runtime {elapsed:.2f}s "
            "(limit 5s)")

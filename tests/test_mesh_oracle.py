@@ -62,7 +62,7 @@ def test_levels_over_the_box_corners_and_the_frozen_triples(point):
         for k in (40, 4):
             solved = numeric.mesh_levels(V, k)
             assert _rel(solved.levels, exact) <= 1e-10
-            assert solved.error <= 1e-4
+            assert solved.error <= 1e-5
         fd, _ = numeric.fd_levels(V, 4, [500, 1000])
         assert _rel(solved.levels, fd) <= 2 * FD_WORST
 
@@ -124,12 +124,13 @@ def test_a_potential_the_package_does_not_build():
 
 @pytest.mark.parametrize("k", [20, 40, 250])
 def test_high_levels_and_their_error_estimate(k):
+    # the partner's k + 20 nodes set the observed error: up to 1.2e-6 at
+    # k = 40 and 5.5e-6 at k = 250, both on the minus side
     fp = solve_forward(1.0, 1.0, 1.0)
     for side in Side:
         solved = numeric.mesh_levels(_potential(fp, side), k)
-        assert _rel(solved.levels, energies_plus(fp, k - 1)) <= 1e-10
-        assert solved.error <= 1e-4
-        assert (solved.nodes, solved.partner) == numeric.mesh_size(k)
+        assert _rel(solved.levels, energies_plus(fp, k - 1)) <= 1e-11
+        assert solved.error <= 1e-5
 
 
 def test_the_mesh_size_rule():
@@ -331,18 +332,18 @@ def test_the_error_gate_refuses_a_mesh_that_misses_the_well():
                        r"from the 23-node mesh's by 0\.97\d*, above 0\.025"):
         numeric.mesh_levels(_potential(SMALL_R, Side.PLUS), 3)
     solved = numeric.mesh_levels(_potential(SMALL_R, Side.MINUS), 3)
-    assert _rel(solved.levels, energies_plus(SMALL_R, 2)) <= 1e-9
+    assert _rel(solved.levels, energies_plus(SMALL_R, 2)) <= 1e-10
     assert solved.error <= 1e-6
 
 
 def test_a_plus_side_that_reads_zero_admits_no_mesh():
     # at the extreme point V+ reads 0 about z = 1, so s^2 is 0; the minus
-    # side is exact there
+    # side is within 8.9e-11 there (observed error 4.4e-7)
     with pytest.raises(FloatingPointError, match=r"no mesh for the "
                        r"potential's asymptotes l\(l \+ 1\) = 0, s\^2 = 0"):
         numeric.mesh_levels(_potential(EXTREME, Side.PLUS), 3)
     solved = numeric.mesh_levels(_potential(EXTREME, Side.MINUS), 3)
-    assert _rel(solved.levels, energies_plus(EXTREME, 2)) <= 1e-9
+    assert _rel(solved.levels, energies_plus(EXTREME, 2)) <= 1e-10
     assert solved.error <= 1e-6
 
 

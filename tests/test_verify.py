@@ -19,10 +19,8 @@ from conftest import phi_minus, phi_plus, random_forward_sets
 
 
 def _solved(levels, error):
-    """What a mesh solve of these levels returns: the sizes ``mesh_size``
-    gives for them, and a = 3/2, s = 5/2."""
-    return numeric.MeshLevels(levels, error, *numeric.mesh_size(len(levels)),
-                              1.5, 2.5)
+    """What a mesh solve of these levels returns, with a = 3/2, s = 5/2."""
+    return numeric.MeshLevels(levels, error, 1.5, 2.5)
 
 IDS = [name for row in verify.ROWS for name in row.names]
 FORWARD_IDS = [name for row in verify.ROWS if not row.inverse_only
