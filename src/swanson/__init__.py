@@ -10,8 +10,9 @@ Gauss-Laguerre quadrature.  It re-exports
 nothing: ``swanson.cli`` runs the commands and imports every module.  Kept
 besides what the commands run: the FD pipeline of ``numeric`` and
 ``specialfn.kummer`` (the benchmark tracer wraps them; the tests' references),
-``Jet.power`` and ``Jet.sqrt`` (the tracer counts them) and
-``diffop.formal_adjoint`` (to build the paper's H- from its definition).
+``Jet.exp``, ``Jet.log``, ``Jet.power`` and ``Jet.sqrt`` (the tracer counts
+them) and ``diffop.formal_adjoint`` (to build the paper's H- from its
+definition).
 """
 
 __version__ = "0.1.0"

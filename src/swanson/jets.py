@@ -5,13 +5,18 @@ A ``Jet`` holds the Taylor coefficients of a smooth function about a point:
 power-series rules exactly, which makes jets a drop-in substitute for symbolic
 differentiation everywhere a derivative of a coefficient function is needed.
 
+Jet arithmetic serves the x-chart operator products (``potentials``' x
+chart, ``diffop`` and ``verify``'s factorization and intertwining rows).
+The half-line chart z is closed-form: ``potentials.w_of_z_jet`` and the
+``spectrum`` states build their coefficients as plain array expressions
+and hand them over in a ``Jet``, the container their callers read
+(``.value``, ``.derivative``, ``.shift``, ``.truncate``).
+
 A coefficient is a Python float, or an ndarray holding the coefficient at
 every point of a grid of any shape: the same arithmetic then evaluates a
-formula on the whole grid at once (``numeric.mesh_levels`` samples V that
-way, ``spectrum`` the states, as (degrees, points) grids for a ladder,
-``diffop`` the operators and ``verify`` its rows).
-numpy's element-wise ``+ - * /`` round exactly like Python floats, so each
-element equals the one-point value bit for bit; a square is written q * q.
+formula on the whole grid at once.  numpy's element-wise ``+ - * /`` round
+exactly like Python floats, so each element equals the one-point value bit
+for bit; a square is written q * q.
 Powers, ``exp`` and ``log`` are the exception: Python's ``float ** p`` and
 ``math.exp``/``math.log`` are libm calls, which numpy's ``**``, ``np.exp``
 and ``np.log`` differ from in the last bit for some x, so they reach a grid
@@ -59,7 +64,8 @@ def elementwise(fn, v):
     meets it.
     """
     if isinstance(v, np.ndarray):
-        return np.array([fn(x) for x in v.ravel().tolist()]).reshape(v.shape)
+        return np.fromiter(map(fn, v.ravel().tolist()), float,
+                           v.size).reshape(v.shape)
     return fn(v)
 
 
@@ -135,6 +141,8 @@ class Jet:
         return None
 
     def __add__(self, other):
+        if isinstance(other, _SCALAR):
+            return Jet((self.coeffs[0] + other,) + self.coeffs[1:])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -147,6 +155,8 @@ class Jet:
         return Jet(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
+        if isinstance(other, _SCALAR):
+            return Jet((self.coeffs[0] - other,) + self.coeffs[1:])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -161,13 +171,13 @@ class Jet:
             return Jet(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Jet):
             return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = [0.0] * n
-        for i in range(n):
-            s = 0.0
-            for j in range(i + 1):
-                s += self.coeffs[j] * other.coeffs[i - j]
-            out[i] = s
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for i in range(min(len(a), len(b))):
+            s = a[0] * b[i]
+            for j in range(1, i + 1):
+                s = s + a[j] * b[i - j]
+            out.append(s)
         return Jet(tuple(out))
 
     __rmul__ = __mul__

@@ -15,7 +15,7 @@ here reuses the closed-form machinery it checks.
 Every dense eigensolve of up to 360 rows runs with numpy's OpenBLAS held to
 one thread (``_one_blas_thread``), and no mesh has more, so its levels do
 not depend on the thread count.  At k = 3 the mesh of 46 + 23 nodes takes
-about 0.53 ms per side on a 2-vCPU host, and 250 levels on 360 + 270 nodes
+about 0.42 ms per side on a 2-vCPU host, and 250 levels on 360 + 270 nodes
 about 21 ms.
 
 The finite-difference oracle (``fd_levels``: a log mesh in a box read off V
@@ -214,44 +214,61 @@ _SCAN_LIMIT = 2.0**480
 _WINDOW = 16
 
 
-def _sampled(V: Potential, z: np.ndarray) -> Potential:
-    """V at the points z from one call of V on all of them, taken with
-    numpy's warnings off, and elsewhere V's one-point call.  When that call
-    raises, V itself, so that its readers meet only the errors of the
-    points they reach."""
+def _served(V: Potential, z: np.ndarray) -> dict | None:
+    """{point: V there} for the points z from one call of V on all of them,
+    taken with numpy's warnings off, or None when that call raises."""
     try:
         with np.errstate(all="ignore"):
             v = np.broadcast_to(np.asarray(V(z), dtype=float), z.shape)
     except Exception:
-        return V
-    served = dict(zip(z.tolist(), v.tolist()))
-    return lambda t: served[t] if t in served else V(t)
+        return None
+    return dict(zip(z.tolist(), v.tolist()))
 
 
-def _scanned(V: Potential) -> Potential:
-    """V for the scans, served at the window's points 2^j, |j| <=
-    ``_WINDOW`` (``_sampled``)."""
-    return _sampled(V, np.ldexp(1.0, np.arange(-_WINDOW, _WINDOW + 1)))
+def _sampled(V: Potential, z: np.ndarray) -> dict:
+    """``_served``, with each point mapped to None when the call raises, so
+    that its readers call V at the points they reach."""
+    served = _served(V, z)
+    return dict.fromkeys(z.tolist()) if served is None else served
 
 
-def _samples(V: Potential, z: float, step: float):
-    """(z step^j, V there) for j = 1, 2, ... within the scan's range, one
-    point at a time, so the scan meets only the errors of points it
-    reaches."""
+def _samples(V: Potential, served: dict, z: float, step: float):
+    """(z step^j, V there) for j = 1, 2, ... within the scan's range, read
+    from ``served`` (None: V's one-point call), so that the scan meets only
+    the errors of points it reaches.  A point ``served`` lacks is sampled by
+    one call with the scan's next points, ``_WINDOW`` of them at first,
+    twice as many after a call that succeeds and half as many after one
+    that raises; ``served`` keeps what they give."""
+    block = _WINDOW
     while True:
         z *= step
         if not 1 / _SCAN_LIMIT <= z <= _SCAN_LIMIT:
             return
-        yield z, float(V(z))
+        while z not in served:
+            got = _served(V, np.array([
+                t for t in (z * step**j for j in range(block))
+                if 1 / _SCAN_LIMIT <= t <= _SCAN_LIMIT]))
+            if got is not None:
+                served.update(got)
+                block *= 2
+            elif block == 1:
+                served[z] = None
+            else:
+                block //= 2
+        v = served[z]
+        yield z, float(V(z) if v is None else v)
 
 
 def _well(V: Potential) -> tuple[float, float]:
     """(z_v, v_min): where V is least among the points 2^j, walking downhill
-    from z = 1, up and then down, and V there; a least sample that is not
-    finite is a FloatingPointError."""
-    z, v = 1.0, float(V(1.0))
+    from z = 1, up and then down, and V there; one call samples the window
+    2^j, |j| <= ``_WINDOW``, and the walk reads past it by ``_samples``'s
+    calls.  A least sample that is not finite is a FloatingPointError."""
+    served = _sampled(V, np.ldexp(1.0, np.arange(-_WINDOW, _WINDOW + 1)))
+    z, v = 1.0, served[1.0]
+    v = float(V(z) if v is None else v)
     for step in (2.0, 0.5):
-        for z_next, v_next in _samples(V, z, step):
+        for z_next, v_next in _samples(V, served, z, step):
             if not v_next < v:
                 break
             z, v = z_next, v_next
@@ -264,7 +281,7 @@ def _well(V: Potential) -> tuple[float, float]:
 def _first_above(V: Potential, z: float, level: float) -> float:
     """The first of the points 2^j z, j >= 1, where V exceeds ``level``, or
     the last within the scan's range (z itself if there is none)."""
-    for z, v in _samples(V, z, 2.0):
+    for z, v in _samples(V, {}, z, 2.0):
         if v > level:
             break
     return z
@@ -283,13 +300,12 @@ def fd_box(V: Potential, k: int, grids: Sequence[int],
     z_max.  Meant for potentials whose least value and levels are positive,
     as those of the canonical pair are.
     """
-    scan = _scanned(V)
-    z_v, v_min = _well(scan)
+    z_v, v_min = _well(V)
     z_min = 1e-7 * z_v
     coarse = tridiag_eigs(fd_discretize(
-        V, z_min, _first_above(scan, z_v, 64 * v_min), refinement(grids)[0]),
+        V, z_min, _first_above(V, z_v, 64 * v_min), refinement(grids)[0]),
         k)
-    return z_min, _first_above(scan, z_v, 4 * coarse[-1])
+    return z_min, _first_above(V, z_v, 4 * coarse[-1])
 
 
 def fd_levels(V: Potential, k: int, grids: Sequence[int],
@@ -415,13 +431,14 @@ def _asymptotes(V: Potential, z_v: float) -> tuple[float, float]:
     j = np.arange(_REACH)
     sides = [(z_v * np.ldexp(1.0, -j)).tolist(),
              (z_v * np.ldexp(1.0, j)).tolist()]
-    sample = _sampled(V, np.array(sides[0] + sides[1]))
+    served = _sampled(V, np.array(sides[0] + sides[1]))
     reads = []
     for points in sides:
         last = math.nan, math.nan
         with contextlib.suppress(Exception):
             for z in points:
-                v = float(sample(z))
+                v = served[z]
+                v = float(V(z) if v is None else v)
                 if not math.isfinite(v):
                     break
                 last = z, v
@@ -464,7 +481,7 @@ def mesh_levels(V: Potential, k: int) -> MeshLevels:
     if not 1 <= k <= MESH_MAX_LEVELS:
         raise ValueError(f"the mesh solves 1 to {MESH_MAX_LEVELS} levels, "
                          f"not {k}")
-    z_v, _ = _well(_scanned(V))
+    z_v, _ = _well(V)
     c, s2 = _asymptotes(V, z_v)
     a, s = math.sqrt(c + 0.25), math.sqrt(s2)
     n, partner = mesh_size(k)

@@ -120,7 +120,10 @@ def solve_forward(omega_bar: float, rho_q: float, d: float) -> FactorizationPara
 def _positive_cubic_roots(omega_bar: float, a1: float, a2: float) -> list[float]:
     """Positive real roots of 4*ob*d^3 + (a2 - 2*a1)*d - 2*a1 = 0."""
     poly = [4 * omega_bar, 0.0, a2 - 2 * a1, -2 * a1]
-    roots = np.roots(poly)
+    # a tiny omega_bar overflows the companion matrix; its non-finite roots
+    # are no positive real roots
+    with np.errstate(all="ignore"):
+        roots = np.roots(poly)
     scale = max(1.0, max(abs(r) for r in roots))
     out = []
     for r in roots:

@@ -10,6 +10,14 @@ zeroth-order coefficients of the factorizing operator products; each printed
 expansion is evaluated exactly as written and classified as validated or
 suspect against the canonical form elsewhere (verification report).
 
+The x chart composes its operator products in jet arithmetic (``Jet``).  The
+half-line chart z is written in closed form: the superpotential
+w = a z + p/z + b z/q, q = 1 + d ob z^2, with its derivatives to order 3 as
+plain array expressions (``w_of_z_jet``), and the canonical potentials
+w^2 +- w' from that one w (``h_tilde_jet``), read from the fields the x
+chart reads (mu, rho_q, lam, d, ob).  So ``transform_shift`` compares two
+independent computations.
+
 Every function of x (or z) takes a point or an ndarray of points, each
 element bit for bit its one-point value: a sample-dependent square is the
 product q * q (see ``jets``).
@@ -212,34 +220,60 @@ def eval_potential(side: Side, form: Form, x, fp: FactorizationParams,
 
 
 def w_of_z_jet(z, fp: FactorizationParams, order: int) -> Jet:
-    """Superpotential as a function of z, via the x chart and the chain rule.
+    """The half-line superpotential w = a z + p/z + b z/q and its Taylor
+    coefficients to ``order`` <= 3, in closed form, at z or on a grid of z.
 
-    ``z`` is a point or a grid of points (a jet with array coefficients).
+    a = -mu sqrt(ob), p = rho_q/sqrt(ob) + 1, b = -lam sqrt(ob) and
+    q = 1 + d ob z^2: b~(x) - sqrt(ob) x at x(z) = -1/(sqrt(ob) z), read
+    from the fields the x chart reads, never from omega_hat or gamma.  The
+    rational piece and its derivatives are written in s = 1/q and
+    u = d ob z^2/q = 1/(1 + 1/(d ob z^2)), both in [0, 1] and each one
+    reciprocal, so that no power of q is formed: they stay finite where
+    d ob z^2 leaves the float range.
     """
     if any_zero(z):
         raise DomainError("half-line superpotential singular at z = 0")
+    if not 0 <= order <= 3:
+        raise ValueError(f"w is written to order 3, not {order}")
     sw = math.sqrt(fp.omega_bar)
-    xj = -1.0 / (sw * Jet.variable(z, order))  # x(z) as a jet in z
-    return _b_tilde(xj, fp) - sw * xj
+    a, p, b = -fp.mu * sw, fp.rho_q / sw + 1.0, -fp.lam * sw
+    iz = 1.0 / z
+    p_iz = p * iz
+    s = 1.0 / (1.0 + fp.d * fp.omega_bar * z * z)
+    coeffs = [a * z + p_iz + b * (z * s)]
+    if order:
+        u = 1.0 / (1.0 + 1.0 / fp.d / fp.omega_bar * iz * iz)
+        coeffs.append(a - p_iz * iz + b * s * (s - u))
+    if order >= 2:
+        coeffs.append(p_iz * iz * iz - b * u * iz * s * (3.0 * s - u))
+    if order >= 3:
+        coeffs.append(-p_iz * iz * iz * iz
+                      - b * u * s * (s * s - 6.0 * u * s + u * u) * iz * iz)
+    return Jet(tuple(coeffs))
 
 
 def h_tilde_jet(side: Side, z, fp: FactorizationParams, order: int) -> Jet:
     """Zeroth coefficient w^2 -+ w' of h~- = A~dag A~ or of h~+ = A~ A~dag,
-    at z or on a grid of z.
+    at z or on a grid of z, from the coefficients of w on plain arrays.
 
     Raises OverflowError naming the potential and the first point where w^2
     leaves the float range (w finite, w * w not).
     """
-    wj = w_of_z_jet(z, fp, order + 1)
-    w2 = wj * wj
-    over = np.isinf(w2.value) & np.isfinite(wj.value)
+    w = w_of_z_jet(z, fp, order + 1).coeffs
+    squares = []
+    for k in range(order + 1):
+        square = w[0] * w[k]
+        for j in range(1, k + 1):
+            square = square + w[j] * w[k - j]
+        squares.append(square)
+    over = np.isinf(squares[0]) & np.isfinite(w[0])
     if over.any():
         zi = float(np.ravel(z)[np.argmax(over)])
         raise OverflowError(f"w^2 in the canonical {side.value} potential "
                             f"overflows at z = {zi:.17g}")
-    if side is Side.PLUS:
-        return w2 + wj.shift(1)
-    return w2 - wj.shift(1)
+    sign = 1.0 if side is Side.PLUS else -1.0
+    return Jet(tuple(square + sign * (k + 1) * w[k + 1]
+                     for k, square in enumerate(squares)))
 
 
 def eval_potential_z(side: Side, form: Form, z,

@@ -23,6 +23,7 @@ their first- and second-order coefficients h1, h2, so it tests b1 =
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -98,13 +99,15 @@ class _Run:
                   for side in Side}
         self.v_printed_minus = eval_potential_z(Side.MINUS, Form.TRANSFORMED,
                                                 self.z, fp)
-        self.w = w_of_z_jet(self.z, fp, 0).value
+        w = w_of_z_jet(self.z, fp, 2)
+        self.w = w.value
         # the order-2 ladders n < N_STATES on all of SAMPLE_Z, one jet per
-        # side with coefficients of shape (N_STATES, points)
-        self.states = {
-            Side.PLUS: spectrum.phi_plus_jet(fp, LADDER, self.z, 2),
-            Side.MINUS: spectrum.phi_minus_jet(fp, LADDER, self.z,
-                                               "operator", 2)}
+        # side with coefficients of shape (N_STATES, points), from one plus
+        # ladder to order 3: the minus states are (w - d/dz) of it, as
+        # phi_minus_jet's "operator" method forms them
+        plus = spectrum.phi_plus_jet(fp, LADDER, self.z, 3)
+        self.states = {Side.PLUS: plus.truncate(2),
+                       Side.MINUS: spectrum.lowered(w, plus)}
         if mp is not None:
             self.Hm, self.Hp, self.e1 = (diffop.build(n, fp, mp) for n in (
                 "H_minus", "H_plus", "eta1_constructed"))
@@ -231,11 +234,16 @@ def _printed_ladder(r: _Run) -> float:
 
 
 def _printed_normalization(r: _Run) -> float:
-    """The printed integrals of the excited states against one quadrature."""
+    """The printed integrals of the excited states against one quadrature,
+    both at omega_hat = 1: each carries the factor omega_hat^-(gamma + 1)
+    and otherwise depends on gamma alone, so the relative gap is the same
+    at every omega_hat, and at omega_hat = 1 the integrals are finite
+    unless gamma is large."""
+    fp = dataclasses.replace(r.fp, omega_hat=1.0)
     excited = range(1, N_STATES)
-    q = spectrum.j_integral(r.fp, excited, "quadrature")
+    q = spectrum.j_integral(fp, excited, "quadrature")
     return numeric.worst([
-        abs(q - spectrum.j_integral(r.fp, excited, "closed")) / abs(q)])
+        abs(q - spectrum.j_integral(fp, excited, "closed")) / abs(q)])
 
 
 def _intertwining(r: _Run) -> float:

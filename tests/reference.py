@@ -145,3 +145,17 @@ def tridiag_eigs_per_level(sys, k: int) -> list[float]:
         his = np.where(below, mids, his)
         los = np.where(below, los, mids)
     return [float(x) for x in 0.5 * (los + his)]
+
+
+def w_of_z_x_chart(z, fp, order: int):
+    """The half-line superpotential w(z) = b~(x(z)) - sqrt(ob) x(z) with
+    x(z) = -1/(sqrt(ob) z) and b~(x) = mu/x - rho_q x + lam x/(x^2 + d),
+    composed in jet arithmetic through the x chart: its Taylor coefficients
+    to ``order`` at z or on a grid of z, independent of the package's
+    closed form in z."""
+    from swanson.jets import Jet
+
+    sw = math.sqrt(fp.omega_bar)
+    xj = -1.0 / (sw * Jet.variable(z, order))
+    b_tilde = fp.mu / xj - fp.rho_q * xj + fp.lam * xj / (xj**2 + fp.d)
+    return b_tilde - sw * xj

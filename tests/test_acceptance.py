@@ -215,8 +215,9 @@ def test_criterion_07_special_function_identities():
                    for k in range(n + 1))
         worst = max(worst, abs(lhs - rhs) / max(1.0, cond))
         if n >= 1:
+            # d/dt L_n^beta from the Kummer series on a jet
             from swanson.jets import Jet
-            d = laguerre_one(n, beta, Jet.variable(t, 1)).derivative(1)
+            d = pref * kummer(n, beta + 1, Jet.variable(t, 1)).derivative(1)
             worst = max(worst, abs(d + laguerre_one(n - 1, beta + 1, t))
                         / max(1.0, cond))
             w = laguerre_one(n - 1, beta, t) + laguerre_one(n, beta - 1, t)

@@ -182,6 +182,28 @@ def test_the_potential_is_read_in_three_calls():
     assert calls[2].tolist() == np.concatenate(nodes).tolist()
 
 
+@pytest.mark.parametrize("omega_hat, one_point", [(1e150, 18),
+                                                   (1e-150, 0)])
+def test_the_walk_past_the_window_reads_v_in_blocks(omega_hat, one_point):
+    # at r = 1 the well sits near z = 2^-248 (2^248): past the window the
+    # walk reads 16, 32, 64 and 128 points a call, where one point a call
+    # took about 250 calls.  At 1e150 w^2 overflows at the window's top, so
+    # the window's call raises and the walk reads the window one point at
+    # a time
+    fp = solve_forward(1.0, 1.0, omega_hat / 2.5)
+    calls = []
+
+    def V(z):
+        calls.append(np.shape(z))
+        return eval_potential_z(Side.MINUS, Form.CANONICAL, z, fp)
+
+    numeric.mesh_levels(V, 3)
+    assert [c for c in calls if c != ()] == [
+        (33,), (16,), (32,), (64,), (128,), (2 * numeric._REACH,),
+        (46 + 23,)]
+    assert calls.count(()) == one_point
+
+
 def _oscillator_with(bad):
     # A/z^2 + B z^2, with the value at one mesh node replaced: the middle
     # one of the 48 + 24 nodes that mesh_levels(V, 4) samples at once
@@ -259,7 +281,7 @@ def _scan_and_levels(V, k):
     """float.hex of z_v, v_min, the mesh's a and s, the levels and their
     observed error, or the error met on the way."""
     try:
-        z_v, v_min = numeric._well(numeric._scanned(V))
+        z_v, v_min = numeric._well(V)
         solved = numeric.mesh_levels(V, k)
     except Exception as exc:
         return type(exc).__name__, str(exc)
@@ -272,9 +294,13 @@ def _scan_and_levels(V, k):
                          + [(p, 3) for p in GRID])
 def test_the_window_gives_the_one_point_scan_bit_for_bit(point, k,
                                                          monkeypatch):
+    # with every call on several points refused, the walk reads V one
+    # point at a time; otherwise from the window's call and, past the
+    # window, from calls on blocks of points
     fp = _fp(point)
     sampled = [_scan_and_levels(_potential(fp, side), k) for side in Side]
-    monkeypatch.setattr(numeric, "_scanned", lambda V: V)
+    monkeypatch.setattr(numeric, "_served",
+                        lambda V, z: dict.fromkeys(z.tolist()))
     assert [_scan_and_levels(_potential(fp, side), k)
             for side in Side] == sampled
 

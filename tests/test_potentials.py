@@ -1,5 +1,6 @@
 """Superpotentials, metric, coordinate maps, and all potential forms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from swanson.potentials import (Form, Side, a_jet, b1_jet, b_plain_jet,
                                 h_tilde_jet, transform_shift, w_of_z_jet)
 from conftest import (SAMPLE_X, SAMPLE_Z, pointwise_hex, random_box_points,
                       random_forward_sets)
-from reference import quad_interval_nodewise
+from reference import quad_interval_nodewise, w_of_z_x_chart
 
 
 class TestPointFunctions:
@@ -204,6 +205,55 @@ class TestStructuralIdentities:
                     v1 = eval_potential(side, Form.OPERATOR_PRODUCT, x, fp)
                     v2 = eval_potential(side, Form.OPERATOR_PRODUCT, -x, fp)
                     assert v1 == pytest.approx(v2, rel=1e-12)
+
+
+# the 27 corners of the box omega_bar in {0.2, 1, 4}, rho_q in {0.1, 1, 3},
+# d in {0.2, 1, 3}
+BOX_CORNERS = list(itertools.product((0.2, 1.0, 4.0), (0.1, 1.0, 3.0),
+                                     (0.2, 1.0, 3.0)))
+
+
+class TestClosedFormSuperpotential:
+    """w and its derivatives are written in z; the x-chart composition in
+    jets is their independent reference."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_coefficients_equal_the_x_chart_composition(self, order,
+                                                        inverse_sets):
+        # each coefficient within 1e-13 of its largest magnitude over
+        # SAMPLE_Z: w' passes through 0 at w's minimum, where the two
+        # computations cancel differently
+        z = np.array(SAMPLE_Z)
+        for fp in ([solve_forward(*p) for p in BOX_CORNERS]
+                   + [fp for _, fp, _ in inverse_sets]):
+            got = w_of_z_jet(z, fp, order).coeffs
+            want = w_of_z_x_chart(z, fp, order).coeffs
+            assert len(got) == order + 1
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert np.max(abs(g - w)) <= 1e-13 * np.max(abs(w)), (fp, k)
+
+    def test_w_prime_is_finite_where_the_states_live_at_large_d(self):
+        # at d = 1e160 the states sit near z = sqrt(gamma/omega_hat) =
+        # 1e-80, where d ob z^2 = 1: w = 2.5e160 z + 2/z + 2e160 z/2 and
+        # w' = 2.5e160 - 2/z^2 + 0
+        w = w_of_z_jet(1e-80, solve_forward(1.0, 1.0, 1e160), 1)
+        assert w.coeffs == (pytest.approx(5.5e80, rel=1e-14),
+                            pytest.approx(5e159, rel=1e-14))
+        for side in Side:
+            assert math.isfinite(eval_potential_z(
+                side, Form.CANONICAL, 1e-80, solve_forward(1.0, 1.0, 1e160)))
+
+    def test_far_tails_keep_their_limits(self):
+        # d ob z^2 overflows at z = 1e300 and underflows at z = 1e-300;
+        # the rational piece's coefficients still tend to their limits
+        fp = solve_forward(1.0, 1.0, 1.0)
+        big, small = (w_of_z_jet(z, fp, 3).coeffs for z in (1e300, 1e-300))
+        assert big[1:] == (fp.omega_hat, 0.0, 0.0)
+        assert small[0] == pytest.approx(2.0 / 1e-300, rel=1e-15)
+
+    def test_orders_above_three_are_refused(self, fp_star):
+        with pytest.raises(ValueError, match="order 3"):
+            w_of_z_jet(1.0, fp_star, 4)
 
 
 class TestErrataDiagnostics:

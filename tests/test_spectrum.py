@@ -1,5 +1,6 @@
 """Closed-form spectra and eigenfunctions of the half-line oscillator pair."""
 
+import functools
 import itertools
 import math
 import types
@@ -408,12 +409,20 @@ class TestLadders:
                         for c in ladder.coeffs] == [
                     [v.hex() for v in c[0].tolist()] for c in one.coeffs]
 
-    def test_the_extreme_points_are_out_of_range(self, fp_star):
-        # the points above pin the padding where coefficients are inf or
-        # NaN: at 1e300 t is inf, at 1e-200 the powers of 1/z overflow
+    def test_tiny_z_is_in_range_and_infinite_t_is_not(self, fp_star):
+        # each coefficient's envelope c z^(p-m) exp(-t/2) is one exp of its
+        # log, so at 1e-200 every coefficient to order 3 is finite: the
+        # second of n = 2 is its z -> 0 limit (gamma = 2.5, phi_2 ~ z^2),
+        # about 8.07, as at 1e-100.  At 1e300 t is inf: the ground state
+        # reads its limit 0, and no derivative has a value
         ladder = phi_plus_jet(fp_star, range(6), self.ZS, 3)
-        assert not np.isfinite(ladder.coeffs[0][:, -1]).any()
-        assert not np.isfinite(ladder.coeffs[3][:, -2]).all()
+        assert all(np.isfinite(c[:, -2]).all() for c in ladder.coeffs)
+        second = phi_plus_jet(fp_star, range(2, 3), 1e-200, 2).coeffs[2][0]
+        assert second == pytest.approx(8.0651, rel=1e-4)
+        assert second == pytest.approx(phi_plus_jet(
+            fp_star, range(2, 3), 1e-100, 2).coeffs[2][0], rel=1e-14)
+        assert ladder.coeffs[0][0, -1] == 0.0
+        assert not np.isfinite(ladder.coeffs[1][:, -1]).any()
 
     def test_a_scalar_point_gives_one_entry_per_degree(self, fp_star):
         ladder = phi_plus_jet(fp_star, range(4), 1.3, 2)
@@ -621,3 +630,85 @@ class TestPrintedConstantsAtHighN:
         for fp in (fp_star, *random_forward_sets(3, seed=23)):
             assert j_one(fp, n, "closed") == pytest.approx(
                 self._printed(fp, n), rel=1e-12)
+
+    @pytest.mark.parametrize("omega_hat", [1e-60, 1e60])
+    def test_the_scale_is_one_exp_of_a_log(self, omega_hat):
+        # omega_hat^-(gamma + 1) is formed with the Gamma ratios in one exp,
+        # accurate to about (gamma + 1) |log omega_hat| ulps
+        fp = solve_forward(1.0, 1.0, omega_hat / 2.5)
+        for n in (1, 5):
+            assert j_one(fp, n, "closed") == pytest.approx(
+                self._printed(fp, n), rel=1e-12)
+
+    def test_a_value_past_the_float_range_overflows(self):
+        # at r = 1, omega_hat = 1e-150 the printed integral is about 1e525:
+        # an OverflowError, where oh ** (g + 1) underflowed to a zero divisor
+        fp = solve_forward(1.0, 1.0, 1e-150 / 2.5)
+        with pytest.raises(OverflowError):
+            j_integral(fp, range(1, 6), "closed")
+
+
+class TestClosedFormCoefficients:
+    """The states' Taylor coefficients to order 3 against sympy's
+    derivatives of their closed forms, evaluated in 30-digit mpmath: the
+    plus state C_n z^(gamma-1/2) e^(-t/2) L_n^(gamma-1)(t), the X1 minus
+    state 2 oh C_n z^(gamma+1/2) e^(-t/2) ((t + gamma + 1) L_n^gamma(t)
+    - L_(n-1)^gamma(t)) / (t + gamma), and (w - d/dz) of the plus state
+    with w = a z + p/z + b z/(1 + c z^2); t = oh z^2 and
+    C_n = (-1)^n sqrt(2 oh^gamma n!/Gamma(n + gamma))."""
+
+    ZS = [0.35, 1.1, 2.3]
+
+    @staticmethod
+    @functools.cache
+    def _derivatives(name: str, n: int, order: int):
+        """The derivatives 0 .. order of the state in z, as mpmath
+        functions of (z, gamma, oh, C_n, a, p, b, c)."""
+        sp = pytest.importorskip("sympy")
+        z, g, oh, cn, a, p, b, c = sp.symbols("z gamma oh c_n a p b c",
+                                               positive=True)
+        t = oh * z**2
+
+        def lag(k, alpha):
+            return sp.assoc_laguerre(k, alpha, t) if k >= 0 else 0
+
+        plus = cn * z ** (g - sp.Rational(1, 2)) * sp.exp(-t / 2) * lag(
+            n, g - 1)
+        if name == "plus":
+            expr = plus
+        elif name == "closed":
+            expr = (2 * oh * cn * z ** (g + sp.Rational(1, 2))
+                    * sp.exp(-t / 2) * ((t + g + 1) * lag(n, g)
+                                        - lag(n - 1, g)) / (t + g))
+        else:
+            w = a * z + p / z + b * z / (1 + c * z**2)
+            expr = w * plus - sp.diff(plus, z)
+        derivatives = [expr]
+        for _ in range(order):
+            derivatives.append(sp.diff(derivatives[-1], z))
+        return [sp.lambdify((z, g, oh, cn, a, p, b, c), f, "mpmath")
+                for f in derivatives]
+
+    @pytest.mark.parametrize("name", ["plus", "closed", "operator"])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_against_sympy(self, name, n, fp_star):
+        mpmath = pytest.importorskip("mpmath")
+        order = 3
+        for fp in (fp_star, random_forward_sets(1, seed=71)[0]):
+            got = STATES["phi_plus" if name == "plus"
+                         else f"phi_minus_{name}"](
+                fp, range(n, n + 1), np.array(self.ZS), order)
+            with mpmath.workdps(30):
+                g, oh = mpmath.mpf(fp.gamma), mpmath.mpf(fp.omega_hat)
+                sw = mpmath.sqrt(fp.omega_bar)
+                args = (g, oh, (-1) ** n * mpmath.sqrt(
+                    2 * oh**g * mpmath.factorial(n) / mpmath.gamma(n + g)),
+                    -fp.mu * sw, fp.rho_q / sw + 1, -fp.lam * sw,
+                    mpmath.mpf(fp.d) * fp.omega_bar)
+                want = [[float(f(mpmath.mpf(z), *args) / math.factorial(k))
+                         for z in self.ZS] for k, f in enumerate(
+                    self._derivatives(name, n, order))]
+            for k in range(order + 1):
+                scale = max(abs(v) for v in want[k])
+                assert np.max(abs(got.coeffs[k][0] - want[k])) <= (
+                    1e-12 * scale), (fp, k)

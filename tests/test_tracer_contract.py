@@ -85,3 +85,44 @@ def test_the_fd_extras_read_the_arguments_by_position(tracing):
     assert counts["numeric.tridiag_eigs.levels"] == 3
     assert counts["numeric.tridiag_eigs.rows"] == 40
     assert counts["numeric.fd_discretize.points"] == 40
+
+
+def test_the_z_chart_makes_no_jet_operations(tracing, monkeypatch):
+    # w, V+-, the plus states and the closed minus states are closed forms
+    # on plain arrays; the operator minus states make one jet operation,
+    # the product w phi.  Each operation the tracer counts is wrapped here
+    # by name, as the tracer wraps it
+    import numpy as np
+    from swanson import potentials, spectrum
+    from swanson.params import solve_forward
+
+    counted = []
+    for name in tracing.JET_OPS:
+        def wrapper(*args, _name=name, _op=getattr(Jet, name), **kwargs):
+            counted.append(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(Jet, name, wrapper)
+
+    fp = solve_forward(1.0, 1.0, 1.0)
+    z = np.array([0.3, 1.0, 2.5])
+    ladder = range(6)
+    calls = {
+        "eval_potential_z": lambda: [potentials.eval_potential_z(
+            side, potentials.Form.CANONICAL, z, fp)
+            for side in potentials.Side],
+        "w_of_z_jet": lambda: potentials.w_of_z_jet(z, fp, 3),
+        "phi_plus_jet": lambda: spectrum.phi_plus_jet(fp, ladder, z, 3),
+        "closed": lambda: spectrum.phi_minus_jet(fp, ladder, z, "closed", 3),
+        "operator": lambda: spectrum.phi_minus_jet(fp, ladder, z,
+                                                   "operator", 2),
+        "normalized": lambda: spectrum.phi_minus_jet(fp, ladder, z,
+                                                     "normalized", 2),
+    }
+    ops = {}
+    for name, call in calls.items():
+        counted.clear()
+        call()
+        ops[name] = list(counted)
+    assert ops == {"eval_potential_z": [], "w_of_z_jet": [],
+                   "phi_plus_jet": [], "closed": [],
+                   "operator": ["__mul__"], "normalized": ["__mul__"]}

@@ -139,8 +139,28 @@ def test_extreme_parameters_give_the_whole_document_and_no_warnings(
     doc = json.loads(out.read_text())
     entries = doc["identities"] + doc["errata"]
     assert [e["id"] for e in entries] == FORWARD_IDS
-    assert [e["id"] for e in doc["errata"] if e["residual"] == "inf"] \
-        == ["normalization_integral_printed"]
+    # the printed normalization integrals are compared at omega_hat = 1,
+    # where they are finite: the gap is a finite number here too
+    assert [e["id"] for e in doc["errata"]
+            if not math.isfinite(float(e["residual"]))] == []
+
+
+def test_the_printed_normalization_gap_is_scale_free():
+    # both integrals carry omega_hat^-(gamma + 1): at r = 1, omega_hat =
+    # 1e-150 they leave the float range, and the row reads the gap of
+    # gamma = 2.5, the same as at omega_hat = 1
+    from swanson.cli import RunConfig
+    from swanson.params import solve_forward
+
+    def gap(omega_hat):
+        fp = solve_forward(1.0, 1.0, omega_hat / 2.5)
+        errata = verify.run(RunConfig(), fp)[1]
+        return next(e for e in errata
+                    if e["id"] == "normalization_integral_printed")
+
+    tiny, unit = gap(1e-150), gap(1.0)
+    assert tiny == unit
+    assert 0 < float(tiny["residual"]) < math.inf
 
 
 def test_sweep_residual_is_the_larger_factorization_residual(tmp_path):
@@ -326,10 +346,10 @@ def test_state_rows_equal_a_point_by_point_evaluation(inverse_sets):
 
 def test_a_run_builds_each_ladder_and_h_sample_once(monkeypatch, fp_star):
     # every state call of a forward run is over the whole ladder
-    # n < N_STATES: the plus ladder, the plus states the operator minus
-    # ladder differentiates, the Gram row's values, the minus ladder and the
-    # closed minus row's values; h+- is evaluated once at SAMPLE_X however
-    # many rows read it, and once at x(SAMPLE_Z)
+    # n < N_STATES: the plus ladder to order 3, whose order-2 part is the
+    # plus states and which spectrum.lowered takes to the minus states, the
+    # Gram row's values and the closed minus row's values; h+- is evaluated
+    # once at SAMPLE_X however many rows read it, and once at x(SAMPLE_Z)
     import inspect
     from swanson.cli import RunConfig
     from swanson.potentials import Form
@@ -362,8 +382,8 @@ def test_a_run_builds_each_ladder_and_h_sample_once(monkeypatch, fp_star):
     verify.run(RunConfig(), fp_star)
     ladder = range(verify.N_STATES)
     assert calls == {
-        ("plus", ladder, 2): 1, ("plus", ladder, 3): 1, ("plus", ladder, 0): 1,
-        ("minus", ladder, "operator", 2): 1, ("minus", ladder, "closed", 0): 1,
+        ("plus", ladder, 3): 1, ("plus", ladder, 0): 1,
+        ("minus", ladder, "closed", 0): 1,
         **{(side, x): 1 for side in ("minus", "plus") for x in ("x", "x(z)")}}
 
 
