@@ -4,19 +4,18 @@ The one spectral oracle of the commands, ``mesh_levels``: the k lowest
 levels of -d^2/dz^2 + V(z) on the half line from one dense ``eigvalsh`` on
 a Gauss-rule Galerkin mesh in t = s z^2, in the basis of the radial
 oscillator l(l + 1) / z^2 + s^2 z^2 read off V's two asymptotes, with the
-observed error against a smaller partner mesh.  It is exact for an isotonic
-V at any size.  The one quadrature rule, ``quad_halfline``: generalized
-Gauss-Laguerre in t = omega_hat z^2, the integrand sampled on all its nodes
-in one call.  Both take their nodes from one Laguerre rule
-(``_laguerre_rule``).  ``worst`` is the one maximum every identity check
-reduces with: a NaN anywhere makes it NaN, so the check fails.  Nothing
-here reuses the closed-form machinery it checks.
+observed error against the levels of the same matrix's leading block.  It
+is exact for an isotonic V at any size.  The one quadrature rule,
+``quad_halfline``: generalized Gauss-Laguerre in t = omega_hat z^2, the
+integrand sampled on all its nodes in one call.  Both take their nodes from
+one Laguerre rule (``_laguerre_rule``).  ``worst`` is the one maximum every
+identity check reduces with: a NaN anywhere makes it NaN, so the check
+fails.  Nothing here reuses the closed-form machinery it checks.
 
 Every dense eigensolve of up to 360 rows runs with numpy's OpenBLAS held to
 one thread (``_one_blas_thread``), and no mesh has more, so its levels do
-not depend on the thread count.  At k = 3 the mesh of 46 + 23 nodes takes
-about 0.42 ms per side on a 2-vCPU host, and 250 levels on 360 + 270 nodes
-about 21 ms.
+not depend on the thread count.  At k = 3 the mesh of 46 nodes takes about
+0.45 ms per side on a 2-vCPU host, and 250 levels on 360 nodes about 23 ms.
 
 The finite-difference oracle (``fd_levels``: a log mesh in a box read off V
 by the scans ``_well`` and ``_first_above``, the k lowest levels of its
@@ -401,7 +400,7 @@ def _laguerre_rule(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The most levels one mesh solve takes, and the largest observed error a
-# solve may show: at most 4.4e-7 where the mesh is within 1e-5 of the closed
+# solve may show: at most 1.2e-8 where the mesh is within 1e-5 of the closed
 # forms (box, frozen triples and the 90-point grid at k = 3), 0.97 where the
 # plus mesh is off by a factor 1e5 (r <= 1e-20, omega_hat = 1e-30).
 MESH_MAX_LEVELS = 250
@@ -409,12 +408,13 @@ MESH_GATE = 2.5e-2
 
 
 def mesh_size(k: int) -> tuple[int, int]:
-    """Nodes of the mesh for k levels and of the partner its observed error
-    compares with: 20 more than k in the partner and twice as many in the
-    mesh, at most ``_ONE_THREAD_MAX_ROWS``, so that no level depends on the
-    BLAS thread count.  Over the box corners and the frozen triples the mesh
-    is within 7.6e-11 of the closed forms for k <= 40 (48 nodes at k = 4)
-    and within 2.6e-10 for k = 250; the observed error is at most 1.5e-5."""
+    """Nodes of the mesh for k levels and rows of the leading block its
+    observed error compares with: 20 more than k in the block and twice as
+    many in the mesh, at most ``_ONE_THREAD_MAX_ROWS``, so that no level
+    depends on the BLAS thread count.  Over the box corners and the frozen
+    triples the mesh is within 7.6e-11 of the closed forms for k <= 40 (48
+    nodes at k = 4) and within 2.6e-10 for k = 250; the observed error is at
+    most 1.5e-7."""
     return min(2 * k + 40, _ONE_THREAD_MAX_ROWS), k + 20
 
 
@@ -469,13 +469,15 @@ def mesh_levels(V: Potential, k: int) -> MeshLevels:
     observed error max_j |E_j(partner) - E_j| / |E_j|, from the Gauss-rule
     Galerkin mesh in t = s z^2 in the basis of the radial oscillator
     l(l + 1) / z^2 + s^2 z^2, a = l + 1/2 (D. Baye, Phys. Rep. 565, 1
-    (2015)), on ``mesh_size(k)`` nodes.
+    (2015)), on n nodes, (n, m) = ``mesh_size(k)``.
 
     The basis is read off V alone, ``_asymptotes`` about V's least sample
     (``_well``).  V is called once on the nodes z_q = sqrt(t_q / s) of the
-    mesh and its partner (``_laguerre_rule`` for a), with numpy's warnings
-    off; a sample of V - l(l + 1) / z^2 - s^2 z^2 that is not finite is a
-    FloatingPointError.  Raises NonConvergent when the observed error
+    mesh (``_laguerre_rule`` for a), with numpy's warnings off; a sample of
+    V - l(l + 1) / z^2 - s^2 z^2 that is not finite is a FloatingPointError.
+    The partner is the matrix's leading m x m block: the first m basis
+    functions on the same nodes, so by Cauchy interlacing each of its levels
+    is at least the mesh's.  Raises NonConvergent when the observed error
     exceeds ``MESH_GATE``; the levels are deterministic, bit for bit.
     """
     if not 1 <= k <= MESH_MAX_LEVELS:
@@ -484,30 +486,27 @@ def mesh_levels(V: Potential, k: int) -> MeshLevels:
     z_v, _ = _well(V)
     c, s2 = _asymptotes(V, z_v)
     a, s = math.sqrt(c + 0.25), math.sqrt(s2)
-    n, partner = mesh_size(k)
-    rules = [_laguerre_rule(a, size) for size in (n, partner)]
-    t = np.concatenate([nodes for nodes, _ in rules])
+    n, m = mesh_size(k)
+    t, u = _laguerre_rule(a, n)
     with np.errstate(all="ignore"):
         v = np.broadcast_to(np.asarray(V(np.sqrt(t / s)), dtype=float),
                             t.shape)
         w = v - s * (c / t + t)
     if not np.all(np.isfinite(w)):
         raise FloatingPointError(f"non-finite potential samples on the "
-                                 f"{n}- and {partner}-node meshes")
-    solved = []
-    for part, (_, u) in zip(np.split(w, [n]), rules):
+                                 f"{n}-node mesh")
+    with _one_blas_thread(n):
         # U diag(w) U^T + diag(s (4n + 2a + 2))
-        with _one_blas_thread(len(part)):
-            hamiltonian = (u * part) @ u.T + np.diag(
-                s * (4.0 * np.arange(len(part)) + 2.0 * a + 2.0))
-            solved.append(np.linalg.eigvalsh(hamiltonian)[:k])
-    levels, coarse = solved
+        hamiltonian = (u * w) @ u.T + np.diag(
+            s * (4.0 * np.arange(n) + 2.0 * a + 2.0))
+        levels = np.linalg.eigvalsh(hamiltonian)[:k]
+        partner = np.linalg.eigvalsh(hamiltonian[:m, :m])[:k]
     with np.errstate(all="ignore"):
-        error = float(np.max(abs(coarse - levels) / abs(levels)))
+        error = float(np.max(abs(partner - levels) / abs(levels)))
     if not error <= MESH_GATE:
-        raise NonConvergent(f"the {n}-node mesh's levels differ from the "
-                            f"{partner}-node mesh's by {error:.3g}, above "
-                            f"{MESH_GATE:g}")
+        raise NonConvergent(f"the {n}-node mesh's levels differ from its "
+                            f"leading {m}-row block's by {error:.3g}, "
+                            f"above {MESH_GATE:g}")
     return MeshLevels(levels.tolist(), error, a, s)
 
 

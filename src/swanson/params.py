@@ -11,7 +11,7 @@ solves an over-determined matching system, reporting residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,12 +118,16 @@ def solve_forward(omega_bar: float, rho_q: float, d: float) -> FactorizationPara
 
 
 def _positive_cubic_roots(omega_bar: float, a1: float, a2: float) -> list[float]:
-    """Positive real roots of 4*ob*d^3 + (a2 - 2*a1)*d - 2*a1 = 0."""
+    """Positive real roots of 4*ob*d^3 + (a2 - 2*a1)*d - 2*a1 = 0; a cubic
+    whose companion coefficients are not finite is a FloatingPointError."""
     poly = [4 * omega_bar, 0.0, a2 - 2 * a1, -2 * a1]
-    # a tiny omega_bar overflows the companion matrix; its non-finite roots
-    # are no positive real roots
     with np.errstate(all="ignore"):
-        roots = np.roots(poly)
+        companion = np.divide(poly[1:], poly[0])
+    if not np.all(np.isfinite(companion)):
+        raise FloatingPointError(
+            f"the cubic 4 omega_bar d^3 + (a2 - 2 a1) d - 2 a1 for d has "
+            f"non-finite companion coefficients at omega_bar = {omega_bar:g}")
+    roots = np.roots(poly)
     scale = max(1.0, max(abs(r) for r in roots))
     out = []
     for r in roots:
@@ -203,11 +207,6 @@ def solve_inverse(p: ModelParams) -> tuple[FactorizationParams, ConstraintReport
         raise Infeasible4X(f"need 4X > 43*omega_bar, got 4X = {4 * X}, "
                            f"43*omega_bar = {43 * ob}")
     rho_q = 0.5 * (math.sqrt(4 * X - 27 * ob) - 4 * sw)
-    fwd = solve_forward(ob, rho_q, d)
-    fp = FactorizationParams(
-        omega_bar=ob, rho_q=rho_q, d=d,
-        mu=fwd.mu, lam=fwd.lam, omega_hat=fwd.omega_hat, gamma=fwd.gamma,
-        c=c,
-    )
+    fp = replace(solve_forward(ob, rho_q, d), c=c)
     report = check_constraints(fp, dc, c, d)
     return fp, report

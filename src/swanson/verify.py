@@ -203,14 +203,14 @@ def _mesh_gap(side: Side) -> Callable[[_Run], float]:
 
 
 def _mesh_note(side: Side) -> Callable[[_Run], str]:
-    """The note of a spectral row: the sizes of its mesh and of the
-    partner, the mesh's a and s, and the observed error."""
+    """The note of a spectral row: the sizes of its mesh and of the leading
+    block, the mesh's a and s, and the observed error."""
     def note(r: _Run) -> str:
         m = r.mesh(side)
-        nodes, partner = numeric.mesh_size(len(m.levels))
-        return (f"mesh of {fmt(nodes)} + {fmt(partner)} nodes, "
-                f"a = {fmt(m.a)}, s = {fmt(m.s)}, observed error "
-                f"{fmt(m.error)}")
+        nodes, block = numeric.mesh_size(len(m.levels))
+        return (f"mesh of {fmt(nodes)} nodes, leading block of "
+                f"{fmt(block)}, a = {fmt(m.a)}, s = {fmt(m.s)}, observed "
+                f"error {fmt(m.error)}")
 
     return note
 

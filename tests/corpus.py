@@ -12,7 +12,8 @@ lines that differ, then a summary: how many argv of each file print no
 document (nothing on stdout), and by row id over the ``verify`` documents
 the ids found in one file only, how many of the differing argv are equal
 once those ids' rows are dropped and the documents re-serialized as the
-CLI writes them, each id's status changes (PASS -> FAIL and the like) with
+CLI writes them, how many are equal once every row's note is dropped
+instead, each id's status changes (PASS -> FAIL and the like) with
 their argv, and the argv whose exit code changed.
 
 The 421 argv (419 distinct: the README's triple is the first frozen
@@ -142,23 +143,26 @@ def _statuses(record: list) -> dict[str, str]:
     return {e["id"]: e["status"] for e in doc["identities"] + doc["errata"]}
 
 
-def _without(record: list, ids: set) -> list:
+def _without(record: list, ids: set, notes: bool = False) -> list:
     """The record with the rows of ``ids`` dropped from its ``verify``
-    document, re-serialized as the CLI writes JSON (indent 2 and a final
-    newline); any other record as it is."""
+    document, and every row's note too when ``notes`` is set, re-serialized
+    as the CLI writes JSON (indent 2 and a final newline); any other record
+    as it is."""
     if not _statuses(record):
         return record
     doc = json.loads(record[1])
     for part in ("identities", "errata"):
-        doc[part] = [e for e in doc[part] if e["id"] not in ids]
+        doc[part] = [{key: value for key, value in e.items()
+                      if not (notes and key == "note")}
+                     for e in doc[part] if e["id"] not in ids]
     return [record[0], json.dumps(doc, indent=2) + "\n", record[2]]
 
 
 def row_summary(a: dict, b: dict, path_a: str, path_b: str) -> None:
     """Print how many argv of each file print nothing to stdout, then the
     ids found in one file only, the differing argv equal without them, the
-    status changes per id and the exit-code changes, over the argv both
-    files hold."""
+    differing argv equal without row notes, the status changes per id and
+    the exit-code changes, over the argv both files hold."""
     only = {path_a: collections.Counter(), path_b: collections.Counter()}
     moves = collections.defaultdict(list)
     exits = []
@@ -183,6 +187,10 @@ def row_summary(a: dict, b: dict, path_a: str, path_b: str) -> None:
     equal = sum(_without(a[key], dropped) == _without(b[key], dropped)
                 for key in differing)
     print(f"differing argv equal once those ids are dropped: {equal} of "
+          f"{len(differing)}")
+    equal = sum(_without(a[key], set(), notes=True)
+                == _without(b[key], set(), notes=True) for key in differing)
+    print(f"differing argv equal once row notes are dropped: {equal} of "
           f"{len(differing)}")
     print(f"status changes: {len(moves) or 'none'}")
     for (name, old, new), keys in sorted(moves.items()):

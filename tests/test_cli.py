@@ -54,6 +54,18 @@ class TestSolve:
         assert code == 2
         assert "infeasible" in err
 
+    def test_an_overflowing_cubic_names_itself_and_omega_bar(self, capsys):
+        # omega_bar = 1e-155: the cubic's coefficients over its leading one
+        # overflow, and the one stderr line says so rather than numpy's
+        code, out, err = run_main(["solve", "--mode", "inverse", "--omega",
+                                   "1.0", "--alpha", "1.0", "--beta",
+                                   "-1e-155"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: FloatingPointError: the cubic "
+                       "4 omega_bar d^3 + (a2 - 2 a1) d - 2 a1 for d has "
+                       "non-finite companion coefficients at omega_bar = "
+                       "1e-155\n")
+
     def test_equal_couplings_config_error(self, capsys):
         code, _, err = run_main(["solve", "--mode", "inverse", "--omega", "2",
                                  "--alpha", "0.3", "--beta", "0.3"], capsys)
@@ -374,8 +386,9 @@ class TestVerify:
         from swanson.errors import NonConvergent
 
         def levels(*args):
-            raise NonConvergent("the 46-node mesh's levels differ from the "
-                                "23-node mesh's by 0.07, above 0.025")
+            raise NonConvergent("the 46-node mesh's levels differ from its "
+                                "leading 23-row block's by 0.07, above "
+                                "0.025")
 
         monkeypatch.setattr(numeric, "mesh_levels", levels)
         om, al, be = FEASIBLE_TRIPLES[4]
@@ -390,7 +403,7 @@ class TestVerify:
         for name in ("fd_spectrum_plus", "isospectrality"):
             assert by_id[name]["status"] == "FAIL"
             assert by_id[name]["residual"] == "inf"
-            assert "23-node mesh" in by_id[name]["note"]
+            assert "23-row block" in by_id[name]["note"]
 
     def test_bad_tolerance_syntax(self, capsys):
         assert run_main(["verify", "--tol", "oops"], capsys)[0] == 1
@@ -453,8 +466,8 @@ class TestSweep:
                          "--steps", "2"], capsys)[0] == 1
 
     @pytest.mark.parametrize("message", [
-        "the 46-node mesh's levels differ from the 23-node mesh's by 0.07, "
-        "above 0.025",
+        "the 46-node mesh's levels differ from its leading 23-row block's by "
+        "0.07, above 0.025",
         'quadrature on [0, 1] did not "stabilize"'])
     def test_failed_row_names_stage_type_and_message(self, message,
                                                      monkeypatch, capsys):

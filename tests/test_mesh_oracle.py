@@ -124,8 +124,8 @@ def test_a_potential_the_package_does_not_build():
 
 @pytest.mark.parametrize("k", [20, 40, 250])
 def test_high_levels_and_their_error_estimate(k):
-    # the partner's k + 20 nodes set the observed error: up to 1.2e-6 at
-    # k = 40 and 5.5e-6 at k = 250, both on the minus side
+    # the leading block's k + 20 rows set the observed error: up to 1.5e-8
+    # at k = 40 and 3.5e-8 at k = 250, both on the minus side
     fp = solve_forward(1.0, 1.0, 1.0)
     for side in Side:
         solved = numeric.mesh_levels(_potential(fp, side), k)
@@ -133,16 +133,40 @@ def test_high_levels_and_their_error_estimate(k):
         assert solved.error <= 1e-5
 
 
+def test_the_observed_error_bounds_the_true_error(monkeypatch):
+    # the leading block's levels are the mesh's own basis cut to its first
+    # rows, so each lies above the mesh's (Cauchy interlacing), to rounding;
+    # their gap is at least the mesh's error against the closed forms
+    # wherever that error is above 1e-13 (by a factor 186 at least)
+    solves = []
+
+    def spy(a, solve=np.linalg.eigvalsh):
+        solves.append(solve(a))
+        return solves[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for point in CORNERS + FEASIBLE_TRIPLES:
+        fp = _fp(point)
+        exact = energies_plus(fp, 39)
+        for side, k in itertools.product(Side, (4, 40)):
+            solves.clear()
+            solved = numeric.mesh_levels(_potential(fp, side), k)
+            mesh, block = (levels[:k] for levels in solves)
+            assert np.all(block >= mesh - 1e-13 * abs(mesh))
+            true = _rel(solved.levels, exact)
+            assert true <= 1e-13 or solved.error >= true
+
+
 def test_the_mesh_size_rule():
-    # the partner holds 20 nodes more than the levels and the mesh twice as
-    # many, at most 360: every solve stays on one BLAS thread, and the
-    # partner holds the 250 levels of the largest solve
+    # the leading block holds 20 rows more than the levels and the mesh
+    # twice as many, at most 360: every solve stays on one BLAS thread, and
+    # the block holds the 250 levels of the largest solve
     assert numeric.mesh_size(4) == (48, 24)
     assert numeric.mesh_size(160) == (360, 180)
     assert numeric.mesh_size(250) == (360, 270)
     for k in range(1, numeric.MESH_MAX_LEVELS + 1):
-        n, partner = numeric.mesh_size(k)
-        assert k < partner <= n <= numeric._ONE_THREAD_MAX_ROWS
+        n, m = numeric.mesh_size(k)
+        assert k < m <= n <= numeric._ONE_THREAD_MAX_ROWS
 
 
 @pytest.mark.parametrize("d", [0.2, 1.0, 3.0])
@@ -161,7 +185,7 @@ def test_the_potential_is_read_in_three_calls():
     # every point the scans visit at a box point lies in the window, so V is
     # called three times: on the window 2^-16 .. 2^16, on the points
     # z_v 2^-j and z_v 2^j, j < 30, where the asymptotes are read, and on
-    # the 46 nodes of the mesh and the 23 of its partner at once
+    # the 46 nodes of the mesh, whose leading block is the partner
     fp = solve_forward(1.0, 1.0, 1.0)
     calls = []
 
@@ -172,14 +196,13 @@ def test_the_potential_is_read_in_three_calls():
     solved = numeric.mesh_levels(V, 3)
     assert [np.shape(z) for z in calls] == [(2 * numeric._WINDOW + 1,),
                                             (2 * numeric._REACH,),
-                                            (46 + 23,)]
+                                            (46,)]
     assert calls[0].tolist() == [2.0**j for j in range(-16, 17)]
     z_v, _ = numeric._well(V)
     assert calls[1].tolist() == [z_v * 2.0**-j for j in range(30)] + [
         z_v * 2.0**j for j in range(30)]
-    nodes = [np.sqrt(numeric._laguerre_rule(solved.a, n)[0] / solved.s)
-             for n in (46, 23)]
-    assert calls[2].tolist() == np.concatenate(nodes).tolist()
+    nodes = np.sqrt(numeric._laguerre_rule(solved.a, 46)[0] / solved.s)
+    assert calls[2].tolist() == nodes.tolist()
 
 
 @pytest.mark.parametrize("omega_hat, one_point", [(1e150, 18),
@@ -199,19 +222,18 @@ def test_the_walk_past_the_window_reads_v_in_blocks(omega_hat, one_point):
 
     numeric.mesh_levels(V, 3)
     assert [c for c in calls if c != ()] == [
-        (33,), (16,), (32,), (64,), (128,), (2 * numeric._REACH,),
-        (46 + 23,)]
+        (33,), (16,), (32,), (64,), (128,), (2 * numeric._REACH,), (46,)]
     assert calls.count(()) == one_point
 
 
 def _oscillator_with(bad):
     # A/z^2 + B z^2, with the value at one mesh node replaced: the middle
-    # one of the 48 + 24 nodes that mesh_levels(V, 4) samples at once
+    # one of the 48 nodes that mesh_levels(V, 4) samples at once
     gk = GKPotential(A=2.0, B=1.5)
 
     def V(z):
         v = gk.A / (z * z) + gk.B * z * z
-        if np.shape(z) == (48 + 24,):
+        if np.shape(z) == (48,):
             v[len(v) // 2] = bad
         return v
 
@@ -249,7 +271,7 @@ def test_the_asymptote_read_ends_where_v_raises():
     assert solved.s == math.sqrt(1.5 + gk.A / 512.0**4)
     # the window's call raises too, and the scans read one point at a time
     read = calls.index((60,))
-    assert calls[0] == (33,) and calls[-1] == (72,)
+    assert calls[0] == (33,) and calls[-1] == (48,)
     assert set(calls[1:read] + calls[read + 1:-1]) == {()}
     with pytest.raises(OverflowError, match="past 2.0"):
         numeric.mesh_levels(V_failing_beyond(2.0), 4)
@@ -332,7 +354,7 @@ def test_a_window_point_the_scan_never_reaches_may_raise():
     read = calls.index((2 * numeric._REACH,))
     assert calls[0] == (2 * numeric._WINDOW + 1,)
     assert calls[1:read] and set(calls[1:read] + calls[read + 1:-1]) == {()}
-    assert calls[-1] == (48 + 24,)
+    assert calls[-1] == (48,)
 
 
 @pytest.mark.parametrize("k", [0, numeric.MESH_MAX_LEVELS + 1])
@@ -353,9 +375,10 @@ SMALL_R = solve_forward(1.0, 1e-30, 1e-30 / 1.5)
 
 def test_the_error_gate_refuses_a_mesh_that_misses_the_well():
     # at r = 1e-30, omega_hat = 1e-30 the plus mesh is 1e5 times the
-    # closed-form level, and its partner differs from it by 97 %
+    # closed-form level, and its leading block differs from it by 97 %
     with pytest.raises(NonConvergent, match=r"46-node mesh's levels differ "
-                       r"from the 23-node mesh's by 0\.97\d*, above 0\.025"):
+                       r"from its leading 23-row block's by 0\.97\d*, "
+                       r"above 0\.025"):
         numeric.mesh_levels(_potential(SMALL_R, Side.PLUS), 3)
     solved = numeric.mesh_levels(_potential(SMALL_R, Side.MINUS), 3)
     assert _rel(solved.levels, energies_plus(SMALL_R, 2)) <= 1e-10
@@ -364,7 +387,7 @@ def test_the_error_gate_refuses_a_mesh_that_misses_the_well():
 
 def test_a_plus_side_that_reads_zero_admits_no_mesh():
     # at the extreme point V+ reads 0 about z = 1, so s^2 is 0; the minus
-    # side is within 8.9e-11 there (observed error 4.4e-7)
+    # side is within 8.9e-11 there (observed error 1.2e-8)
     with pytest.raises(FloatingPointError, match=r"no mesh for the "
                        r"potential's asymptotes l\(l \+ 1\) = 0, s\^2 = 0"):
         numeric.mesh_levels(_potential(EXTREME, Side.PLUS), 3)
@@ -401,7 +424,8 @@ def test_spectrum_sweep_and_verify_share_the_plus_levels(capsys):
                        ("isospectrality", Side.MINUS)):
         solved = numeric.mesh_levels(_potential(fp, side), 3)
         assert by_id[name]["note"] == (
-            f"mesh of 46 + 23 nodes, a = {verify.fmt(solved.a)}, "
+            f"mesh of 46 nodes, leading block of 23, "
+            f"a = {verify.fmt(solved.a)}, "
             f"s = {verify.fmt(solved.s)}, observed error "
             f"{verify.fmt(solved.error)}")
 
@@ -455,24 +479,23 @@ def blas_threads():
     put(before)
 
 
-@pytest.mark.parametrize("k, threads", [(4, {48: 1, 24: 1}),
-                                        (160, {360: 1, 180: 1}),
-                                        (250, {360: 1, 270: 1})])
-def test_every_solve_runs_on_one_blas_thread(k, threads, blas_threads,
+@pytest.mark.parametrize("k, n, m", [(4, 48, 24), (160, 360, 180),
+                                     (250, 360, 270)])
+def test_every_solve_runs_on_one_blas_thread(k, n, m, blas_threads,
                                              monkeypatch):
-    # (rows, count) of each size's rule and mesh solve, and after the solve
-    # the count from before
+    # (solver, rows, count) of the rule and of each solve, and after the
+    # solve the count from before
     seen = []
     for name in ("eigh", "eigvalsh"):
-        def spy(a, solve=getattr(np.linalg, name)):
-            seen.append((len(a), blas_threads()))
+        def spy(a, name=name, solve=getattr(np.linalg, name)):
+            seen.append((name, len(a), blas_threads()))
             return solve(a)
 
         monkeypatch.setattr(np.linalg, name, spy)
     numeric.mesh_levels(_potential(solve_forward(1.0, 1.0, 1.0), Side.PLUS),
                         k)
-    # the rules of both sizes first, then the two solves
-    assert seen == list(threads.items()) * 2
+    # the rule first, then the mesh and its leading block
+    assert seen == [("eigh", n, 1), ("eigvalsh", n, 1), ("eigvalsh", m, 1)]
     assert blas_threads() == 2
 
 

@@ -104,7 +104,8 @@ def test_nonconvergent_quadrature_marks_exactly_the_rows_that_integrate(
             assert e["status"] in ("FAIL", "REPORTED")
         elif e["id"] in DEFAULT_TOLS:
             assert e["status"] == "PASS"
-            assert (e["note"].startswith("mesh of 46 + 23 nodes, a = ")
+            assert (e["note"].startswith("mesh of 46 nodes, leading block "
+                                         "of 23, a = ")
                     if e["id"] in MESH else "note" not in e)
     failed = [e["id"] for e in doc["identities"] if e["status"] == "FAIL"]
     assert set(failed) == INTEGRATING & set(DEFAULT_TOLS)
@@ -295,8 +296,8 @@ def test_a_refused_plus_mesh_fails_only_its_own_row(monkeypatch):
     assert (rows["isospectrality"]["residual"],
             rows["isospectrality"]["status"],
             rows["isospectrality"]["note"]) == (
-        "0", "PASS", "mesh of 46 + 23 nodes, a = 1.5, s = 2.5, observed error "
-        "1.0000000000000001e-09")
+        "0", "PASS", "mesh of 46 nodes, leading block of 23, a = 1.5, "
+        "s = 2.5, observed error 1.0000000000000001e-09")
 
 
 def _pointwise_state_rows(fp) -> dict:
@@ -425,8 +426,8 @@ def test_spurious_minus_level_fails_isospectrality_by_its_error(monkeypatch):
     assert rows["fd_spectrum_plus"]["status"] == "PASS"
     iso = rows["isospectrality"]
     assert iso["status"] == "FAIL"
-    assert iso["note"] == ("mesh of 46 + 23 nodes, a = 1.5, s = 2.5, "
-                           "observed error 0")
+    assert iso["note"] == ("mesh of 46 nodes, leading block of 23, "
+                           "a = 1.5, s = 2.5, observed error 0")
     assert float(iso["residual"]) == 0.5
 
 
