@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import platform
@@ -136,8 +137,9 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
-    # a cell holding a comma, a quote or a line break is quoted; the others
-    # are written as they are
+    """The sweep table, through ``csv.writer``: its status cell holds an
+    error message, which needs quoting where it holds a comma, a quote or a
+    line break; the other cells are written as they are."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
         [fmt(v) if isinstance(v, float) else str(v) for v in row]
@@ -149,9 +151,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit_rows(cfg: RunConfig, rows: list[list], header: list[str]) -> None:
+def _emit_rows(cfg: RunConfig, rows: list[tuple], header: list[str]) -> None:
+    """The spectrum and wavefunctions tables: rows of an int n and floats.
+    As csv, each row is one %-template, ``%d`` then ``,%.17g`` per float
+    (``fmt``'s digits), since no such cell needs csv quoting; as JSON, one
+    object per row."""
     if cfg.format == "csv":
-        _emit(cfg, _csv(rows, header))
+        row = "%d" + ",%.17g" * (len(header) - 1) + "\n"
+        _emit(cfg, ",".join(header) + "\n" + "".join(map(row.__mod__, rows)))
     else:
         _emit(cfg, _json_text([dict(zip(header, [r[0]] + [fmt(v) for v in r[1:]]))
                                for r in rows]))
@@ -196,10 +203,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     ep, em = (verify.numeric_levels(fp, side, k).levels
               for side in (Side.PLUS, Side.MINUS))
     analytic = spectrum.energies_plus(fp, cfg.n_max)
-    rows = []
-    for n in range(k):
-        rel = abs(ep[n] - analytic[n]) / abs(analytic[n])
-        rows.append([n, analytic[n], ep[n], em[n], rel])
+    rows = [(n, analytic[n], ep[n], em[n],
+             abs(ep[n] - analytic[n]) / abs(analytic[n])) for n in range(k)]
     _emit_rows(cfg, rows, ["n", "E_analytic", "E_numeric_plus",
                            "E_numeric_minus", "rel_error_plus"])
     return EXIT_OK
@@ -235,8 +240,7 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
             for zi in z.tolist():
                 state(n, zi)
             raise
-        rows += ([n, zi, a, b] for zi, a, b in zip(
-            z.tolist(), v.tolist(), dv.tolist()))
+        rows += zip(itertools.repeat(n), z.tolist(), v.tolist(), dv.tolist())
     skipped = len(cfg.z_grid) - len(z)
     if skipped and ns:
         print(f"warning: skipped {skipped} non-positive grid points",

@@ -119,7 +119,8 @@ def solve_forward(omega_bar: float, rho_q: float, d: float) -> FactorizationPara
 
 def _positive_cubic_roots(omega_bar: float, a1: float, a2: float) -> list[float]:
     """Positive real roots of 4*ob*d^3 + (a2 - 2*a1)*d - 2*a1 = 0; a cubic
-    whose companion coefficients are not finite is a FloatingPointError."""
+    whose companion coefficients are not finite is a FloatingPointError, and
+    a root whose cube leaves the float range an OverflowError."""
     poly = [4 * omega_bar, 0.0, a2 - 2 * a1, -2 * a1]
     with np.errstate(all="ignore"):
         companion = np.divide(poly[1:], poly[0])
@@ -135,8 +136,14 @@ def _positive_cubic_roots(omega_bar: float, a1: float, a2: float) -> list[float]
             d = float(r.real)
             # Newton polish
             for _ in range(60):
-                f = 4 * omega_bar * d**3 + (a2 - 2 * a1) * d - 2 * a1
-                fp = 12 * omega_bar * d**2 + (a2 - 2 * a1)
+                try:
+                    f = 4 * omega_bar * d**3 + (a2 - 2 * a1) * d - 2 * a1
+                    fp = 12 * omega_bar * d**2 + (a2 - 2 * a1)
+                except OverflowError:
+                    raise OverflowError(
+                        f"the cubic 4 omega_bar d^3 + (a2 - 2 a1) d - 2 a1 "
+                        f"for d overflows at its root d = {d:g}, omega_bar "
+                        f"= {omega_bar:g}") from None
                 step = f / fp
                 d -= step
                 if abs(step) < 1e-15 * max(1.0, abs(d)):

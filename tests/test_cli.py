@@ -66,6 +66,19 @@ class TestSolve:
                        "non-finite companion coefficients at omega_bar = "
                        "1e-155\n")
 
+    def test_a_root_whose_cube_overflows_names_the_cubic_and_d(self,
+                                                                capsys):
+        # omega_bar = 1e-150: the root d is about 7e149, and the Newton
+        # polish's d^3 leaves the float range
+        code, out, err = run_main(["solve", "--mode", "inverse", "--omega",
+                                   "1.0", "--alpha", "1.0", "--beta",
+                                   "-1e-150"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: OverflowError: the cubic "
+                       "4 omega_bar d^3 + (a2 - 2 a1) d - 2 a1 for d "
+                       "overflows at its root d = 7.07107e+149, omega_bar "
+                       "= 1e-150\n")
+
     def test_equal_couplings_config_error(self, capsys):
         code, _, err = run_main(["solve", "--mode", "inverse", "--omega", "2",
                                  "--alpha", "0.3", "--beta", "0.3"], capsys)
@@ -327,6 +340,76 @@ class TestWavefunctions:
                                    "--z-grid", z_grid], capsys)
         assert (code, out) == (3, "")
         assert err == f"numeric failure: {message}\n"
+
+
+def _reference_csv(rows, header) -> str:
+    """A table as ``csv.writer`` writes it with ``fmt`` on each float cell."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [verify_fmt(v) if isinstance(v, float) else str(v) for v in row]
+        for row in [header, *rows])
+    return buf.getvalue()
+
+
+class TestTableBytes:
+    # spectrum and wavefunctions write their csv tables with one %-template
+    # a row; each table is byte for byte what csv.writer writes with fmt on
+    # each cell, on the very rows the command emits
+
+    def _tables(self, argvs, monkeypatch, capsys) -> list:
+        from swanson import cli
+
+        seen, emit = [], cli._emit_rows
+
+        def record(cfg, rows, header):
+            seen.append((list(rows), header))
+            emit(cfg, seen[-1][0], header)
+
+        monkeypatch.setattr(cli, "_emit_rows", record)
+        cells = []
+        for argv in argvs:
+            code, out, _ = run_main(argv + ["--format", "csv"], capsys)
+            assert code == 0
+            assert out == _reference_csv(*seen[-1])
+            cells += [v for row in seen[-1][0] for v in row[1:]]
+        return cells
+
+    def test_spectrum_table(self, monkeypatch, capsys):
+        cells = self._tables([["spectrum", "--n-max", "200"],
+                              ["spectrum", "--n-max", "3", "--omega-bar",
+                               "0.2", "--rho-q", "0.1", "--d", "3"]],
+                             monkeypatch, capsys)
+        assert len(cells) == 4 * 205
+
+    def test_wavefunctions_table(self, monkeypatch, capsys):
+        grid = ["--z-grid", "1e-30,1e-3,0.31,1,1.7,10,25"]
+        argvs = [["wavefunctions", "--side", side, "--n-list", ns] + grid
+                 + point for side in ("plus", "minus")
+                 for ns, point in (("0,1,2,5,17,40,120,200", []),
+                                   ("0,1", ["--d", repr(1e150 / 2.5)]),
+                                   ("3,2,2", ["--omega-bar", "6.68e-34",
+                                              "--rho-q", "6.77e-52",
+                                              "--d", "3.21e-121"]))]
+        cells = self._tables(argvs, monkeypatch, capsys)
+        # the states underflow to zero of both signs on these grids
+        assert {math.copysign(1.0, v) for v in cells if v == 0} == {-1.0,
+                                                                    1.0}
+
+    def test_row_template_on_special_values(self, capsys):
+        import numpy as np
+        from swanson.cli import RunConfig, _emit_rows
+
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, math.inf,
+                  -math.inf, math.nan, 1 / 3, np.float64(-0.0),
+                  np.float64(2.5e-310), np.float64(math.nan),
+                  np.float64(-math.inf), np.float64(1 / 7)]
+        rows = [(n, v, -v, v * 0.5) for n, v in enumerate(values)]
+        header = ["n", "a", "b", "c"]
+        _emit_rows(RunConfig(format="csv"), rows, header)
+        out = capsys.readouterr().out
+        assert out == _reference_csv(rows, header)
+        assert out.splitlines()[2] == "1,-0,0,-0"
+        assert out.splitlines()[9] == "8,nan,nan,nan"
 
 
 class TestVerify:

@@ -4,12 +4,13 @@ symbol the identities use."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from swanson.jets import Jet
-from swanson.specialfn import kummer
+from swanson.specialfn import kummer, laguerre
 from conftest import laguerre_one
 from reference import pochhammer
 
@@ -91,6 +92,47 @@ class TestLaguerre:
                 got = laguerre_one(n, beta, t)
                 assert [v.hex() for v in got.tolist()] == [
                     laguerre_one(n, beta, v).hex() for v in t.tolist()]
+        # a column of parameters, and degrees that cross blocks of rows:
+        # each value is the one-point recurrence's, bit for bit
+        betas = (-0.5, 0.3, 2.75)
+        column = np.array(betas).reshape(3, 1)
+        for n in (range(0, 131), range(1, 3), range(63, 67), range(129, 131)):
+            got = laguerre(n, column, t)
+            assert got.shape == (len(n), 3, len(t))
+            for i, beta in enumerate(betas):
+                for v, point in zip(got[:, i].T.tolist(), t.tolist()):
+                    ladder = _one_point_ladder(n.stop - 1, beta, point)
+                    assert [x.hex() for x in v] == [
+                        ladder[k].hex() for k in n]
+
+    @pytest.mark.parametrize("n, beta, points, bound", [
+        # many degrees: rows for one block of degrees at a time
+        (range(20000, 20001), np.array([0.3, 1.3, 2.3]).reshape(3, 1), 64,
+         1e6),
+        # a long grid (0.8 MB a row): one degree's rows at a time
+        (range(100, 101), 1.5, 100_000, 8e6)],
+        ids=["many_degrees", "long_grid"])
+    def test_the_rows_take_bounded_memory(self, n, beta, points, bound):
+        t = np.linspace(0.5, 60.0, points)
+        tracemalloc.start()
+        try:
+            row = laguerre(n, beta, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.shape == (1,) + np.broadcast_shapes(np.shape(beta),
+                                                       t.shape)
+        assert peak <= bound
+
+
+def _one_point_ladder(n: int, beta: float, t: float) -> list[float]:
+    """L_k^beta(t), k = 0 .. n, by the three-term recurrence in float
+    arithmetic at one point."""
+    ladder = [1.0, beta + 1.0 - t]
+    for k in range(2, n + 1):
+        ladder.append(((2 * k - 1 + beta - t) * ladder[-1]
+                       - (k - 1 + beta) * ladder[-2]) / k)
+    return ladder[:n + 1]
 
 
 def _jet_arithmetic_laguerre(n, beta, t):
