@@ -10,9 +10,10 @@ Gauss-Laguerre quadrature.  It re-exports
 nothing: ``swanson.cli`` runs the commands and imports every module.  Kept
 besides what the commands run: the FD pipeline of ``numeric`` and
 ``specialfn.kummer`` (the benchmark tracer wraps them; the tests' references),
-``Jet.exp``, ``Jet.log``, ``Jet.power`` and ``Jet.sqrt`` (the tracer counts
-them) and ``diffop.formal_adjoint`` (to build the paper's H- from its
-definition).
+the whole ``Jet`` arithmetic (no command makes a Jet operation: the tracer
+counts each method by name, and the tests' references compose the closed
+forms in jets) and ``diffop.formal_adjoint`` (to build the paper's H- from
+its definition).
 """
 
 __version__ = "0.1.0"

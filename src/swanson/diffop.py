@@ -1,21 +1,26 @@
 """Linear ODE operators evaluated on all their sample points at once.
 
 An operator sum_i c_i(x) d^i/dx^i of order k is one function ``at(x, order)``
-that returns the jets of all its coefficients [c0, ..., ck] at x, each
-truncated at ``order``; x is a point or an ndarray of points, each element
-bit for bit its one-point value (see ``jets``).  Compositions, formal
-adjoints and metric conjugations are done at the coefficient level: each
-evaluates its operands once per call and combines their jets, and
-``residual`` compares two operators with one ``at`` call each on all the
-sample points; for the rational coefficients in this model that comparison
-is decisive without a symbolic engine.  ``leibniz`` and ``gap`` are the
-product and the comparison over coefficient jets already evaluated, so that
-an operand read by two products is evaluated once.
+that returns the Taylor coefficients of all its coefficients [c0, ..., ck]
+at x, each truncated at ``order``, in the ``Jet`` container; x is a point or
+an ndarray of points, each element bit for bit its one-point value (see
+``jets``).  The model's coefficients are closed forms on plain arrays
+(``potentials``' x chart).  Compositions, formal adjoints and metric
+conjugations act on the coefficient tuples directly, with numpy's
+``+ - * /`` alone and no ``Jet`` arithmetic: each evaluates its operands
+once per call and combines their coefficients, and ``residual`` compares
+two operators with one ``at`` call each on all the sample points; for the
+rational coefficients in this model that comparison is decisive without a
+symbolic engine.  ``leibniz`` and ``gap`` are the product and the
+comparison over coefficients already evaluated, so that an operand read by
+two products is evaluated once.  ``leibniz`` is the generic product, the
+independent side of every operator identity: h+-'s zeroth coefficient is
+its own formula in b~ and a (``potentials.h_zeroth_jet``).
 
-Evaluating an operand to a higher order than a term needs is exact: in
-truncated jet arithmetic coefficient k is computed from coefficients <= k
-only, always in the same operation order, so the extra orders never touch
-the ones that are kept.
+Evaluating an operand to a higher order than a term needs is exact: in a
+truncated product coefficient k is computed from coefficients <= k only,
+always in the same operation order, so the extra orders never touch the
+ones that are kept.
 """
 
 from __future__ import annotations
@@ -31,11 +36,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ModeError
-from .jets import Jet, elementwise
+from .jets import Jet, cauchy, elementwise, shifted
 from .numeric import max_rel_gap
 from .params import FactorizationParams, ModelParams
-from .potentials import (Form, Side, a_jet, b1_jet, b_tilde_jet, c1_jet,
-                         dlog_rho_jet, eval_potential, h_zeroth_jet)
+from .potentials import (Form, Side, H_zeroth_jet, b1_jet, b_tilde_jet,
+                         c1_jet, dlog_rho_jet, eta1_explicit_jet,
+                         eval_potential, h_zeroth_jet, power_jet)
 
 CoeffFn = Callable[[float | np.ndarray, int], Jet]
 
@@ -52,19 +58,36 @@ class LinDiffOp:
     at: Callable[[float | np.ndarray, int], list[Jet]]
 
 
+def _product(p: tuple, q: tuple, order: int) -> list:
+    """The Taylor coefficients of a product to ``order``."""
+    return [cauchy(p, q, i) for i in range(min(len(p), len(q), order + 1))]
+
+
+def _scaled(c: tuple, f: float) -> tuple:
+    return tuple(v * f for v in c)
+
+
+def _add(p: list, q: list) -> list:
+    return [a + b for a, b in zip(p, q)]
+
+
 def leibniz(t: list[Jet], s: list[Jet], order: int) -> list[Jet]:
     """The coefficient jets of T o S to ``order`` by the Leibniz expansion,
     from T's coefficient jets t, to ``order``, and S's s, to ``order`` plus
     T's order, evaluated at the same points."""
     # result_m = sum over i, j, k<=i with i-k+j = m of C(i,k) t_i s_j^(k)
     # s_j^(k) for every k <= T's order, each shifted once
-    shifted = [[sj.shift(k) for k in range(len(t))] for sj in s]
-    out = [Jet.const(0.0, order)] * (len(t) + len(s) - 1)
+    s_k = [[shifted(sj.coeffs, k) for k in range(len(t))] for sj in s]
+    out: list = [None] * (len(t) + len(s) - 1)
     for i, ti in enumerate(t):
-        for j, sjk in enumerate(shifted):
+        for j, sjk in enumerate(s_k):
             for k in range(i + 1):
-                out[i - k + j] = out[i - k + j] + comb(i, k) * (ti * sjk[k])
-    return out
+                term = _product(ti.coeffs, sjk[k], order)
+                if comb(i, k) != 1:
+                    term = _scaled(term, comb(i, k))
+                m = i - k + j
+                out[m] = term if out[m] is None else _add(out[m], term)
+    return [Jet(tuple(c)) for c in out]
 
 
 def compose(T: LinDiffOp, S: LinDiffOp) -> LinDiffOp:
@@ -81,11 +104,13 @@ def formal_adjoint(T: LinDiffOp) -> LinDiffOp:
         c = T.at(x, order + T.order)
         out = []
         for m in range(n):
-            acc = Jet.const(0.0, order)
+            acc = [0.0] * (order + 1)
             for i in range(m, n):
                 k = i - m
-                acc = acc + ((-1) ** i) * comb(i, k) * c[i].shift(k)
-            out.append(acc)
+                term = _scaled(shifted(c[i].coeffs, k),
+                               ((-1) ** i) * comb(i, k))
+                acc = _add(acc, term)
+            out.append(Jet(tuple(acc)))
         return out
 
     return LinDiffOp(T.order, at)
@@ -99,19 +124,20 @@ def conjugate(T: LinDiffOp, dlog_rho: CoeffFn, sign: int) -> LinDiffOp:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    g = LinDiffOp(1, lambda x, order: [-sign * dlog_rho(x, order),
-                                       Jet.const(1.0, order)])
+    g = LinDiffOp(1, lambda x, order: [
+        Jet(_scaled(dlog_rho(x, order).coeffs, -sign)),
+        Jet.const(1.0, order)])
     powers = [g]  # g^1, ..., g^(T.order)
     while len(powers) < T.order:
         powers.append(compose(powers[-1], g))
 
     def at(x: float, order: int) -> list[Jet]:
         t = T.at(x, order)
-        out = [t[0]] + [Jet.const(0.0, order)] * T.order
+        out = [t[0].coeffs] + [(0.0,) * (order + 1)] * T.order
         for ti, power in zip(t[1:], powers):
             for m, pm in enumerate(power.at(x, order)):
-                out[m] = out[m] + ti * pm
-        return out
+                out[m] = _add(out[m], _product(ti.coeffs, pm.coeffs, order))
+        return [Jet(tuple(c)) for c in out]
 
     return LinDiffOp(T.order, at)
 
@@ -154,32 +180,32 @@ def build(which: str, fp: FactorizationParams,
 
     if which == "A":
         return LinDiffOp(1, lambda x, order: [b_tilde_jet(x, fp, order),
-                                              sw * a_jet(x, order)])
+                                              power_jet(x, 2, order, sw)])
     if which == "A_dag":
-        return LinDiffOp(1, lambda x, order: [
-            b_tilde_jet(x, fp, order) - 2 * sw * Jet.variable(x, order),
-            -sw * a_jet(x, order),
-        ])
+        def at(x, order):
+            bt = b_tilde_jet(x, fp, order).coeffs
+            lin = power_jet(x, 1, order, 2 * sw).coeffs
+            return [Jet(tuple(b - v for b, v in zip(bt, lin))),
+                    power_jet(x, 2, order, -sw)]
+
+        return LinDiffOp(1, at)
+    # h- and h+ share h1 = -ob (a^2)' = -4 ob x^3 and h2 = -ob a^2
     if which in ("h_minus", "h_plus"):
         side = Side.MINUS if which == "h_minus" else Side.PLUS
-
-        def at(x, order):
-            xj = Jet.variable(x, order)
-            return [h_zeroth_jet(side, x, fp, order),
-                    -2 * ob * xj**2 * (2 * xj),
-                    -ob * a_jet(x, order) ** 2]
-
-        return LinDiffOp(2, at)
+        return LinDiffOp(2, lambda x, order: [
+            h_zeroth_jet(side, x, fp, order),
+            power_jet(x, 3, order, -4 * ob),
+            power_jet(x, 4, order, -ob)])
     if which in ("H_minus", "H_plus"):
         _need_inverse(fp, mp)
-        h = build("h_minus" if which == "H_minus" else "h_plus", fp)
+        side = Side.MINUS if which == "H_minus" else Side.PLUS
 
         def at(x, order):
-            h0, h1, h2 = h.at(x, order)
-            b1 = b1_jet(x, fp, mp, order + 1)
-            a2 = a_jet(x, order + 1) ** 2
-            return [h0 + b1.shift(1) * 0.5 - b1 * b1 / (4 * ob * a2),
-                    b1 + h1, h2]
+            h1 = power_jet(x, 3, order, -4 * ob).coeffs
+            b1 = b1_jet(x, fp, mp, order).coeffs
+            return [H_zeroth_jet(side, x, fp, mp, order),
+                    Jet(tuple(b + h for b, h in zip(b1, h1))),
+                    power_jet(x, 4, order, -ob)]
 
         return LinDiffOp(2, at)
     if which == "eta1_constructed":
@@ -188,19 +214,9 @@ def build(which: str, fp: FactorizationParams,
             x, fp, mp, order), -1)
     if which == "eta1_explicit":
         _need_inverse(fp, mp)
-        al, be = mp.alpha, mp.beta
-        d, rq, mu, c = fp.d, fp.rho_q, fp.mu, fp.c
-
-        def at(x, order):
-            xj = Jet.variable(x, order)
-            x2 = xj * xj
-            num = ((al - be - rq * sw) * x2 * x2
-                   + ((al - be) * (d - c - 1)
-                      - (3.5 * d * ob + 2 * rq * d * sw)) * x2
-                   + d * (mu * sw - al + be))
-            return [num / (sw * xj * (d + x2)), sw * a_jet(x, order)]
-
-        return LinDiffOp(1, at)
+        return LinDiffOp(1, lambda x, order: [
+            eta1_explicit_jet(x, fp, mp, order),
+            power_jet(x, 2, order, sw)])
     raise ValueError(f"unknown operator id {which!r}")
 
 

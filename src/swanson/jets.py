@@ -5,12 +5,15 @@ A ``Jet`` holds the Taylor coefficients of a smooth function about a point:
 power-series rules exactly, which makes jets a drop-in substitute for symbolic
 differentiation everywhere a derivative of a coefficient function is needed.
 
-Jet arithmetic serves the x-chart operator products (``potentials``' x
-chart, ``diffop`` and ``verify``'s factorization and intertwining rows).
-The half-line chart z is closed-form: ``potentials.w_of_z_jet`` and the
-``spectrum`` states build their coefficients as plain array expressions
-and hand them over in a ``Jet``, the container their callers read
-(``.value``, ``.derivative``, ``.shift``, ``.truncate``).
+No command makes a Jet operation.  Both charts are closed-form: the x
+chart's coefficients (``potentials``' ``*_jet`` functions of x), w of the
+z chart and the ``spectrum`` states build their Taylor coefficients as
+plain array expressions and hand them over in a ``Jet``, the container
+their callers read (``.coeffs``, ``.value``, ``.derivative``,
+``.truncate``), and ``diffop`` combines operators on the coefficient tuples.
+The arithmetic is kept for the tests, whose references compose the same
+functions in jets (``tests/reference.py``), and for the benchmark's tracer,
+which wraps each arithmetic method by name.
 
 A coefficient is a Python float, or an ndarray holding the coefficient at
 every point of a grid of any shape: the same arithmetic then evaluates a
@@ -43,7 +46,7 @@ _SCALAR = (int, float, np.ndarray)
 def any_zero(v) -> bool:
     """Whether a value, or any element of a grid of values, is zero."""
     if isinstance(v, np.ndarray):
-        return bool((v == 0.0).any())
+        return not v.all()
     return v == 0.0
 
 
@@ -52,6 +55,27 @@ def any_nonpositive(v) -> bool:
     if isinstance(v, np.ndarray):
         return bool((v <= 0.0).any())
     return v <= 0.0
+
+
+def cauchy(p, q, k: int):
+    """Coefficient k of the product of two Taylor series given by their
+    coefficients, p_0 q_k + p_1 q_(k-1) + ..., added in that order over the
+    terms both hold (a shorter sequence is a polynomial): the one product
+    of the closed forms, on plain floats or arrays."""
+    lo, hi = max(0, k - len(q) + 1), min(k, len(p) - 1)
+    out = p[lo] * q[k - lo]
+    for j in range(lo + 1, hi + 1):
+        out = out + p[j] * q[k - j]
+    return out
+
+
+def shifted(c, k: int) -> tuple:
+    """The Taylor coefficients c_(i+k) (i+k)!/i! of the k-th derivative."""
+    out = []
+    for i in range(len(c) - k):
+        f = math.factorial(i + k) // math.factorial(i)
+        out.append(c[i + k] if f == 1 else c[i + k] * f)
+    return tuple(out)
 
 
 def elementwise(fn, v):

@@ -27,7 +27,8 @@ import numpy as np
 def kummer(n: int, gamma: float, y):
     """1F1(-n; gamma; y) by the finite sum with a running-term recurrence.
 
-    Works for float or Jet y.
+    Works for a float or an ndarray y, or any y with float arithmetic
+    (the tests take derivatives through a ``Jet``).
     """
     if n < 0:
         raise ValueError("kummer needs n >= 0")

@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .jets import Jet, any_nonpositive, elementwise
+from .jets import Jet, any_nonpositive, cauchy, elementwise
 from .params import FactorizationParams
 from .specialfn import check_degrees, laguerre
 
@@ -206,10 +206,11 @@ def _x1_ladders(n: range, gamma: float, t, order: int) -> list[np.ndarray]:
 
 def lowered(w: Jet, phi: Jet) -> Jet:
     """(w - d/dz) phi to the order of w, from w and a plus ladder phi one
-    order higher: the minus states of the "operator" method."""
-    w_phi = w * phi
-    return Jet(tuple(c - (k + 1) * phi.coeffs[k + 1]
-                     for k, c in enumerate(w_phi.coeffs)))
+    order higher: the minus states of the "operator" method, the product
+    w phi summed on the plain coefficients."""
+    w, phi = w.coeffs, phi.coeffs
+    return Jet(tuple(cauchy(w, phi, k) - (k + 1) * phi[k + 1]
+                     for k in range(len(w))))
 
 
 @_quiet

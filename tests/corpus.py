@@ -1,7 +1,7 @@
 """Byte-identity corpus: run a fixed set of CLI argv in-process and record
 what each one prints, so that two versions of the package can be compared.
 
-    PYTHONPATH=src python tests/corpus.py out.json          # the 503 argv
+    PYTHONPATH=src python tests/corpus.py out.json          # the 583 argv
     PYTHONPATH=src python tests/corpus.py out.json --grid   # and the 90 points
     python tests/corpus.py --diff before.json after.json
 
@@ -16,16 +16,19 @@ CLI writes them, how many are equal once every row's note is dropped
 instead, each id's status changes (PASS -> FAIL and the like) with
 their argv, and the argv whose exit code changed.
 
-The 503 argv (501 distinct: the README's triple is the first frozen
+The 583 argv (581 distinct: the README's triple is the first frozen
 triple) are the default ``spectrum``, ``sweep`` and ``verify``, the inverse
 ``spectrum`` and ``verify`` of the README's triple, ``spectrum``,
 ``sweep`` and ``verify`` at each of the 27 corners omega_bar in
 {0.2, 1, 4}, rho_q in {0.1, 1, 3}, d in {0.2, 1, 3}, inverse
 ``spectrum`` and ``verify`` at the five frozen triples, ``spectrum``,
-``sweep`` and ``verify`` at one extreme point, and 320 ``wavefunctions``:
+``sweep`` and ``verify`` at one extreme point, and 400 ``wavefunctions``:
 both sides, the n-lists of ``WAVE_N_LISTS`` and the grids of ``WAVE_GRIDS``
-(from 1e-300 to 1e300, and points z <= 0) at the default point, one box
-corner, r = 1e-30, omega_hat = 1e150 and the extreme point, and the 250
+(from 1e-300 to 1e300, and points z <= 0; the last grid stops at 1e8,
+below z = 1e154, where the states leave the float range and the first
+grid's argv exit 3, so its rows at z = 1e-300 and 1e-200 are written) at
+the default point, one box corner, r = 1e-30, omega_hat = 1e150 and the
+extreme point, and the 250
 levels of ``spectrum --n-max 249`` at the default point and at the corner
 (0.2, 0.1, 3).  The last 82 write their tables as csv: 80
 ``wavefunctions --format csv`` (both sides, the n-lists of
@@ -58,7 +61,8 @@ GRID_OMEGA_HAT = (1e-150, 1e-100, 1e-30, 1e-6, 1.0, 1e6, 1e30, 1e100,
                   1e150)
 WAVE_N_LISTS = ("0", "1", "5", "17", "40", "200", "0,1,5", "3,2,2")
 WAVE_GRIDS = ("1e-300,1e-200,1e-30,1e-3,0.31,1,1.7,10,1e8,1e154,1e300",
-              "1e-30,1e-3,0.31,1,1.7,10", "-1,0,0.31,1,2.5", "0,-2")
+              "1e-30,1e-3,0.31,1,1.7,10", "-1,0,0.31,1,2.5", "0,-2",
+              "1e-300,1e-200,1e-30,1e-3,0.31,1,1.7,10,1e8")
 WAVE_POINTS = ([], ["--omega-bar", "0.2", "--rho-q", "3", "--d", "0.2"],
                ["--rho-q", "1e-30", "--d", repr(1 / 1.5)],
                ["--d", repr(1e150 / 2.5)], EXTREME)
@@ -71,7 +75,7 @@ def _inverse(triple) -> list[str]:
 
 
 def byte_identity_argv() -> list[list[str]]:
-    """The 503 argv of the byte-identity run."""
+    """The 583 argv of the byte-identity run."""
     from conftest import FEASIBLE_TRIPLES
 
     argv = [["spectrum"], ["sweep"], ["verify"]]

@@ -159,3 +159,53 @@ def w_of_z_x_chart(z, fp, order: int):
     xj = -1.0 / (sw * Jet.variable(z, order))
     b_tilde = fp.mu / xj - fp.rho_q * xj + fp.lam * xj / (xj**2 + fp.d)
     return b_tilde - sw * xj
+
+
+def x_chart_by_jets(x, fp, mp=None, order: int = 3,
+                    delta: float = 0.0) -> dict:
+    """The x-chart coefficients composed in jet arithmetic from the
+    variable x, independent of the package's closed forms: their Taylor
+    coefficients to ``order`` at x or on a grid of x, keyed by the name of
+    the package function that writes each in closed form less its ``_jet``
+    suffix, with the side appended for h+- and H+- (``h_zeroth_minus``).
+    They are a = x^2, b~ = mu/x - rho_q x + lam x/(x^2 + d) and h+- from b~
+    and a (A^dag A and A A^dag); with inverse-mode ``mp`` also
+    b = 1/x + c x/(x^2 + d), b1 = (alpha - beta) a (2b - a'), the printed
+    c1 with the gauge constant ``delta``, H+-'s zeroth coefficient
+    h+- + b1'/2 - b1^2/(4 ob a^2), (log rho)' = -b1/(2 ob a^2) and the
+    printed intertwiner's zeroth coefficient."""
+    from swanson.jets import Jet
+    from swanson.potentials import Side
+
+    xj = Jet.variable(x, order + 2)
+    ob = fp.omega_bar
+    sw = math.sqrt(ob)
+    a = xj**2
+    bt = fp.mu / xj - fp.rho_q * xj + fp.lam * xj / (xj**2 + fp.d)
+    h = {Side.MINUS: bt * bt - sw * (a * bt).shift(1),
+         Side.PLUS: (bt * bt + sw * (a * bt.shift(1) - a.shift(1) * bt)
+                     - ob * a * a.shift(2))}
+    out = {"a": a, "b_tilde": bt,
+           **{f"h_zeroth_{side.value}": h[side] for side in Side}}
+    if mp is not None:
+        om, al, be = mp.omega, mp.alpha, mp.beta
+        d, c, rq, mu = fp.d, fp.c, fp.rho_q, fp.mu
+        b = 1.0 / xj + c * xj / (xj**2 + d)
+        b1 = (al - be) * a * (2 * b - 2 * xj)
+        ap, app = a.shift(1), a.shift(2)
+        x2 = xj * xj
+        num = ((al - be - rq * sw) * x2 * x2
+               + ((al - be) * (d - c - 1)
+                  - (3.5 * d * ob + 2 * rq * d * sw)) * x2
+               + d * (mu * sw - al + be))
+        out.update({
+            "b_plain": b, "b1": b1,
+            "c1": ((om + al + be) * b * b - (om + 2 * be) * ap * b
+                       - (om - al + be) * a * b.shift(1)
+                       + be * (a * app + ap * ap) - delta * ap + om / 2),
+            **{f"H_zeroth_{side.value}": h[side] + b1.shift(1) * 0.5
+               - b1 * b1 / (4 * ob * a * a) for side in Side},
+            "dlog_rho": -b1 / (2 * mp.omega_bar * xj**4),
+            "eta1_explicit": num / (sw * xj * (d + x2)),
+        })
+    return {name: j.truncate(order) for name, j in out.items()}

@@ -5,8 +5,8 @@ package by ``monkeypatch`` and pins the exact set of identity rows it newly
 FAILs (rows that PASS unmutated) at three points: the default point, the
 same r at omega_hat = 1e-6, and the first frozen inverse triple (DeMillo,
 Lipton & Sayward, Computer 11(4), 1978).  Every identity row is killed by
-some mutant; a mutant that kills none is a survivor, and the one known
-survivor is pinned as such.
+some mutant; a mutant that kills none is a survivor, and the known
+survivors (none at present) are pinned as such.
 """
 
 import dataclasses
@@ -152,7 +152,7 @@ MUTANTS = {
     # the x chart alone reads b~ (w is written in z), so the shifted h+-
     # no longer match the canonical half-line potentials plus the shift
     "b_tilde_+1e-3": (
-        _everywhere("_b_tilde", lambda f: lambda *a: f(*a) + 1e-3),
+        _everywhere("b_tilde_jet", lambda f: lambda *a: f(*a) + 1e-3),
         _rows({"potential_matched_minus", "potential_expanded_minus",
                "potential_reduced_minus", "potential_reduced_plus",
                "transform_shift_minus", "transform_shift_plus"})),
@@ -169,10 +169,15 @@ MUTANTS = {
         _rows({"potential_transformed_plus"})),
     "dlog_rho_x1.001": (_scaled("dlog_rho_jet"), _rows(inverse={
         "partner_similarity", "metric_intertwining"})),
-    "b1_jet_x1.001": (_scaled("b1_jet"), _rows()),
+    # (log rho)' is its own closed form, not -b1/(2 ob a^2) through b1_jet,
+    # and H+-'s b1^2/(4 ob a^2) is (alpha - beta)^2 (b - x)^2/ob: a scaled
+    # b1 no longer cancels, and H+'s first-order coefficient b1 + h1 stops
+    # matching rho^-1 h+ rho's
+    "b1_jet_x1.001": (_scaled("b1_jet"), _rows(inverse={
+        "partner_similarity", "metric_intertwining"})),
 }
 
-SURVIVORS = {"b1_jet_x1.001"}
+SURVIVORS: set[str] = set()
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +200,5 @@ def test_every_identity_row_is_killed_by_some_mutant():
 
 
 def test_the_known_survivors_kill_nothing():
-    # b1 enters H+- and the metric's (log rho)' alike, so every identity
-    # that reads it still closes
     assert {name for name, (_, want) in MUTANTS.items()
             if not any(want)} == SURVIVORS

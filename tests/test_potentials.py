@@ -1,5 +1,6 @@
 """Superpotentials, metric, coordinate maps, and all potential forms."""
 
+import functools
 import itertools
 import math
 
@@ -9,13 +10,15 @@ import pytest
 from swanson.errors import DomainError, ModeError
 from swanson.numeric import fd_box
 from swanson.params import solve_forward
-from swanson.potentials import (Form, Side, a_jet, b1_jet, b_plain_jet,
-                                b_tilde_jet, c1_jet, coord_x, dlog_rho_jet,
+from swanson.potentials import (Form, H_zeroth_jet, Side, a_jet, b1_jet,
+                                b_plain_jet, b_tilde_jet, c1_jet, coord_x,
+                                dlog_rho_jet, eta1_explicit_jet,
                                 eval_potential, eval_potential_z,
-                                h_tilde_jet, transform_shift, w_of_z_jet)
+                                h_tilde_jet, h_zeroth_jet, transform_shift,
+                                w_of_z_jet)
 from conftest import (SAMPLE_X, SAMPLE_Z, pointwise_hex, random_box_points,
                       random_forward_sets)
-from reference import quad_interval_nodewise, w_of_z_x_chart
+from reference import quad_interval_nodewise, w_of_z_x_chart, x_chart_by_jets
 
 
 class TestPointFunctions:
@@ -254,6 +257,144 @@ class TestClosedFormSuperpotential:
     def test_orders_above_three_are_refused(self, fp_star):
         with pytest.raises(ValueError, match="order 3"):
             w_of_z_jet(1.0, fp_star, 4)
+
+
+# The x-chart coefficient functions by the keys of
+# ``reference.x_chart_by_jets``: each as f(x, fp, mp, order) and the highest
+# order it is written to.  The first four need forward parameters only.
+DELTA = 0.37  # the gauge constant c1 is evaluated with
+X_CHART = {
+    "a": (lambda x, fp, mp, k: a_jet(x, k), 4),
+    "b_tilde": (lambda x, fp, mp, k: b_tilde_jet(x, fp, k), 4),
+    **{f"h_zeroth_{side.value}": (
+        lambda x, fp, mp, k, side=side: h_zeroth_jet(side, x, fp, k), 3)
+       for side in Side},
+    "b_plain": (lambda x, fp, mp, k: b_plain_jet(x, fp, k), 4),
+    "b1": (lambda x, fp, mp, k: b1_jet(x, fp, mp, k), 4),
+    "c1": (lambda x, fp, mp, k: c1_jet(x, fp, mp, k, delta=DELTA), 3),
+    **{f"H_zeroth_{side.value}": (
+        lambda x, fp, mp, k, side=side: H_zeroth_jet(side, x, fp, mp, k), 3)
+       for side in Side},
+    "dlog_rho": (lambda x, fp, mp, k: dlog_rho_jet(x, fp, mp, k), 3),
+    "eta1_explicit": (
+        lambda x, fp, mp, k: eta1_explicit_jet(x, fp, mp, k), 3),
+}
+FORWARD_NAMES = ("a", "b_tilde", "h_zeroth_minus", "h_zeroth_plus")
+
+
+def _x_chart_sets(name: str, inverse_sets) -> list:
+    """(fp, mp) at the 27 corners (forward coefficients only) and at the
+    frozen triples."""
+    corners = ([(solve_forward(*p), None) for p in BOX_CORNERS]
+               if name in FORWARD_NAMES else [])
+    return corners + [(fp, mp) for mp, fp, _ in inverse_sets]
+
+
+@functools.cache
+def _sympy_taylor(name: str) -> list:
+    """The Taylor coefficients 0 .. top of one x-chart coefficient from its
+    definition, by sympy's derivatives, as mpmath functions of
+    (x, mu, rho_q, lam, d, omega_bar, c, alpha, beta, omega, delta)."""
+    sp = pytest.importorskip("sympy")
+    args = sp.symbols("x mu rho_q lam d omega_bar c alpha beta omega delta")
+    x, mu, rq, lam, d, ob, c, al, be, om, delta = args
+    sw = sp.sqrt(ob)
+    a = x**2
+    da, dda = sp.diff(a, x), sp.diff(a, x, 2)
+    bt = mu / x - rq * x + lam * x / (x**2 + d)
+    b = 1 / x + c * x / (x**2 + d)
+    b1 = (al - be) * a * (2 * b - da)
+    h = {"minus": bt**2 - sw * sp.diff(a * bt, x),
+         "plus": bt**2 + sw * (a * sp.diff(bt, x) - da * bt) - ob * a * dda}
+    expr = {
+        "a": a, "b_tilde": bt, "b_plain": b, "b1": b1,
+        **{f"h_zeroth_{side}": h[side] for side in h},
+        "c1": ((om + al + be) * b**2 - (om + 2 * be) * da * b
+               - (om - al + be) * a * sp.diff(b, x) + be * (a * dda + da**2)
+               - delta * da + om / 2),
+        **{f"H_zeroth_{side}": (h[side] + sp.diff(b1, x) / 2
+                                - b1**2 / (4 * ob * a**2)) for side in h},
+        "dlog_rho": -b1 / (2 * ob * a**2),
+        "eta1_explicit": (((al - be - rq * sw) * x**4
+                           + ((al - be) * (d - c - 1)
+                              - (sp.Rational(7, 2) * d * ob
+                                 + 2 * rq * d * sw)) * x**2
+                           + d * (mu * sw - al + be))
+                          / (sw * x * (d + x**2))),
+    }[name]
+    out = []
+    for k in range(X_CHART[name][1] + 1):
+        out.append(sp.lambdify(args, expr / math.factorial(k), "mpmath",
+                               cse=True))
+        expr = sp.diff(expr, x)
+    return out
+
+
+def _worst_relative_gaps(got, want) -> list[float]:
+    """max |got - want| over the points relative to max |want|, per
+    coefficient (an exact zero coefficient compared absolutely)."""
+    gaps = []
+    for g, w in zip(got, want):
+        w = np.asarray(w, dtype=float)
+        scale = np.max(abs(w)) or 1.0
+        gaps.append(float(np.max(abs(np.broadcast_to(g, w.shape) - w))
+                          / scale))
+    return gaps
+
+
+class TestXChartClosedForms:
+    """Each x-chart coefficient function is written in closed form on plain
+    arrays; sympy's derivatives of its definition, evaluated in 30-digit
+    mpmath, and the jet composition of ``reference.x_chart_by_jets`` are
+    its independent references.  The bounds are set from the gaps measured
+    over these sets, each relative to the coefficient's largest magnitude
+    over the points: at most 2.0e-15 against sympy (h+'s value) and
+    5.3e-15 against the jets (H+-'s, whose jet division rounds more)."""
+
+    SYMPY_X = SAMPLE_X[::2]
+
+    @pytest.mark.parametrize("name", sorted(X_CHART))
+    def test_coefficients_match_sympy(self, name, inverse_sets):
+        mpmath = pytest.importorskip("mpmath")
+        fn, top = X_CHART[name]
+        taylor = _sympy_taylor(name)
+        for fp, mp in _x_chart_sets(name, inverse_sets):
+            got = fn(np.array(self.SYMPY_X), fp, mp, top).coeffs
+            assert len(got) == top + 1
+            with mpmath.workdps(30):
+                params = [mpmath.mpf(v) for v in (
+                    fp.mu, fp.rho_q, fp.lam, fp.d, fp.omega_bar, fp.c or 0.0,
+                    *((mp.alpha, mp.beta, mp.omega) if mp else (0.0,) * 3),
+                    DELTA)]
+                want = [[float(f(mpmath.mpf(x), *params))
+                         for x in self.SYMPY_X] for f in taylor]
+            assert max(_worst_relative_gaps(got, want)) <= 1e-14, (name, fp)
+
+    @pytest.mark.parametrize("name", sorted(X_CHART))
+    def test_coefficients_match_the_jet_composition(self, name,
+                                                    inverse_sets):
+        fn, top = X_CHART[name]
+        x = np.array(SAMPLE_X)
+        for fp, mp in _x_chart_sets(name, inverse_sets):
+            want = x_chart_by_jets(x, fp, mp, top, delta=DELTA)[name].coeffs
+            assert max(_worst_relative_gaps(fn(x, fp, mp, top).coeffs,
+                                            want)) <= 5e-14, (name, fp)
+
+    @pytest.mark.parametrize("name", sorted(X_CHART))
+    def test_a_grid_is_its_points_bit_for_bit(self, name, inverse_sets):
+        fn, top = X_CHART[name]
+        for fp, mp in _x_chart_sets(name, inverse_sets)[-3:]:
+            grid = fn(np.array(SAMPLE_X), fp, mp, top)
+            assert pointwise_hex(grid, len(SAMPLE_X)) == [
+                pointwise_hex(fn(x, fp, mp, top), 1)[0] for x in SAMPLE_X]
+
+    @pytest.mark.parametrize("name", sorted(set(X_CHART) - {"a"}))
+    def test_orders_above_the_written_ones_are_refused(self, name,
+                                                       inverse_sets):
+        fn, top = X_CHART[name]
+        mp, fp, _ = inverse_sets[0]
+        with pytest.raises(ValueError, match=f"order {top}"):
+            fn(1.3, fp, mp, top + 1)
 
 
 class TestErrataDiagnostics:
