@@ -212,34 +212,23 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_wavefunctions(cfg: RunConfig) -> int:
     fp, _, _ = _solve_params(cfg)
-
-    def state(n, z):
-        """(value, derivative) of the order-1 jet of degree n, the one row of
-        the ladder range(n, n + 1); a value out of float range (inf, or NaN
-        from 0 times inf) is an OverflowError, not a row."""
+    ns = sorted(set(cfg.n_list))
+    z = np.array([float(v) for v in cfg.z_grid if v > 0])
+    rows = []
+    for n in ns:
+        # the order-1 jet of the one-row ladder range(n, n + 1); a value or
+        # derivative out of float range (inf, or NaN from 0 times inf) is
+        # an OverflowError at the first grid point where it leaves
         if cfg.side == "plus":
             j = spectrum.phi_plus_jet(fp, range(n, n + 1), z, 1)
         else:
             j = spectrum.phi_minus_jet(fp, range(n, n + 1), z,
                                        "normalized", 1)
         v, dv = j.value[0], j.derivative(1)[0]
-        if not (np.isfinite(v).all() and np.isfinite(dv).all()):
+        bad = ~(np.isfinite(v) & np.isfinite(dv))
+        if bad.any():
             raise OverflowError(f"state {n} leaves the float range at "
-                                f"z = {z!r}")
-        return v, dv
-
-    ns = sorted(set(cfg.n_list))
-    z = np.array([float(v) for v in cfg.z_grid if v > 0])
-    rows = []
-    for n in ns:
-        try:
-            v, dv = state(n, z)
-        except (SwansonError, ArithmeticError, ValueError):
-            # the grid runs each stage of the state on every point before
-            # the next stage; report the error of the first failing point
-            for zi in z.tolist():
-                state(n, zi)
-            raise
+                                f"z = {z[bad.argmax()].item()!r}")
         rows += zip(itertools.repeat(n), z.tolist(), v.tolist(), dv.tolist())
     skipped = len(cfg.z_grid) - len(z)
     if skipped and ns:

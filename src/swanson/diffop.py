@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ModeError
-from .jets import Jet, cauchy, elementwise, shifted
+from .jets import Jet, cauchy, shifted
 from .numeric import max_rel_gap
 from .params import FactorizationParams, ModelParams
 from .potentials import (Form, Side, H_zeroth_jet, b1_jet, b_tilde_jet,
@@ -232,9 +232,9 @@ def infer_delta(mp: ModelParams, fp: FactorizationParams,
     _need_inverse(fp, mp)
     ob = mp.omega_bar
     x = np.asarray(points, dtype=float)
-    # a^2 = x^4 by libm's pow, as Python's x**4 on one point: (x*x)*(x*x)
-    # rounds twice and moves the fitted constant, which is rounding noise
-    a2 = elementwise(lambda v: v**4, x)
+    # a^2 = x^4 by numpy's power on the array; (x*x)*(x*x) would round
+    # twice, which moves the fitted constant only by rounding noise
+    a2 = x**4
     b1 = b1_jet(x, fp, mp, 1)
     ref = eval_potential(Side.MINUS, Form.GENERAL, x, fp, mp)
 

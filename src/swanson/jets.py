@@ -22,12 +22,15 @@ exactly like Python floats, so each element equals the one-point value bit
 for bit; a square is written q * q.
 Powers, ``exp`` and ``log`` are the exception: Python's ``float ** p`` and
 ``math.exp``/``math.log`` are libm calls, which numpy's ``**``, ``np.exp``
-and ``np.log`` differ from in the last bit for some x, so they reach a grid
-through ``elementwise`` (``Jet.exp``, ``Jet.log`` and real powers do so
-themselves).  A float coefficient stays a float: the scalar path
-calls no numpy function.  numpy warns where Python float arithmetic
-overflows to inf in silence, so a caller runs grid arithmetic under
-``np.errstate(all="ignore")``.
+and ``np.log`` differ from in the last bit for some x, so in the Jet
+arithmetic they reach a grid through ``elementwise`` (``Jet.exp``,
+``Jet.log`` and real powers do so themselves).  Only that reference
+arithmetic and the tests call ``elementwise``: the closed forms run
+numpy's ``exp``, ``log``, ``log1p`` and ``**`` on their arrays, whose
+elements are bit for bit numpy's one-point values.  A float coefficient
+stays a float: the scalar path calls no numpy function.  numpy warns where
+Python float arithmetic overflows to inf in silence, so a caller runs grid
+arithmetic under ``np.errstate(all="ignore")``.
 """
 
 from __future__ import annotations

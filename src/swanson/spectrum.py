@@ -17,11 +17,12 @@ c z^p exp(-t/2) F(t) is c z^(p-m) exp(-t/2) times a polynomial in t times
 the derivatives of F, and d/dt L_n^alpha = -L_(n-1)^(alpha+1) gives those
 of the Laguerre part from one recurrence over the parameters alpha, alpha
 + 1, ... (``_ladders``); the X1 bracket over t + gamma is differentiated
-by Leibniz's rule.  Each envelope is one exp of its log, with the
-``math.lgamma`` norm in log c and the polynomial taken over (1 + t)^m, so
-that no factor overflows alone: the coefficients are finite at z = 1e-200
-wherever the state's are.  The value is one math.exp times the Laguerre
-row, bit for bit at every order.
+by Leibniz's rule.  Each envelope, the value's too, is one np.exp of its
+log (np.log of z, np.log1p of t), with the ``math.lgamma`` norm in log c
+and the polynomial taken over (1 + t)^m, so that no factor overflows
+alone: the coefficients are finite at z = 1e-200 wherever the state's
+are.  The value is its envelope times the Laguerre row, bit for bit at
+every order, and an envelope past the float range is inf, never an error.
 
 n is a range of degrees (``specialfn.check_degrees``; one degree k is
 range(k, k + 1)): the whole ladder is one jet whose coefficients carry a
@@ -35,8 +36,10 @@ the printed closed form: each is t^gamma e^-t dt times a polynomial, which
 (every degree from one ladder and one rule).  At any order ``z`` may be an
 ndarray of points: the states are then evaluated on all of them at once,
 each element bit for bit its one-point value, with numpy's floating-point
-warnings off.  Where t leaves the float range, a derivative coefficient is
-NaN (``wavefunctions`` fails there).  Any z <= 0 raises DomainError.
+warnings off.  Where t leaves the float range, or a Laguerre row
+overflows where its envelope underflows, a coefficient is inf or NaN
+(``wavefunctions`` fails at the first such point).  Any z <= 0 raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .jets import Jet, any_nonpositive, cauchy, elementwise
+from .jets import Jet, any_nonpositive, cauchy
 from .params import FactorizationParams
 from .specialfn import check_degrees, laguerre
 
@@ -83,8 +86,6 @@ def _ladders(n: range, alpha: float, t, order: int) -> list[np.ndarray]:
     """d^j/dt^j L_k^alpha(t) = (-1)^j L_(k-j)^(alpha+j)(t) for each degree k
     of n, j = 0 .. order, from one ``laguerre`` recurrence over the
     parameters alpha + j; a row of degree k < j is zero."""
-    if not order:
-        return [laguerre(n, alpha, t)]
     low = max(n.start - order, 0)
     beta = (alpha + np.arange(order + 1.0)).reshape(
         (order + 1,) + (1,) * np.ndim(t))
@@ -110,23 +111,23 @@ def _state(n: range, log_c, p: float, z, t, f: list) -> Jet:
     ``poly[j][i]`` (of t^i F^(j)) the recursion carries.  Each polynomial is
     taken over (1 + t)^m, as a sum of poly[j][i] tau^i sigma^(m-i) with
     tau = t/(1 + t) and sigma = 1/(1 + t), and the envelope
-    c z^(p-m) (1 + t)^m exp(-t/2) is one exp of its log: no factor
-    overflows alone, and no power of z, t or the scale is formed.
+    c z^(p-m) (1 + t)^m exp(-t/2) is one np.exp of its log, at m = 0 the
+    value's: no factor overflows alone, no power of z, t or the scale is
+    formed, and an envelope past the float range is inf.
     """
     order = len(f) - 1
-    log_z = elementwise(math.log, z)
+    log_z = np.log(z)
     log_ck = _per_degree(log_c, n, z)
-    # the value by math.exp, which raises where it overflows; + 0.0 makes
+    # the value's envelope by np.exp, inf where it overflows; + 0.0 makes
     # a zero value +0.0 before the sign applies
-    coeffs = [elementwise(math.exp, log_z * p + log_ck - t * 0.5) * f[0]
-              + 0.0]
+    coeffs = [np.exp(log_z * p + log_ck - t * 0.5) * f[0] + 0.0]
     if not order:
         return Jet(tuple(coeffs))
-    # the derivative coefficients' envelopes by one np.exp, inf where they
-    # overflow: log c + (p - m) log z - t/2 + m log(1 + t), m = 1 .. order
+    # the derivative coefficients' envelopes by one np.exp, as the value's:
+    # log c + (p - m) log z - t/2 + m log(1 + t), m = 1 .. order
     ms = np.arange(1.0, order + 1).reshape((order,) + (1,) * np.ndim(log_ck))
     envelopes = np.exp(log_ck - t * 0.5 + (
-        log_z * (p - ms) + ms * elementwise(math.log1p, t)))
+        log_z * (p - ms) + ms * np.log1p(t)))
     sigma = 1.0 / (1.0 + t)
     tau, sig = [1.0, t * sigma], [1.0, sigma]
     for _ in range(2, order + 1):
@@ -245,6 +246,7 @@ def phi_minus_jet(fp: FactorizationParams, n: range, z,
     raise ValueError(f"unknown method {method!r}")
 
 
+@_quiet
 def j_integral(fp: FactorizationParams, n: range,
                method: str = "quadrature") -> np.ndarray:
     """Diagonal normalization integrals of the pre-transform states of the
@@ -257,7 +259,8 @@ def j_integral(fp: FactorizationParams, n: range,
     / (2 oh^(gamma+1) (gamma)_k); it keeps only the leading term of the exact
     sum and is exact at k = 0 only.  Its scale oh^-(gamma+1) is one exp with
     the Gamma ratios, so that it underflows nowhere alone; a value past the
-    float range is an OverflowError.
+    float range is an OverflowError there, and inf (as a state's) in the
+    quadrature.
     """
     check_degrees(n)
     g, oh = fp.gamma, fp.omega_hat

@@ -8,13 +8,15 @@ what each one prints, so that two versions of the package can be compared.
 A run writes ``{argv: [exit code, stdout, stderr]}`` as JSON, the argv joined
 by spaces; every Python warning an argv raises is printed to its stderr.
 ``--diff`` prints each argv whose record differs between two files, and the
-lines that differ, then a summary: how many argv of each file print no
-document (nothing on stdout), and by row id over the ``verify`` documents
-the ids found in one file only, how many of the differing argv are equal
-once those ids' rows are dropped and the documents re-serialized as the
-CLI writes them, how many are equal once every row's note is dropped
-instead, each id's status changes (PASS -> FAIL and the like) with
-their argv, and the argv whose exit code changed.
+lines that differ, then a summary: how many argv differ per command; by
+row id over the ``verify`` documents, how many residuals changed, with
+their old -> new ranges, and how many notes; how many argv of each file
+print no document (nothing on stdout); by row id over the ``verify``
+documents, the ids found in one file only; how many of the differing argv
+are equal once those ids' rows are dropped and the documents re-serialized
+as the CLI writes them, and how many once every row's note is dropped
+instead; each id's status changes (PASS -> FAIL and the like) with their
+argv; and the argv whose exit code or stderr changed.
 
 The 583 argv (581 distinct: the README's triple is the first frozen
 triple) are the default ``spectrum``, ``sweep`` and ``verify``, the inverse
@@ -145,20 +147,56 @@ def diff(path_a: str, path_b: str) -> int:
                 if line[:1] in "+-" and line[:3] not in ("+++", "---"):
                     print(f"  {name} {line}")
     print(f"{changed} of {len(set(a) | set(b))} argv differ")
+    moved_residuals(a, b)
     row_summary(a, b, path_a, path_b)
     return changed
 
 
-def _statuses(record: list) -> dict[str, str]:
-    """{id: status} of the rows of a ``verify`` document, {} for any other
-    output."""
+def _rows(record: list) -> dict[str, dict]:
+    """{id: row} of a ``verify`` document, {} for any other output."""
     try:
         doc = json.loads(record[1])
     except ValueError:
         return {}
     if not isinstance(doc, dict) or "identities" not in doc:
         return {}
-    return {e["id"]: e["status"] for e in doc["identities"] + doc["errata"]}
+    return {e["id"]: e for e in doc["identities"] + doc["errata"]}
+
+
+def _statuses(record: list) -> dict[str, str]:
+    """{id: status} of the rows of a ``verify`` document, {} for any other
+    output."""
+    return {name: e["status"] for name, e in _rows(record).items()}
+
+
+def _span(values: list[float]) -> str:
+    return f"{min(values):.2g}..{max(values):.2g}"
+
+
+def moved_residuals(a: dict, b: dict) -> None:
+    """Print how many argv differ per command, then by row id over the
+    ``verify`` documents how many residuals changed, with the old -> new
+    range of those residuals, and how many notes changed."""
+    differing = [key for key in sorted(set(a) & set(b)) if a[key] != b[key]]
+    commands = collections.Counter(key.split()[0] for key in differing)
+    print("differing argv per command: " + (", ".join(
+        f"{cmd} {n}" for cmd, n in sorted(commands.items())) or "none"))
+    old, new = collections.defaultdict(list), collections.defaultdict(list)
+    notes = collections.Counter()
+    for key in differing:
+        ra, rb = _rows(a[key]), _rows(b[key])
+        for name in ra.keys() & rb.keys():
+            if ra[name]["residual"] != rb[name]["residual"]:
+                old[name].append(float(ra[name]["residual"]))
+                new[name].append(float(rb[name]["residual"]))
+            notes[name] += ra[name].get("note") != rb[name].get("note")
+    print(f"verify residuals changed: {len(old) or 'none'} row ids")
+    for name in sorted(old, key=lambda name: (-len(old[name]), name)):
+        print(f"  {name} {len(old[name])} ({_span(old[name])} -> "
+              f"{_span(new[name])})")
+    for name, n in sorted(notes.items()):
+        if n:
+            print(f"  notes of {name} changed at {n} argv")
 
 
 def _without(record: list, ids: set, notes: bool = False) -> list:
@@ -180,13 +218,15 @@ def row_summary(a: dict, b: dict, path_a: str, path_b: str) -> None:
     """Print how many argv of each file print nothing to stdout, then the
     ids found in one file only, the differing argv equal without them, the
     differing argv equal without row notes, the status changes per id and
-    the exit-code changes, over the argv both files hold."""
+    the exit-code and stderr changes, over the argv both files hold."""
     only = {path_a: collections.Counter(), path_b: collections.Counter()}
     moves = collections.defaultdict(list)
-    exits = []
+    exits, stderr = [], []
     for key in sorted(set(a) & set(b)):
         if a[key][0] != b[key][0]:
             exits.append(f"{key}: {a[key][0]} -> {b[key][0]}")
+        if a[key][2] != b[key][2]:
+            stderr.append(key)
         sa, sb = _statuses(a[key]), _statuses(b[key])
         only[path_a].update(sa.keys() - sb.keys())
         only[path_b].update(sb.keys() - sa.keys())
@@ -218,6 +258,9 @@ def row_summary(a: dict, b: dict, path_a: str, path_b: str) -> None:
     print(f"exit code changes: {len(exits) or 'none'}")
     for line in exits:
         print(f"  {line}")
+    print(f"stderr changes: {len(stderr) or 'none'}")
+    for key in stderr:
+        print(f"  {key}")
 
 
 def main() -> int:

@@ -341,6 +341,70 @@ class TestWavefunctions:
         assert (code, out) == (3, "")
         assert err == f"numeric failure: {message}\n"
 
+    @pytest.mark.parametrize("side, z_grid, code, degrees", [
+        *((side, z_grid, 3, [0]) for side, z_grid in [
+            ("minus", "5e-324,1e300,1"), ("plus", "5e-324,1e300,1"),
+            ("minus", "1e-300,1e300,3"), ("minus", "1e300,3,5e-324")]),
+        ("plus", "0.5,1,2", 0, [0, 3]), ("minus", "0.5,1,2", 0, [0, 3])])
+    def test_each_state_is_evaluated_once_per_degree(
+            self, side, z_grid, code, degrees, monkeypatch, capsys):
+        # one call per degree on the whole grid, also where a point fails:
+        # the failing point is read off the arrays, never re-run alone
+        import numpy as np
+        from swanson import spectrum
+
+        calls = []
+        for name in ("phi_plus_jet", "phi_minus_jet"):
+            def counted(fp, n, z, *args, _name=name,
+                        _state=getattr(spectrum, name)):
+                calls.append((_name, n, np.size(z), *args))
+                return _state(fp, n, z, *args)
+            monkeypatch.setattr(spectrum, name, counted)
+        got, _, _ = run_main(["wavefunctions", "--side", side, "--n-list",
+                              "0,3", "--omega-bar", "0.01", "--z-grid",
+                              z_grid], capsys)
+        assert got == code
+        ladder = [range(n, n + 1) for n in degrees]
+        assert calls == ([("phi_plus_jet", n, 3, 1) for n in ladder]
+                         if side == "plus" else [
+            call for n in ladder for call in [
+                ("phi_minus_jet", n, 3, "normalized", 1),
+                ("phi_minus_jet", n, 3, "operator", 1),
+                ("phi_plus_jet", n, 3, 2)]])
+
+
+def test_no_command_calls_elementwise(monkeypatch, capsys):
+    # the states, the gauge fit and every other command path run numpy's
+    # exp, log, log1p and power on their arrays; ``jets.elementwise`` is
+    # left to the reference Jet arithmetic and the tests
+    from swanson import jets
+
+    calls = []
+
+    def counted(fn, v, _elementwise=jets.elementwise):
+        calls.append(fn)
+        return _elementwise(fn, v)
+
+    modules = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "swanson"
+               and getattr(m, "elementwise", None) is jets.elementwise]
+    assert jets in modules
+    for module in modules:
+        monkeypatch.setattr(module, "elementwise", counted)
+    jets.Jet.variable(0.5, 1).exp()
+    assert len(calls) == 1  # the wrapper sees the Jet arithmetic's call
+    calls.clear()
+    om, al, be = FEASIBLE_TRIPLES[0]
+    inverse = ["--mode", "inverse", "--omega", repr(om), "--alpha",
+               repr(al), "--beta", repr(be)]
+    for argv in [*(["wavefunctions", "--side", side, "--n-list", "0,1,5,40",
+                    "--z-grid", "1e-30,0.31,1,1.7,10"]
+                   for side in ("plus", "minus")),
+                 ["verify"], ["verify", *inverse], ["spectrum"],
+                 ["spectrum", *inverse], ["sweep"]]:
+        assert run_main(argv, capsys)[0] == 0
+    assert calls == []
+
 
 def _reference_csv(rows, header) -> str:
     """A table as ``csv.writer`` writes it with ``fmt`` on each float cell."""

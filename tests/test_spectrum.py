@@ -378,6 +378,21 @@ class TestArrayStates:
                                       len(zs))) == one
         assert one[1] == one[2] == ["out"] * 3 and "out" not in one[3]
 
+    @pytest.mark.parametrize("z", [1.0, np.array([1.0, 1.0])])
+    def test_an_envelope_past_the_float_range_is_inf(self, z):
+        # the value's envelope is one np.exp, as the derivatives' are: at
+        # log c = 800 and z = 1 every coefficient is inf, not an
+        # OverflowError
+        from swanson.spectrum import _state
+
+        t = 0.5 * (z * z)
+        ones = np.ones((1,) + np.shape(z))
+        with np.errstate(over="ignore"):
+            state = _state(range(1), lambda k: 800.0, 1.5, z, t,
+                           [ones, 0.0 * ones])
+        assert [c.tolist() for c in state.coeffs] == [
+            (math.inf * ones).tolist()] * 2
+
 
 class TestLadders:
     """A range of degrees gives the whole ladder as one jet, each row bit
