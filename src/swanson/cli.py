@@ -2,9 +2,10 @@
 
 Commands: solve, spectrum, wavefunctions, verify, sweep (the checks of verify
 are the table in ``swanson.verify``).  A run is described by a JSON config
-document; every config field can be overridden by a flag (flags win).  All
-numeric output uses fixed 17-significant-digit formatting and fixed row
-ordering, so identical configs produce byte-identical files.
+document; every config field can be overridden by a flag (flags win), taken
+before or after the command, and one check refuses a bad value whoever set
+it.  All numeric output uses fixed 17-significant-digit formatting and fixed
+row ordering, so identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 config error, 2 infeasible parameters, 3 numeric
 failure (a failed check, non-convergence, a value out of float range).
@@ -44,7 +45,8 @@ def _finite(v) -> bool:
     return type(v) in (int, float) and -math.inf < v < math.inf
 
 
-# field -> (test, what it must be), checked by RunConfig.validate
+# field -> (test, what it must be), checked by RunConfig.validate whether a
+# flag or the config document set it; each field here has one flag
 _FIELD_RULES = {
     "mode": (lambda v: v in ("forward", "inverse"), "forward or inverse"),
     "format": (lambda v: v in ("json", "csv"), "json or csv"),
@@ -59,9 +61,11 @@ _FIELD_RULES = {
                "a list of non-negative integers"),
     "z_grid": (lambda v: isinstance(v, list) and all(map(_finite, v)),
                "a list of finite numbers"),
-    "sweep_range": (lambda v: isinstance(v, tuple) and len(v) == 2
+    "sweep_range": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
                     and all(map(_finite, v)), "two finite numbers"),
     "side": (lambda v: v in ("plus", "minus"), "plus or minus"),
+    "sweep_param": (lambda v: v in ("rho_q", "d", "omega_bar"),
+                    "rho_q, d or omega_bar"),
     "out": (lambda v: v is None or isinstance(v, str), "a file path or null"),
 }
 
@@ -86,7 +90,9 @@ class RunConfig:
     sweep_range: tuple[float, float] = (0.5, 2.0)
     sweep_steps: int = 4
 
-    def validate(self):
+    def validate(self, command: str, format_set: bool):
+        """The rules, the mode's invariants, the tolerances, and a format
+        that was set (not the default: sweep writes csv whatever it holds)."""
         for name, (ok, what) in _FIELD_RULES.items():
             if not ok(getattr(self, name)):
                 raise ConfigError(f"{name} must be {what}, "
@@ -110,6 +116,10 @@ class RunConfig:
             if not (_finite(value) and value >= 0):
                 raise ConfigError(f"tolerance {name!r} must be a finite "
                                   f"number >= 0, got {value!r}")
+        formats = _COMMAND_ARGS[command][0]
+        if format_set and self.format not in formats:
+            raise ConfigError(f"{command} writes {' or '.join(formats)}, "
+                              f"not {self.format!r}")
 
 
 def _solve_params(cfg: RunConfig):
@@ -276,8 +286,6 @@ def _sweep_one(cfg: RunConfig, value: float):
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.mode != "forward":
         raise ConfigError("sweep runs in forward mode")
-    if cfg.sweep_param not in ("rho_q", "d", "omega_bar"):
-        raise ConfigError(f"cannot sweep {cfg.sweep_param!r}")
     lo, hi = cfg.sweep_range
     if cfg.sweep_steps < 1:
         raise ConfigError("need at least one sweep step")
@@ -296,62 +304,77 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # a token that starts like a negative number ("-2.5e-3", "-1:2",
-        # "-inf", "-nan") is a value; argparse's own pattern misses
-        # exponents, ranges and non-numbers and takes such a token for an
-        # option name
-        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
-                                                   re.IGNORECASE)
-
     def error(self, message):
         print(f"config error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 
 
-# the output formats each command writes
-_FORMATS = {"solve": ["json"], "spectrum": ["json", "csv"],
-            "wavefunctions": ["json", "csv"], "verify": ["json"],
-            "sweep": ["csv"]}
+def _items(item, sep: str):
+    """The type of a flag's text of ``item``s joined by ``sep``; argparse
+    names ``item`` in its "invalid <name> value" error."""
+    def parse(text: str) -> list:
+        return [item(t) for t in text.split(sep) if t != ""]
+    parse.__name__ = item.__name__
+    return parse
+
+
+def _tolerance(text: str) -> tuple[str, float]:
+    name, _, value = text.partition("=")
+    return name, float(value)
+
+
+_tolerance.__name__ = "NAME=VALUE"  # argparse's "invalid NAME=VALUE value"
+
+# RunConfig field -> the type of its flag's text, where it is not a string
+_FLAG_TYPES = {**dict.fromkeys(("omega_bar", "rho_q", "d", "omega", "alpha",
+                                "beta"), float), "n_max": int,
+               "sweep_steps": int, "n_list": _items(int, ","),
+               "z_grid": _items(float, ","), "sweep_range": _items(float, ":")}
+
+# command -> (the formats it writes, the fields whose flags only it takes)
+_COMMAND_ARGS = {
+    "solve": (("json",), ()), "verify": (("json",), ()),
+    "spectrum": (("json", "csv"), ()),
+    "wavefunctions": (("json", "csv"), ("side", "n_list", "z_grid")),
+    "sweep": (("csv",), ("sweep_param", "sweep_range", "sweep_steps"))}
+_FLAG_OWNER = {name: command for command, (_, own) in _COMMAND_ARGS.items()
+               for name in own}
+# RunConfig field -> its flag: the name with dashes, less "sweep_"
+_FLAGS = {name: "--" + name.removeprefix("sweep_").replace("_", "-")
+          for name in _FIELD_RULES}
 
 
 @functools.cache
 def _parser() -> _Parser:
-    """The one parser of the process, built on the first ``main`` call."""
-    p = _Parser(prog="swanson",
+    """The one parser of the process, built on the first ``main`` call.  Its
+    namespace holds the command and only the flags that were given."""
+    p = _Parser(prog="swanson", argument_default=argparse.SUPPRESS,
                 description="Non-Hermitian oscillator hierarchy toolkit")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in _FORMATS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--mode", choices=["forward", "inverse"])
-        for flag in ("--omega-bar", "--rho-q", "--d", "--omega", "--alpha",
-                     "--beta"):
-            sp.add_argument(flag, type=float)
-        sp.add_argument("--n-max", type=int)
-        sp.add_argument("--out", type=str)
-        sp.add_argument("--format", choices=_FORMATS[name])
-        sp.add_argument("--tol", action="append", default=[],
-                        metavar="NAME=VALUE")
-        if name == "wavefunctions":
-            sp.add_argument("--side", choices=["plus", "minus"])
-            sp.add_argument("--n-list", type=str, dest="n_list")
-            sp.add_argument("--z-grid", type=str, dest="z_grid")
-        if name == "sweep":
-            sp.add_argument("--param", choices=["rho_q", "d", "omega_bar"],
-                            dest="sweep_param")
-            sp.add_argument("--range", type=str, dest="sweep_range")
-            sp.add_argument("--steps", type=int, dest="sweep_steps")
+    # a token that starts like a negative number ("-2.5e-3", "-1:2", "-inf",
+    # "-nan") is a value; argparse's own pattern misses exponents, ranges and
+    # non-numbers and takes such a token for an option name
+    p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.I)
+    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("--config")
+    for name in _FIELD_RULES:
+        p.add_argument(_FLAGS[name], dest=name, type=_FLAG_TYPES.get(name),
+                       help=_FLAG_OWNER.get(name) and
+                       f"{_FLAG_OWNER[name]} only")
+    p.add_argument("--tol", action="append", dest="tols", type=_tolerance,
+                   metavar="NAME=VALUE")
     return p
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The defaults, then the config document's fields, then the flags that
+    were given, checked as one (``RunConfig.validate``)."""
+    flags = dict(vars(args))
+    command, path = flags.pop("command"), flags.pop("config", None)
     cfg = RunConfig()
     data = {}
-    if args.config:
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}")
@@ -362,40 +385,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             if key not in names:
                 raise ConfigError(f"unknown config field {key!r}")
             setattr(cfg, key, value)
-    for key in ("mode", "omega_bar", "rho_q", "d", "omega", "alpha", "beta",
-                "n_max", "out", "format", "side",
-                "sweep_param", "sweep_steps"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    for key, item in (("n_list", int), ("z_grid", float)):
-        text = getattr(args, key, None)
-        if text is not None:
-            setattr(cfg, key, [item(t) for t in text.split(",") if t != ""])
-    if getattr(args, "sweep_range", None):
-        parts = args.sweep_range.split(":")
-        if len(parts) != 2:
-            raise ConfigError("--range expects lo:hi")
-        cfg.sweep_range = (float(parts[0]), float(parts[1]))
-    for item in getattr(args, "tol", []):
-        if "=" not in item:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
-        name, _, value = item.partition("=")
-        try:
-            value = float(value)
-        except ValueError:
-            raise ConfigError(f"bad tolerance value in {item!r}")
-        if isinstance(cfg.tols, dict):  # validate reports any other tols
-            cfg.tols[name] = value
-    if isinstance(cfg.sweep_range, list):
-        cfg.sweep_range = tuple(cfg.sweep_range)
-    cfg.validate()
-    # a format the config sets is refused as the --format flag refuses it;
-    # the default json is not checked: sweep writes csv whatever it holds
-    formats = _FORMATS[args.command]
-    if "format" in data and cfg.format not in formats:
-        raise ConfigError(f"{args.command} writes {' or '.join(formats)}, "
-                          f"not {cfg.format!r}")
+    for name, value in flags.items():
+        owner = _FLAG_OWNER.get(name, command)
+        if owner != command:
+            raise ConfigError(f"{_FLAGS[name]} is a flag of {owner}, "
+                              f"not of {command}")
+        if name != "tols":
+            setattr(cfg, name, value)
+        elif isinstance(cfg.tols, dict):  # validate reports any other tols
+            cfg.tols.update(value)
+    cfg.validate(command, "format" in data or "format" in flags)
     return cfg
 
 

@@ -172,8 +172,10 @@ def feasibility_x(dc: DerivedConstants, c: float,
 
 
 def check_constraints(fp: FactorizationParams, dc: DerivedConstants,
-                      c: float, d: float) -> ConstraintReport:
-    """Evaluate all five matching relations as left-minus-right residuals."""
+                      c: float, d: float,
+                      roots: list[float] | None = None) -> ConstraintReport:
+    """Evaluate all five matching relations as left-minus-right residuals;
+    ``roots``, the cubic's positive roots, are solved for unless given."""
     a1, a2, a3, a4, a5, ob = dc.a1, dc.a2, dc.a3, dc.a4, dc.a5, dc.omega_bar
     sw = math.sqrt(ob)
     rq, mu = fp.rho_q, fp.mu
@@ -184,11 +186,13 @@ def check_constraints(fp: FactorizationParams, dc: DerivedConstants,
     r47 = abs(c * (-3 * a2 * d + 2 * a1 + a1 * c + 2 * a1 * d) - 12 * ob * d**2)
     r48 = abs(2 * a1 * (1 + d) - a2 * d - 4 * ob * d**3)
     X, feasible = feasibility_x(dc, c, d)
+    if roots is None:
+        roots = _positive_cubic_roots(ob, a1, a2)
     return ConstraintReport(
         res_mu_strength=r44, res_quadratic=r45, res_constant=r46,
         res_rational_quad=r47, res_rational_cubic=r48,
         X=X, feasible_4X=feasible,
-        d_root_count=len(_positive_cubic_roots(ob, a1, a2)),
+        d_root_count=len(roots),
     )
 
 
@@ -215,5 +219,4 @@ def solve_inverse(p: ModelParams) -> tuple[FactorizationParams, ConstraintReport
                            f"43*omega_bar = {43 * ob}")
     rho_q = 0.5 * (math.sqrt(4 * X - 27 * ob) - 4 * sw)
     fp = replace(solve_forward(ob, rho_q, d), c=c)
-    report = check_constraints(fp, dc, c, d)
-    return fp, report
+    return fp, check_constraints(fp, dc, c, d, roots)

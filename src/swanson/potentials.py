@@ -168,11 +168,6 @@ def _inverse_x_over_q(x, d: float, order: int) -> list:
     return out
 
 
-def a_jet(x, order: int) -> Jet:
-    """The square ansatz a = x^2 and its Taylor coefficients."""
-    return power_jet(x, 2, order)
-
-
 def _superpotential(x, pole: float, slope: float, lam: float, d: float,
                     order: int) -> Jet:
     """pole/x + slope x + lam x/(x^2 + d) and its Taylor coefficients to

@@ -1,7 +1,7 @@
 """Byte-identity corpus: run a fixed set of CLI argv in-process and record
 what each one prints, so that two versions of the package can be compared.
 
-    PYTHONPATH=src python tests/corpus.py out.json          # the 583 argv
+    PYTHONPATH=src python tests/corpus.py out.json          # the 596 argv
     PYTHONPATH=src python tests/corpus.py out.json --grid   # and the 90 points
     python tests/corpus.py --diff before.json after.json
 
@@ -18,8 +18,10 @@ as the CLI writes them, and how many once every row's note is dropped
 instead; each id's status changes (PASS -> FAIL and the like) with their
 argv; and the argv whose exit code or stderr changed.
 
-The 583 argv (581 distinct: the README's triple is the first frozen
-triple) are the default ``spectrum``, ``sweep`` and ``verify``, the inverse
+The 596 argv (594 distinct: the README's triple is the first frozen
+triple) are 583 of ``byte_identity_argv`` and the 13 refused inputs of
+``REFUSED``, each of which ends in one ``config error`` line.  The 583 are
+the default ``spectrum``, ``sweep`` and ``verify``, the inverse
 ``spectrum`` and ``verify`` of the README's triple, ``spectrum``,
 ``sweep`` and ``verify`` at each of the 27 corners omega_bar in
 {0.2, 1, 4}, rho_q in {0.1, 1, 3}, d in {0.2, 1, 3}, inverse
@@ -32,14 +34,15 @@ grid's argv exit 3, so its rows at z = 1e-300 and 1e-200 are written) at
 the default point, one box corner, r = 1e-30, omega_hat = 1e150 and the
 extreme point, and the 250
 levels of ``spectrum --n-max 249`` at the default point and at the corner
-(0.2, 0.1, 3).  The last 82 write their tables as csv: 80
+(0.2, 0.1, 3).  The last 82 of them write their tables as csv: 80
 ``wavefunctions --format csv`` (both sides, the n-lists of
 ``WAVE_N_LISTS`` and the five points, on the second grid of
 ``WAVE_GRIDS``, since a state leaves the float range at z = 1e154 of the
 first one and no table is written) and ``spectrum --n-max 249 --format
 csv`` at its two points; every other argv writes the default JSON.
 ``--grid`` adds ``verify --n-max 2`` at omega_bar = 1 on the 10 x 9 grid
-of r = rho_q and omega_hat, with d = omega_hat / (3/2 + r).
+of r = rho_q and omega_hat, with d = omega_hat / (3/2 + r): 686 argv, 684
+distinct.
 pytest does not collect this file.
 """
 
@@ -68,6 +71,14 @@ WAVE_GRIDS = ("1e-300,1e-200,1e-30,1e-3,0.31,1,1.7,10,1e8,1e154,1e300",
 WAVE_POINTS = ([], ["--omega-bar", "0.2", "--rho-q", "3", "--d", "0.2"],
                ["--rho-q", "1e-30", "--d", repr(1 / 1.5)],
                ["--d", repr(1e150 / 2.5)], EXTREME)
+# inputs the CLI refuses: a flag of another command, a format the command
+# does not write, a value a field does not take, text that is not a number,
+# a command that does not exist
+REFUSED = ("verify --side plus", "wavefunctions --steps 2",
+           "verify --format csv", "spectrum --format xml", "sweep --param x",
+           "sweep --range 1", "sweep --range 1:x", "solve --mode bogus",
+           "wavefunctions --side bogus", "wavefunctions --n-list a",
+           "verify --tol x", "verify --tol a=x", "bogus")
 
 
 def _inverse(triple) -> list[str]:
@@ -275,7 +286,8 @@ def main() -> int:
         return 1 if diff(*args.diff) else 0
     if not args.out:
         p.error("give the output file or --diff A B")
-    argv = byte_identity_argv() + (grid_argv() if args.grid else [])
+    argv = (byte_identity_argv() + [a.split() for a in REFUSED]
+            + (grid_argv() if args.grid else []))
     record = {" ".join(a): run_one(a) for a in argv}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)

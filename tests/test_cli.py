@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output schemas, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,8 @@ import pytest
 
 import swanson
 from swanson import verify
-from swanson.cli import DEFAULT_TOLS, main
+from swanson import cli
+from swanson.cli import COMMANDS, DEFAULT_TOLS, main
 from swanson.verify import fmt as verify_fmt
 from conftest import FEASIBLE_TRIPLES, phi_minus, phi_plus, subprocess_env
 
@@ -102,17 +104,29 @@ class TestSolve:
         cfg.write_text(json.dumps({"mode": "forward", "bogus": 1}))
         assert run_main(["solve", "--config", str(cfg)], capsys)[0] == 1
 
-    @pytest.mark.parametrize("command, fmt", [
-        ("solve", "csv"), ("verify", "csv"), ("sweep", "json")])
+    @pytest.mark.parametrize("by", ["config", "flag"])
+    @pytest.mark.parametrize("command, name, value, message", [
+        ("solve", "format", "csv", "solve writes json, not 'csv'"),
+        ("verify", "format", "csv", "verify writes json, not 'csv'"),
+        ("sweep", "format", "json", "sweep writes csv, not 'json'"),
+        ("spectrum", "format", "xml", "format must be json or csv, got 'xml'"),
+        ("sweep", "sweep_param", "x",
+         "sweep_param must be rho_q, d or omega_bar, got 'x'"),
+    ], ids=["solve-csv", "verify-csv", "sweep-json", "spectrum-xml",
+            "sweep-param-x"])
     def test_config_format_is_checked_against_the_command(
-            self, command, fmt, tmp_path, capsys):
-        # refused as the --format flag is refused
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"format": fmt}))
-        code, out, err = run_main([command, "--config", str(cfg)], capsys)
+            self, command, name, value, message, by, tmp_path, capsys):
+        # the flag and the config field are refused by the same check
+        if by == "flag":
+            argv = [command, {"format": "--format",
+                              "sweep_param": "--param"}[name], value]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({name: value}))
+            argv = [command, "--config", str(cfg)]
+        code, out, err = run_main(argv, capsys)
         assert code == 1 and out == ""
-        assert err == f"config error: {command} writes " \
-            f"{'csv' if command == 'sweep' else 'json'}, not '{fmt}'\n"
+        assert err == f"config error: {message}\n"
 
     def test_config_format_the_command_writes(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -162,6 +176,18 @@ class TestSolve:
         ["solve", "--format", "csv"],
         ["verify", "--format", "csv"],
         ["sweep", "--format", "json"],
+        ["sweep", "--range", "1"],
+        ["verify", "--tol", "x"],
+        ["bogus"],
+        # a flag only another command takes
+        *([command, flag, value] for flag, value, owner in (
+            ("--side", "plus", "wavefunctions"),
+            ("--n-list", "0", "wavefunctions"),
+            ("--z-grid", "1", "wavefunctions"),
+            ("--param", "d", "sweep"),
+            ("--range", "1:2", "sweep"),
+            ("--steps", "2", "sweep"))
+          for command in COMMANDS if command != owner),
     ])
     def test_bad_input_is_one_config_error_line(self, args, tmp_path, capsys):
         for name, text in (("n_max_string", '{"n_max": "3"}'),
@@ -741,6 +767,23 @@ class TestDeterminism:
                               env=subprocess_env())
         assert proc.returncode == 0
         assert proc.stdout.split()[-3:] == ["0", "1", "1"]
+
+    def test_the_parser_is_one_argument_parser(self, monkeypatch):
+        # one parser for every command: no subparsers
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        try:
+            cli._parser()
+        finally:
+            cli._parser.cache_clear()
+        assert built == [cli._Parser]
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

@@ -11,8 +11,8 @@ from swanson.diffop import (LinDiffOp, build, compose, conjugate,
                             formal_adjoint, infer_delta, residual)
 from swanson.errors import ModeError
 from swanson.jets import Jet
-from swanson.potentials import (Form, Side, a_jet, b1_jet, b_tilde_jet,
-                                c1_jet, dlog_rho_jet, eval_potential)
+from swanson.potentials import (Form, Side, b1_jet, b_tilde_jet, c1_jet,
+                                dlog_rho_jet, eval_potential, power_jet)
 from conftest import SAMPLE_X, pointwise_hex, random_forward_sets
 
 
@@ -212,7 +212,7 @@ class TestMetricConjugation:
         # resummation does the hand expansion's arithmetic, bit for bit
         x = np.array(SAMPLE_X)
         for mp, fp, _ in inverse_sets:
-            sa = math.sqrt(fp.omega_bar) * a_jet(x, order)
+            sa = math.sqrt(fp.omega_bar) * power_jet(x, 2, order)
             want = [b_tilde_jet(x, fp, order)
                     + sa * dlog_rho_jet(x, fp, mp, order), sa]
             got = build("eta1_constructed", fp, mp).at(x, order)

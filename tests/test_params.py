@@ -150,6 +150,25 @@ class TestSolveInverse:
         assert report.res_rational_quad < 1e-9 * max(1.0, abs(report.X))
         assert report.res_rational_cubic < 1e-9 * max(1.0, abs(report.X))
 
+    @pytest.mark.parametrize("triple", FEASIBLE_TRIPLES)
+    def test_the_cubic_is_solved_once(self, triple, monkeypatch):
+        # the report reuses the roots the solve found, and reads as a
+        # report that solves the cubic again
+        from swanson import params
+        calls = []
+        solve = params._positive_cubic_roots
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(params, "_positive_cubic_roots", counted)
+        fp, report = solve_inverse(ModelParams(*triple))
+        assert len(calls) == 1
+        dc = derive_constants(ModelParams(*triple))
+        assert report == check_constraints(fp, dc, fp.c, fp.d)
+        assert len(calls) == 2
+
     def test_residual_definitions(self, inverse_sets):
         mp, fp, report = inverse_sets[0]
         dc = derive_constants(mp)

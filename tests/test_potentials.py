@@ -10,12 +10,12 @@ import pytest
 from swanson.errors import DomainError, ModeError
 from swanson.numeric import fd_box
 from swanson.params import solve_forward
-from swanson.potentials import (Form, H_zeroth_jet, Side, a_jet, b1_jet,
+from swanson.potentials import (Form, H_zeroth_jet, Side, b1_jet,
                                 b_plain_jet, b_tilde_jet, c1_jet, coord_x,
                                 dlog_rho_jet, eta1_explicit_jet,
                                 eval_potential, eval_potential_z,
-                                h_tilde_jet, h_zeroth_jet, transform_shift,
-                                w_of_z_jet)
+                                h_tilde_jet, h_zeroth_jet, power_jet,
+                                transform_shift, w_of_z_jet)
 from conftest import (SAMPLE_X, SAMPLE_Z, pointwise_hex, random_box_points,
                       random_forward_sets)
 from reference import quad_interval_nodewise, w_of_z_x_chart, x_chart_by_jets
@@ -34,7 +34,7 @@ class TestPointFunctions:
                                                                   rel=1e-14)
 
     def test_square_ansatz_fields(self, fp_star):
-        a = a_jet(2.0, 1)
+        a = power_jet(2.0, 2, 1)
         assert a.value == 4.0
         assert a.derivative(1) == 4.0
 
@@ -264,7 +264,7 @@ class TestClosedFormSuperpotential:
 # order it is written to.  The first four need forward parameters only.
 DELTA = 0.37  # the gauge constant c1 is evaluated with
 X_CHART = {
-    "a": (lambda x, fp, mp, k: a_jet(x, k), 4),
+    "a": (lambda x, fp, mp, k: power_jet(x, 2, k), 4),
     "b_tilde": (lambda x, fp, mp, k: b_tilde_jet(x, fp, k), 4),
     **{f"h_zeroth_{side.value}": (
         lambda x, fp, mp, k, side=side: h_zeroth_jet(side, x, fp, k), 3)

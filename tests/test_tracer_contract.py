@@ -156,7 +156,7 @@ def test_the_x_chart_and_the_commands_make_no_jet_operations(jet_ops):
     fp = solve_inverse(mp)[0]
     x = np.array([-2.3, -0.41, 0.47, 3.4])
     calls = {
-        "a_jet": lambda: potentials.a_jet(x, 3),
+        "power_jet": lambda: potentials.power_jet(x, 2, 3),
         "b_tilde_jet": lambda: potentials.b_tilde_jet(x, fp, 4),
         "b_plain_jet": lambda: potentials.b_plain_jet(x, fp, 4),
         "b1_jet": lambda: potentials.b1_jet(x, fp, mp, 4),
